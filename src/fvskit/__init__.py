@@ -2,6 +2,7 @@
 restricted Hamiltonian graph classes."""
 
 from .graph import (
+    Builder,
     Graph,
     GraphError,
     HamCycleWitness,
@@ -34,7 +35,6 @@ from .gadgets import (
     GadgetReport,
     build_gadget,
     certify_gadget,
-    insert_gadget,
     verify_insertion_equivalence,
 )
 from .geometry import (
@@ -48,6 +48,7 @@ from .geometry import (
     route_connection,
 )
 from .pipeline import (
+    CertificationError,
     PipelineError,
     PipelineResult,
     StageResult,

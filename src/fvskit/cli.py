@@ -9,7 +9,7 @@ import sys
 
 from .gadgets import build_gadget, certify_gadget
 from .geometry import GeometryError, emit_svg
-from .graph import GraphError, Instance
+from .graph import GraphError, Instance, _is_int
 from .pipeline import PipelineError, run_pipeline
 from .solvers import (
     EXHAUSTIVE_LIMIT,
@@ -70,11 +70,16 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    trace = json.loads(_read(args.trace))
+    try:
+        trace = json.loads(_read(args.trace))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"trace is not JSON: {exc}")
     try:
         out_k = trace["output"]["k"]
     except (KeyError, TypeError):
         raise FormatError("trace JSON missing output budget")
+    if not _is_int(out_k) or out_k < 0:
+        raise FormatError("trace JSON output budget must be a non-negative integer")
     out_inst = parse_graph(_read(args.graph), k=out_k)
     verify_trace(out_inst, trace)
     print("ok")

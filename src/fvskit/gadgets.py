@@ -1,6 +1,7 @@
 """The gadget toolbox: four reusable subgraphs (R, L, D, and the Y family)
-with attachment points x and y, canonical Hamiltonian x-y paths, insertion
-into host instances, and exhaustive certification of their deletion costs."""
+with attachment points x and y, canonical Hamiltonian x-y paths, and
+exhaustive certification of their deletion costs. Insertion into a host is
+Builder.insert."""
 
 from __future__ import annotations
 
@@ -8,21 +9,13 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph import (
-    Graph,
-    GraphError,
-    Instance,
-    PlaneGraph,
-    TraceStep,
-    _norm_edge,
-)
+from .graph import Builder, Graph, GraphError, PlaneGraph
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
     check_planarity,
     enumerate_min_fvs,
     fvs_exact_exhaustive,
-    is_fvs,
 )
 
 
@@ -188,43 +181,10 @@ def build_gadget(kind: str, p: int | None = None) -> Gadget:
 
 
 def insert_gadget_graph(g: Graph, gadget: Gadget, u, v):
-    """Add a fresh copy of the gadget to g, fusing its x with u and its y
-    with v. Returns (graph, id_map) where id_map sends gadget-local ids to
-    host ids (x -> u, y -> v, interior -> fresh)."""
-    if u not in g.vertices or v not in g.vertices:
-        raise GraphError("attachment vertices must be present")
-    if u == v and gadget.kind != "R":
-        raise GraphError("same-vertex insertion is only defined for kind R")
-    id_map = {gadget.x: u, gadget.y: v}
-    nid = g.next_id
-    for w in sorted(gadget.graph.vertices):
-        if w not in id_map:
-            id_map[w] = nid
-            nid += 1
-    new_edges = set()
-    for a, b in gadget.graph.edges:
-        ma, mb = id_map[a], id_map[b]
-        if ma == mb:
-            continue  # u=v R-insertion: the x and y pendant edges both land on u
-        new_edges.add(_norm_edge(ma, mb))
-    interior = [id_map[w] for w in sorted(gadget.graph.vertices) if w not in (gadget.x, gadget.y)]
-    out = g.replace(add_vertices=interior, add_edges=new_edges, next_id=nid)
-    return out, id_map
-
-
-def insert_gadget(inst: Instance, gadget: Gadget, u, v, stage="insert"):
-    """H-insertion on an instance: the budget grows by the gadget's certified
-    deletion cost, keeping yes/no status unchanged."""
-    g2, id_map = insert_gadget_graph(inst.graph, gadget, u, v)
-    step = TraceStep(
-        stage=stage,
-        op="insert",
-        k_delta=gadget.k_delta,
-        gadget=gadget.kind,
-        p=gadget.p,
-        attach=(u, v),
-    )
-    return Instance(g2, inst.k + gadget.k_delta, None), step, id_map
+    """Insert one gadget into g; see Builder.insert. Returns (graph, id_map)."""
+    b = Builder(g)
+    id_map = b.insert(gadget, u, v)
+    return b.freeze(), id_map
 
 
 def interior_path(gadget: Gadget, id_map) -> list:

@@ -1,12 +1,11 @@
-"""Immutable simple-graph data model with the structural operations the
-reduction stages are built from: subdivision, identification, low-degree
-stripping, rotation systems with face traversal, and Hamiltonian-cycle
-witnesses."""
+"""Immutable simple-graph data model, the mutable Builder that every
+reduction stage and trace replay edits it through (subdivision, gadget
+insertion, copy, lift, low-degree stripping), rotation systems with face
+traversal, and Hamiltonian-cycle witnesses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cmp_to_key
 
 import networkx as nx
@@ -20,6 +19,15 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _checked_edges(edges, vs):
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at {u}")
+        if u not in vs or v not in vs:
+            raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
+        yield (u, v) if u < v else (v, u)
+
+
 class Graph:
     """Simple undirected graph with stable opaque integer vertex ids.
 
@@ -31,19 +39,13 @@ class Graph:
 
     def __init__(self, vertices=(), edges=(), next_id=None):
         vs = frozenset(vertices)
-        es = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at {u}")
-            if u not in vs or v not in vs:
-                raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
-            es.add(_norm_edge(u, v))
+        es = frozenset(_checked_edges(edges, vs))
         if next_id is None:
             next_id = max(vs, default=-1) + 1
         elif vs and next_id <= max(vs):
             raise GraphError("next_id collides with existing vertex ids")
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(es))
+        object.__setattr__(self, "edges", es)
         object.__setattr__(self, "next_id", next_id)
         object.__setattr__(self, "_adj", None)
 
@@ -83,10 +85,10 @@ class Graph:
     def adjacency(self):
         adj = object.__getattribute__(self, "_adj")
         if adj is None:
-            tmp = {v: set() for v in self.vertices}
+            tmp = {v: [] for v in self.vertices}
             for u, v in self.edges:
-                tmp[u].add(v)
-                tmp[v].add(u)
+                tmp[u].append(v)
+                tmp[v].append(u)
             adj = {v: frozenset(ns) for v, ns in tmp.items()}
             object.__setattr__(self, "_adj", adj)
         return adj
@@ -116,21 +118,138 @@ class Graph:
         return Graph(vs, es, next_id)
 
 
+class Builder:
+    """The one mutable construction engine, shared by the compiler stages
+    and trace replay. It holds a mutable adjacency, the fresh-id counter,
+    the running budget k and the steps recorded so far. Each op applies its
+    edit in time proportional to the edit, derives its own budget delta and
+    appends its TraceStep; freeze() returns a validated immutable Graph.
+    Between ops it answers the read-only queries n, vertices, degree and
+    has_edge like a Graph does."""
+
+    def __init__(self, g: Graph, k: int = 0, stage: str = ""):
+        self._adj = {v: set(ns) for v, ns in g.adjacency.items()}
+        self.next_id = g.next_id
+        self.k = k
+        self.stage = stage
+        self.steps = []
+
+    @property
+    def vertices(self):
+        return self._adj.keys()
+
+    @property
+    def n(self):
+        return len(self._adj)
+
+    def degree(self, v):
+        return len(self._adj[v])
+
+    def has_edge(self, u, v):
+        return v in self._adj.get(u, ())
+
+    def freeze(self) -> Graph:
+        adj = self._adj
+        return Graph(adj, ((u, w) for u, ns in adj.items() for w in ns if u < w), self.next_id)
+
+    def _record(self, op, k_delta=0, **fields):
+        self.k += k_delta
+        self.steps.append(TraceStep(self.stage, op, k_delta, **fields))
+
+    def subdivide(self, e) -> int:
+        """Replace edge e by a path through one fresh vertex; the FVS optimum
+        is unchanged (every cycle through e survives, one vertex longer).
+        Budget +0."""
+        u, v = e
+        adj = self._adj
+        if v not in adj.get(u, ()):
+            raise GraphError("edge not present")
+        w = self.next_id
+        self.next_id += 1
+        adj[u].remove(v)
+        adj[v].remove(u)
+        adj[u].add(w)
+        adj[v].add(w)
+        adj[w] = {u, v}
+        self._record("subdivide", edge=tuple(e))
+        return w
+
+    def insert(self, gadget, u, v) -> dict:
+        """Add a fresh copy of the gadget, fusing its x with u and its y with
+        v. Budget +gadget.k_delta, its certified minimum FVS size. Returns the
+        map from gadget-local ids to host ids (x -> u, y -> v, interior ->
+        fresh)."""
+        adj = self._adj
+        if u not in adj or v not in adj:
+            raise GraphError("attachment vertices must be present")
+        if u == v and gadget.kind != "R":
+            raise GraphError("same-vertex insertion is only defined for kind R")
+        id_map = {gadget.x: u, gadget.y: v}
+        for w in sorted(gadget.graph.vertices):
+            if w not in id_map:
+                id_map[w] = self.next_id
+                adj[self.next_id] = set()
+                self.next_id += 1
+        for a, b in gadget.graph.edges:
+            ma, mb = id_map[a], id_map[b]
+            if ma != mb:  # u=v R-insertion: the x and y pendant edges both land on u
+                adj[ma].add(mb)
+                adj[mb].add(ma)
+        self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v))
+        return id_map
+
+    def copy(self) -> dict:
+        """Add a disjoint second copy of the graph on fresh ids. Budget +k,
+        i.e. it doubles. Returns the map from old ids to their copies."""
+        adj = self._adj
+        mapping = {}
+        for v in sorted(adj):
+            mapping[v] = self.next_id
+            self.next_id += 1
+        for v, ns in list(adj.items()):
+            adj[mapping[v]] = {mapping[w] for w in ns}
+        self._record("copy", self.k)
+        return mapping
+
+    def lift(self):
+        """Join a K_{3n} onto the graph plus a dominating adjacent pair
+        {x, y}. Budget +3n. Returns (clique, x, y)."""
+        adj = self._adj
+        n = len(adj)
+        hosts = list(adj)
+        clique = list(range(self.next_id, self.next_id + 3 * n))
+        x, y = self.next_id + 3 * n, self.next_id + 3 * n + 1
+        self.next_id = y + 1
+        for v in hosts:
+            adj[v].update(clique)
+        joined = set(hosts).union(clique, (x, y))
+        for h in clique:
+            adj[h] = joined - {h}
+        adj[x] = {*clique, y}
+        adj[y] = {*clique, x}
+        self._record("lift", 3 * n)
+        return clique, x, y
+
+    def strip(self):
+        """Iteratively delete degree-zero and degree-one vertices. Budget +0."""
+        adj = self._adj
+        queue = [v for v, ns in adj.items() if len(ns) <= 1]
+        while queue:
+            v = queue.pop()
+            if v not in adj or len(adj[v]) > 1:
+                continue
+            for w in adj.pop(v):
+                adj[w].discard(v)
+                if len(adj[w]) <= 1:
+                    queue.append(w)
+        self._record("strip")
+
+
 def subdivide_edge(g: Graph, e) -> tuple[Graph, int]:
-    """Replace edge e by a path through one fresh vertex; the FVS optimum
-    is unchanged (every cycle through e survives, one vertex longer)."""
-    e = _norm_edge(*e)
-    if e not in g.edges:
-        raise GraphError("edge not present")
-    w = g.next_id
-    u, v = e
-    out = g.replace(
-        add_vertices=(w,),
-        add_edges=((u, w), (w, v)),
-        drop_edges=(e,),
-        next_id=w + 1,
-    )
-    return out, w
+    """Subdivide edge e of g once; see Builder.subdivide."""
+    b = Builder(g)
+    w = b.subdivide(e)
+    return b.freeze(), w
 
 
 def identify_vertices(g: Graph, u, v) -> tuple[Graph, int]:
@@ -320,24 +439,9 @@ class Instance:
 def strip_low_degree(inst: Instance) -> Instance:
     """Iteratively delete degree-zero and degree-one vertices; equivalent
     instance with identical budget."""
-    g = inst.graph
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    queue = [v for v, ns in adj.items() if len(ns) <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in adj or len(adj[v]) > 1:
-            continue
-        for w in adj.pop(v):
-            adj[w].discard(v)
-            if len(adj[w]) <= 1:
-                queue.append(w)
-    kept = set(adj)
-    out = Graph(
-        kept,
-        (e for e in g.edges if e[0] in kept and e[1] in kept),
-        next_id=g.next_id,
-    )
-    return Instance(out, inst.k, None)
+    b = Builder(inst.graph)
+    b.strip()
+    return Instance(b.freeze(), inst.k, None)
 
 
 @dataclass(frozen=True)
@@ -345,7 +449,7 @@ class TraceStep:
     """One replayable reduction event with its budget delta."""
 
     stage: str
-    op: str  # subdivide | identify | insert | strip | copy | lift
+    op: str  # subdivide | insert | strip | copy | lift
     k_delta: int = 0
     gadget: str | None = None
     p: int | None = None
@@ -364,15 +468,27 @@ class TraceStep:
 
     @classmethod
     def from_json(cls, stage, d):
-        return cls(
-            stage=stage,
-            op=d["op"],
-            k_delta=d["k_delta"],
-            gadget=d.get("gadget"),
-            p=d.get("p"),
-            attach=tuple(d.get("attach", ())),
-            edge=tuple(d["subdivided"]) if d.get("subdivided") else None,
-        )
+        """Parse one serialized step; a missing or mistyped field raises
+        ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError("step is not a JSON object")
+        for key in ("op", "k_delta"):
+            if key not in d:
+                raise ValueError(f"step lacks {key!r}")
+        op, k_delta, gadget, p = d["op"], d["k_delta"], d.get("gadget"), d.get("p")
+        attach, edge = d.get("attach", []), d.get("subdivided", [])
+        if not isinstance(op, str) or not _is_int(k_delta):
+            raise ValueError("op must be a string and k_delta an integer")
+        if not (gadget is None or isinstance(gadget, str)) or not (p is None or _is_int(p)):
+            raise ValueError("gadget must be a string and p an integer, or null")
+        for key, val in (("attach", attach), ("subdivided", edge)):
+            if not (isinstance(val, list) and len(val) in (0, 2) and all(map(_is_int, val))):
+                raise ValueError(f"{key} must list zero or two integers")
+        return cls(stage, op, k_delta, gadget, p, tuple(attach), tuple(edge) or None)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """The staged reduction compiler. Each stage consumes an Instance and
 produces an equivalent one on a more restricted class, together with a
 replayable trace of subdivisions and gadget insertions whose budget deltas
-sum to the output budget."""
+sum to the output budget. Stages and replay edit graphs only through
+Builder, so every delta is derived in one place."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .gadgets import build_gadget, insert_gadget_graph, interior_path
+from .gadgets import build_gadget, interior_path
 from .geometry import (
-    GeometryError,
     crossings_on,
     find_crossings,
     grid_embed,
@@ -18,19 +18,16 @@ from .geometry import (
     scan_key,
 )
 from .graph import (
+    Builder,
     Graph,
     GraphError,
     HamCycleWitness,
     Instance,
     PlaneGraph,
     ReductionTrace,
-    TraceStep,
     check_regular,
     face_edge_sets,
-    identify_vertices,
     is_connected,
-    strip_low_degree,
-    subdivide_edge,
     _norm_edge,
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
@@ -40,6 +37,10 @@ GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
 
 class PipelineError(ValueError):
     pass
+
+
+class CertificationError(PipelineError):
+    """A trace or artifact failed re-verification."""
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,13 @@ def eliminate_degree_two(inst: Instance) -> StageResult:
     for v in sorted(g.vertices):
         if not 2 <= g.degree(v) <= 4:
             raise PipelineError(f"precondition: vertex {v} has degree {g.degree(v)}, need 2..4")
-    R = GADGETS["R"]
-    steps = []
-    k = inst.k
+    b = Builder(g, inst.k, "degree2")
     for v in sorted(v for v in g.vertices if g.degree(v) == 2):
-        g, _ = insert_gadget_graph(g, R, v, v)
-        k += R.k_delta
-        steps.append(TraceStep("degree2", "insert", R.k_delta, gadget="R", attach=(v, v)))
-    out = Instance(g, k)
-    _require(all(3 <= out.graph.degree(v) <= 4 for v in out.graph.vertices) or not steps,
+        b.insert(GADGETS["R"], v, v)
+    out = Instance(b.freeze(), b.k)
+    _require(all(3 <= out.graph.degree(v) <= 4 for v in out.graph.vertices) or not b.steps,
              "degree bounds violated after insertion")
-    return StageResult("degree2", out, tuple(steps), _certificate(out))
+    return StageResult("degree2", out, tuple(b.steps), _certificate(out))
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
         if c.owner_a[0] == "route" and c.owner_b[0] == "route":
             raise PipelineError("routed connections cross each other")
 
-    steps = []
+    b = Builder(g, inst.k, "pairing")
     coords = {v: tuple(map(int, p)) for v, p in emb.coords.items()}
     # split every crossed drawn edge at its crossing points
     point_vertex = {}
@@ -178,14 +175,11 @@ def pair_degree_three(inst: Instance) -> StageResult:
         hits = crossings_on(crossings, ("edge", e))
         tail = e
         for _, c in hits:
-            g, w = subdivide_edge(g, tail)
-            steps.append(TraceStep("pairing", "subdivide", 0, edge=tail))
+            w = b.subdivide(tail)
             coords[w] = c.point
             point_vertex[c.point] = w
             tail = _norm_edge(w, e[1])
     # realize each route as a chain of R gadgets through its crossing points
-    R = GADGETS["R"]
-    k = inst.k
     dissolution = []
     for ri, route in enumerate(routes):
         hits = crossings_on(crossings, ("route", ri))
@@ -194,17 +188,16 @@ def pair_degree_three(inst: Instance) -> StageResult:
             chain.append(point_vertex[c.point])
         chain.append(route.endpoints[1])
         dissolution.extend(chain[1:-1])
-        for a, b in zip(chain, chain[1:]):
-            g, _ = insert_gadget_graph(g, R, a, b)
-            k += R.k_delta
-            steps.append(TraceStep("pairing", "insert", R.k_delta, gadget="R", attach=(a, b)))
-    out = Instance(g, k)
+        for x, y in zip(chain, chain[1:]):
+            b.insert(GADGETS["R"], x, y)
+    g = b.freeze()
+    out = Instance(g, b.k)
     _require(check_regular(g, 4), "output not 4-regular")
     _require(all(g.degree(d) == 4 for d in dissolution), "dissolution vertex degree != 4")
     drawn_after = tuple(e for e in sorted(g.edges) if e[0] in coords and e[1] in coords)
     audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
                          drawn_after, tuple(dissolution))
-    return StageResult("pairing", out, tuple(steps), _certificate(out), audit)
+    return StageResult("pairing", out, tuple(b.steps), _certificate(out), audit)
 
 
 def compute_two_factor(g: Graph) -> TwoFactor:
@@ -313,55 +306,44 @@ def _replace_components(tf, drop, merged):
 
 
 def _merge_case1(inst, tf, u, v, Qi, Qj, e, ep):
-    g = inst.graph
+    b = Builder(inst.graph, inst.k, "merge")
     u2 = _other_end(e, u)
     v2 = _other_end(ep, v)
-    steps = [TraceStep("merge", "subdivide", 0, edge=e)]
-    g, z = subdivide_edge(g, e)
-    steps.append(TraceStep("merge", "subdivide", 0, edge=ep))
-    g, zp = subdivide_edge(g, ep)
+    z = b.subdivide(e)
+    zp = b.subdivide(ep)
     L = GADGETS["L"]
-    g, idm = insert_gadget_graph(g, L, z, zp)
-    steps.append(TraceStep("merge", "insert", L.k_delta, gadget="L", attach=(z, zp)))
-    interior = interior_path(L, idm)
+    interior = interior_path(L, b.insert(L, z, zp))
     merged = [z] + _cycle_long_way(Qi, u2, u) + _cycle_long_way(Qj, v, v2) + [zp]
     merged += list(reversed(interior))
-    out = Instance(g, inst.k + L.k_delta)
-    tf2 = _replace_components(tf, {Qi, Qj}, merged)
-    tf2.validate(g)
-    _require(check_regular(g, 4), "merge broke 4-regularity")
-    _require(check_planarity(g)[0], "merge broke planarity")
-    return out, tf2, tuple(steps), 1
+    return _finish_merge(b, tf, {Qi, Qj}, merged, 1)
 
 
 def _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep):
-    g = inst.graph
+    b = Builder(inst.graph, inst.k, "merge")
     u2 = _other_end(e, u)
     wt = _other_end(et, u)
     v2 = _other_end(ep, v)
-    steps = [TraceStep("merge", "subdivide", 0, edge=e)]
-    g, z = subdivide_edge(g, e)
-    steps.append(TraceStep("merge", "subdivide", 0, edge=et))
-    g, zt1 = subdivide_edge(g, et)
-    steps.append(TraceStep("merge", "subdivide", 0, edge=_norm_edge(zt1, wt)))
-    g, zt2 = subdivide_edge(g, _norm_edge(zt1, wt))
-    steps.append(TraceStep("merge", "subdivide", 0, edge=ep))
-    g, zp = subdivide_edge(g, ep)
+    z = b.subdivide(e)
+    zt1 = b.subdivide(et)
+    zt2 = b.subdivide(_norm_edge(zt1, wt))
+    zp = b.subdivide(ep)
     L = GADGETS["L"]
-    g, idm1 = insert_gadget_graph(g, L, z, zt1)
-    steps.append(TraceStep("merge", "insert", L.k_delta, gadget="L", attach=(z, zt1)))
-    g, idm2 = insert_gadget_graph(g, L, zt2, zp)
-    steps.append(TraceStep("merge", "insert", L.k_delta, gadget="L", attach=(zt2, zp)))
-    int1 = interior_path(L, idm1)
-    int2 = interior_path(L, idm2)
+    int1 = interior_path(L, b.insert(L, z, zt1))
+    int2 = interior_path(L, b.insert(L, zt2, zp))
     merged = [z] + int1 + [zt1, zt2] + int2 + [zp]
     merged += _cycle_long_way(Qj, v2, v) + _cycle_long_way(Qi, u, u2)
-    out = Instance(g, inst.k + 2 * L.k_delta)
-    tf2 = _replace_components(tf, {Qi, Qj}, merged)
+    return _finish_merge(b, tf, {Qi, Qj}, merged, 2)
+
+
+def _finish_merge(b, tf, drop, merged, case):
+    """Freeze the merge's builder once and re-check the merged 2-factor,
+    4-regularity and planarity on the result."""
+    g = b.freeze()
+    tf2 = _replace_components(tf, drop, merged)
     tf2.validate(g)
     _require(check_regular(g, 4), "merge broke 4-regularity")
     _require(check_planarity(g)[0], "merge broke planarity")
-    return out, tf2, tuple(steps), 2
+    return Instance(g, b.k), tf2, tuple(b.steps), case
 
 
 def hamiltonize(inst: Instance) -> StageResult:
@@ -383,18 +365,6 @@ def hamiltonize(inst: Instance) -> StageResult:
     return StageResult("hamiltonize", out, tuple(steps), _certificate(out), audit=merges)
 
 
-def _disjoint_copy(g: Graph):
-    """Second copy of g on fresh ids; returns (combined graph, old -> copy map)."""
-    mapping = {}
-    nid = g.next_id
-    for v in sorted(g.vertices):
-        mapping[v] = nid
-        nid += 1
-    new_edges = [(mapping[a], mapping[b]) for a, b in sorted(g.edges)]
-    out = g.replace(add_vertices=mapping.values(), add_edges=new_edges, next_id=nid)
-    return out, mapping
-
-
 def evenize(inst: Instance) -> StageResult:
     """Force an even vertex count: duplicate the instance, doubly subdivide
     one witness edge in each copy, and bridge the copies with two L gadgets.
@@ -404,28 +374,21 @@ def evenize(inst: Instance) -> StageResult:
     if g.n % 2 == 0:
         return StageResult("evenize", inst, (), _certificate(inst))
     C = inst.witness.order
-    e = min(inst.witness.edge_set())
-    a, b = e
-    g2, cmap = _disjoint_copy(g)
-    steps = [TraceStep("evenize", "copy", inst.k)]
-    ap, bp = cmap[a], cmap[b]
-    g2, v1 = subdivide_edge(g2, (a, b))
-    steps.append(TraceStep("evenize", "subdivide", 0, edge=(a, b)))
-    g2, w1 = subdivide_edge(g2, (v1, b))
-    steps.append(TraceStep("evenize", "subdivide", 0, edge=(v1, b)))
-    g2, v2 = subdivide_edge(g2, (ap, bp))
-    steps.append(TraceStep("evenize", "subdivide", 0, edge=(ap, bp)))
-    g2, w2 = subdivide_edge(g2, (v2, bp))
-    steps.append(TraceStep("evenize", "subdivide", 0, edge=(v2, bp)))
+    a, c = min(inst.witness.edge_set())
+    b = Builder(g, inst.k, "evenize")
+    cmap = b.copy()
+    ap, cp = cmap[a], cmap[c]
+    v1 = b.subdivide((a, c))
+    w1 = b.subdivide((v1, c))
+    v2 = b.subdivide((ap, cp))
+    w2 = b.subdivide((v2, cp))
     L = GADGETS["L"]
-    g2, idm1 = insert_gadget_graph(g2, L, v1, v2)
-    steps.append(TraceStep("evenize", "insert", L.k_delta, gadget="L", attach=(v1, v2)))
-    g2, idm2 = insert_gadget_graph(g2, L, w1, w2)
-    steps.append(TraceStep("evenize", "insert", L.k_delta, gadget="L", attach=(w1, w2)))
-    # splice: original cycle from b around to a, through the first L into the
+    idm1 = b.insert(L, v1, v2)
+    idm2 = b.insert(L, w1, w2)
+    # splice: original cycle from c around to a, through the first L into the
     # copy, around it, and back through the second L
-    main = _witness_long_way(C, b, a)
-    copy_walk = [cmap[x] for x in _witness_long_way(C, a, b)]
+    main = _witness_long_way(C, c, a)
+    copy_walk = [cmap[x] for x in _witness_long_way(C, a, c)]
     order = (
         main
         + [v1] + interior_path(L, idm1) + [v2]
@@ -433,10 +396,11 @@ def evenize(inst: Instance) -> StageResult:
         + [w2] + list(reversed(interior_path(L, idm2))) + [w1]
     )
     witness = HamCycleWitness(tuple(order))
-    out = Instance(g2, 2 * inst.k + 8, witness)
+    out = Instance(b.freeze(), b.k, witness)
     _require(out.graph.n == 2 * g.n + 24, "evenize size mismatch")
+    _require(out.k == 2 * inst.k + 8, "budget ledger mismatch")
     _require(check_regular(out.graph, 4), "evenize broke 4-regularity")
-    return StageResult("evenize", out, tuple(steps), _certificate(out))
+    return StageResult("evenize", out, tuple(b.steps), _certificate(out))
 
 
 def _witness_long_way(order, frm, to):
@@ -455,21 +419,17 @@ def five_regularize(inst: Instance) -> StageResult:
     D = GADGETS["D"]
     order = inst.witness.order
     n = g.n
-    steps = []
-    k = inst.k
+    b = Builder(g, inst.k, "5regular")
     new_order = []
     for i in range(0, n, 2):
-        a, b = order[i], order[i + 1]
-        g, idm = insert_gadget_graph(g, D, a, b)
-        k += D.k_delta
-        steps.append(TraceStep("5regular", "insert", D.k_delta, gadget="D", attach=(a, b)))
-        new_order += [a] + interior_path(D, idm) + [b]
-    witness = HamCycleWitness(tuple(new_order))
-    out = Instance(g, k, witness)
-    _require(out.graph.n == 7 * n, "5-regularization size mismatch")
+        x, y = order[i], order[i + 1]
+        new_order += [x] + interior_path(D, b.insert(D, x, y)) + [y]
+    g = b.freeze()
+    out = Instance(g, b.k, HamCycleWitness(tuple(new_order)))
+    _require(g.n == 7 * n, "5-regularization size mismatch")
     _require(check_regular(g, 5), "output not 5-regular")
-    _require(k == inst.k + 3 * n, "budget ledger mismatch")
-    return StageResult("5regular", out, tuple(steps), _certificate(out))
+    _require(out.k == inst.k + 3 * n, "budget ledger mismatch")
+    return StageResult("5regular", out, tuple(b.steps), _certificate(out))
 
 
 def p_regularize(inst: Instance, target_p: int) -> StageResult:
@@ -484,78 +444,39 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     _require(r <= target_p, f"already {r}-regular, beyond target {target_p}")
     if g.n % 2:
         raise PipelineError("evenize first")
-    steps = []
-    k = inst.k
-    witness = inst.witness
+    b = Builder(g, inst.k, "pregular")
+    order = inst.witness.order
     while r < target_p:
         Y = build_gadget("Y", r)
-        order = witness.order
-        n = g.n
+        n = b.n
         new_order = []
         for i in range(0, n, 2):
-            a, b = order[i], order[i + 1]
-            g, idm = insert_gadget_graph(g, Y, a, b)
-            k += Y.k_delta
-            steps.append(TraceStep("pregular", "insert", Y.k_delta, gadget="Y", p=r, attach=(a, b)))
-            new_order += [a] + interior_path(Y, idm) + [b]
-        witness = HamCycleWitness(tuple(new_order))
-        _require(g.n == n * (r + 2), "Y round size mismatch")
+            x, y = order[i], order[i + 1]
+            new_order += [x] + interior_path(Y, b.insert(Y, x, y)) + [y]
+        order = new_order
+        _require(b.n == n * (r + 2), "Y round size mismatch")
         r += 1
-        _require(check_regular(g, r), f"Y round did not reach {r}-regularity")
-    out = Instance(g, k, witness)
+        _require(check_regular(b, r), f"Y round did not reach {r}-regularity")
+    out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order)))
     # the clique gadgets rule out planarity from here on
-    return StageResult("pregular", out, tuple(steps), _certificate(out, claim_planar=False))
-
-
-def _lift_graph(g: Graph):
-    """Join a K_{3n} onto g plus a dominating adjacent pair {x, y}."""
-    n = g.n
-    nid = g.next_id
-    clique = list(range(nid, nid + 3 * n))
-    x, y = nid + 3 * n, nid + 3 * n + 1
-    edges = []
-    for i, h in enumerate(clique):
-        for h2 in clique[i + 1 :]:
-            edges.append((h, h2))
-        for v in g.vertices:
-            edges.append((h, v))
-        edges.append((h, x))
-        edges.append((h, y))
-    edges.append((x, y))
-    g2 = g.replace(add_vertices=clique + [x, y], add_edges=edges, next_id=y + 1)
-    return g2, clique, x, y
-
-
-def lift_once(inst: Instance):
-    """One join step; the result stays Hamiltonian and its budget grows by
-    exactly 3n."""
-    g = inst.graph
-    _require(inst.witness is not None, "precondition: witness required")
-    n = g.n
-    g2, clique, x, y = _lift_graph(g)
-    order = list(inst.witness.order) + [clique[0], x, y] + clique[1:]
-    witness = HamCycleWitness(tuple(order))
-    step = TraceStep("lift", "lift", 3 * n)
-    return Instance(g2, inst.k + 3 * n, witness), step
+    return StageResult("pregular", out, tuple(b.steps), _certificate(out, claim_planar=False))
 
 
 def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     """Lift a Hamiltonian instance (3-Hamiltonian-ordered by definition) to
     target_p-Hamiltonian-ordered via target_p - 3 join steps, asserting the
-    degree-sum sufficiency condition after each."""
+    degree-sum sufficiency condition after each. Each join keeps the graph
+    Hamiltonian and grows the budget by exactly 3n."""
     _require(inst.witness is not None, "precondition: witness required")
     _require(target_p >= 3, "precondition: target p >= 3 required")
-    steps = []
-    p = 3
-    while p < target_p:
-        inst, step = lift_once(inst)
-        steps.append(step)
-        p += 1
-        _require(
-            check_ore_condition(inst.graph, p),
-            f"degree-sum condition failed for p={p}",
-        )
-    return StageResult("lift", inst, tuple(steps), _certificate(inst, claim_planar=False))
+    b = Builder(inst.graph, inst.k, "lift")
+    order = list(inst.witness.order)
+    for p in range(4, target_p + 1):
+        clique, x, y = b.lift()
+        order += [clique[0], x, y] + clique[1:]
+        _require(check_ore_condition(b, p), f"degree-sum condition failed for p={p}")
+    out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order))) if b.steps else inst
+    return StageResult("lift", out, tuple(b.steps), _certificate(out, claim_planar=False))
 
 
 PLANAR_TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham")
@@ -606,11 +527,11 @@ def run_pipeline(inst: Instance, target: str) -> PipelineResult:
         cur = push(ham_ordered_lift(cur, p))
         return PipelineResult(inst, tuple(stages), cur)
 
-    stripped = strip_low_degree(inst)
-    if stripped.graph != inst.graph:
-        stages.append(StageResult("strip", stripped, (TraceStep("strip", "strip"),),
-                                  _certificate(stripped)))
-    cur = stripped
+    b = Builder(inst.graph, inst.k, "strip")
+    b.strip()
+    cur = Instance(b.freeze(), inst.k)
+    if cur.graph != inst.graph:
+        stages.append(StageResult("strip", cur, tuple(b.steps), _certificate(cur)))
     _require(cur.graph.n > 0, "precondition: graph empty after stripping")
     cur = push(eliminate_degree_two(cur))
     cur = push(pair_degree_three(cur))
@@ -628,26 +549,52 @@ def run_pipeline(inst: Instance, target: str) -> PipelineResult:
     return PipelineResult(inst, tuple(stages), cur)
 
 
-def replay_trace(g: Graph, steps) -> tuple[Graph, int]:
-    """Re-execute a recorded step list on the input graph. Fresh ids are
-    allocated by the same deterministic counter, so a faithful trace
-    reproduces the output graph exactly."""
-    k_delta = 0
-    for s in steps:
-        if s.op == "strip":
-            g = strip_low_degree(Instance(g, 0)).graph
-        elif s.op == "subdivide":
-            g, _ = subdivide_edge(g, s.edge)
-        elif s.op == "identify":
-            g, _ = identify_vertices(g, *s.attach)
-        elif s.op == "insert":
-            gadget = GADGETS[s.gadget] if s.gadget != "Y" else build_gadget("Y", s.p)
-            g, _ = insert_gadget_graph(g, gadget, *s.attach)
-        elif s.op == "copy":
-            g, _ = _disjoint_copy(g)
-        elif s.op == "lift":
-            g, _, _, _ = _lift_graph(g)
+def replay_trace(g: Graph, steps, k: int = 0) -> tuple[Graph, int]:
+    """Re-execute recorded steps on g, whose budget is k, through the same
+    Builder ops the compiler used. Fresh ids come from the same counter, so
+    a faithful trace reproduces the output graph exactly. Every budget delta
+    is derived from the op; a recorded step that differs from its replay in
+    any field, or that cannot be applied, raises CertificationError naming
+    the stage and step index. Returns the graph and the derived delta."""
+    b = Builder(g, k)
+    ys = {}
+    for i, s in enumerate(steps):
+        b.stage = s.stage
+        try:
+            _replay_step(b, s, ys)
+        except (GraphError, PipelineError) as exc:
+            raise CertificationError(f"stage {s.stage} step {i}: {exc}") from None
+        derived = b.steps[-1]
+        if derived != s:
+            diff = ", ".join(
+                f"{f} recorded {getattr(s, f)!r}, replay derives {getattr(derived, f)!r}"
+                for f in ("op", "k_delta", "gadget", "p", "attach", "edge")
+                if getattr(s, f) != getattr(derived, f)
+            )
+            raise CertificationError(f"stage {s.stage} step {i}: {diff}")
+    return b.freeze(), b.k - k
+
+
+def _replay_step(b: Builder, s, ys):
+    if s.op == "subdivide":
+        _require(s.edge is not None, "subdivide names no edge")
+        b.subdivide(s.edge)
+    elif s.op == "insert":
+        _require(len(s.attach) == 2, "insert names no attachment pair")
+        if s.gadget == "Y":
+            # a Y_p insertion only ever lands in a p-regular graph, so p < n
+            _require(s.p is not None and s.p < b.n, f"Y_p with p={s.p} on {b.n} vertices")
+            if s.p not in ys:
+                ys[s.p] = build_gadget("Y", s.p)
+            gadget = ys[s.p]
         else:
-            raise PipelineError(f"unknown trace op {s.op!r}")
-        k_delta += s.k_delta
-    return g, k_delta
+            gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)
+        b.insert(gadget, *s.attach)
+    elif s.op == "copy":
+        b.copy()
+    elif s.op == "lift":
+        b.lift()
+    elif s.op == "strip":
+        b.strip()
+    else:
+        raise PipelineError(f"unknown trace op {s.op!r}")

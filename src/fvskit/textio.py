@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, HamCycleWitness, Instance, TraceStep
-from .pipeline import PipelineResult, replay_trace
+from .graph import Graph, HamCycleWitness, Instance, TraceStep, _is_int
+from .pipeline import CertificationError, PipelineResult, replay_trace
 from .solvers import check_planarity
 
 
@@ -17,10 +17,6 @@ class FormatError(ValueError):
     def __init__(self, msg, line=None):
         self.line = line
         super().__init__(msg if line is None else f"line {line}: {msg}")
-
-
-class CertificationError(ValueError):
-    """An artifact failed re-verification."""
 
 
 def parse_graph(text: str, k: int = 0) -> Instance:
@@ -132,34 +128,62 @@ def _canonical(g: Graph):
     )
 
 
-def verify_trace(out_inst: Instance, trace: dict) -> None:
-    """Replay a trace JSON against the claimed output; raises on any
-    certificate mismatch."""
+def _load_trace(trace: dict):
+    """Check the shape of a trace JSON; returns (input graph, input k,
+    stages as (name, steps, k_after, certified), output (n, m, k))."""
+
+    def integer(x, what):
+        if not _is_int(x):
+            raise FormatError(f"trace JSON: {what} must be an integer")
+        return x
+
     try:
         inp = trace["input"]
-        g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
-        k = inp["k"]
-        stages = trace["stages"]
-        out_decl = trace["output"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"trace JSON missing field: {exc}")
-    for st in stages:
-        steps = [TraceStep.from_json(st["name"], d) for d in st["steps"]]
-        g, dk = replay_trace(g, steps)
+        g = Graph(range(1, integer(inp["n"], "input n") + 1), [tuple(e) for e in inp["edges"]])
+        k = integer(inp["k"], "input k")
+        stages = []
+        for st in trace["stages"]:
+            name = st["name"]
+            steps = []
+            for i, d in enumerate(st["steps"]):
+                try:
+                    steps.append(TraceStep.from_json(name, d))
+                except ValueError as exc:
+                    raise FormatError(f"stage {name} step {i}: {exc}") from None
+            if not isinstance(st["certified"], dict):
+                raise FormatError(f"stage {name}: certified must be an object")
+            stages.append((name, steps, integer(st["k_after"], f"stage {name} k_after"),
+                           st["certified"]))
+        out = tuple(integer(trace["output"][f], f"output {f}") for f in ("n", "m", "k"))
+    except FormatError:
+        raise
+    except KeyError as exc:
+        raise FormatError(f"trace JSON missing field: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed trace JSON: {exc}") from None
+    return g, k, stages, out
+
+
+def verify_trace(out_inst: Instance, trace: dict) -> None:
+    """Replay a trace JSON against the claimed output; raises on any
+    certificate mismatch. The ledger is rebuilt from the replayed ops
+    alone: recorded k_delta values are compared, never added."""
+    g, k, stages, out_decl = _load_trace(trace)
+    for name, steps, k_after, cert in stages:
+        g, dk = replay_trace(g, steps, k)
         k += dk
-        if k != st["k_after"]:
+        if k != k_after:
             raise CertificationError(
-                f"stage {st['name']}: ledger k={k} disagrees with recorded {st['k_after']}"
+                f"stage {name}: ledger k={k} disagrees with recorded {k_after}"
             )
-        cert = st["certified"]
         if cert.get("regular") is not None:
             if any(g.degree(v) != cert["regular"] for v in g.vertices):
-                raise CertificationError(f"stage {st['name']}: regularity claim fails")
+                raise CertificationError(f"stage {name}: regularity claim fails")
         if cert.get("planar") and not check_planarity(g)[0]:
-            raise CertificationError(f"stage {st['name']}: planarity claim fails")
+            raise CertificationError(f"stage {name}: planarity claim fails")
         if cert.get("even") and g.n % 2:
-            raise CertificationError(f"stage {st['name']}: even-order claim fails")
-    if (g.n, g.m, k) != (out_decl["n"], out_decl["m"], out_decl["k"]):
+            raise CertificationError(f"stage {name}: even-order claim fails")
+    if (g.n, g.m, k) != out_decl:
         raise CertificationError("trace output summary disagrees with replay")
     if k != out_inst.k:
         raise CertificationError(
@@ -169,5 +193,5 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
         raise CertificationError("replayed graph differs from output graph")
     if out_inst.witness is not None and not out_inst.witness.is_valid_for(out_inst.graph):
         raise CertificationError("output witness invalid")
-    if stages and stages[-1]["certified"].get("witness") and out_inst.witness is None:
+    if stages and stages[-1][3].get("witness") and out_inst.witness is None:
         raise CertificationError("trace claims a witness but output has none")

@@ -7,13 +7,12 @@ from fvskit.gadgets import (
     build_core_wheel,
     build_gadget,
     certify_gadget,
-    insert_gadget,
     insert_gadget_graph,
     interior_path,
     remainder_after,
     verify_insertion_equivalence,
 )
-from fvskit.graph import Graph, GraphError, Instance
+from fvskit.graph import Builder, Graph, GraphError
 from fvskit.solvers import SolverError, is_fvs
 
 from conftest import complete_graph, cycle_graph, opt
@@ -112,9 +111,10 @@ class TestInsertion:
             insert_gadget_graph(cycle_graph(3), build_gadget("R"), 1, 9)
 
     def test_instance_budget_and_step(self):
-        inst = Instance(cycle_graph(5), 2)
-        out, step, idm = insert_gadget(inst, build_gadget("L"), 1, 3)
-        assert out.k == 6
+        b = Builder(cycle_graph(5), 2, "insert")
+        b.insert(build_gadget("L"), 1, 3)
+        assert b.k == 6
+        (step,) = b.steps
         assert (step.op, step.gadget, step.k_delta, step.attach) == ("insert", "L", 4, (1, 3))
 
     def test_interior_path_is_host_path(self):

@@ -1,0 +1,163 @@
+"""Tampered traces: `fvskit verify` must reject every single-field mutation
+of a valid trace with exit 2 (format) or 4 (certification), or else the
+mutant must replay to the identical output. It must never trust a recorded
+budget delta, and never end in a traceback."""
+
+import copy
+import json
+
+import pytest
+
+from fvskit.cli import main
+from fvskit.graph import Graph, TraceStep
+from fvskit.pipeline import replay_trace
+from fvskit.textio import parse_graph
+
+TRIANGLE = "p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+OPS = ("subdivide", "insert", "copy", "lift", "strip")
+KINDS = ("R", "L", "D", "Y")
+
+
+def _compile(tmp_path, k):
+    inp = tmp_path / "in.fvs"
+    inp.write_text(TRIANGLE)
+    out, tr = tmp_path / "out.fvs", tmp_path / "trace.json"
+    assert main(["reduce", str(inp), "--target", "4reg-planar-ham", "--k", str(k),
+                 "-o", str(out), "--trace", str(tr)]) == 0
+    return out, json.loads(tr.read_text())
+
+
+def _verify(tmp_path, out, doc_or_text):
+    tr = tmp_path / "mutant.json"
+    tr.write_text(doc_or_text if isinstance(doc_or_text, str) else json.dumps(doc_or_text))
+    return main(["verify", str(out), "--trace", str(tr)])
+
+
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mutation")
+    out, doc = _compile(tmp, 1)
+    return tmp, out, doc
+
+
+def _field_mutants(value):
+    """Every single-value change of one step field: ints by +-1, op and
+    gadget names swapped, each listed vertex by +-1, nulls filled."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if value in OPS:
+        return [op for op in OPS if op != value]
+    if value in KINDS:
+        return [kind for kind in KINDS if kind != value]
+    if isinstance(value, list):
+        return [value[:i] + [value[i] + d] + value[i + 1:]
+                for i in range(len(value)) for d in (-1, 1)]
+    if value is None:
+        return [3, "R"]
+    raise AssertionError(f"unexpected trace value {value!r}")
+
+
+def mutants(doc):
+    for si, st in enumerate(doc["stages"]):
+        for j, step in enumerate(st["steps"]):
+            for field, value in step.items():
+                for new in _field_mutants(value):
+                    m = copy.deepcopy(doc)
+                    m["stages"][si]["steps"][j][field] = new
+                    yield f"stage {si} step {j} {field}={new!r}", m
+        for new in _field_mutants(st["k_after"]):
+            m = copy.deepcopy(doc)
+            m["stages"][si]["k_after"] = new
+            yield f"stage {si} k_after={new}", m
+    for field in ("n", "m", "k"):
+        for new in _field_mutants(doc["output"][field]):
+            m = copy.deepcopy(doc)
+            m["output"][field] = new
+            yield f"output {field}={new}", m
+
+
+def _replay(doc):
+    inp = doc["input"]
+    g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
+    steps = [TraceStep.from_json(st["name"], d) for st in doc["stages"] for d in st["steps"]]
+    g, dk = replay_trace(g, steps, inp["k"])
+    return g, inp["k"] + dk
+
+
+def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
+    tmp, out, doc = artifact
+    expected = parse_graph(out.read_text(), k=doc["output"]["k"])
+    assert _verify(tmp, out, doc) == 0
+    count = 0
+    for label, m in mutants(doc):
+        rc = _verify(tmp, out, m)
+        if rc == 0:
+            g, k = _replay(m)
+            assert (g.n, g.m, k) == (expected.graph.n, expected.graph.m, expected.k), label
+        else:
+            assert rc in (2, 4), (label, rc)
+        count += 1
+    assert count > 200
+
+
+def test_zeroed_deltas_are_rejected(tmp_path, capsys):
+    # the ledger must come from the ops: a trace whose insert deltas, stage
+    # budgets and output budget are all zeroed still replays to the same
+    # graph, so only a derived ledger can catch it
+    out, doc = _compile(tmp_path, 0)
+    assert doc["output"]["k"] == 33
+    for st in doc["stages"]:
+        for step in st["steps"]:
+            if step["op"] == "insert":
+                step["k_delta"] = 0
+        st["k_after"] = 0
+    doc["output"]["k"] = 0
+    capsys.readouterr()
+    assert _verify(tmp_path, out, doc) == 4
+    err = capsys.readouterr().err
+    assert "stage degree2 step 0" in err and "k_delta recorded 0, replay derives 3" in err
+
+
+def _first_insert(doc):
+    for st in doc["stages"]:
+        for step in st["steps"]:
+            if step["op"] == "insert":
+                return step
+    raise AssertionError("no insert step")
+
+
+class TestMalformedTraces:
+    def test_not_json(self, artifact):
+        tmp, out, _ = artifact
+        assert _verify(tmp, out, "{ not json") == 2
+
+    def test_unknown_gadget(self, artifact):
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        _first_insert(doc)["gadget"] = "Q"
+        assert _verify(tmp, out, doc) == 4
+
+    def test_step_without_op(self, artifact):
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        del doc["stages"][0]["steps"][0]["op"]
+        assert _verify(tmp, out, doc) == 2
+
+    def test_absent_attachment_vertex(self, artifact):
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        _first_insert(doc)["attach"] = [10_000, 10_000]
+        assert _verify(tmp, out, doc) == 4
+
+    def test_oversized_y(self, artifact):
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        step = _first_insert(doc)
+        step["gadget"], step["p"] = "Y", 10**9
+        assert _verify(tmp, out, doc) == 4
+
+    def test_trace_not_an_object(self, artifact):
+        tmp, out, _ = artifact
+        assert _verify(tmp, out, "[1, 2]") == 2
