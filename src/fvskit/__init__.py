@@ -12,7 +12,6 @@ from .graph import (
     TraceStep,
     check_regular,
     faces,
-    identify_vertices,
     strip_low_degree,
     subdivide_edge,
 )
@@ -27,7 +26,6 @@ from .solvers import (
     fvs_branch_reduce,
     fvs_exact_exhaustive,
     is_fvs,
-    verify_witness,
     vertex_connectivity_at_least,
 )
 from .gadgets import (
@@ -41,7 +39,6 @@ from .geometry import (
     GeometryError,
     GridEmbedding,
     RoutedConnection,
-    dissolve_crossings,
     find_crossings,
     grid_embed,
     pick_epsilon,

@@ -9,7 +9,7 @@ import sys
 
 from .gadgets import build_gadget, certify_gadget
 from .geometry import GeometryError, emit_svg
-from .graph import GraphError, Instance, _is_int
+from .graph import GraphError, _is_int
 from .pipeline import PipelineError, run_pipeline
 from .solvers import (
     EXHAUSTIVE_LIMIT,
@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--trace", default=None)
     red.add_argument("--witness-out", default=None)
     red.add_argument("--k", type=int, default=0)
-    red.add_argument("--seed", type=int, default=0)
     red.add_argument("--svg-debug", default=None)
     red.set_defaults(func=cmd_reduce)
 

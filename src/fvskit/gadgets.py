@@ -7,9 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .graph import Builder, Graph, GraphError, PlaneGraph
+from .graph import Builder, Graph, GraphError
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -37,21 +35,15 @@ class Gadget:
 
     kind: str  # R | L | D | Y
     p: int | None
-    pg: PlaneGraph
+    graph: Graph
     x: int
     y: int
-    x_port: int | None  # x' where the construction names one
-    y_port: int | None
     ham_path: tuple
     k_delta: int
 
-    @property
-    def graph(self) -> Graph:
-        return self.pg.graph
-
     def __post_init__(self):
         hp = self.ham_path
-        g = self.pg.graph
+        g = self.graph
         if hp[0] != self.x or hp[-1] != self.y:
             raise GraphError("ham_path must run from x to y")
         if len(hp) != g.n or set(hp) != g.vertices:
@@ -72,7 +64,6 @@ class GadgetReport:
     separating: bool
     ham_xy: bool
     planar: bool
-    port_in_some_optimal: bool
 
     def to_json(self):
         return {
@@ -99,7 +90,7 @@ def _build_r() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 1, 2, 5, 6, 3, 4, 7, 8)
-    return _finish("R", None, g, 0, 8, 1, 7, ham, 3)
+    return Gadget("R", None, g, 0, 8, ham, 3)
 
 
 def _build_l() -> Gadget:
@@ -115,7 +106,7 @@ def _build_l() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 4, 3, 2, 5, 1, 6, 10, 7, 8, 9, 11)
-    return _finish("L", None, g, 0, 11, None, None, ham, 4)
+    return Gadget("L", None, g, 0, 11, ham, 4)
 
 
 def _build_d() -> Gadget:
@@ -132,7 +123,7 @@ def _build_d() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 1, 3, 2, 8, 7, 6, 10, 5, 9, 4, 11, 12, 13)
-    return _finish("D", None, g, 0, 13, 1, 12, ham, 6)
+    return Gadget("D", None, g, 0, 13, ham, 6)
 
 
 def _build_y(p: int) -> Gadget:
@@ -153,17 +144,7 @@ def _build_y(p: int) -> Gadget:
     edges.append((yp, 2 * p + 3))
     g = Graph.from_edges(edges)
     ham = (0, xp, *a, *reversed(b), yp, 2 * p + 3)
-    return _finish("Y", p, g, 0, 2 * p + 3, xp, yp, ham, 2 * p - 2)
-
-
-def _finish(kind, p, g, x, y, xp, yp, ham, k_delta) -> Gadget:
-    planar, rot = check_planarity(g)
-    if not planar:
-        # clique sizes beyond 4 rule out a plane drawing; keep a well formed
-        # but non-planar rotation so the type is uniform
-        rot = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices}
-    pg = PlaneGraph(g, rot)
-    return Gadget(kind, p, pg, x, y, xp, yp, ham, k_delta)
+    return Gadget("Y", p, g, 0, 2 * p + 3, ham, 2 * p - 2)
 
 
 def build_gadget(kind: str, p: int | None = None) -> Gadget:
@@ -218,12 +199,12 @@ def certify_gadget(gadget: Gadget) -> GadgetReport:
     search; a disagreement with the stored k_delta raises."""
     g = gadget.graph
     if g.n > EXHAUSTIVE_LIMIT:
-        raise SolverError("use sampled certification")
+        raise SolverError(
+            f"gadget has {g.n} vertices; exhaustive certification handles at most {EXHAUSTIVE_LIMIT}"
+        )
     opt, solutions = enumerate_min_fvs(g)
     excludes_x = all(gadget.x not in s for s in solutions)
     excludes_y = all(gadget.y not in s for s in solutions)
-    ports = {gadget.x_port, gadget.y_port} - {None}
-    port_hit = any(s & ports for s in solutions) if ports else False
     separating = any(_separates(g, s, gadget.x, gadget.y) for s in solutions)
     ham_xy = _ham_path_exists(g, gadget.x, gadget.y)
     planar, _ = check_planarity(g)
@@ -239,7 +220,6 @@ def certify_gadget(gadget: Gadget) -> GadgetReport:
         separating=separating,
         ham_xy=ham_xy,
         planar=planar,
-        port_in_some_optimal=port_hit,
     )
 
 
@@ -269,11 +249,3 @@ def verify_insertion_equivalence(host: Graph, gadget: Gadget, u, v) -> bool:
     after = len(fvs_exact_exhaustive(g2).deleted)
     return after == before + gadget.k_delta
 
-
-def remainder_after(g: Graph, deleted) -> nx.Graph:
-    """Induced subgraph after a deletion, as networkx, for isomorphism tests."""
-    kept = g.vertices - set(deleted)
-    H = nx.Graph()
-    H.add_nodes_from(sorted(kept))
-    H.add_edges_from(e for e in sorted(g.edges) if e[0] in kept and e[1] in kept)
-    return H

@@ -1,6 +1,6 @@
 """Exact planar geometry: integer-grid straight-line embeddings, channel
-routing of new connections between grid vertices, crossing detection with
-rational arithmetic, and crossing dissolution. No floating point anywhere."""
+routing of new connections between grid vertices, and crossing detection
+with rational arithmetic. No floating point anywhere."""
 
 from __future__ import annotations
 
@@ -9,16 +9,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from .graph import (
-    Graph,
-    GraphError,
-    PlaneGraph,
-    identify_vertices,
-    rotation_from_coords,
-    subdivide_edge,
-    to_networkx,
-    _norm_edge,
-)
+from .graph import Graph, to_networkx
 
 
 class GeometryError(ValueError):
@@ -49,7 +40,6 @@ def segment_relation(p1, p2, p3, p4):
     d4 = _cross(p1, p2, p4)
     if d1 == d2 == 0:
         # collinear: distinguish disjoint, single shared point, and overlap
-        pts = sorted({p1, p2, p3, p4})
         hits = [p for p in (p1, p2) if _on_segment(p, p3, p4)]
         hits += [p for p in (p3, p4) if _on_segment(p, p1, p2)]
         hits = sorted(set(hits))
@@ -282,7 +272,7 @@ class Crossing:
     param_b: tuple
 
 
-def _owner_param(owner, t, seg):
+def _owner_param(owner, t):
     # param orders crossings along an edge or along a route polyline
     if owner[0] == "edge":
         return (0, t)
@@ -318,8 +308,8 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
                 owner_a=oa[:2],
                 owner_b=ob[:2],
                 point=pt,
-                param_a=_owner_param(oa, t, (a1, a2)),
-                param_b=_owner_param(ob, tb, (b1, b2)),
+                param_a=_owner_param(oa, t),
+                param_b=_owner_param(ob, tb),
             )
             if pt in seen_points:
                 raise GeometryError("epsilon regime violated")
@@ -375,45 +365,3 @@ def emit_svg(emb: GridEmbedding, routes, path):
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
 
-
-def dissolve_crossings(pg: PlaneGraph, crossings, route_edges=None) -> PlaneGraph:
-    """Replace every crossing by a degree-4 vertex at its coordinate: both
-    crossed edges are subdivided there and the two subdivision vertices are
-    identified. Returns the crossing-free embedded result."""
-    if not crossings:
-        return pg
-    route_edges = route_edges or {}
-    g = pg.graph
-    coords = dict(pg.coords)
-
-    def owner_ends(owner):
-        # directed (start, end) matching the owner's param orientation
-        if owner[0] == "edge":
-            return owner[1]
-        return route_edges[owner[1]]
-
-    # split every crossed edge at its crossing points, in geometric order
-    by_owner = {}
-    for c in crossings:
-        for owner, param in ((c.owner_a, c.param_a), (c.owner_b, c.param_b)):
-            by_owner.setdefault(owner, []).append((param, c))
-    point_vertex = {}
-    for owner, hits in sorted(by_owner.items()):
-        hits.sort(key=lambda pc: pc[0])
-        u, v = owner_ends(owner)
-        tail = _norm_edge(u, v)
-        for _, c in hits:
-            g, w = subdivide_edge(g, tail)
-            coords[w] = c.point
-            point_vertex.setdefault(c.point, []).append(w)
-            # continue splitting the fragment that still reaches the far
-            # endpoint; crossings were sorted from u towards v
-            tail = _norm_edge(w, v)
-    for pt, ws in sorted(point_vertex.items()):
-        if len(ws) != 2:
-            raise GeometryError("epsilon regime violated")
-        g, merged = identify_vertices(g, ws[0], ws[1])
-        del coords[ws[0]], coords[ws[1]]
-        coords[merged] = pt
-    rot = rotation_from_coords(g, coords)
-    return PlaneGraph(g, rot, coords)

@@ -6,7 +6,6 @@ traversal, and Hamiltonian-cycle witnesses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import networkx as nx
 
@@ -101,21 +100,6 @@ class Graph:
 
     def has_edge(self, u, v):
         return _norm_edge(u, v) in self.edges
-
-    def replace(self, add_vertices=(), add_edges=(), drop_vertices=(), drop_edges=(), next_id=None):
-        """Build a derived graph; dropping a vertex drops its incident edges."""
-        dropped = set(drop_vertices)
-        vs = (self.vertices - dropped) | set(add_vertices)
-        es = {
-            e
-            for e in self.edges
-            if not (e[0] in dropped or e[1] in dropped)
-        }
-        es -= {_norm_edge(u, v) for u, v in drop_edges}
-        es |= {_norm_edge(u, v) for u, v in add_edges}
-        if next_id is None:
-            next_id = max(self.next_id, max(vs, default=-1) + 1)
-        return Graph(vs, es, next_id)
 
 
 class Builder:
@@ -232,17 +216,22 @@ class Builder:
 
     def strip(self):
         """Iteratively delete degree-zero and degree-one vertices. Budget +0."""
-        adj = self._adj
-        queue = [v for v, ns in adj.items() if len(ns) <= 1]
-        while queue:
-            v = queue.pop()
-            if v not in adj or len(adj[v]) > 1:
-                continue
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                if len(adj[w]) <= 1:
-                    queue.append(w)
+        _strip_adjacency(self._adj)
         self._record("strip")
+
+
+def _strip_adjacency(adj):
+    """Iteratively delete degree-zero and degree-one vertices from a mutable
+    adjacency dict (vertex -> set of neighbours), in place."""
+    queue = [v for v, ns in adj.items() if len(ns) <= 1]
+    while queue:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) > 1:
+            continue
+        for w in adj.pop(v):
+            adj[w].discard(v)
+            if len(adj[w]) <= 1:
+                queue.append(w)
 
 
 def subdivide_edge(g: Graph, e) -> tuple[Graph, int]:
@@ -250,24 +239,6 @@ def subdivide_edge(g: Graph, e) -> tuple[Graph, int]:
     b = Builder(g)
     w = b.subdivide(e)
     return b.freeze(), w
-
-
-def identify_vertices(g: Graph, u, v) -> tuple[Graph, int]:
-    """Merge u and v into one fresh vertex adjacent to their combined
-    neighborhoods; parallel edges collapse, no self-loop is created."""
-    if u == v:
-        raise GraphError("identify requires distinct vertices")
-    if u not in g.vertices or v not in g.vertices:
-        raise GraphError("identify requires present vertices")
-    merged = g.next_id
-    nbrs = (g.neighbors(u) | g.neighbors(v)) - {u, v}
-    out = g.replace(
-        add_vertices=(merged,),
-        add_edges=tuple((merged, w) for w in nbrs),
-        drop_vertices=(u, v),
-        next_id=merged + 1,
-    )
-    return out, merged
 
 
 def check_regular(g: Graph, r: int) -> bool:
@@ -298,11 +269,10 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 @dataclass(frozen=True, eq=False)
 class PlaneGraph:
-    """Graph plus a rotation system and optional exact straight-line coords."""
+    """Graph plus a rotation system."""
 
     graph: Graph
     rotation: dict
-    coords: dict | None = None
 
     def __post_init__(self):
         adj = self.graph.adjacency
@@ -311,11 +281,6 @@ class PlaneGraph:
         for v, order in self.rotation.items():
             if set(order) != set(adj[v]) or len(order) != len(adj[v]):
                 raise GraphError(f"rotation at {v} does not match incident edges")
-        if self.coords is not None:
-            if set(self.coords) != self.graph.vertices:
-                raise GraphError("coords must cover exactly the vertex set")
-            if len(set(self.coords.values())) != self.graph.n:
-                raise GraphError("coords must be pairwise distinct")
 
 
 def faces(pg: PlaneGraph):
@@ -330,18 +295,18 @@ def faces(pg: PlaneGraph):
     index = {
         (v, u): i for v, order in rot.items() for i, u in enumerate(order)
     }
-    remaining = set()
-    for u, v in g.edges:
-        remaining.add((u, v))
-        remaining.add((v, u))
+    darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
+    visited = set()
     out = []
-    while remaining:
-        u0, v0 = min(remaining)
+    # each walk starts at the smallest dart not yet on a face
+    for u0, v0 in darts:
+        if (u0, v0) in visited:
+            continue
         walk = []
         u, v = u0, v0
         while True:
             walk.append(u)
-            remaining.discard((u, v))
+            visited.add((u, v))
             order = rot[v]
             i = index[(v, u)]
             u, v = v, order[(i + 1) % len(order)]
@@ -364,37 +329,6 @@ def face_edge_sets(pg: PlaneGraph):
                 es.add(_norm_edge(u, v))
         out.append(frozenset(es))
     return out
-
-
-def rotation_from_coords(g: Graph, coords) -> dict:
-    """Rotation system induced by a straight-line drawing: neighbors sorted
-    counterclockwise around each vertex, compared exactly."""
-
-    def angular_cmp(origin):
-        ox, oy = origin
-
-        def half(p):
-            dx, dy = p[0] - ox, p[1] - oy
-            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-        def cmp(a, b):
-            ha, hb = half(a), half(b)
-            if ha != hb:
-                return ha - hb
-            ax, ay = a[0] - ox, a[1] - oy
-            bx, by = b[0] - ox, b[1] - oy
-            cross = ax * by - ay * bx
-            return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-        return cmp_to_key(cmp)
-
-    rot = {}
-    for v in g.vertices:
-        key = angular_cmp(coords[v])
-        rot[v] = tuple(
-            sorted(g.neighbors(v), key=lambda w: key(coords[w]))
-        )
-    return rot
 
 
 @dataclass(frozen=True)

@@ -387,8 +387,8 @@ def evenize(inst: Instance) -> StageResult:
     idm2 = b.insert(L, w1, w2)
     # splice: original cycle from c around to a, through the first L into the
     # copy, around it, and back through the second L
-    main = _witness_long_way(C, c, a)
-    copy_walk = [cmap[x] for x in _witness_long_way(C, a, c)]
+    main = _cycle_long_way(C, c, a)
+    copy_walk = [cmap[x] for x in _cycle_long_way(C, a, c)]
     order = (
         main
         + [v1] + interior_path(L, idm1) + [v2]
@@ -401,11 +401,6 @@ def evenize(inst: Instance) -> StageResult:
     _require(out.k == 2 * inst.k + 8, "budget ledger mismatch")
     _require(check_regular(out.graph, 4), "evenize broke 4-regularity")
     return StageResult("evenize", out, tuple(b.steps), _certificate(out))
-
-
-def _witness_long_way(order, frm, to):
-    """Traverse the witness cycle from frm to to the long way round."""
-    return _cycle_long_way(list(order), frm, to)
 
 
 def five_regularize(inst: Instance) -> StageResult:
@@ -549,19 +544,20 @@ def run_pipeline(inst: Instance, target: str) -> PipelineResult:
     return PipelineResult(inst, tuple(stages), cur)
 
 
-def replay_trace(g: Graph, steps, k: int = 0) -> tuple[Graph, int]:
+def replay_trace(g: Graph, steps, k: int = 0, *, n_out: int) -> tuple[Graph, int]:
     """Re-execute recorded steps on g, whose budget is k, through the same
     Builder ops the compiler used. Fresh ids come from the same counter, so
     a faithful trace reproduces the output graph exactly. Every budget delta
     is derived from the op; a recorded step that differs from its replay in
-    any field, or that cannot be applied, raises CertificationError naming
-    the stage and step index. Returns the graph and the derived delta."""
+    any field, that cannot be applied, or that would grow the graph beyond
+    the declared output order n_out raises CertificationError naming the
+    stage and step index. Returns the graph and the derived delta."""
     b = Builder(g, k)
     ys = {}
     for i, s in enumerate(steps):
         b.stage = s.stage
         try:
-            _replay_step(b, s, ys)
+            _replay_step(b, s, ys, n_out)
         except (GraphError, PipelineError) as exc:
             raise CertificationError(f"stage {s.stage} step {i}: {exc}") from None
         derived = b.steps[-1]
@@ -575,9 +571,17 @@ def replay_trace(g: Graph, steps, k: int = 0) -> tuple[Graph, int]:
     return b.freeze(), b.k - k
 
 
-def _replay_step(b: Builder, s, ys):
+def _replay_step(b: Builder, s, ys, n_out):
+    # Strip runs first and only shrinks the graph; every other op only grows
+    # it, so a faithful trace never needs more than n_out vertices for them.
+    def room(grow):
+        _require(b.n + grow <= n_out,
+                 f"{s.op} would grow the graph to {b.n + grow} vertices, "
+                 f"beyond the declared output n={n_out}")
+
     if s.op == "subdivide":
         _require(s.edge is not None, "subdivide names no edge")
+        room(1)
         b.subdivide(s.edge)
     elif s.op == "insert":
         _require(len(s.attach) == 2, "insert names no attachment pair")
@@ -589,10 +593,13 @@ def _replay_step(b: Builder, s, ys):
             gadget = ys[s.p]
         else:
             gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)
+        room(gadget.graph.n - 2)
         b.insert(gadget, *s.attach)
     elif s.op == "copy":
+        room(b.n)
         b.copy()
     elif s.op == "lift":
+        room(3 * b.n + 2)
         b.lift()
     elif s.op == "strip":
         b.strip()

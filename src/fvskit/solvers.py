@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import collections
 import itertools
-import random
 import time
 from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph import Graph, GraphError, HamCycleWitness, to_networkx
+from .graph import Graph, GraphError, HamCycleWitness, to_networkx, _strip_adjacency
 
 EXHAUSTIVE_LIMIT = 26
 HAM_STATE_CAP = 10**7
@@ -137,25 +136,13 @@ def _greedy_fvs(adj):
     vertex. Used only as an initial upper bound."""
     adj = {v: set(ns) for v, ns in adj.items()}
     out = set()
-
-    def strip():
-        queue = [v for v, ns in adj.items() if len(ns) <= 1]
-        while queue:
-            v = queue.pop()
-            if v not in adj or len(adj[v]) > 1:
-                continue
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                if len(adj[w]) <= 1:
-                    queue.append(w)
-
-    strip()
+    _strip_adjacency(adj)
     while adj:
         v = max(adj, key=lambda u: (len(adj[u]), -u))
         out.add(v)
         for w in adj.pop(v):
             adj[w].discard(v)
-        strip()
+        _strip_adjacency(adj)
     return out
 
 
@@ -220,7 +207,7 @@ def _cycle_packing_lb(adj):
                 adj[w].discard(v)
 
 
-def fvs_branch_reduce(g: Graph, budget_hint=None, time_budget=None) -> FvsSolution:
+def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     """Exact minimum FVS via branching on the vertices of a shortest cycle,
     with standard reductions and a cycle-packing lower bound."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -311,20 +298,10 @@ def fvs_branch_reduce(g: Graph, budget_hint=None, time_budget=None) -> FvsSoluti
             extra.add(v)
         return best
 
-    ub_seed = len(_greedy_fvs(adj0)) + 1
-    if budget_hint is not None:
-        ub_seed = min(ub_seed, budget_hint + 1)
-    best = solve(adj0, frozenset(), ub_seed)
-    while best is None:
-        # budget_hint was too small; restart with the safe bound
-        ub_seed = len(_greedy_fvs(adj0)) + 1
-        best = solve(adj0, frozenset(), ub_seed)
+    # the greedy set has size < ub, so solve never returns None here
+    best = solve(adj0, frozenset(), len(_greedy_fvs(adj0)) + 1)
     assert is_fvs(g, best)
     return FvsSolution(frozenset(best), True, "branch-reduce")
-
-
-def verify_witness(g: Graph, w: HamCycleWitness) -> bool:
-    return w.is_valid_for(g)
 
 
 def check_planarity(g: Graph):
@@ -337,7 +314,7 @@ def check_planarity(g: Graph):
     return True, rot
 
 
-def _ham_search(adj, start, required, state_cap):
+def _ham_search(adj, start, required):
     """Backtracking search for a Hamiltonian cycle from start that visits the
     vertices of `required` in order. Returns the cycle or None."""
     n = len(adj)
@@ -350,7 +327,7 @@ def _ham_search(adj, start, required, state_cap):
     def extend(idx):
         nonlocal states
         states += 1
-        if states > state_cap:
+        if states > HAM_STATE_CAP:
             raise UndecidedError("hamiltonian search exceeded state cap")
         v = path[-1]
         if len(path) == n:
@@ -376,19 +353,19 @@ def _ham_search(adj, start, required, state_cap):
     return list(path) if extend(0) else None
 
 
-def find_hamiltonian_cycle(g: Graph, state_cap=HAM_STATE_CAP):
+def find_hamiltonian_cycle(g: Graph):
     """Some Hamiltonian cycle as a witness, or None."""
     if g.n < 3:
         return None
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
     start = min(g.vertices)
-    order = _ham_search(adj, start, (), state_cap)
+    order = _ham_search(adj, start, ())
     return HamCycleWitness(tuple(order)) if order else None
 
 
-def check_ham_ordered(g: Graph, p: int, samples=None, seed=0, state_cap=HAM_STATE_CAP):
-    """Whether for every (or `samples` random) p-tuple of distinct vertices a
-    Hamiltonian cycle visits them in order. Returns (ok, counterexample)."""
+def check_ham_ordered(g: Graph, p: int):
+    """Whether for every p-tuple of distinct vertices a Hamiltonian cycle
+    visits them in order. Returns (ok, counterexample)."""
     verts = sorted(g.vertices)
     if p > len(verts):
         raise SolverError("p exceeds the number of vertices")
@@ -400,16 +377,11 @@ def check_ham_ordered(g: Graph, p: int, samples=None, seed=0, state_cap=HAM_STAT
         rots = [tup[i:] + tup[:i] for i in range(len(tup))]
         canon = min(rots)
         if canon not in cache:
-            order = _ham_search(adj, canon[0], canon[1:], state_cap)
+            order = _ham_search(adj, canon[0], canon[1:])
             cache[canon] = order is not None
         return cache[canon]
 
-    if samples is None:
-        tuples = itertools.permutations(verts, p)
-    else:
-        rng = random.Random(seed)
-        tuples = (tuple(rng.sample(verts, p)) for _ in range(samples))
-    for tup in tuples:
+    for tup in itertools.permutations(verts, p):
         if not ordered_ok(tup):
             return False, tup
     return True, None

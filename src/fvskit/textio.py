@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 
 from .graph import Graph, HamCycleWitness, Instance, TraceStep, _is_int
-from .pipeline import CertificationError, PipelineResult, replay_trace
+from .pipeline import CertificationError, PipelineError, PipelineResult, replay_trace
 from .solvers import check_planarity
 
 
@@ -96,7 +96,14 @@ def write_graph(inst: Instance) -> str:
 
 
 def trace_to_json(result: PipelineResult) -> dict:
+    """The replayable trace of a pipeline run. verify_trace rebuilds the input
+    on ids 1..n, so the input must already carry exactly those ids."""
     gin, gout = result.input.graph, result.instance.graph
+    if gin.vertices != frozenset(range(1, gin.n + 1)):
+        raise PipelineError(
+            "trace input must have vertex ids 1..n; renumber it with "
+            "parse_graph(write_graph(inst)) before reducing"
+        )
     return {
         "input": {
             "n": gin.n,
@@ -170,7 +177,7 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
     alone: recorded k_delta values are compared, never added."""
     g, k, stages, out_decl = _load_trace(trace)
     for name, steps, k_after, cert in stages:
-        g, dk = replay_trace(g, steps, k)
+        g, dk = replay_trace(g, steps, k, n_out=out_decl[0])
         k += dk
         if k != k_after:
             raise CertificationError(

@@ -9,13 +9,21 @@ from fvskit.gadgets import (
     certify_gadget,
     insert_gadget_graph,
     interior_path,
-    remainder_after,
     verify_insertion_equivalence,
 )
 from fvskit.graph import Builder, Graph, GraphError
 from fvskit.solvers import SolverError, is_fvs
 
 from conftest import complete_graph, cycle_graph, opt
+
+
+def remainder_after(g: Graph, deleted) -> nx.Graph:
+    """Induced subgraph after a deletion, as networkx, for isomorphism tests."""
+    kept = g.vertices - set(deleted)
+    H = nx.Graph()
+    H.add_nodes_from(sorted(kept))
+    H.add_edges_from(e for e in sorted(g.edges) if e[0] in kept and e[1] in kept)
+    return H
 
 
 class TestConstruction:

@@ -3,18 +3,16 @@ from fractions import Fraction
 import pytest
 
 from fvskit.geometry import (
-    Crossing,
     GeometryError,
     GridEmbedding,
     crossings_on,
-    dissolve_crossings,
     find_crossings,
     grid_embed,
     pick_epsilon,
     route_connection,
     segment_relation,
 )
-from fvskit.graph import Graph, PlaneGraph, rotation_from_coords
+from fvskit.graph import Graph
 
 from conftest import complete_graph, cycle_graph
 
@@ -161,50 +159,3 @@ class TestFindCrossings:
         with pytest.raises(GeometryError, match="epsilon regime violated"):
             find_crossings(emb, [route])
 
-
-class TestDissolve:
-    def _plane(self, g, coords):
-        return PlaneGraph(g, rotation_from_coords(g, coords), coords)
-
-    def test_no_crossings_identity(self):
-        g = cycle_graph(3)
-        coords = {1: (0, 0), 2: (2, 0), 3: (1, 1)}
-        pg = self._plane(g, coords)
-        assert dissolve_crossings(pg, []) is pg
-
-    def test_one_crossing_becomes_degree4_vertex(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        coords = {1: (0, 0), 2: (2, 2), 3: (0, 2), 4: (2, 0)}
-        rot = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices}
-        pg = PlaneGraph(g, rot, coords)
-        cr = Crossing(("edge", (1, 2)), ("edge", (3, 4)), (1, 1), (0, F(1, 2)), (0, F(1, 2)))
-        out = dissolve_crossings(pg, [cr])
-        assert out.graph.n == 5 and out.graph.m == 4
-        w = next(iter(out.graph.vertices - g.vertices))
-        assert out.graph.degree(w) == 4
-        assert out.coords[w] == (1, 1)
-
-    def test_two_crossings_on_one_edge(self):
-        g = Graph.from_edges([(1, 2), (3, 4), (5, 6)])
-        coords = {1: (0, 0), 2: (4, 0), 3: (1, -1), 4: (1, 1), 5: (3, -1), 6: (3, 1)}
-        rot = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices}
-        pg = PlaneGraph(g, rot, coords)
-        crs = [
-            Crossing(("edge", (1, 2)), ("edge", (3, 4)), (1, 0), (0, F(1, 4)), (0, F(1, 2))),
-            Crossing(("edge", (1, 2)), ("edge", (5, 6)), (3, 0), (0, F(3, 4)), (0, F(1, 2))),
-        ]
-        out = dissolve_crossings(pg, crs)
-        assert out.graph.n == 8
-        for w in out.graph.vertices - g.vertices:
-            assert out.graph.degree(w) == 4
-
-    def test_route_owner_uses_directed_ends(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        coords = {1: (1, 0), 2: (1, 2), 3: (0, 1), 4: (2, 1)}
-        rot = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices}
-        pg = PlaneGraph(g, rot, coords)
-        cr = Crossing(("edge", (1, 2)), ("route", 0), (1, 1), (0, F(1, 2)), (0, F(1, 2)))
-        out = dissolve_crossings(pg, [cr], route_edges={0: (4, 3)})
-        assert out.graph.n == 5
-        w = next(iter(out.graph.vertices - g.vertices))
-        assert out.graph.degree(w) == 4

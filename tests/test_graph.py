@@ -11,8 +11,6 @@ from fvskit.graph import (
     check_regular,
     face_edge_sets,
     faces,
-    identify_vertices,
-    rotation_from_coords,
     strip_low_degree,
     subdivide_edge,
 )
@@ -22,6 +20,7 @@ from conftest import (
     bull_free_random,
     c4k1,
     complete_graph,
+    cube_graph,
     cycle_graph,
     opt,
     path_graph,
@@ -82,28 +81,6 @@ class TestSubdivide:
                 assert opt(g2) == before
 
 
-class TestIdentify:
-    def test_two_paths(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        g2, m = identify_vertices(g, 2, 3)
-        assert (g2.n, g2.m) == (3, 2)
-        assert g2.degree(m) == 2
-
-    def test_triangle_collapse(self):
-        g2, m = identify_vertices(cycle_graph(3), 1, 2)
-        assert (g2.n, g2.m) == (2, 1)
-
-    def test_bowtie_from_triangles(self):
-        g = Graph.from_edges([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-        g2, m = identify_vertices(g, 3, 4)
-        assert (g2.n, g2.m) == (5, 6)
-        assert g2.degree(m) == 4
-
-    def test_same_vertex(self):
-        with pytest.raises(GraphError, match="identify requires distinct vertices"):
-            identify_vertices(cycle_graph(3), 1, 1)
-
-
 class TestStrip:
     def test_star(self):
         st = strip_low_degree(Instance(Graph.from_edges([(0, i) for i in range(1, 5)]), 2))
@@ -148,6 +125,14 @@ class TestFaces:
         assert len(fs) == 5
         assert sorted(len(f) for f in fs) == [3, 3, 3, 3, 4]
 
+    def test_cube_walks(self):
+        # pins the walks and their order, not only their count
+        rot = {1: (2, 5, 4), 2: (1, 3, 6), 3: (2, 4, 7), 4: (3, 1, 8),
+               5: (8, 1, 6), 6: (5, 2, 7), 7: (6, 3, 8), 8: (4, 5, 7)}
+        assert faces(PlaneGraph(cube_graph(), rot)) == [
+            [1, 2, 3, 4], [1, 4, 8, 5], [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 8, 4], [5, 8, 7, 6],
+        ]
+
     def test_euler_on_corpus(self, pipeline_corpus):
         for g in pipeline_corpus.values():
             pg = _embedded(g)
@@ -162,16 +147,6 @@ class TestFaces:
         fsets = face_edge_sets(_embedded(cycle_graph(4)))
         assert len(fsets) == 2
         assert all(len(f) == 4 for f in fsets)
-
-
-class TestRotationFromCoords:
-    def test_square_with_center(self):
-        g = Graph.from_edges([(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
-        coords = {1: (0, 0), 2: (2, 0), 3: (2, 2), 4: (0, 2), 5: (1, 1)}
-        rot = rotation_from_coords(g, coords)
-        pg = PlaneGraph(g, rot, coords)
-        assert g.n - g.m + len(faces(pg)) == 2
-        assert set(rot[5]) == {1, 2, 3, 4}
 
 
 class TestCheckRegular:

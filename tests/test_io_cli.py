@@ -4,7 +4,7 @@ import pytest
 
 from fvskit.cli import main
 from fvskit.graph import Instance
-from fvskit.pipeline import run_pipeline
+from fvskit.pipeline import PipelineError, run_pipeline
 from fvskit.textio import (
     CertificationError,
     FormatError,
@@ -15,7 +15,7 @@ from fvskit.textio import (
     write_graph,
 )
 
-from conftest import cycle_graph, octahedron_graph, random_regular4
+from conftest import c4k1, cycle_graph, octahedron_graph, random_regular4
 
 C3_TEXT = """c a triangle
 p fvs 3 3
@@ -113,6 +113,15 @@ class TestTraceVerify:
 
     def test_dumps_stable(self, produced):
         assert trace_dumps(produced) == trace_dumps(produced)
+
+    def test_input_ids_must_be_one_to_n(self):
+        # verify rebuilds the input on 1..n, so the wheel's hub 0 cannot be
+        # traced as it is; its round-tripped form can
+        raw = Instance(c4k1(), 0)
+        with pytest.raises(PipelineError, match=r"parse_graph\(write_graph\(inst\)\)"):
+            trace_to_json(run_pipeline(raw, "4reg-planar"))
+        res = run_pipeline(parse_graph(write_graph(raw)), "4reg-planar")
+        verify_trace(res.instance, trace_to_json(res))
 
 
 class TestCli:

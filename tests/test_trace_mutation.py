@@ -9,7 +9,7 @@ import json
 import pytest
 
 from fvskit.cli import main
-from fvskit.graph import Graph, TraceStep
+from fvskit.graph import Builder, Graph, TraceStep
 from fvskit.pipeline import replay_trace
 from fvskit.textio import parse_graph
 
@@ -82,7 +82,7 @@ def _replay(doc):
     inp = doc["input"]
     g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
     steps = [TraceStep.from_json(st["name"], d) for st in doc["stages"] for d in st["steps"]]
-    g, dk = replay_trace(g, steps, inp["k"])
+    g, dk = replay_trace(g, steps, inp["k"], n_out=doc["output"]["n"])
     return g, inp["k"] + dk
 
 
@@ -161,3 +161,34 @@ class TestMalformedTraces:
     def test_trace_not_an_object(self, artifact):
         tmp, out, _ = artifact
         assert _verify(tmp, out, "[1, 2]") == 2
+
+
+@pytest.mark.parametrize("extra", [1, 3])
+def test_extra_lifts_stop_at_declared_size(tmp_path, monkeypatch, capsys, extra):
+    # consistent extra lift steps grow the graph 4x each with a K_3n join;
+    # replay must refuse the first one before building it
+    inp, out, tr = tmp_path / "in.fvs", tmp_path / "out.fvs", tmp_path / "trace.json"
+    inp.write_text(TRIANGLE)
+    assert main(["reduce", str(inp), "--target", "ham-ordered:4",
+                 "-o", str(out), "--trace", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    n = doc["output"]["n"]
+    assert n == 14
+    stage = doc["stages"][-1]
+    for _ in range(extra):
+        stage["steps"].append(dict(stage["steps"][-1], k_delta=3 * n))
+        stage["k_after"] += 3 * n
+        n = 4 * n + 2
+    sizes = []
+    lift = Builder.lift
+
+    def spy(self):
+        result = lift(self)
+        sizes.append(self.n)
+        return result
+
+    monkeypatch.setattr(Builder, "lift", spy)
+    capsys.readouterr()
+    assert _verify(tmp_path, out, doc) == 4
+    assert "stage lift step 1" in capsys.readouterr().err
+    assert max(sizes) == 14
