@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
     inst = parse_graph(_read(args.input), k=args.k)
     g = inst.graph
     if g.n <= EXHAUSTIVE_LIMIT:
-        sol = fvs_exact_exhaustive(g)
+        sol = fvs_exact_exhaustive(g, time_budget=args.time_budget)
     else:
         sol = fvs_branch_reduce(g, time_budget=args.time_budget)
     print(f"opt {len(sol.deleted)}")

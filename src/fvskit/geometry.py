@@ -1,9 +1,11 @@
 """Exact planar geometry: integer-grid straight-line embeddings, channel
 routing of new connections between grid vertices, and crossing detection
-with rational arithmetic. No floating point anywhere."""
+in integer arithmetic on a grid scaled by the coordinates' common
+denominator. No floating point anywhere."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +67,38 @@ def segment_relation(p1, p2, p3, p4):
     return ("none", None, None)
 
 
+def _scale(points):
+    """Least common multiple of the coordinate denominators; multiplying by
+    it puts every point on the integer grid (6q for epsilon = 1/q)."""
+    return math.lcm(*(c.denominator for p in points for c in p))
+
+
+def _scaled(p, s):
+    return (p[0].numerator * (s // p[0].denominator), p[1].numerator * (s // p[1].denominator))
+
+
+def _box_pairs(segs):
+    """Index pairs (i, j), i < j, in increasing order, of the segments whose
+    bounding boxes meet; no other two segments can share a point. A sweep
+    over the segments sorted by left end stops at the first one that
+    starts right of the current segment's right end."""
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+             for a, b in segs]
+    by_x = sorted(range(len(segs)), key=lambda i: boxes[i][0])
+    pairs = []
+    for pos, i in enumerate(by_x):
+        _, xhi, ylo, yhi = boxes[i]
+        for k in range(pos + 1, len(by_x)):
+            j = by_x[k]
+            jxlo, _, jylo, jyhi = boxes[j]
+            if jxlo > xhi:
+                break
+            if jylo <= yhi and ylo <= jyhi:
+                pairs.append((min(i, j), max(i, j)))
+    pairs.sort()
+    return pairs
+
+
 def _param_on(p, a, b):
     """Parameter of collinear point p along segment ab."""
     if a[0] != b[0]:
@@ -92,17 +126,16 @@ class GridEmbedding:
         if len(set(self.coords.values())) != n:
             raise GeometryError("coords must be pairwise distinct")
         edges = sorted(g.edges)
-        for i, e in enumerate(edges):
-            a, b = self.coords[e[0]], self.coords[e[1]]
-            for f in edges[i + 1 :]:
-                c, d = self.coords[f[0]], self.coords[f[1]]
-                shared = set(e) & set(f)
-                kind, pt, _ = segment_relation(a, b, c, d)
-                if kind == "none":
-                    continue
-                if kind == "touch" and shared and pt == self.coords[next(iter(shared))]:
-                    continue
-                raise GeometryError(f"edges {e} and {f} cross in the drawing")
+        segs = [(self.coords[u], self.coords[v]) for u, v in edges]
+        for i, j in _box_pairs(segs):
+            e, f = edges[i], edges[j]
+            shared = set(e) & set(f)
+            kind, pt, _ = segment_relation(*segs[i], *segs[j])
+            if kind == "none":
+                continue
+            if kind == "touch" and shared and pt == self.coords[next(iter(shared))]:
+                continue
+            raise GeometryError(f"edges {e} and {f} cross in the drawing")
         return True
 
 
@@ -178,14 +211,15 @@ def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnecti
         if p != dedup[-1]:
             dedup.append(p)
     route = RoutedConnection((v, vp), tuple(dedup), eps)
-    ends = {route.waypoints[0], route.waypoints[-1]}
-    for a, b in route.segments():
-        for w, c in emb.coords.items():
-            cf = (Fraction(c[0]), Fraction(c[1]))
-            if cf in ends and w in route.endpoints:
-                if cf in (a, b):
-                    continue
-            if _cross(a, b, cf) == 0 and _on_segment(cf, a, b):
+    s = _scale(list(dedup) + list(emb.coords.values()))
+    wps = [_scaled(p, s) for p in dedup]
+    ends = {wps[0], wps[-1]}
+    pts = [(w, _scaled(c, s)) for w, c in emb.coords.items()]
+    for a, b in zip(wps, wps[1:]):
+        for w, c in pts:
+            if c in ends and w in route.endpoints and c in (a, b):
+                continue
+            if _cross(a, b, c) == 0 and _on_segment(c, a, b):
                 raise GeometryError("epsilon invalid, re-pick")
     return route
 
@@ -209,12 +243,7 @@ def _slanted_slopes(eps):
 
 
 def _drawn_segments(emb: GridEmbedding):
-    out = []
-    for e in sorted(emb.graph.edges):
-        a = tuple(Fraction(c) for c in emb.coords[e[0]])
-        b = tuple(Fraction(c) for c in emb.coords[e[1]])
-        out.append((a, b, ("edge", e)))
-    return out
+    return [(emb.coords[e[0]], emb.coords[e[1]], ("edge", e)) for e in sorted(emb.graph.edges)]
 
 
 def _route_segments(routes):
@@ -283,38 +312,39 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
     """All proper crossings among drawn edges and routed connections.
 
     The epsilon regime guarantees every crossing involves exactly two
-    segments at a distinct point; any degeneracy raises."""
+    segments at a distinct point; any degeneracy raises. Segments are
+    compared in integer arithmetic on the grid scaled by their common
+    denominator, and only pairs whose bounding boxes meet are classified."""
     segs = _drawn_segments(emb) + _route_segments(routes)
+    s = _scale(p for a, b, _ in segs for p in (a, b))
+    ends = [(_scaled(a, s), _scaled(b, s)) for a, b, _ in segs]
     out = []
-    seen_points = {}
-    for x in range(len(segs)):
-        a1, a2, oa = segs[x]
-        for y in range(x + 1, len(segs)):
-            b1, b2, ob = segs[y]
-            if oa[0] == "edge" and ob[0] == "edge":
-                continue  # the base drawing is already crossing-free
-            if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
-                continue  # consecutive segments of one polyline share corners
-            shared = {a1, a2} & {b1, b2}
-            kind, pt, t = segment_relation(a1, a2, b1, b2)
-            if kind == "none":
-                continue
-            if kind == "touch" and pt in shared:
-                continue
-            if kind != "proper":
-                raise GeometryError("epsilon regime violated")
-            tb = _param_on(pt, b1, b2)
-            cr = Crossing(
-                owner_a=oa[:2],
-                owner_b=ob[:2],
-                point=pt,
-                param_a=_owner_param(oa, t),
-                param_b=_owner_param(ob, tb),
-            )
-            if pt in seen_points:
-                raise GeometryError("epsilon regime violated")
-            seen_points[pt] = cr
-            out.append(cr)
+    seen_points = set()
+    for x, y in _box_pairs(ends):
+        oa, ob = segs[x][2], segs[y][2]
+        if oa[0] == "edge" and ob[0] == "edge":
+            continue  # the base drawing is already crossing-free
+        if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
+            continue  # consecutive segments of one polyline share corners
+        (a1, a2), (b1, b2) = ends[x], ends[y]
+        kind, pt, t = segment_relation(a1, a2, b1, b2)
+        if kind == "none":
+            continue
+        if kind == "touch" and pt in {a1, a2} & {b1, b2}:
+            continue
+        if kind != "proper":
+            raise GeometryError("epsilon regime violated")
+        point = (pt[0] / s, pt[1] / s)
+        if point in seen_points:
+            raise GeometryError("epsilon regime violated")
+        seen_points.add(point)
+        out.append(Crossing(
+            owner_a=oa[:2],
+            owner_b=ob[:2],
+            point=point,
+            param_a=_owner_param(oa, t),
+            param_b=_owner_param(ob, _param_on(pt, b1, b2)),
+        ))
     out.sort(key=lambda c: (c.owner_a, c.owner_b, c.point))
     return out
 

@@ -251,17 +251,24 @@ def _cycle_long_way(cycle, frm, to):
     raise PipelineError("vertices not adjacent on the cycle")
 
 
-def merge_step(inst: Instance, tf: TwoFactor):
+def merge_step(inst: Instance, tf: TwoFactor, rot=None):
     """Merge two 2-factor cycles joined by an edge {u, v} into one, keeping
     4-regularity and planarity. Co-facial cycle edges at u and v allow a
     single bridging L gadget (budget +4); otherwise the spare edge at u is
-    threaded through two L gadgets (budget +8)."""
+    threaded through two L gadgets (budget +8). rot is a planar rotation
+    system of inst.graph, as the previous merge returned it; without one,
+    the graph is tested for planarity here. Returns the merged instance, the
+    2-factor, the steps, the case and the rotation of the merged graph."""
     g = inst.graph
     if len(tf.components) == 1:
         raise PipelineError("already Hamiltonian")
-    planar, rot = check_planarity(g)
-    _require(planar, "merge requires a planar graph")
-    fsets = face_edge_sets(PlaneGraph(g, rot))
+    if rot is None:
+        planar, rot = check_planarity(g)
+        _require(planar, "merge requires a planar graph")
+    faces_of = {}
+    for fi, f in enumerate(face_edge_sets(PlaneGraph(g, rot))):
+        for e in f:
+            faces_of.setdefault(e, set()).add(fi)
     cyc_of = {}
     cyc_edges = []
     for ci, cyc in enumerate(tf.components):
@@ -272,22 +279,21 @@ def merge_step(inst: Instance, tf: TwoFactor):
         cyc_edges.append(es)
 
     def cofacial(e1, e2):
-        return any(e1 in f and e2 in f for f in fsets)
+        return not faces_of[e1].isdisjoint(faces_of[e2])
 
     connecting = sorted(e for e in g.edges if cyc_of[e[0]] != cyc_of[e[1]])
     for u, v in connecting:
         Qi = tf.components[cyc_of[u]]
         Qj = tf.components[cyc_of[v]]
-        u_edges = sorted(e for e in cyc_edges[cyc_of[u]] if u in e)
-        v_edges = sorted(e for e in cyc_edges[cyc_of[v]] if v in e)
+        at_u = sorted(_norm_edge(u, w) for w in g.neighbors(u))
+        at_v = sorted(_norm_edge(v, w) for w in g.neighbors(v))
+        u_edges = [e for e in at_u if e in cyc_edges[cyc_of[u]]]
+        v_edges = [e for e in at_v if e in cyc_edges[cyc_of[v]]]
         for e in u_edges:
             for ep in v_edges:
                 if cofacial(e, ep):
                     return _merge_case1(inst, tf, u, v, Qi, Qj, e, ep)
-        spare = sorted(
-            f for f in g.edges
-            if u in f and f not in cyc_edges[cyc_of[u]] and f != _norm_edge(u, v)
-        )
+        spare = [f for f in at_u if f not in cyc_edges[cyc_of[u]] and f != _norm_edge(u, v)]
         for et in spare:
             for e in u_edges:
                 for ep in v_edges:
@@ -337,13 +343,15 @@ def _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep):
 
 def _finish_merge(b, tf, drop, merged, case):
     """Freeze the merge's builder once and re-check the merged 2-factor,
-    4-regularity and planarity on the result."""
+    4-regularity and planarity on the result, whose rotation the next merge
+    reuses."""
     g = b.freeze()
     tf2 = _replace_components(tf, drop, merged)
     tf2.validate(g)
     _require(check_regular(g, 4), "merge broke 4-regularity")
-    _require(check_planarity(g)[0], "merge broke planarity")
-    return Instance(g, b.k), tf2, tuple(b.steps), case
+    planar, rot = check_planarity(g)
+    _require(planar, "merge broke planarity")
+    return Instance(g, b.k), tf2, tuple(b.steps), case, rot
 
 
 def hamiltonize(inst: Instance) -> StageResult:
@@ -354,10 +362,11 @@ def hamiltonize(inst: Instance) -> StageResult:
     budget = g.n // 3
     steps = []
     merges = 0
+    rot = None
     while len(tf.components) > 1:
         if merges >= budget:
             raise PipelineError("merge budget n/3 exceeded")
-        inst, tf, st, _case = merge_step(inst, tf)
+        inst, tf, st, _case, rot = merge_step(inst, tf, rot)
         steps.extend(st)
         merges += 1
     witness = HamCycleWitness(tuple(tf.components[0]))

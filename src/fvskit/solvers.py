@@ -96,16 +96,29 @@ def _mask_acyclic(masks, sub):
     return True
 
 
-def fvs_exact_exhaustive(g: Graph) -> FvsSolution:
+def _until(deadline, items):
+    """items, raising UndecidedError once the clock passes deadline; the
+    clock is read at the first item and then once per 1 024 items."""
+    for i, item in enumerate(items):
+        if not i % 1024 and time.monotonic() > deadline:
+            raise UndecidedError("undecided within budget")
+        yield item
+
+
+def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
     """Minimum FVS by scanning deletion sets in increasing size; returns the
     lexicographically smallest optimal set (over sorted vertex ids)."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise SolverError("use branch-reduce")
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     verts, masks = _bit_order(g)
     n = len(verts)
     full = (1 << n) - 1
     for k in range(n + 1):
-        for combo in itertools.combinations(range(n), k):
+        combos = itertools.combinations(range(n), k)
+        if deadline is not None:
+            combos = _until(deadline, combos)
+        for combo in combos:
             sub = full
             for i in combo:
                 sub &= ~(1 << i)

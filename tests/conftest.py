@@ -17,6 +17,19 @@ def path_graph(n):
     return Graph.from_edges([(i, i + 1) for i in range(1, n)])
 
 
+def grid_graph(rows, cols):
+    """rows x cols grid, vertex i*cols + j + 1 at row i, column j."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j + 1
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.from_edges(edges)
+
+
 def complete_graph(n):
     return Graph.from_edges([(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 

@@ -1,20 +1,34 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from fvskit.geometry import (
+    Crossing,
     GeometryError,
     GridEmbedding,
+    RoutedConnection,
+    _primes,
+    _slanted_slopes,
+    _slope,
     crossings_on,
     find_crossings,
     grid_embed,
     pick_epsilon,
     route_connection,
+    scan_key,
     segment_relation,
 )
 from fvskit.graph import Graph
 
-from conftest import complete_graph, cycle_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    medial_graph,
+    octahedron_graph,
+    prism_graph,
+)
 
 F = Fraction
 
@@ -159,3 +173,116 @@ class TestFindCrossings:
         with pytest.raises(GeometryError, match="epsilon regime violated"):
             find_crossings(emb, [route])
 
+
+
+def reference_find_crossings(emb, routes):
+    """All-pairs crossing detection in Fraction arithmetic: the kernel that
+    find_crossings replaced, kept as its oracle."""
+    segs = []
+    for e in sorted(emb.graph.edges):
+        a = tuple(F(c) for c in emb.coords[e[0]])
+        b = tuple(F(c) for c in emb.coords[e[1]])
+        segs.append((a, b, ("edge", e)))
+    for ri, r in enumerate(routes):
+        for si, (a, b) in enumerate(r.segments()):
+            segs.append((a, b, ("route", ri, si)))
+
+    def param(owner, t):
+        return (0, t) if owner[0] == "edge" else (owner[2], t)
+
+    def param_on(p, a, b):
+        if a[0] != b[0]:
+            return F(p[0] - a[0], b[0] - a[0])
+        return F(p[1] - a[1], b[1] - a[1])
+
+    out = []
+    seen_points = set()
+    for x in range(len(segs)):
+        a1, a2, oa = segs[x]
+        for y in range(x + 1, len(segs)):
+            b1, b2, ob = segs[y]
+            if oa[0] == "edge" and ob[0] == "edge":
+                continue
+            if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
+                continue
+            kind, pt, t = segment_relation(a1, a2, b1, b2)
+            if kind == "none":
+                continue
+            if kind == "touch" and pt in {a1, a2} & {b1, b2}:
+                continue
+            if kind != "proper" or pt in seen_points:
+                raise GeometryError("epsilon regime violated")
+            seen_points.add(pt)
+            out.append(Crossing(oa[:2], ob[:2], pt, param(oa, t), param(ob, param_on(pt, b1, b2))))
+    out.sort(key=lambda c: (c.owner_a, c.owner_b, c.point))
+    return out
+
+
+def _slope_filtered_epsilons(emb, count):
+    drawn = {_slope(emb.coords[u], emb.coords[v]) for u, v in emb.graph.edges}
+    out = []
+    for eps in itertools.chain([F(1, 4)], (F(1, q) for q in _primes())):
+        if not _slanted_slopes(eps) & drawn:
+            out.append(eps)
+            if len(out) == count:
+                return out
+
+
+ORACLE_GRAPHS = {
+    "grid3x3": lambda: grid_graph(3, 3),
+    "grid4x4": lambda: grid_graph(4, 4),
+    "grid5x5": lambda: grid_graph(5, 5),
+    "prism": prism_graph,
+    "octahedron": octahedron_graph,
+    "medial_prism": lambda: medial_graph(prism_graph()),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_crossings_match_fraction_oracle(name):
+    """Every vertex is routed to its scan-order successor, so routes cross
+    drawn edges and each other; the integer kernel must return the oracle's
+    crossings, Fractions included, or raise where the oracle raises."""
+    emb = grid_embed(ORACLE_GRAPHS[name]())
+    order = sorted(emb.coords, key=lambda v: scan_key(emb, v))
+    for eps in _slope_filtered_epsilons(emb, 3):
+        routes = []
+        for a, b in zip(order, order[1:]):
+            try:
+                routes.append(route_connection(emb, a, b, eps))
+            except GeometryError:
+                continue
+        try:
+            expected = reference_find_crossings(emb, routes)
+        except GeometryError:
+            with pytest.raises(GeometryError, match="epsilon regime violated"):
+                find_crossings(emb, routes)
+            continue
+        got = find_crossings(emb, routes)
+        assert got == expected
+        assert all(type(c) is F for cr in got for c in cr.point)
+
+
+def _degenerate(edges, coords, *polylines):
+    emb = GridEmbedding(Graph(coords.keys(), edges), coords)
+    routes = [RoutedConnection((0, 0), tuple((F(x), F(y)) for x, y in pl), F(1, 4))
+              for pl in polylines]
+    return emb, routes
+
+
+DEGENERATE = {
+    # a route corner on the interior of a vertical edge, at the right end of
+    # the route segment's bounding box and the left end of the edge's
+    "t_junction": _degenerate([(1, 2)], {1: (2, 0), 2: (2, 2)}, [(0, 1), (2, 1), (4, 3)]),
+    "overlap": _degenerate([(1, 2)], {1: (0, 0), 2: (4, 0)}, [(1, 0), (3, 0), (3, 2)]),
+    "shared_point": _degenerate([(1, 2)], {1: (0, 1), 2: (4, 1)},
+                                [(2, 0), (2, 2)], [(1, 0), (3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degeneracies_raise_like_the_oracle(name):
+    emb, routes = DEGENERATE[name]
+    for kernel in (reference_find_crossings, find_crossings):
+        with pytest.raises(GeometryError, match="epsilon regime violated"):
+            kernel(emb, routes)

@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for four reductions. A digest change means the compiler's output
+trace JSON for five reductions. A digest change means the compiler's output
 changed; that must be deliberate and stated in CHANGES.md."""
 
 import hashlib
@@ -10,7 +10,7 @@ from fvskit.graph import Instance
 from fvskit.pipeline import run_pipeline
 from fvskit.textio import trace_dumps, write_graph
 
-from conftest import cycle_graph, prism_graph
+from conftest import cycle_graph, grid_graph, prism_graph
 
 GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
@@ -25,6 +25,10 @@ GOLDEN = [
     ("C8", lambda: cycle_graph(8), "ham-ordered:4",
      "aa0d1a06e61157fc17e9ba3e68b11d5205086edf961996bfe194af9fde9774cd",
      "6aad572ab677098bea4d5c1e68e37b7cba295907411dd459426e3963639f097b"),
+    # pairing routes through 8 crossings; hamiltonize runs 27 merges (108 steps)
+    ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
+     "637a16fa4c9c1527804493daa1271094d73bd1c6da7f30d4e219328eeddec5cf",
+     "9762a3955d1e4a2929524563d361af454469db03ef1e53fa05df997260ec4539"),
 ]
 
 

@@ -187,6 +187,14 @@ class TestCli:
         inp = self._write_input(tmp_path, write_graph(inst))
         assert main(["solve", inp, "--time-budget", "0.0001"]) == 5
 
+    def test_undecided_exit_on_exhaustive_path(self, tmp_path, capsys):
+        # 20 vertices take the exhaustive path; optimum 7 takes ~0.25 s there
+        g = random_regular4(20, 1)
+        inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
+        assert main(["solve", inp, "--time-budget", "1e-4"]) == 5
+        assert main(["solve", inp]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "opt 7"
+
     def test_svg_debug(self, tmp_path):
         cube = "p fvs 8 12\n" + "".join(
             f"e {u} {v}\n"

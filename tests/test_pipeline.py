@@ -134,7 +134,7 @@ class TestMerge:
         inst = Instance(g, 3)
         tf = compute_two_factor(g)
         assert len(tf.components) == 2
-        out, tf2, steps, case = merge_step(inst, tf)
+        out, tf2, steps, case, _rot = merge_step(inst, tf)
         assert case == 1
         assert out.k == 3 + 4  # one bridging L gadget
         assert len(tf2.components) == 1
@@ -145,7 +145,7 @@ class TestMerge:
         inst = Instance(octahedron_graph(), 3)
         tf = TwoFactor(((1, 2, 3), (4, 5, 6)))
         tf.validate(inst.graph)
-        out, tf2, steps, case = merge_step(inst, tf)
+        out, tf2, steps, case, _rot = merge_step(inst, tf)
         assert case == 2
         assert out.k == 3 + 8  # the spare edge threads through two L gadgets
         assert len(tf2.components) == 1
@@ -170,6 +170,19 @@ class TestHamiltonize:
         assert sr.audit <= inst.graph.n // 3
         merges = sum(1 for s in sr.steps if s.op == "insert")
         assert out.k >= inst.k + 4 * sr.audit  # case 2 merges cost double
+
+    def test_one_planarity_test_per_merge(self, monkeypatch):
+        # each merge reuses the rotation its predecessor's check computed
+        import fvskit.pipeline as pipeline
+
+        inst = pair_degree_three(eliminate_degree_two(Instance(cycle_graph(3), 1)).instance).instance
+        calls = []
+        real = pipeline.check_planarity
+        monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
+        sr = hamiltonize(inst)
+        assert sr.audit >= 3
+        # one per merge, the first merge's rotation, the stage certificate
+        assert len(calls) <= sr.audit + 2
 
     def test_deterministic(self):
         inst = eliminate_degree_two(Instance(cycle_graph(3), 1)).instance
