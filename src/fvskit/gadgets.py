@@ -5,14 +5,15 @@ Builder.insert."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .graph import Builder, Graph, GraphError
+from .graph import Builder, Graph, GraphError, reachable
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
     check_planarity,
     enumerate_min_fvs,
+    find_hamiltonian_cycle,
     fvs_exact_exhaustive,
 )
 
@@ -66,15 +67,7 @@ class GadgetReport:
     planar: bool
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "min_fvs": self.min_fvs,
-            "excludes_x": self.excludes_x,
-            "excludes_y": self.excludes_y,
-            "separating": self.separating,
-            "ham_xy": self.ham_xy,
-            "planar": self.planar,
-        }
+        return asdict(self)
 
 
 def _build_r() -> Gadget:
@@ -175,25 +168,6 @@ def interior_path(gadget: Gadget, id_map) -> list:
     return [id_map[w] for w in gadget.ham_path[1:-1]]
 
 
-def _ham_path_exists(g: Graph, s, t) -> bool:
-    """Backtracking Hamiltonian s-t path search; gadget-sized inputs only."""
-    adj = g.adjacency
-    n = g.n
-    visited = {s}
-    def extend(v):
-        if len(visited) == n:
-            return v == t
-        for w in sorted(adj[v]):
-            if w in visited or (w == t and len(visited) < n - 1):
-                continue
-            visited.add(w)
-            if extend(w):
-                return True
-            visited.remove(w)
-        return False
-    return extend(s)
-
-
 def certify_gadget(gadget: Gadget) -> GadgetReport:
     """Recompute every claimed gadget property from scratch by exhaustive
     search; a disagreement with the stored k_delta raises."""
@@ -206,7 +180,11 @@ def certify_gadget(gadget: Gadget) -> GadgetReport:
     excludes_x = all(gadget.x not in s for s in solutions)
     excludes_y = all(gadget.y not in s for s in solutions)
     separating = any(_separates(g, s, gadget.x, gadget.y) for s in solutions)
-    ham_xy = _ham_path_exists(g, gadget.x, gadget.y)
+    # a fresh vertex joined to x and y only: its Hamiltonian cycles are the
+    # Hamiltonian x-y paths closed through it
+    z = g.next_id
+    closed = Graph(g.vertices | {z}, g.edges | {(gadget.x, z), (gadget.y, z)})
+    ham_xy = find_hamiltonian_cycle(closed) is not None
     planar, _ = check_planarity(g)
     if opt != gadget.k_delta:
         raise GraphError(
@@ -227,16 +205,7 @@ def _separates(g: Graph, deleted, s, t) -> bool:
     kept = g.vertices - set(deleted)
     if s not in kept or t not in kept:
         return False
-    seen = {s}
-    stack = [s]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w in kept and w not in seen:
-                if w == t:
-                    return False
-                seen.add(w)
-                stack.append(w)
-    return True
+    return t not in reachable({v: g.neighbors(v) & kept for v in kept}, s)
 
 
 def verify_insertion_equivalence(host: Graph, gadget: Gadget, u, v) -> bool:

@@ -174,19 +174,13 @@ class RoutedConnection:
         ]
 
 
-def scan_key(emb: GridEmbedding, v):
-    """Position of v in the left-to-right, bottom-to-top column scan."""
-    x, y = emb.coords[v]
-    return (x, y)
-
-
 def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnection:
     """Waypoints of the channel route from v to v'. Endpoints are normalized
     into scan order so the two case formulas apply as stated."""
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise GeometryError("epsilon must lie strictly between 0 and 1/3")
-    if scan_key(emb, v) > scan_key(emb, vp):
+    if emb.coords[v] > emb.coords[vp]:
         v, vp = vp, v
     (i, j), (ip, jp) = emb.coords[v], emb.coords[vp]
     h = Fraction(1, 2)

@@ -245,11 +245,15 @@ def check_regular(g: Graph, r: int) -> bool:
     return all(g.degree(v) == r for v in g.vertices)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    adj = g.adjacency
-    start = next(iter(g.vertices))
+def regularity(g: Graph):
+    """The common degree of g's vertices, or None if they differ or g is empty."""
+    r = next((g.degree(v) for v in g.vertices), None)
+    return r if r is not None and check_regular(g, r) else None
+
+
+def reachable(adj, start) -> set:
+    """The vertices reachable from start in an adjacency dict (vertex ->
+    iterable of neighbours)."""
     seen = {start}
     stack = [start]
     while stack:
@@ -257,7 +261,11 @@ def is_connected(g: Graph) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == g.n
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or len(reachable(g.adjacency, next(iter(g.vertices)))) == g.n
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -6,7 +6,7 @@ Builder, so every delta is derived in one place."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .gadgets import build_gadget, interior_path
 from .geometry import (
@@ -15,7 +15,6 @@ from .geometry import (
     grid_embed,
     pick_epsilon,
     route_connection,
-    scan_key,
 )
 from .graph import (
     Builder,
@@ -28,6 +27,8 @@ from .graph import (
     check_regular,
     face_edge_sets,
     is_connected,
+    regularity,
+    to_networkx,
     _norm_edge,
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
@@ -53,12 +54,7 @@ class ClassCertificate:
     even: bool
 
     def to_json(self):
-        return {
-            "regular": self.regular,
-            "planar": self.planar,
-            "witness": self.witness,
-            "even": self.even,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -95,14 +91,9 @@ class StageResult:
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
     g = inst.graph
-    reg = None
-    if g.n:
-        degs = {g.degree(v) for v in g.vertices}
-        if len(degs) == 1:
-            reg = degs.pop()
     planar = check_planarity(g)[0] if claim_planar else False
     wit = inst.witness is not None and inst.witness.is_valid_for(g)
-    return ClassCertificate(reg, planar, wit, g.n % 2 == 0)
+    return ClassCertificate(regularity(g), planar, wit, g.n % 2 == 0)
 
 
 def _require(cond, msg):
@@ -152,7 +143,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
         if not 3 <= g.degree(v) <= 4:
             raise PipelineError(f"precondition: vertex {v} has degree {g.degree(v)}, need 3..4")
     emb = grid_embed(g)
-    deg3 = sorted((v for v in g.vertices if g.degree(v) == 3), key=lambda v: scan_key(emb, v))
+    deg3 = sorted((v for v in g.vertices if g.degree(v) == 3), key=emb.coords.__getitem__)
     if len(deg3) % 2:
         raise PipelineError("handshake violation")
     if not deg3:
@@ -207,10 +198,7 @@ def compute_two_factor(g: Graph) -> TwoFactor:
 
     _require(check_regular(g, 4), "precondition: 4-regular graph required")
     _require(is_connected(g) and g.n > 0, "connected required")
-    G = nx.Graph()
-    G.add_nodes_from(sorted(g.vertices))
-    G.add_edges_from(sorted(g.edges))
-    circuit = list(nx.eulerian_circuit(G, source=min(g.vertices)))
+    circuit = list(nx.eulerian_circuit(to_networkx(g), source=min(g.vertices)))
     # bipartite out/in copies encoded as even/odd integers so every internal
     # iteration order is hash-stable across processes
     B = nx.Graph()
@@ -312,7 +300,7 @@ def _replace_components(tf, drop, merged):
 
 
 def _merge_case1(inst, tf, u, v, Qi, Qj, e, ep):
-    b = Builder(inst.graph, inst.k, "merge")
+    b = Builder(inst.graph, inst.k, "hamiltonize")
     u2 = _other_end(e, u)
     v2 = _other_end(ep, v)
     z = b.subdivide(e)
@@ -325,7 +313,7 @@ def _merge_case1(inst, tf, u, v, Qi, Qj, e, ep):
 
 
 def _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep):
-    b = Builder(inst.graph, inst.k, "merge")
+    b = Builder(inst.graph, inst.k, "hamiltonize")
     u2 = _other_end(e, u)
     wt = _other_end(et, u)
     v2 = _other_end(ep, v)
@@ -412,6 +400,17 @@ def evenize(inst: Instance) -> StageResult:
     return StageResult("evenize", out, tuple(b.steps), _certificate(out))
 
 
+def _gadget_round(b: Builder, gadget, order) -> tuple:
+    """Insert one gadget across every second edge of the Hamiltonian cycle
+    order, (order[0], order[1]), (order[2], order[3]), ...; returns the cycle
+    threaded through each gadget's interior."""
+    new_order = []
+    for i in range(0, len(order), 2):
+        x, y = order[i], order[i + 1]
+        new_order += [x] + interior_path(gadget, b.insert(gadget, x, y)) + [y]
+    return tuple(new_order)
+
+
 def five_regularize(inst: Instance) -> StageResult:
     """One D gadget across every second witness edge lifts the whole graph
     from 4-regular to 5-regular; budget grows by 3n."""
@@ -420,16 +419,11 @@ def five_regularize(inst: Instance) -> StageResult:
     _require(check_regular(g, 4), "precondition: 4-regular graph required")
     if g.n % 2:
         raise PipelineError("evenize first")
-    D = GADGETS["D"]
-    order = inst.witness.order
     n = g.n
     b = Builder(g, inst.k, "5regular")
-    new_order = []
-    for i in range(0, n, 2):
-        x, y = order[i], order[i + 1]
-        new_order += [x] + interior_path(D, b.insert(D, x, y)) + [y]
+    order = _gadget_round(b, GADGETS["D"], inst.witness.order)
     g = b.freeze()
-    out = Instance(g, b.k, HamCycleWitness(tuple(new_order)))
+    out = Instance(g, b.k, HamCycleWitness(order))
     _require(g.n == 7 * n, "5-regularization size mismatch")
     _require(check_regular(g, 5), "output not 5-regular")
     _require(out.k == inst.k + 3 * n, "budget ledger mismatch")
@@ -441,9 +435,8 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     each round raises regularity by one and keeps the order even."""
     g = inst.graph
     _require(inst.witness is not None, "precondition: witness required")
-    degs = {g.degree(v) for v in g.vertices}
-    _require(len(degs) == 1, "precondition: regular graph required")
-    r = degs.pop()
+    r = regularity(g)
+    _require(r is not None, "precondition: regular graph required")
     _require(r >= 4, "precondition: regularity >= 4 required")
     _require(r <= target_p, f"already {r}-regular, beyond target {target_p}")
     if g.n % 2:
@@ -451,17 +444,12 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     b = Builder(g, inst.k, "pregular")
     order = inst.witness.order
     while r < target_p:
-        Y = build_gadget("Y", r)
         n = b.n
-        new_order = []
-        for i in range(0, n, 2):
-            x, y = order[i], order[i + 1]
-            new_order += [x] + interior_path(Y, b.insert(Y, x, y)) + [y]
-        order = new_order
+        order = _gadget_round(b, build_gadget("Y", r), order)
         _require(b.n == n * (r + 2), "Y round size mismatch")
         r += 1
         _require(check_regular(b, r), f"Y round did not reach {r}-regularity")
-    out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order)))
+    out = Instance(b.freeze(), b.k, HamCycleWitness(order))
     # the clique gadgets rule out planarity from here on
     return StageResult("pregular", out, tuple(b.steps), _certificate(out, claim_planar=False))
 

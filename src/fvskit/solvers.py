@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph import Graph, GraphError, HamCycleWitness, to_networkx, _strip_adjacency
+from .graph import Graph, GraphError, HamCycleWitness, reachable, to_networkx, _strip_adjacency
 
 EXHAUSTIVE_LIMIT = 26
 HAM_STATE_CAP = 10**7
@@ -38,26 +38,10 @@ def is_fvs(g: Graph, deleted) -> bool:
     if not deleted <= g.vertices:
         raise GraphError("deleted set must be a subset of the vertices")
     kept = g.vertices - deleted
-    adj = {v: [w for w in g.neighbors(v) if w in kept] for v in kept}
-    n = len(kept)
-    m = sum(len(ns) for ns in adj.values()) // 2
-    if m >= n and n > 0:
-        return False
-    # forest test: peel degree <= 1 until nothing is left
-    deg = {v: len(ns) for v, ns in adj.items()}
-    queue = [v for v in kept if deg[v] <= 1]
-    removed = set()
-    while queue:
-        v = queue.pop()
-        if v in removed:
-            continue
-        removed.add(v)
-        for w in adj[v]:
-            if w not in removed:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    queue.append(w)
-    return len(removed) == n
+    adj = {v: {w for w in g.neighbors(v) if w in kept} for v in kept}
+    # a forest peels away completely under degree <= 1 stripping
+    _strip_adjacency(adj)
+    return not adj
 
 
 def _bit_order(g: Graph):
@@ -105,6 +89,22 @@ def _until(deadline, items):
         yield item
 
 
+def _forest_deletions(masks, k, deadline=None):
+    """Index tuples, in lexicographic order, of the size-k deletions that
+    leave a forest in the graph encoded by masks."""
+    n = len(masks)
+    full = (1 << n) - 1
+    combos = itertools.combinations(range(n), k)
+    if deadline is not None:
+        combos = _until(deadline, combos)
+    for combo in combos:
+        sub = full
+        for i in combo:
+            sub &= ~(1 << i)
+        if _mask_acyclic(masks, sub):
+            yield combo
+
+
 def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
     """Minimum FVS by scanning deletion sets in increasing size; returns the
     lexicographically smallest optimal set (over sorted vertex ids)."""
@@ -112,19 +112,9 @@ def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
         raise SolverError("use branch-reduce")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     verts, masks = _bit_order(g)
-    n = len(verts)
-    full = (1 << n) - 1
-    for k in range(n + 1):
-        combos = itertools.combinations(range(n), k)
-        if deadline is not None:
-            combos = _until(deadline, combos)
-        for combo in combos:
-            sub = full
-            for i in combo:
-                sub &= ~(1 << i)
-            if _mask_acyclic(masks, sub):
-                deleted = frozenset(verts[i] for i in combo)
-                return FvsSolution(deleted, True, "exhaustive")
+    for k in range(len(verts) + 1):
+        for combo in _forest_deletions(masks, k, deadline):
+            return FvsSolution(frozenset(verts[i] for i in combo), True, "exhaustive")
     raise AssertionError("unreachable: full deletion is always acyclic")
 
 
@@ -132,16 +122,7 @@ def enumerate_min_fvs(g: Graph):
     """(optimum, all optimal deletion sets), exhaustively."""
     opt = len(fvs_exact_exhaustive(g).deleted)
     verts, masks = _bit_order(g)
-    n = len(verts)
-    full = (1 << n) - 1
-    out = []
-    for combo in itertools.combinations(range(n), opt):
-        sub = full
-        for i in combo:
-            sub &= ~(1 << i)
-        if _mask_acyclic(masks, sub):
-            out.append(frozenset(verts[i] for i in combo))
-    return opt, out
+    return opt, [frozenset(verts[i] for i in c) for c in _forest_deletions(masks, opt)]
 
 
 def _greedy_fvs(adj):
@@ -270,17 +251,9 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         comps = []
         seen = set()
         for v in adj:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
+            if v not in seen:
+                comps.append(reachable(adj, v))
+                seen |= comps[-1]
         if len(comps) > 1:
             total = set()
             remaining = ub
@@ -333,37 +306,46 @@ def _ham_search(adj, start, required):
     n = len(adj)
     req_set = set(required)
     states = 0
-
     path = [start]
     visited = {start}
-
-    def extend(idx):
-        nonlocal states
+    # one (idx, nxt, untried options) frame per vertex on the path, so the
+    # depth is bounded by memory, not by the interpreter's recursion limit
+    frames = []
+    idx = 0
+    while True:
         states += 1
         if states > HAM_STATE_CAP:
             raise UndecidedError("hamiltonian search exceeded state cap")
         v = path[-1]
-        if len(path) == n:
-            return idx == len(required) and start in adj[v]
-        # forced-edge style pruning: an unvisited vertex with no remaining
-        # neighbors is a dead end
         nxt = required[idx] if idx < len(required) else None
-        options = sorted(adj[v] - visited)
-        if nxt is not None and nxt in adj[v]:
-            options.remove(nxt)
-            options.insert(0, nxt)
-        for w in options:
-            if w in req_set and w != nxt:
+        if len(path) == n:
+            if idx == len(required) and start in adj[v]:
+                return path
+            options = []
+        else:
+            options = sorted(adj[v] - visited)
+            if nxt is not None and nxt in adj[v]:
+                options.remove(nxt)
+                options.insert(0, nxt)
+        frames.append((idx, nxt, iter(options)))
+        # resume the deepest vertex with an untried option, backtracking
+        # over exhausted ones
+        while True:
+            idx, nxt, untried = frames[-1]
+            for w in untried:
+                if w not in req_set or w == nxt:
+                    break
+            else:
+                frames.pop()
+                visited.discard(path.pop())
+                if not frames:
+                    return None
                 continue
-            path.append(w)
-            visited.add(w)
-            if extend(idx + (1 if w == nxt else 0)):
-                return True
-            path.pop()
-            visited.remove(w)
-        return False
-
-    return list(path) if extend(0) else None
+            break
+        path.append(w)
+        visited.add(w)
+        if w == nxt:
+            idx += 1
 
 
 def find_hamiltonian_cycle(g: Graph):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, HamCycleWitness, Instance, TraceStep, _is_int
+from .graph import Graph, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
 from .pipeline import CertificationError, PipelineError, PipelineResult, replay_trace
 from .solvers import check_planarity
 
@@ -183,9 +183,8 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
             raise CertificationError(
                 f"stage {name}: ledger k={k} disagrees with recorded {k_after}"
             )
-        if cert.get("regular") is not None:
-            if any(g.degree(v) != cert["regular"] for v in g.vertices):
-                raise CertificationError(f"stage {name}: regularity claim fails")
+        if cert.get("regular") is not None and not check_regular(g, cert["regular"]):
+            raise CertificationError(f"stage {name}: regularity claim fails")
         if cert.get("planar") and not check_planarity(g)[0]:
             raise CertificationError(f"stage {name}: planarity claim fails")
         if cert.get("even") and g.n % 2:

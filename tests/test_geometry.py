@@ -16,7 +16,6 @@ from fvskit.geometry import (
     grid_embed,
     pick_epsilon,
     route_connection,
-    scan_key,
     segment_relation,
 )
 from fvskit.graph import Graph
@@ -244,7 +243,7 @@ def test_crossings_match_fraction_oracle(name):
     drawn edges and each other; the integer kernel must return the oracle's
     crossings, Fractions included, or raise where the oracle raises."""
     emb = grid_embed(ORACLE_GRAPHS[name]())
-    order = sorted(emb.coords, key=lambda v: scan_key(emb, v))
+    order = sorted(emb.coords, key=emb.coords.__getitem__)
     for eps in _slope_filtered_epsilons(emb, 3):
         routes = []
         for a, b in zip(order, order[1:]):

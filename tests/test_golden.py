@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for five reductions. A digest change means the compiler's output
+trace JSON for six reductions. A digest change means the compiler's output
 changed; that must be deliberate and stated in CHANGES.md."""
 
 import hashlib
@@ -29,6 +29,10 @@ GOLDEN = [
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
      "637a16fa4c9c1527804493daa1271094d73bd1c6da7f30d4e219328eeddec5cf",
      "9762a3955d1e4a2929524563d361af454469db03ef1e53fa05df997260ec4539"),
+    # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
+    ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
+     "24bef807ebab8b0a53e441c78b51a31da4720087eed3d12c18f40459f783a5ef",
+     "f41193b8cccb7ce9613d87a440c80397fda06f3e8f967576ceace424c4a45702"),
 ]
 
 

@@ -195,6 +195,17 @@ class TestCli:
         assert main(["solve", inp]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "opt 7"
 
+    def test_ham_ordered_on_long_cycle_without_witness(self, tmp_path, capsys):
+        # the Hamiltonian search goes 1 500 vertices deep
+        n = 1500
+        c = f"p fvs {n} {n}\n" + "".join(f"e {i} {i % n + 1}\n" for i in range(1, n + 1))
+        inp = self._write_input(tmp_path, c)
+        out, tr = str(tmp_path / "out.fvs"), str(tmp_path / "trace.json")
+        assert main(["reduce", inp, "--target", "ham-ordered:3", "-o", out, "--trace", tr]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, "--trace", tr]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_svg_debug(self, tmp_path):
         cube = "p fvs 8 12\n" + "".join(
             f"e {u} {v}\n"

@@ -308,6 +308,10 @@ class TestTargets:
         assert out.witness is not None and out.witness.is_valid_for(out.graph)
         assert check_regular(out.graph, 4) and check_planarity(out.graph)[0]
 
+    def test_trace_stage_names_are_the_stages_with_steps(self):
+        res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
+        assert res.trace.stage_names() == [sr.name for sr in res.stages if sr.steps]
+
     def test_run_ham_ordered_finds_witness(self):
         res = run_pipeline(Instance(prism_graph(), 2), "ham-ordered:4")
         assert res.instance.graph.n == 4 * 6 + 2
