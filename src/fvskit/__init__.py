@@ -7,6 +7,7 @@ from .graph import (
     GraphError,
     HamCycleWitness,
     Instance,
+    PlaneBuilder,
     PlaneGraph,
     ReductionTrace,
     TraceStep,
@@ -46,6 +47,7 @@ from .geometry import (
 )
 from .pipeline import (
     CertificationError,
+    MergeState,
     PipelineError,
     PipelineResult,
     StageResult,

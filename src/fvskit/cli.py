@@ -34,18 +34,29 @@ EXIT_UNDECIDED = 5
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _io_error("read", path, exc) from None
 
 
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _io_error("write", path, exc) from None
+
+
+def _io_error(verb, path, exc):
+    reason = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
+    return FormatError(f"cannot {verb} {path}: {reason}")
 
 
 def cmd_reduce(args) -> int:

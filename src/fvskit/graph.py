@@ -234,6 +234,105 @@ def _strip_adjacency(adj):
                 queue.append(w)
 
 
+class PlaneBuilder(Builder):
+    """A Builder of a connected plane graph. Besides the adjacency it keeps
+    the rotation system (each vertex's neighbours in cyclic order), the face
+    of every dart (u, v) under the walk rule of faces(), and the edge and
+    face counts. subdivide and insert update them in time proportional to
+    the edit times the degrees it touches, so check_euler() tests
+    V - E + F = 2 in O(1). The other ops have no plane form here."""
+
+    def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
+        super().__init__(g, k, stage)
+        walks = faces(PlaneGraph(g, rotation)) if g.m else []
+        self.rotation = {v: list(order) for v, order in rotation.items()}
+        self.face = {d: f for f, w in enumerate(walks) for d in zip(w, w[1:] + w[:1])}
+        self.m = g.m
+        self.n_faces = len(walks) or 1
+
+    def check_euler(self):
+        if self.n - self.m + self.n_faces != 2:
+            raise GraphError("rotation system is not a planar embedding")
+
+    def subdivide(self, e) -> int:
+        """Builder.subdivide; the fresh vertex takes the edge's place in both
+        rotations, and each half of a dart stays on the dart's face."""
+        u, v = e
+        w = super().subdivide(e)
+        rot, face = self.rotation, self.face
+        rot[u][rot[u].index(v)] = w
+        rot[v][rot[v].index(u)] = w
+        rot[w] = [u, v]
+        face[(u, w)] = face[(w, v)] = face.pop((u, v))
+        face[(v, w)] = face[(w, u)] = face.pop((v, u))
+        self.m += 1
+        return w
+
+    def insert(self, gadget, u, v) -> dict:
+        """Builder.insert, laying the gadget's stored embedding (a rotation
+        system of its graph plus the edge xy) into the lowest-numbered face f
+        that u and v share. f splits in two: the side that runs from u round
+        to v and the gadget's face on the x-to-y side of xy get a new face id,
+        the other side keeps f, and the gadget's inner faces are new."""
+        rot, face = self.rotation, self.face
+        if gadget.rotation is None:
+            raise GraphError(f"gadget {gadget.kind} has no plane embedding")
+        if u == v or u not in rot or v not in rot:
+            raise GraphError("plane insertion needs two distinct present vertices")
+        corner = {}  # face -> the neighbour q that opens u's corner on it
+        for q in reversed(rot[u]):
+            corner[face[(u, q)]] = q
+        shared = corner.keys() & {face[(v, q)] for q in rot[v]}
+        if not shared:
+            raise GraphError(f"vertices {u} and {v} share no face")
+        f = min(shared)
+        walk = [(u, corner[f])]
+        while walk[-1][1] != v:
+            a, b = walk[-1]
+            order = rot[b]
+            walk.append((b, order[(order.index(a) + 1) % len(order)]))
+            if walk[-1] == walk[0]:
+                raise GraphError(f"face {f} walked from {u} never reaches {v}")
+        id_map = super().insert(gadget, u, v)
+
+        x, y, grot = gadget.x, gadget.y, gadget.rotation
+
+        def after(t, other):
+            order = grot[t]
+            i = order.index(other)
+            return [id_map[w] for w in order[i + 1:] + order[:i]]
+
+        # x's neighbours fill u's corner on f, just before corner[f]; y's
+        # fill v's corner on f, just after the walk's last vertex before v
+        i = rot[u].index(corner[f])
+        rot[u][i:i] = after(x, y)
+        i = rot[v].index(walk[-1][0]) + 1
+        rot[v][i:i] = after(y, x)
+        for w, order in grot.items():
+            if w != x and w != y:
+                rot[id_map[w]] = [id_map[t] for t in order]
+
+        gwalks = _walk_faces(grot)
+        gface = {d: i for i, gw in enumerate(gwalks) for d in gw}
+        fa, fb = gface[(y, x)], gface[(x, y)]
+        base = self.n_faces
+        inner = [i for i in range(len(gwalks)) if i != fa and i != fb]
+        new_id = {fa: f, fb: base, **{i: base + 1 + j for j, i in enumerate(inner)}}
+        self.n_faces = base + 1 + len(inner)
+        for d in walk:
+            face[d] = base
+        for (a, b), i in gface.items():
+            if {a, b} != {x, y}:
+                face[(id_map[a], id_map[b])] = new_id[i]
+        self.m += gadget.graph.m
+        return id_map
+
+    def _unsupported(self, *args):
+        raise GraphError("a plane builder supports only subdivide and insert")
+
+    copy = lift = strip = _unsupported
+
+
 def subdivide_edge(g: Graph, e) -> tuple[Graph, int]:
     """Subdivide edge e of g once; see Builder.subdivide."""
     b = Builder(g)
@@ -291,6 +390,31 @@ class PlaneGraph:
                 raise GraphError(f"rotation at {v} does not match incident edges")
 
 
+def _walk_faces(rot):
+    """Partition the darts (v, w) of a rotation system into face boundary
+    walks: the dart after (u, v) is (v, w) for the w that follows u in v's
+    rotation. Each walk is a list of darts and starts at the smallest dart
+    not yet on a face."""
+    index = {(v, u): i for v, order in rot.items() for i, u in enumerate(order)}
+    visited = set()
+    out = []
+    for d0 in sorted(index):
+        if d0 in visited:
+            continue
+        walk = []
+        d = d0
+        while True:
+            walk.append(d)
+            visited.add(d)
+            u, v = d
+            order = rot[v]
+            d = (v, order[(index[(v, u)] + 1) % len(order)])
+            if d == d0:
+                break
+        out.append(walk)
+    return out
+
+
 def faces(pg: PlaneGraph):
     """All face boundary walks of a connected embedded graph, via
     next-edge-in-rotation traversal; checks Euler's formula."""
@@ -299,44 +423,10 @@ def faces(pg: PlaneGraph):
         raise GraphError("faces require connected graph")
     if g.m == 0:
         return [sorted(g.vertices)]
-    rot = pg.rotation
-    index = {
-        (v, u): i for v, order in rot.items() for i, u in enumerate(order)
-    }
-    darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
-    visited = set()
-    out = []
-    # each walk starts at the smallest dart not yet on a face
-    for u0, v0 in darts:
-        if (u0, v0) in visited:
-            continue
-        walk = []
-        u, v = u0, v0
-        while True:
-            walk.append(u)
-            visited.add((u, v))
-            order = rot[v]
-            i = index[(v, u)]
-            u, v = v, order[(i + 1) % len(order)]
-            if (u, v) == (u0, v0):
-                break
-        out.append(walk)
-    if g.n - g.m + len(out) != 2:
+    walks = _walk_faces(pg.rotation)
+    if g.n - g.m + len(walks) != 2:
         raise GraphError("rotation system is not a planar embedding")
-    return out
-
-
-def face_edge_sets(pg: PlaneGraph):
-    """Faces as frozensets of undirected edges, for co-facial queries."""
-    out = []
-    for walk in faces(pg):
-        es = set()
-        for i, u in enumerate(walk):
-            v = walk[(i + 1) % len(walk)]
-            if u != v:
-                es.add(_norm_edge(u, v))
-        out.append(frozenset(es))
-    return out
+    return [[u for u, _ in walk] for walk in walks]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Builder, so every delta is derived in one place."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass
 
 from .gadgets import build_gadget, interior_path
@@ -22,10 +23,9 @@ from .graph import (
     GraphError,
     HamCycleWitness,
     Instance,
-    PlaneGraph,
+    PlaneBuilder,
     ReductionTrace,
     check_regular,
-    face_edge_sets,
     is_connected,
     regularity,
     to_networkx,
@@ -239,81 +239,156 @@ def _cycle_long_way(cycle, frm, to):
     raise PipelineError("vertices not adjacent on the cycle")
 
 
-def merge_step(inst: Instance, tf: TwoFactor, rot=None):
-    """Merge two 2-factor cycles joined by an edge {u, v} into one, keeping
-    4-regularity and planarity. Co-facial cycle edges at u and v allow a
-    single bridging L gadget (budget +4); otherwise the spare edge at u is
-    threaded through two L gadgets (budget +8). rot is a planar rotation
-    system of inst.graph, as the previous merge returned it; without one,
-    the graph is tested for planarity here. Returns the merged instance, the
-    2-factor, the steps, the case and the rotation of the merged graph."""
-    g = inst.graph
-    if len(tf.components) == 1:
-        raise PipelineError("already Hamiltonian")
-    if rot is None:
-        planar, rot = check_planarity(g)
+class MergeState:
+    """The hamiltonize stage between merges: one PlaneBuilder that every
+    merge edits in place, the 2-factor as each vertex's two cycle neighbours,
+    each vertex's cycle id, and a heap of the edges that join two cycles.
+    Heap entries go stale when their edge is subdivided or its cycles merge
+    and are dropped when popped, so the heap always yields the smallest
+    connecting edge in sorted order. The first rotation comes from one
+    planarity test of inst.graph."""
+
+    def __init__(self, inst: Instance, tf: TwoFactor):
+        g = inst.graph
+        planar, rotation = check_planarity(g)
         _require(planar, "merge requires a planar graph")
-    faces_of = {}
-    for fi, f in enumerate(face_edge_sets(PlaneGraph(g, rot))):
-        for e in f:
-            faces_of.setdefault(e, set()).add(fi)
-    cyc_of = {}
-    cyc_edges = []
-    for ci, cyc in enumerate(tf.components):
-        es = set()
-        for i, v in enumerate(cyc):
-            cyc_of[v] = ci
-            es.add(_norm_edge(v, cyc[(i + 1) % len(cyc)]))
-        cyc_edges.append(es)
+        self.builder = PlaneBuilder(g, rotation, inst.k, "hamiltonize")
+        self.nb = {}
+        self.cycle_of = {}
+        self.members = {}
+        # cycle id -> (first vertex, second vertex): where two_factor() starts
+        # each cycle's walk and which way it goes
+        self.heads = {}
+        for ci, cyc in enumerate(tf.components):
+            for i, v in enumerate(cyc):
+                self.nb[v] = [cyc[i - 1], cyc[(i + 1) % len(cyc)]]
+                self.cycle_of[v] = ci
+            self.members[ci] = list(cyc)
+            self.heads[ci] = (cyc[0], cyc[1])
+        self.heap = sorted(e for e in g.edges if self.cycle_of[e[0]] != self.cycle_of[e[1]])
 
-    def cofacial(e1, e2):
-        return not faces_of[e1].isdisjoint(faces_of[e2])
+    def cycle_edges(self, u):
+        return sorted(_norm_edge(u, w) for w in self.nb[u])
 
-    connecting = sorted(e for e in g.edges if cyc_of[e[0]] != cyc_of[e[1]])
-    for u, v in connecting:
-        Qi = tf.components[cyc_of[u]]
-        Qj = tf.components[cyc_of[v]]
-        at_u = sorted(_norm_edge(u, w) for w in g.neighbors(u))
-        at_v = sorted(_norm_edge(v, w) for w in g.neighbors(v))
-        u_edges = [e for e in at_u if e in cyc_edges[cyc_of[u]]]
-        v_edges = [e for e in at_v if e in cyc_edges[cyc_of[v]]]
-        for e in u_edges:
-            for ep in v_edges:
-                if cofacial(e, ep):
-                    return _merge_case1(inst, tf, u, v, Qi, Qj, e, ep)
-        spare = [f for f in at_u if f not in cyc_edges[cyc_of[u]] and f != _norm_edge(u, v)]
-        for et in spare:
-            for e in u_edges:
-                for ep in v_edges:
-                    if cofacial(e, et) and cofacial(et, ep):
-                        return _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep)
-    raise PipelineError("no mergeable configuration found")
+    def cofacial(self, e1, e2):
+        face = self.builder.face
+        return not {face[e1], face[e1[::-1]]}.isdisjoint((face[e2], face[e2[::-1]]))
+
+    def case1(self, u, v):
+        """(e, ep): the first cycle edges at u and at v, in sorted order,
+        that share a face; None if there are none."""
+        at_u, at_v = self.cycle_edges(u), self.cycle_edges(v)
+        return next(((e, ep) for e in at_u for ep in at_v if self.cofacial(e, ep)), None)
+
+    def case2(self, u, v):
+        """(e, et, ep): the first spare edge et at u and cycle edges e at u
+        and ep at v, in sorted order, such that et shares a face with each;
+        None if there are none."""
+        at_u, at_v = self.cycle_edges(u), self.cycle_edges(v)
+        spare = sorted(_norm_edge(u, w) for w in self.builder.rotation[u]
+                       if w != v and w not in self.nb[u])
+        return next(((e, et, ep) for et in spare for e in at_u for ep in at_v
+                     if self.cofacial(e, et) and self.cofacial(et, ep)), None)
+
+    def two_factor(self) -> TwoFactor:
+        comps = []
+        for start, second in self.heads.values():
+            cyc = [start]
+            prev, cur = start, second
+            while cur != start:
+                cyc.append(cur)
+                a, b = self.nb[cur]
+                prev, cur = cur, (b if a == prev else a)
+            comps.append(tuple(cyc))
+        return TwoFactor(tuple(comps))
+
+    def join(self, u, v, u2, v2, path, head):
+        """Re-thread the cycles of u and v into one: drop the cycle edges
+        (u, u2) and (v, v2) and add (u, v) and the path between u2 and v2
+        whose inner vertices are the merge's new ones. head is the merged
+        cycle's first two vertices."""
+        nb = self.nb
+        new_vertices = path[1:-1]
+        for a, b in ((u, u2), (v, v2)):
+            nb[a].remove(b)
+            nb[b].remove(a)
+        nb[u].append(v)
+        nb[v].append(u)
+        for w in new_vertices:
+            nb[w] = []
+        for a, b in zip(path, path[1:]):
+            nb[a].append(b)
+            nb[b].append(a)
+        ci, cj = self.cycle_of[u], self.cycle_of[v]
+        keep, gone = (ci, cj) if len(self.members[ci]) >= len(self.members[cj]) else (cj, ci)
+        merged = self.members[keep]
+        for w in self.members.pop(gone) + new_vertices:
+            self.cycle_of[w] = keep
+            merged.append(w)
+        del self.heads[ci], self.heads[cj]
+        self.heads[keep] = head
+        rot = self.builder.rotation
+        for w in new_vertices:
+            for t in rot[w]:
+                if self.cycle_of[t] != keep:
+                    heapq.heappush(self.heap, _norm_edge(w, t))
+
+
+def merge_step(state: MergeState):
+    """Merge two 2-factor cycles joined by an edge {u, v} into one, keeping
+    4-regularity and planarity. Case 1: a cycle edge at u and one at v lie
+    on a common face, which one L gadget bridges (budget +4). Case 2: the
+    spare edge at u shares a face with a cycle edge at u and with one at v,
+    and is threaded through two L gadgets (budget +8). The merge takes the
+    smallest connecting edge that admits case 1 or, if none does, the
+    smallest that admits case 2. Edits state in place and asserts Euler's
+    formula on its embedding. Returns (u, v, the steps recorded, the case)."""
+    if len(state.heads) == 1:
+        raise PipelineError("already Hamiltonian")
+    held = []  # live connecting edges without a case 1, in sorted order
+    found = None
+    while state.heap and found is None:
+        u, v = heapq.heappop(state.heap)
+        if state.cycle_of[u] == state.cycle_of[v] or not state.builder.has_edge(u, v):
+            continue  # stale: its cycles are merged or it is subdivided
+        found = state.case1(u, v)
+        if found is None:
+            held.append((u, v))
+    if found is None:
+        for i, (u, v) in enumerate(held):
+            found = state.case2(u, v)
+            if found is not None:
+                del held[i]
+                break
+    for e in held:
+        heapq.heappush(state.heap, e)
+    if found is None:
+        raise PipelineError("no mergeable configuration found")
+    b = state.builder
+    n_steps = len(b.steps)
+    (_merge_case1 if len(found) == 2 else _merge_case2)(state, u, v, *found)
+    b.check_euler()
+    return u, v, tuple(b.steps[n_steps:]), len(found) - 1
 
 
 def _other_end(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _replace_components(tf, drop, merged):
-    comps = tuple(c for c in tf.components if c not in drop) + (tuple(merged),)
-    return TwoFactor(comps)
-
-
-def _merge_case1(inst, tf, u, v, Qi, Qj, e, ep):
-    b = Builder(inst.graph, inst.k, "hamiltonize")
+def _merge_case1(state, u, v, e, ep):
+    b = state.builder
     u2 = _other_end(e, u)
     v2 = _other_end(ep, v)
     z = b.subdivide(e)
     zp = b.subdivide(ep)
     L = GADGETS["L"]
     interior = interior_path(L, b.insert(L, z, zp))
-    merged = [z] + _cycle_long_way(Qi, u2, u) + _cycle_long_way(Qj, v, v2) + [zp]
-    merged += list(reversed(interior))
-    return _finish_merge(b, tf, {Qi, Qj}, merged, 1)
+    # merged cycle: z, u2 .. u, v .. v2, zp, the interior backwards
+    state.join(u, v, u2, v2, [v2, zp, *reversed(interior), z, u2], (z, u2))
 
 
-def _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep):
-    b = Builder(inst.graph, inst.k, "hamiltonize")
+def _merge_case2(state, u, v, e, et, ep):
+    b = state.builder
     u2 = _other_end(e, u)
     wt = _other_end(et, u)
     v2 = _other_end(ep, v)
@@ -324,42 +399,31 @@ def _merge_case2(inst, tf, u, v, Qi, Qj, e, et, ep):
     L = GADGETS["L"]
     int1 = interior_path(L, b.insert(L, z, zt1))
     int2 = interior_path(L, b.insert(L, zt2, zp))
-    merged = [z] + int1 + [zt1, zt2] + int2 + [zp]
-    merged += _cycle_long_way(Qj, v2, v) + _cycle_long_way(Qi, u, u2)
-    return _finish_merge(b, tf, {Qi, Qj}, merged, 2)
-
-
-def _finish_merge(b, tf, drop, merged, case):
-    """Freeze the merge's builder once and re-check the merged 2-factor,
-    4-regularity and planarity on the result, whose rotation the next merge
-    reuses."""
-    g = b.freeze()
-    tf2 = _replace_components(tf, drop, merged)
-    tf2.validate(g)
-    _require(check_regular(g, 4), "merge broke 4-regularity")
-    planar, rot = check_planarity(g)
-    _require(planar, "merge broke planarity")
-    return Instance(g, b.k), tf2, tuple(b.steps), case, rot
+    # merged cycle: z, the first interior, zt1, zt2, the second, zp, v2 .. v, u .. u2
+    state.join(u, v, u2, v2, [u2, z, *int1, zt1, zt2, *int2, zp, v2], (z, int1[0]))
 
 
 def hamiltonize(inst: Instance) -> StageResult:
     """Merge the 2-factor down to a single spanning cycle; at most n/3
-    merges since every cycle has length at least 3."""
+    merges since every cycle has length at least 3. All merges edit one
+    plane builder; the merged graph and 2-factor are checked once at the
+    end."""
     g = inst.graph
-    tf = compute_two_factor(g)
+    state = MergeState(inst, compute_two_factor(g))
     budget = g.n // 3
-    steps = []
     merges = 0
-    rot = None
-    while len(tf.components) > 1:
+    while len(state.heads) > 1:
         if merges >= budget:
             raise PipelineError("merge budget n/3 exceeded")
-        inst, tf, st, _case, rot = merge_step(inst, tf, rot)
-        steps.extend(st)
+        merge_step(state)
         merges += 1
-    witness = HamCycleWitness(tuple(tf.components[0]))
-    out = Instance(inst.graph, inst.k, witness)
-    return StageResult("hamiltonize", out, tuple(steps), _certificate(out), audit=merges)
+    b = state.builder
+    g = b.freeze()
+    tf = state.two_factor()
+    tf.validate(g)
+    _require(check_regular(g, 4), "merging broke 4-regularity")
+    out = Instance(g, b.k, HamCycleWitness(tf.components[0]))
+    return StageResult("hamiltonize", out, tuple(b.steps), _certificate(out), audit=merges)
 
 
 def evenize(inst: Instance) -> StageResult:

@@ -14,25 +14,25 @@ from conftest import cycle_graph, grid_graph, prism_graph
 
 GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
-     "329732e9acb22c6d029a3af086c3a35f7f1d7a5bd6445b7614986738ce163096",
-     "a4461ea50efe1b00239f86784cc4c12d64603251a0c95be3dea6b2e1abef26a4"),
+     "c6c8edc170fa01a0a52d93a2871cfd9ddd16f04a733a9160982a42eb8f6afa81",
+     "00cd8c22a9001370373ac77347ce2a9cb8c1dc3554144e2c52ff3d286b183d1f"),
     ("prism", prism_graph, "5reg-planar-ham",
-     "d9a3e51518098129065393e9ee8b088cb4bf77ef910130329d5f1439fab43f0c",
-     "eb84a91d6588c0dfb94af050e59ebb1450a7cf8465e433b828299d45dbd401b5"),
+     "ea1e379ce468a2c567ec6f5c85cb2e67630aaf7be68ddacd0d1176c675c3b2fc",
+     "a29a5e7c2e651a817eb78cb79de637122b0afb286a2e6f5f4ae622b2a3a819a3"),
     ("C3", lambda: cycle_graph(3), "preg-ham:5",
-     "8abefdb4e96509b14d2219d0d8ffc1c2766cfedd3948b05599eeae679b2a78d7",
-     "496fe81833306f91572246cba4bb264289586f9b8f907dda71de7fbef4f8a23a"),
+     "86d643ac1aa1626488884aa598160c0c0567b405e92774dee2fe8c9305c807ab",
+     "ca6411a522cda4f0f67d4d8fe2a2af421d9dd452d9d7be4f1aa1f6551f487e5e"),
     ("C8", lambda: cycle_graph(8), "ham-ordered:4",
      "aa0d1a06e61157fc17e9ba3e68b11d5205086edf961996bfe194af9fde9774cd",
      "6aad572ab677098bea4d5c1e68e37b7cba295907411dd459426e3963639f097b"),
-    # pairing routes through 8 crossings; hamiltonize runs 27 merges (108 steps)
+    # pairing routes through 8 crossings; hamiltonize runs 27 merges (81 steps)
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
-     "637a16fa4c9c1527804493daa1271094d73bd1c6da7f30d4e219328eeddec5cf",
-     "9762a3955d1e4a2929524563d361af454469db03ef1e53fa05df997260ec4539"),
+     "b5ae5d81516ca741f0cf533c6d329c528c4c5a549918d616ac51233671a646ab",
+     "fc1d4f27a72c25cb269a963f5eacbc19e65fc215c1625be53688d320848fef6c"),
     # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
-     "24bef807ebab8b0a53e441c78b51a31da4720087eed3d12c18f40459f783a5ef",
-     "f41193b8cccb7ce9613d87a440c80397fda06f3e8f967576ceace424c4a45702"),
+     "2effdfa28c2df43172affe01d5d38d522efbd4a21754d23b6d63eb4482c2a62c",
+     "8e2d22d07f46bf6172a65e726be2c06ec7c121f3f964f089e369d64471f369e1"),
 ]
 
 

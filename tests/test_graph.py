@@ -5,11 +5,11 @@ from fvskit.graph import (
     GraphError,
     HamCycleWitness,
     Instance,
+    PlaneBuilder,
     PlaneGraph,
     ReductionTrace,
     TraceStep,
     check_regular,
-    face_edge_sets,
     faces,
     strip_low_degree,
     subdivide_edge,
@@ -143,10 +143,11 @@ class TestFaces:
         with pytest.raises(GraphError, match="faces require connected graph"):
             faces(_embedded(g))
 
-    def test_face_edge_sets(self):
-        fsets = face_edge_sets(_embedded(cycle_graph(4)))
-        assert len(fsets) == 2
-        assert all(len(f) == 4 for f in fsets)
+    def test_plane_builder_face_index(self):
+        pg = _embedded(cycle_graph(4))
+        b = PlaneBuilder(pg.graph, pg.rotation)
+        assert b.n_faces == 2
+        assert sorted(list(b.face.values()).count(f) for f in range(2)) == [4, 4]
 
 
 class TestCheckRegular:

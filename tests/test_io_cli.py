@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fvskit
 from fvskit.cli import main
 from fvskit.graph import Instance
 from fvskit.pipeline import PipelineError, run_pipeline
@@ -173,6 +178,30 @@ class TestCli:
         bad = tmp_path / "bad.fvs"
         bad.write_text("p fvs 2 2\ne 1 2\ne 2 2\n")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8",
+                                      "missing-trace", "missing-out-dir"])
+    def test_io_error_exit(self, tmp_path, case):
+        # run as a program, so that an uncaught exception would show its
+        # traceback on stderr
+        inp = self._write_input(tmp_path)
+        latin1 = tmp_path / "latin1.fvs"
+        latin1.write_bytes(b"c caf\xe9\n" + C3_TEXT.encode())
+        missing = tmp_path / "missing_dir" / "out.fvs"
+        path, argv = {
+            "missing": (missing, ["solve", str(missing)]),
+            "directory": (tmp_path, ["solve", str(tmp_path)]),
+            "not-utf8": (latin1, ["solve", str(latin1)]),
+            "missing-trace": (missing, ["verify", inp, "--trace", str(missing)]),
+            "missing-out-dir": (missing, ["reduce", inp, "--target", "4reg-planar",
+                                          "-o", str(missing)]),
+        }[case]
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "fvskit.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("format error: cannot ") and str(path) in proc.stderr
 
     def test_precondition_exit(self, tmp_path):
         k5 = "p fvs 5 10\n" + "".join(

@@ -1,7 +1,17 @@
 import pytest
 
-from fvskit.graph import Graph, HamCycleWitness, Instance, check_regular
+from fvskit.graph import (
+    Graph,
+    GraphError,
+    HamCycleWitness,
+    Instance,
+    PlaneBuilder,
+    PlaneGraph,
+    check_regular,
+    faces,
+)
 from fvskit.pipeline import (
+    MergeState,
     PipelineError,
     TwoFactor,
     compute_two_factor,
@@ -23,6 +33,8 @@ from conftest import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    grid_graph,
+    medial_graph,
     octahedron_graph,
     odd_4regular_planar_ham,
     prism_graph,
@@ -128,35 +140,37 @@ class TestTwoFactor:
 
 class TestMerge:
     def test_case1_on_prism_medial(self):
-        from conftest import medial_graph
-
         g = medial_graph(prism_graph())
         inst = Instance(g, 3)
         tf = compute_two_factor(g)
         assert len(tf.components) == 2
-        out, tf2, steps, case, _rot = merge_step(inst, tf)
+        state = MergeState(inst, tf)
+        _u, _v, steps, case = merge_step(state)
+        out = state.builder.freeze()
         assert case == 1
-        assert out.k == 3 + 4  # one bridging L gadget
-        assert len(tf2.components) == 1
-        assert check_regular(out.graph, 4)
-        assert check_planarity(out.graph)[0]
+        assert state.builder.k == 3 + 4  # one bridging L gadget
+        assert len(state.two_factor().components) == 1
+        assert check_regular(out, 4)
+        assert check_planarity(out)[0]
 
     def test_case2_on_octahedron(self):
         inst = Instance(octahedron_graph(), 3)
         tf = TwoFactor(((1, 2, 3), (4, 5, 6)))
         tf.validate(inst.graph)
-        out, tf2, steps, case, _rot = merge_step(inst, tf)
+        state = MergeState(inst, tf)
+        _u, _v, steps, case = merge_step(state)
+        out = state.builder.freeze()
         assert case == 2
-        assert out.k == 3 + 8  # the spare edge threads through two L gadgets
-        assert len(tf2.components) == 1
-        assert check_regular(out.graph, 4)
-        assert check_planarity(out.graph)[0]
+        assert state.builder.k == 3 + 8  # the spare edge threads through two L gadgets
+        assert len(state.two_factor().components) == 1
+        assert check_regular(out, 4)
+        assert check_planarity(out)[0]
 
     def test_single_cycle_rejected(self):
         g = octahedron_graph()
         w = find_hamiltonian_cycle(g)
         with pytest.raises(PipelineError, match="already Hamiltonian"):
-            merge_step(Instance(g, 0), TwoFactor((w.order,)))
+            merge_step(MergeState(Instance(g, 0), TwoFactor((w.order,))))
 
 
 class TestHamiltonize:
@@ -171,8 +185,8 @@ class TestHamiltonize:
         merges = sum(1 for s in sr.steps if s.op == "insert")
         assert out.k >= inst.k + 4 * sr.audit  # case 2 merges cost double
 
-    def test_one_planarity_test_per_merge(self, monkeypatch):
-        # each merge reuses the rotation its predecessor's check computed
+    def test_two_planarity_tests_per_stage(self, monkeypatch):
+        # every merge edits one maintained embedding in place
         import fvskit.pipeline as pipeline
 
         inst = pair_degree_three(eliminate_degree_two(Instance(cycle_graph(3), 1)).instance).instance
@@ -181,14 +195,60 @@ class TestHamiltonize:
         monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
         sr = hamiltonize(inst)
         assert sr.audit >= 3
-        # one per merge, the first merge's rotation, the stage certificate
-        assert len(calls) <= sr.audit + 2
+        # the first rotation and the stage certificate
+        assert len(calls) <= 2
 
     def test_deterministic(self):
         inst = eliminate_degree_two(Instance(cycle_graph(3), 1)).instance
         a = hamiltonize(inst).instance
         b = hamiltonize(inst).instance
         assert a.graph == b.graph and a.k == b.k and a.witness == b.witness
+
+
+def _merge_state(name):
+    if name == "octahedron":
+        return MergeState(Instance(octahedron_graph(), 0), TwoFactor(((1, 2, 3), (4, 5, 6))))
+    if name == "prism-medial":
+        g = medial_graph(prism_graph())
+    else:
+        base = grid_graph(3, 4) if name == "grid3x4" else cycle_graph(3)
+        g = eliminate_degree_two(Instance(base, 0)).instance.graph
+        g = pair_degree_three(Instance(g, 0)).instance.graph
+    return MergeState(Instance(g, 0), compute_two_factor(g))
+
+
+class TestPlaneEmbedding:
+    @pytest.mark.parametrize("name", ["grid3x4", "prism-medial", "octahedron", "C3"])
+    def test_face_index_matches_face_walks(self, name):
+        # the maintained face index is an oracle-checked partition of the
+        # darts: faces() walks the maintained rotation from scratch
+        state = _merge_state(name)
+        b = state.builder
+        merges = 0
+        while len(state.heads) > 1:
+            merge_step(state)
+            merges += 1
+            walks = faces(PlaneGraph(b.freeze(), b.rotation))
+            assert len(walks) == b.n_faces
+            walked = {frozenset(zip(w, w[1:] + w[:1])) for w in walks}
+            indexed = {}
+            for d, f in b.face.items():
+                indexed.setdefault(f, set()).add(d)
+            assert walked == {frozenset(ds) for ds in indexed.values()}
+        assert merges >= 1
+
+    def test_swapped_rotation_fails_euler(self):
+        state = _merge_state("octahedron")
+        merge_step(state)
+        b = state.builder
+        for g, rot in ((octahedron_graph(), check_planarity(octahedron_graph())[1]),
+                       (b.freeze(), b.rotation)):
+            PlaneBuilder(g, rot).check_euler()
+            bad = dict(rot)
+            first, second, *rest = rot[1]
+            bad[1] = (second, first, *rest)
+            with pytest.raises(GraphError, match="not a planar embedding"):
+                PlaneBuilder(g, bad)
 
 
 class TestEvenize:

@@ -107,7 +107,7 @@ def test_zeroed_deltas_are_rejected(tmp_path, capsys):
     # budgets and output budget are all zeroed still replays to the same
     # graph, so only a derived ledger can catch it
     out, doc = _compile(tmp_path, 0)
-    assert doc["output"]["k"] == 33
+    assert doc["output"]["k"] == 29
     for st in doc["stages"]:
         for step in st["steps"]:
             if step["op"] == "insert":
