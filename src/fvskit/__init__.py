@@ -7,7 +7,6 @@ from .graph import (
     GraphError,
     HamCycleWitness,
     Instance,
-    PlaneBuilder,
     PlaneGraph,
     ReductionTrace,
     TraceStep,
@@ -47,7 +46,6 @@ from .geometry import (
 )
 from .pipeline import (
     CertificationError,
-    MergeState,
     PipelineError,
     PipelineResult,
     StageResult,

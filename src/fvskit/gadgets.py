@@ -5,7 +5,7 @@ Builder.insert."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .graph import Builder, Graph, GraphError, reachable
 from .solvers import (
@@ -31,9 +31,7 @@ class Gadget:
 
     ham_path runs from x to y through every gadget vertex. k_delta is the
     certified minimum FVS size of the gadget, i.e. the exact amount the
-    deletion budget must grow per insertion. rotation, where set, is a
-    planar rotation system of graph plus the edge xy: the embedding that
-    PlaneBuilder.insert lays into a face with x and y on its boundary.
+    deletion budget must grow per insertion.
     """
 
     kind: str  # R | L | D | Y
@@ -43,7 +41,6 @@ class Gadget:
     y: int
     ham_path: tuple
     k_delta: int
-    rotation: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         hp = self.ham_path
@@ -102,9 +99,7 @@ def _build_l() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 4, 3, 2, 5, 1, 6, 10, 7, 8, 9, 11)
-    # hamiltonize lays L into a face of its plane builder
-    _, rot = check_planarity(Graph(g.vertices, [*g.edges, (0, 11)]))
-    return Gadget("L", None, g, 0, 11, ham, 4, rot)
+    return Gadget("L", None, g, 0, 11, ham, 4)
 
 
 def _build_d() -> Gadget:

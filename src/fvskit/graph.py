@@ -237,22 +237,18 @@ def _strip_adjacency(adj):
 class PlaneBuilder(Builder):
     """A Builder of a connected plane graph. Besides the adjacency it keeps
     the rotation system (each vertex's neighbours in cyclic order), the face
-    of every dart (u, v) under the walk rule of faces(), and the edge and
-    face counts. subdivide and insert update them in time proportional to
-    the edit times the degrees it touches, so check_euler() tests
-    V - E + F = 2 in O(1). The other ops have no plane form here."""
+    of every dart (u, v) under the walk rule of faces(), and the face count.
+    The constructor walks the given rotation once, so one that is not a
+    planar embedding fails Euler's formula there. subdivide and insert then
+    update the embedding in time proportional to the edit times the degrees
+    it touches. The other ops have no plane form here."""
 
     def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
         super().__init__(g, k, stage)
         walks = faces(PlaneGraph(g, rotation)) if g.m else []
         self.rotation = {v: list(order) for v, order in rotation.items()}
         self.face = {d: f for f, w in enumerate(walks) for d in zip(w, w[1:] + w[:1])}
-        self.m = g.m
         self.n_faces = len(walks) or 1
-
-    def check_euler(self):
-        if self.n - self.m + self.n_faces != 2:
-            raise GraphError("rotation system is not a planar embedding")
 
     def subdivide(self, e) -> int:
         """Builder.subdivide; the fresh vertex takes the edge's place in both
@@ -265,18 +261,15 @@ class PlaneBuilder(Builder):
         rot[w] = [u, v]
         face[(u, w)] = face[(w, v)] = face.pop((u, v))
         face[(v, w)] = face[(w, u)] = face.pop((v, u))
-        self.m += 1
         return w
 
-    def insert(self, gadget, u, v) -> dict:
-        """Builder.insert, laying the gadget's stored embedding (a rotation
-        system of its graph plus the edge xy) into the lowest-numbered face f
-        that u and v share. f splits in two: the side that runs from u round
-        to v and the gadget's face on the x-to-y side of xy get a new face id,
-        the other side keeps f, and the gadget's inner faces are new."""
+    def insert(self, gadget, u, v, grot) -> dict:
+        """Builder.insert, laying grot, a planar rotation system of the
+        gadget's graph plus the edge xy, into the lowest-numbered face f that
+        u and v share. f splits in two: the side that runs from u round to v
+        and the gadget's face on the x-to-y side of xy get a new face id, the
+        other side keeps f, and the gadget's inner faces are new."""
         rot, face = self.rotation, self.face
-        if gadget.rotation is None:
-            raise GraphError(f"gadget {gadget.kind} has no plane embedding")
         if u == v or u not in rot or v not in rot:
             raise GraphError("plane insertion needs two distinct present vertices")
         corner = {}  # face -> the neighbour q that opens u's corner on it
@@ -295,7 +288,7 @@ class PlaneBuilder(Builder):
                 raise GraphError(f"face {f} walked from {u} never reaches {v}")
         id_map = super().insert(gadget, u, v)
 
-        x, y, grot = gadget.x, gadget.y, gadget.rotation
+        x, y = gadget.x, gadget.y
 
         def after(t, other):
             order = grot[t]
@@ -324,7 +317,6 @@ class PlaneBuilder(Builder):
         for (a, b), i in gface.items():
             if {a, b} != {x, y}:
                 face[(id_map[a], id_map[b])] = new_id[i]
-        self.m += gadget.graph.m
         return id_map
 
     def _unsupported(self, *args):

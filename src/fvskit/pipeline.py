@@ -35,6 +35,10 @@ from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycl
 
 GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
 
+# a plane embedding of L plus its edge xy, which hamiltonize lays into faces
+_L = GADGETS["L"]
+L_ROTATION = check_planarity(Graph(_L.graph.vertices, [*_L.graph.edges, (_L.x, _L.y)]))[1]
+
 
 class PipelineError(ValueError):
     pass
@@ -341,8 +345,8 @@ def merge_step(state: MergeState):
     spare edge at u shares a face with a cycle edge at u and with one at v,
     and is threaded through two L gadgets (budget +8). The merge takes the
     smallest connecting edge that admits case 1 or, if none does, the
-    smallest that admits case 2. Edits state in place and asserts Euler's
-    formula on its embedding. Returns (u, v, the steps recorded, the case)."""
+    smallest that admits case 2. Edits state in place. Returns (u, v, the
+    steps recorded, the case)."""
     if len(state.heads) == 1:
         raise PipelineError("already Hamiltonian")
     held = []  # live connecting edges without a case 1, in sorted order
@@ -367,7 +371,6 @@ def merge_step(state: MergeState):
     b = state.builder
     n_steps = len(b.steps)
     (_merge_case1 if len(found) == 2 else _merge_case2)(state, u, v, *found)
-    b.check_euler()
     return u, v, tuple(b.steps[n_steps:]), len(found) - 1
 
 
@@ -381,8 +384,7 @@ def _merge_case1(state, u, v, e, ep):
     v2 = _other_end(ep, v)
     z = b.subdivide(e)
     zp = b.subdivide(ep)
-    L = GADGETS["L"]
-    interior = interior_path(L, b.insert(L, z, zp))
+    interior = interior_path(_L, b.insert(_L, z, zp, L_ROTATION))
     # merged cycle: z, u2 .. u, v .. v2, zp, the interior backwards
     state.join(u, v, u2, v2, [v2, zp, *reversed(interior), z, u2], (z, u2))
 
@@ -396,9 +398,8 @@ def _merge_case2(state, u, v, e, et, ep):
     zt1 = b.subdivide(et)
     zt2 = b.subdivide(_norm_edge(zt1, wt))
     zp = b.subdivide(ep)
-    L = GADGETS["L"]
-    int1 = interior_path(L, b.insert(L, z, zt1))
-    int2 = interior_path(L, b.insert(L, zt2, zp))
+    int1 = interior_path(_L, b.insert(_L, z, zt1, L_ROTATION))
+    int2 = interior_path(_L, b.insert(_L, zt2, zp, L_ROTATION))
     # merged cycle: z, the first interior, zt1, zt2, the second, zp, v2 .. v, u .. u2
     state.join(u, v, u2, v2, [u2, z, *int1, zt1, zt2, *int2, zp, v2], (z, int1[0]))
 
@@ -407,7 +408,7 @@ def hamiltonize(inst: Instance) -> StageResult:
     """Merge the 2-factor down to a single spanning cycle; at most n/3
     merges since every cycle has length at least 3. All merges edit one
     plane builder; the merged graph and 2-factor are checked once at the
-    end."""
+    end, and the stage certificate's LR test must find the output planar."""
     g = inst.graph
     state = MergeState(inst, compute_two_factor(g))
     budget = g.n // 3
@@ -423,7 +424,9 @@ def hamiltonize(inst: Instance) -> StageResult:
     tf.validate(g)
     _require(check_regular(g, 4), "merging broke 4-regularity")
     out = Instance(g, b.k, HamCycleWitness(tf.components[0]))
-    return StageResult("hamiltonize", out, tuple(b.steps), _certificate(out), audit=merges)
+    cert = _certificate(out)
+    _require(cert.planar, "merging broke planarity")
+    return StageResult("hamiltonize", out, tuple(b.steps), cert, audit=merges)
 
 
 def evenize(inst: Instance) -> StageResult:

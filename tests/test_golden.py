@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for six reductions. A digest change means the compiler's output
+trace JSON for seven reductions. A digest change means the compiler's output
 changed; that must be deliberate and stated in CHANGES.md."""
 
 import hashlib
@@ -33,6 +33,10 @@ GOLDEN = [
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
      "2effdfa28c2df43172affe01d5d38d522efbd4a21754d23b6d63eb4482c2a62c",
      "8e2d22d07f46bf6172a65e726be2c06ec7c121f3f964f089e369d64471f369e1"),
+    # hamiltonize runs 42 merges, one of them case 2 (two L gadgets)
+    ("grid2x5", lambda: grid_graph(2, 5), "4reg-planar-ham",
+     "87626caa797fad4cee96a3d5d0a8bebcc74007e5a78eab24d36b965d5c0e1337",
+     "d9ff6b25818aa438cecb5536a58eda3dda1e9c15bd91d2fd979483de87d9eb5b"),
 ]
 
 

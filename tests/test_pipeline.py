@@ -28,6 +28,7 @@ from fvskit.pipeline import (
     run_pipeline,
 )
 from fvskit.solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
+from fvskit.textio import trace_to_json, verify_trace
 
 from conftest import (
     complete_graph,
@@ -198,6 +199,20 @@ class TestHamiltonize:
         # the first rotation and the stage certificate
         assert len(calls) <= 2
 
+    def test_misspliced_embedding_is_rejected(self, monkeypatch):
+        # L's neighbours of x spliced in reverse misfile faces, so later
+        # merges bridge edges that share no face; the stage certificate
+        # must then refuse the output instead of recording planar: false
+        import fvskit.pipeline as pipeline
+
+        x = pipeline.GADGETS["L"].x
+        rot = dict(pipeline.L_ROTATION)
+        rot[x] = tuple(reversed(rot[x]))
+        monkeypatch.setattr(pipeline, "L_ROTATION", rot)
+        inst = pair_degree_three(eliminate_degree_two(Instance(grid_graph(3, 4), 0)).instance).instance
+        with pytest.raises(PipelineError, match="merging broke planarity"):
+            hamiltonize(inst)
+
     def test_deterministic(self):
         inst = eliminate_degree_two(Instance(cycle_graph(3), 1)).instance
         a = hamiltonize(inst).instance
@@ -238,12 +253,13 @@ class TestPlaneEmbedding:
         assert merges >= 1
 
     def test_swapped_rotation_fails_euler(self):
+        # the constructor walks the rotation's faces and counts V - E + F
         state = _merge_state("octahedron")
         merge_step(state)
         b = state.builder
         for g, rot in ((octahedron_graph(), check_planarity(octahedron_graph())[1]),
                        (b.freeze(), b.rotation)):
-            PlaneBuilder(g, rot).check_euler()
+            PlaneBuilder(g, rot)
             bad = dict(rot)
             first, second, *rest = rot[1]
             bad[1] = (second, first, *rest)
@@ -367,6 +383,15 @@ class TestTargets:
         out = res.instance
         assert out.witness is not None and out.witness.is_valid_for(out.graph)
         assert check_regular(out.graph, 4) and check_planarity(out.graph)[0]
+
+    def test_run_4reg_planar_ham_with_case2_merge(self):
+        # no connecting edge of one merge admits case 1 here, so the
+        # two-gadget path runs end to end and its trace must replay
+        res = run_pipeline(Instance(grid_graph(2, 5), 1), "4reg-planar-ham")
+        sr = next(sr for sr in res.stages if sr.name == "hamiltonize")
+        inserts = sum(1 for s in sr.steps if s.op == "insert")
+        assert inserts - sr.audit == 1  # one merge inserted two L gadgets
+        verify_trace(res.instance, trace_to_json(res))
 
     def test_trace_stage_names_are_the_stages_with_steps(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
