@@ -24,8 +24,10 @@ from .graph import (
     HamCycleWitness,
     Instance,
     PlaneBuilder,
+    PlaneGraph,
     ReductionTrace,
     check_regular,
+    faces,
     is_connected,
     regularity,
     to_networkx,
@@ -34,10 +36,20 @@ from .graph import (
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
 
 GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
+_PLUS_XY = {kind: check_planarity(Graph(gd.graph.vertices, [*gd.graph.edges, (gd.x, gd.y)]))
+            for kind, gd in GADGETS.items()}
 
 # a plane embedding of L plus its edge xy, which hamiltonize lays into faces
 _L = GADGETS["L"]
-L_ROTATION = check_planarity(Graph(_L.graph.vertices, [*_L.graph.edges, (_L.x, _L.y)]))[1]
+L_ROTATION = _PLUS_XY["L"][1]
+
+# the gadgets G with G + xy planar: one inserted at a vertex or across an edge
+# is a 1-sum or a 2-sum with a planar graph, which keeps the host planar
+SUM_PLANAR = frozenset(kind for kind, (planar, _) in _PLUS_XY.items() if planar)
+
+# the most edges a Y round or a lift may build; a target beyond it is refused
+# before its first round
+MAX_OUTPUT_EDGES = 2_000_000
 
 
 class PipelineError(ValueError):
@@ -50,7 +62,9 @@ class CertificationError(PipelineError):
 
 @dataclass(frozen=True)
 class ClassCertificate:
-    """Structural facts about a stage output, re-verified from scratch."""
+    """Structural facts about a stage output. planar is the stage's claim,
+    which run_pipeline and verify_trace prove with one PlanarityProof; the
+    others are computed from the output."""
 
     regular: int | None
     planar: bool
@@ -91,13 +105,60 @@ class StageResult:
     steps: tuple
     certificate: ClassCertificate
     audit: object = None
+    # the stage proved its output planar by walking a plane embedding of it
+    embedded: bool = False
 
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
     g = inst.graph
-    planar = check_planarity(g)[0] if claim_planar else False
     wit = inst.witness is not None and inst.witness.is_valid_for(g)
-    return ClassCertificate(regularity(g), planar, wit, g.n % 2 == 0)
+    return ClassCertificate(regularity(g), claim_planar, wit, g.n % 2 == 0)
+
+
+class PlanarityProof:
+    """One planarity proof for a chain of stage graphs: a base graph and
+    the outputs of the stages applied to it in order, each with its claim.
+    It keeps the latest graph whose planarity still needs an LR test, and
+    proves every other graph up to the last claim from it by two rules.
+
+    - Minor rule: every op except strip only subdivides an edge or adds
+      vertices and edges, and strip only removes pendant trees. So each
+      graph is a topological minor of every later one, up to pendant trees,
+      and a planar later graph proves every earlier one planar.
+    - Sum rule: a stage whose steps all insert a SUM_PLANAR gadget at one
+      vertex or across an edge of the stage's input glues planar graphs on
+      by 1-sums and 2-sums, so its output is planar if its input is.
+
+    A stage that walked a plane embedding of its output proves it outright.
+    check_planarity runs at most once, on the kept graph, when the proof
+    reaches the last stage that claims planarity."""
+
+    def __init__(self, base: Graph, claims):
+        self.kept = base
+        self.claims = list(claims)
+        self.last = max((i for i, c in enumerate(self.claims) if c), default=-1)
+        self.claimant = None  # the first stage since kept that claims planarity
+        self.added = 0
+
+    def add(self, name, g_in: Graph, steps, g_out: Graph, embedded=False):
+        """Take the next stage: its name, input graph, steps and output
+        graph, and whether it walked a plane embedding of its output.
+        Returns the name of a stage whose planarity claim fails, else None."""
+        i = self.added
+        self.added += 1
+        if i > self.last:
+            return None
+        if embedded:
+            self.kept = self.claimant = None
+        elif not all(s.op == "insert" and s.gadget in SUM_PLANAR
+                     and (s.attach[0] == s.attach[1] or g_in.has_edge(*s.attach))
+                     for s in steps):
+            self.kept, self.claimant = g_out, None
+        if self.claims[i] and self.claimant is None:
+            self.claimant = name
+        if i == self.last and self.kept is not None and not check_planarity(self.kept)[0]:
+            return self.claimant
+        return None
 
 
 def _require(cond, msg):
@@ -408,7 +469,8 @@ def hamiltonize(inst: Instance) -> StageResult:
     """Merge the 2-factor down to a single spanning cycle; at most n/3
     merges since every cycle has length at least 3. All merges edit one
     plane builder; the merged graph and 2-factor are checked once at the
-    end, and the stage certificate's LR test must find the output planar."""
+    end, and a face walk of the maintained rotation must pass Euler's
+    formula, which proves the output planar."""
     g = inst.graph
     state = MergeState(inst, compute_two_factor(g))
     budget = g.n // 3
@@ -423,10 +485,13 @@ def hamiltonize(inst: Instance) -> StageResult:
     tf = state.two_factor()
     tf.validate(g)
     _require(check_regular(g, 4), "merging broke 4-regularity")
+    try:
+        faces(PlaneGraph(g, b.rotation))
+    except GraphError:
+        raise PipelineError("merging broke planarity") from None
     out = Instance(g, b.k, HamCycleWitness(tf.components[0]))
-    cert = _certificate(out)
-    _require(cert.planar, "merging broke planarity")
-    return StageResult("hamiltonize", out, tuple(b.steps), cert, audit=merges)
+    return StageResult("hamiltonize", out, tuple(b.steps), _certificate(out),
+                       audit=merges, embedded=True)
 
 
 def evenize(inst: Instance) -> StageResult:
@@ -508,6 +573,11 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     _require(r <= target_p, f"already {r}-regular, beyond target {target_p}")
     if g.n % 2:
         raise PipelineError("evenize first")
+    n = g.n
+    for q in range(r, target_p):
+        n *= q + 2  # a Y_q round multiplies n by q + 2 and makes the graph (q + 1)-regular
+        _require(n * (q + 1) // 2 <= MAX_OUTPUT_EDGES,
+                 f"preg-ham:{target_p} would build more than {MAX_OUTPUT_EDGES} edges")
     b = Builder(g, inst.k, "pregular")
     order = inst.witness.order
     while r < target_p:
@@ -528,6 +598,13 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     Hamiltonian and grows the budget by exactly 3n."""
     _require(inst.witness is not None, "precondition: witness required")
     _require(target_p >= 3, "precondition: target p >= 3 required")
+    n, m = inst.graph.n, inst.graph.m
+    for _ in range(4, target_p + 1):
+        # a lift joins a K_3n and a pair joined to it and to each other
+        m += 3 * n * n + 3 * n * (3 * n - 1) // 2 + 6 * n + 1
+        n = 4 * n + 2
+        _require(m <= MAX_OUTPUT_EDGES,
+                 f"ham-ordered:{target_p} would build more than {MAX_OUTPUT_EDGES} edges")
     b = Builder(inst.graph, inst.k, "lift")
     order = list(inst.witness.order)
     for p in range(4, target_p + 1):
@@ -570,6 +647,19 @@ class PipelineResult:
 
 
 def run_pipeline(inst: Instance, target: str) -> PipelineResult:
+    """Compile inst onto the target class. One PlanarityProof over the
+    stages proves every planarity claim they record."""
+    stages = _run_stages(inst, target)
+    proof = PlanarityProof(inst.graph, (sr.certificate.planar for sr in stages))
+    g_in = inst.graph
+    for sr in stages:
+        failed = proof.add(sr.name, g_in, sr.steps, sr.instance.graph, sr.embedded)
+        _require(failed is None, f"stage {failed}: planarity claim fails")
+        g_in = sr.instance.graph
+    return PipelineResult(inst, tuple(stages), stages[-1].instance)
+
+
+def _run_stages(inst: Instance, target: str) -> list:
     kind, p = parse_target(target)
     stages = []
 
@@ -583,8 +673,8 @@ def run_pipeline(inst: Instance, target: str) -> PipelineResult:
             w = find_hamiltonian_cycle(cur.graph)
             _require(w is not None, "precondition: Hamiltonian input required")
             cur = Instance(cur.graph, cur.k, w)
-        cur = push(ham_ordered_lift(cur, p))
-        return PipelineResult(inst, tuple(stages), cur)
+        push(ham_ordered_lift(cur, p))
+        return stages
 
     b = Builder(inst.graph, inst.k, "strip")
     b.strip()
@@ -595,17 +685,17 @@ def run_pipeline(inst: Instance, target: str) -> PipelineResult:
     cur = push(eliminate_degree_two(cur))
     cur = push(pair_degree_three(cur))
     if kind == "4reg-planar":
-        return PipelineResult(inst, tuple(stages), cur)
+        return stages
     cur = push(hamiltonize(cur))
     if kind == "4reg-planar-ham" or (kind == "preg-ham" and p == 4):
-        return PipelineResult(inst, tuple(stages), cur)
+        return stages
     cur = push(evenize(cur))
     cur = push(five_regularize(cur))
     if kind == "5reg-planar-ham" or (kind == "preg-ham" and p == 5):
-        return PipelineResult(inst, tuple(stages), cur)
+        return stages
     # only preg-ham with p >= 6 remains
-    cur = push(p_regularize(cur, p))
-    return PipelineResult(inst, tuple(stages), cur)
+    push(p_regularize(cur, p))
+    return stages
 
 
 def replay_trace(g: Graph, steps, k: int = 0, *, n_out: int) -> tuple[Graph, int]:

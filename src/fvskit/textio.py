@@ -7,8 +7,13 @@ from __future__ import annotations
 import json
 
 from .graph import Graph, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
-from .pipeline import CertificationError, PipelineError, PipelineResult, replay_trace
-from .solvers import check_planarity
+from .pipeline import (
+    CertificationError,
+    PipelineError,
+    PipelineResult,
+    PlanarityProof,
+    replay_trace,
+)
 
 
 class FormatError(ValueError):
@@ -174,9 +179,12 @@ def _load_trace(trace: dict):
 def verify_trace(out_inst: Instance, trace: dict) -> None:
     """Replay a trace JSON against the claimed output; raises on any
     certificate mismatch. The ledger is rebuilt from the replayed ops
-    alone: recorded k_delta values are compared, never added."""
+    alone: recorded k_delta values are compared, never added. One
+    PlanarityProof over the replayed stages proves every planarity claim."""
     g, k, stages, out_decl = _load_trace(trace)
+    proof = PlanarityProof(g, (bool(cert.get("planar")) for *_, cert in stages))
     for name, steps, k_after, cert in stages:
+        g_in = g
         g, dk = replay_trace(g, steps, k, n_out=out_decl[0])
         k += dk
         if k != k_after:
@@ -185,8 +193,9 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
             )
         if cert.get("regular") is not None and not check_regular(g, cert["regular"]):
             raise CertificationError(f"stage {name}: regularity claim fails")
-        if cert.get("planar") and not check_planarity(g)[0]:
-            raise CertificationError(f"stage {name}: planarity claim fails")
+        failed = proof.add(name, g_in, steps, g)
+        if failed is not None:
+            raise CertificationError(f"stage {failed}: planarity claim fails")
         if cert.get("even") and g.n % 2:
             raise CertificationError(f"stage {name}: even-order claim fails")
     if (g.n, g.m, k) != out_decl:

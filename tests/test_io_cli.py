@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("format error: cannot ") and str(path) in proc.stderr
+
+    @pytest.mark.parametrize("target", ["preg-ham:99", "ham-ordered:12"])
+    def test_oversized_target_is_refused_before_it_is_built(self, tmp_path, capsys, target):
+        inp = self._write_input(tmp_path)
+        start = time.perf_counter()
+        assert main(["reduce", inp, "--target", target]) == 3
+        assert time.perf_counter() - start < 1
+        assert "would build more than 2000000 edges" in capsys.readouterr().err
+
+    def test_python_dash_m_fvskit(self):
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "fvskit", "--help"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: fvskit")
 
     def test_precondition_exit(self, tmp_path):
         k5 = "p fvs 5 10\n" + "".join(

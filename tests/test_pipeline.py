@@ -7,12 +7,16 @@ from fvskit.graph import (
     Instance,
     PlaneBuilder,
     PlaneGraph,
+    TraceStep,
     check_regular,
     faces,
 )
 from fvskit.pipeline import (
+    SUM_PLANAR,
+    ClassCertificate,
     MergeState,
     PipelineError,
+    StageResult,
     TwoFactor,
     compute_two_factor,
     eliminate_degree_two,
@@ -28,7 +32,7 @@ from fvskit.pipeline import (
     run_pipeline,
 )
 from fvskit.solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
-from fvskit.textio import trace_to_json, verify_trace
+from fvskit.textio import parse_graph, trace_to_json, verify_trace, write_graph
 
 from conftest import (
     complete_graph,
@@ -186,8 +190,9 @@ class TestHamiltonize:
         merges = sum(1 for s in sr.steps if s.op == "insert")
         assert out.k >= inst.k + 4 * sr.audit  # case 2 merges cost double
 
-    def test_two_planarity_tests_per_stage(self, monkeypatch):
-        # every merge edits one maintained embedding in place
+    def test_one_planarity_test_per_stage(self, monkeypatch):
+        # every merge edits one maintained embedding in place, and a face
+        # walk of it proves the output planar
         import fvskit.pipeline as pipeline
 
         inst = pair_degree_three(eliminate_degree_two(Instance(cycle_graph(3), 1)).instance).instance
@@ -195,9 +200,9 @@ class TestHamiltonize:
         real = pipeline.check_planarity
         monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
         sr = hamiltonize(inst)
-        assert sr.audit >= 3
-        # the first rotation and the stage certificate
-        assert len(calls) <= 2
+        assert sr.audit >= 3 and sr.embedded
+        # the first rotation
+        assert calls == [inst.graph]
 
     def test_misspliced_embedding_is_rejected(self, monkeypatch):
         # L's neighbours of x spliced in reverse misfile faces, so later
@@ -405,6 +410,44 @@ class TestTargets:
     def test_empty_after_strip_rejected(self):
         with pytest.raises(PipelineError, match="empty after stripping"):
             run_pipeline(Instance(Graph.from_edges([(1, 2)]), 0), "4reg-planar")
+
+
+class TestPlanarityProof:
+    def test_sum_planar_gadgets(self):
+        assert SUM_PLANAR == {"R", "L", "D"}
+
+    def test_lr_tests_per_run(self, monkeypatch):
+        # reduce: the degree2 precondition, the first rotation and the
+        # evenize output; hamiltonize walks its own faces and degree2 and
+        # 5regular keep planarity by the sum rule. verify: the evenize output
+        import fvskit.pipeline as pipeline
+
+        calls = []
+        real = pipeline.check_planarity
+        monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
+        res = run_pipeline(parse_graph(write_graph(Instance(prism_graph(), 1)), 1),
+                           "5reg-planar-ham")
+        evenized = next(sr.instance.graph for sr in res.stages if sr.name == "evenize")
+        assert len(calls) <= 3 and calls[-1] is evenized
+        calls.clear()
+        verify_trace(parse_graph(write_graph(res.instance), res.instance.k), trace_to_json(res))
+        assert len(calls) <= 1
+
+    def test_false_claim_fails_the_run(self, monkeypatch):
+        # a stage output that claims planarity and is K5 ends the run
+        # instead of recording planar: false
+        import fvskit.pipeline as pipeline
+
+        k5 = complete_graph(5)
+
+        def pairing(inst):
+            step = TraceStep("pairing", "subdivide", edge=(1, 2))
+            return StageResult("pairing", Instance(k5, inst.k), (step,),
+                               ClassCertificate(4, True, False, False))
+
+        monkeypatch.setattr(pipeline, "pair_degree_three", pairing)
+        with pytest.raises(PipelineError, match="stage pairing: planarity claim fails"):
+            run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar")
 
 
 class TestReplay:

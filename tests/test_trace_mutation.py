@@ -9,9 +9,9 @@ import json
 import pytest
 
 from fvskit.cli import main
-from fvskit.graph import Builder, Graph, TraceStep
-from fvskit.pipeline import replay_trace
-from fvskit.textio import parse_graph
+from fvskit.graph import Builder, Graph, Instance, TraceStep
+from fvskit.pipeline import GADGETS, ClassCertificate, PipelineResult, StageResult, replay_trace
+from fvskit.textio import parse_graph, trace_to_json, write_graph
 
 TRIANGLE = "p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 OPS = ("subdivide", "insert", "copy", "lift", "strip")
@@ -192,3 +192,25 @@ def test_extra_lifts_stop_at_declared_size(tmp_path, monkeypatch, capsys, extra)
     assert _verify(tmp_path, out, doc) == 4
     assert "stage lift step 1" in capsys.readouterr().err
     assert max(sizes) == 14
+
+
+@pytest.mark.parametrize("base, attach, rc", [
+    ("K5-e", (4, 5), 4),  # not an edge: the output holds a K5 subdivision
+    ("K5-e", (1, 2), 0),  # a 2-sum along an edge keeps planarity
+    ("K5", (1, 2), 4),  # a 2-sum cannot make a nonplanar base planar
+])
+def test_planar_claim_over_one_d_insert(tmp_path, capsys, base, attach, rc):
+    # hand-made one-stage traces whose only step inserts a D gadget and
+    # whose stage claims a planar output
+    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
+                            if base == "K5" or (i, j) != (4, 5)])
+    b = Builder(g, 0, "5regular")
+    b.insert(GADGETS["D"], *attach)
+    out = Instance(b.freeze(), b.k)
+    stage = StageResult("5regular", out, tuple(b.steps), ClassCertificate(None, True, False, False))
+    path = tmp_path / "out.fvs"
+    path.write_text(write_graph(out))
+    capsys.readouterr()
+    assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
+    if rc:
+        assert "stage 5regular: planarity claim fails" in capsys.readouterr().err
