@@ -1,6 +1,6 @@
-"""Ground-truth engines: exact FVS by exhaustive subset scan and by
-branch-and-reduce, Hamiltonicity and Hamiltonian-ordered checks, planarity,
-Ore-type degree condition, and vertex connectivity."""
+"""Ground-truth engines: exact FVS by an exhaustive induced-forest search
+and by branch-and-reduce, Hamiltonicity and Hamiltonian-ordered checks,
+planarity, Ore-type degree condition, and vertex connectivity."""
 
 from __future__ import annotations
 
@@ -54,75 +54,108 @@ def _bit_order(g: Graph):
     return verts, masks
 
 
-def _mask_acyclic(masks, sub):
-    """Forest test on the induced subgraph encoded by bitmask sub."""
-    edges2 = 0
-    nverts = 0
-    m = sub
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        nverts += 1
-        edges2 += (masks[v] & sub).bit_count()
-    if edges2 >= 2 * nverts and nverts:
-        return False
-    while sub:
-        peeled = False
-        m = sub
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if (masks[v] & sub).bit_count() <= 1:
-                sub &= ~(1 << v)
-                peeled = True
-        if not peeled:
-            return False
-    return True
+def _clock(deadline):
+    """A per-node tick that reads the clock at its first call and then once
+    per 1 024 calls, raising UndecidedError once it passes deadline."""
+    if deadline is None:
+        return lambda: None
+    nodes = 0
 
-
-def _until(deadline, items):
-    """items, raising UndecidedError once the clock passes deadline; the
-    clock is read at the first item and then once per 1 024 items."""
-    for i, item in enumerate(items):
-        if not i % 1024 and time.monotonic() > deadline:
+    def tick():
+        nonlocal nodes
+        if not nodes % 1024 and time.monotonic() > deadline:
             raise UndecidedError("undecided within budget")
-        yield item
+        nodes += 1
+
+    return tick
 
 
-def _forest_deletions(masks, k, deadline=None):
-    """Index tuples, in lexicographic order, of the size-k deletions that
-    leave a forest in the graph encoded by masks."""
+def _join(comps, nb, i):
+    """The kept components after keeping vertex i, whose kept neighbours
+    are the bitmask nb: every component i touches merges with it. None if i
+    has two neighbours in one component, which would close a cycle."""
+    merged = 1 << i
+    out = []
+    for c in comps:
+        hit = nb & c
+        if not hit:
+            out.append(c)
+        elif hit & (hit - 1):
+            return None
+        else:
+            merged |= c
+    out.append(merged)
+    return out
+
+
+def _largest_forest(masks, tick):
+    """Order of a largest induced forest of the graph encoded by masks.
+
+    Grows a kept set in index order, trying keep before delete, with the
+    kept components as bitmasks. A branch is cut once kept + undecided
+    vertices cannot beat the best forest found."""
     n = len(masks)
-    full = (1 << n) - 1
-    combos = itertools.combinations(range(n), k)
-    if deadline is not None:
-        combos = _until(deadline, combos)
-    for combo in combos:
-        sub = full
-        for i in combo:
-            sub &= ~(1 << i)
-        if _mask_acyclic(masks, sub):
-            yield combo
+    best = 0
+
+    def grow(i, kept, comps, kept_mask):
+        nonlocal best
+        tick()
+        if kept + n - i <= best:
+            return
+        if i == n:
+            best = kept
+            return
+        joined = _join(comps, masks[i] & kept_mask, i)
+        if joined is not None:
+            grow(i + 1, kept + 1, joined, kept_mask | 1 << i)
+        grow(i + 1, kept, comps, kept_mask)
+
+    grow(0, 0, [], 0)
+    return best
+
+
+def _optimal_deletions(masks, k, tick):
+    """Index tuples, in lexicographic order, of the size-k deletions that
+    leave a forest in the graph encoded by masks, for k the optimum.
+
+    The same search as _largest_forest with delete tried before keep and at
+    most k deletions, so its leaves come in lexicographic order."""
+    n = len(masks)
+
+    def walk(i, deleted, comps, kept_mask):
+        tick()
+        if i == n:
+            yield deleted
+            return
+        if len(deleted) < k:
+            yield from walk(i + 1, deleted + (i,), comps, kept_mask)
+        joined = _join(comps, masks[i] & kept_mask, i)
+        if joined is not None:
+            yield from walk(i + 1, deleted, joined, kept_mask | 1 << i)
+
+    return walk(0, (), [], 0)
 
 
 def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
-    """Minimum FVS by scanning deletion sets in increasing size; returns the
-    lexicographically smallest optimal set (over sorted vertex ids)."""
+    """Minimum FVS by an exhaustive search over induced forests: one pass
+    finds a largest forest, a second returns the lexicographically smallest
+    optimal set (over sorted vertex ids). Raises UndecidedError once
+    time_budget seconds have passed."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise SolverError("use branch-reduce")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     verts, masks = _bit_order(g)
-    for k in range(len(verts) + 1):
-        for combo in _forest_deletions(masks, k, deadline):
-            return FvsSolution(frozenset(verts[i] for i in combo), True, "exhaustive")
-    raise AssertionError("unreachable: full deletion is always acyclic")
+    opt = len(verts) - _largest_forest(masks, _clock(deadline))
+    combo = next(_optimal_deletions(masks, opt, _clock(deadline)))
+    return FvsSolution(frozenset(verts[i] for i in combo), True, "exhaustive")
 
 
 def enumerate_min_fvs(g: Graph):
     """(optimum, all optimal deletion sets), exhaustively."""
     opt = len(fvs_exact_exhaustive(g).deleted)
     verts, masks = _bit_order(g)
-    return opt, [frozenset(verts[i] for i in c) for c in _forest_deletions(masks, opt)]
+    optima = _optimal_deletions(masks, opt, _clock(None))
+    return opt, [frozenset(verts[i] for i in combo) for combo in optima]
 
 
 def _greedy_fvs(adj):

@@ -133,11 +133,14 @@ def trace_dumps(result: PipelineResult) -> str:
     return json.dumps(trace_to_json(result), indent=2, sort_keys=True) + "\n"
 
 
-def _canonical(g: Graph):
-    relabel = {v: i for i, v in enumerate(sorted(g.vertices))}
-    return g.n, frozenset(
-        tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges
-    )
+def _edges_on_1_to_n(g: Graph):
+    """g's edge set with its vertices renumbered 1..n in order. The order is
+    kept, so normalised edges stay normalised; a graph already on 1..n, as
+    every parsed one is, is returned as it is."""
+    if not g.vertices or (min(g.vertices) == 1 and max(g.vertices) == g.n):
+        return g.edges
+    relabel = {v: i for i, v in enumerate(sorted(g.vertices), 1)}
+    return {(relabel[a], relabel[b]) for a, b in g.edges}
 
 
 def _load_trace(trace: dict):
@@ -204,7 +207,7 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
         raise CertificationError(
             f"output budget {out_inst.k} disagrees with replayed ledger {k}"
         )
-    if _canonical(g) != _canonical(out_inst.graph):
+    if g.n != out_inst.graph.n or _edges_on_1_to_n(g) != _edges_on_1_to_n(out_inst.graph):
         raise CertificationError("replayed graph differs from output graph")
     if out_inst.witness is not None and not out_inst.witness.is_valid_for(out_inst.graph):
         raise CertificationError("output witness invalid")

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from fvskit import solvers
 from fvskit.graph import Graph
 from fvskit.solvers import (
     SolverError,
@@ -14,7 +17,7 @@ from fvskit.solvers import (
     is_fvs,
     vertex_connectivity_at_least,
 )
-from fvskit.gadgets import build_gadget
+from fvskit.gadgets import build_core_wheel, build_gadget
 
 from conftest import (
     bull_free_random,
@@ -24,7 +27,65 @@ from conftest import (
     path_graph,
     prism_graph,
     random_regular4,
+    wheel_graph,
 )
+
+
+def reference_exhaustive(g):
+    """Every optimal deletion set, in lexicographic order over the sorted
+    vertex ids, by testing every deletion subset of each size in turn: the
+    scan that the induced-forest search replaced, kept as its oracle."""
+    verts = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    masks = [0] * len(verts)
+    for u, v in g.edges:
+        masks[idx[u]] |= 1 << idx[v]
+        masks[idx[v]] |= 1 << idx[u]
+
+    def acyclic(sub):
+        # a forest peels away completely under degree <= 1 stripping
+        while sub:
+            leaves = [i for i, nb in enumerate(masks) if sub >> i & 1 and (nb & sub).bit_count() <= 1]
+            if not leaves:
+                return False
+            for i in leaves:
+                sub &= ~(1 << i)
+        return True
+
+    full = (1 << len(verts)) - 1
+    for k in range(len(verts) + 1):
+        found = [
+            frozenset(verts[i] for i in combo)
+            for combo in itertools.combinations(range(len(verts)), k)
+            if acyclic(full & ~sum(1 << i for i in combo))
+        ]
+        if found:
+            return found
+    raise AssertionError("unreachable: full deletion is always acyclic")
+
+
+def _oracle_corpus():
+    """Seeded random graphs on 0..16 vertices, forests, disconnected graphs
+    and the gadgets small enough for the subset scan."""
+    for n in range(17):
+        for m in sorted({n - 1, n + n // 2, 2 * n}):
+            if m >= 0:
+                yield f"random-{n}-{m}", bull_free_random(n, m, 100 * n + m)
+    yield "empty", Graph()
+    yield "isolated", Graph(range(1, 6))
+    yield "path", path_graph(9)
+    yield "star+path", Graph.from_edges([(1, 2), (1, 3), (1, 4), (5, 6), (6, 7)], (8,))
+    yield "k4+c5", Graph.from_edges(
+        list(complete_graph(4).edges) + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    )
+    yield "wheel5+triangle", Graph.from_edges(
+        list(wheel_graph(5).edges) + [(10, 11), (11, 12), (10, 12)]
+    )
+    yield "core-wheel", build_core_wheel()
+    for kind in "RLD":
+        yield kind, build_gadget(kind).graph
+    for p in range(3, 7):
+        yield f"Y{p}", build_gadget("Y", p).graph
 
 
 class TestIsFvs:
@@ -75,6 +136,23 @@ class TestExhaustive:
         opt, sols = enumerate_min_fvs(cycle_graph(4))
         assert opt == 1
         assert sols == [frozenset({v}) for v in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _oracle_corpus()])
+def test_exhaustive_matches_subset_scan(g):
+    expected = reference_exhaustive(g)
+    assert fvs_exact_exhaustive(g).deleted == expected[0]
+    assert enumerate_min_fvs(g) == (len(expected[0]), expected)
+
+
+def test_budget_honoured_mid_search(monkeypatch):
+    # a clock that advances one unit per read: the deadline, three units out,
+    # passes only at the search's periodic reads, thousands of nodes in
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+    with pytest.raises(UndecidedError, match="undecided within budget"):
+        fvs_exact_exhaustive(random_regular4(22, 1), time_budget=3)
+    assert next(reads) == 5
 
 
 class TestBranchReduce:

@@ -102,6 +102,29 @@ def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
     assert count > 200
 
 
+@pytest.mark.parametrize("change", ["moved", "added", "dropped"])
+def test_output_edge_mutants_are_rejected(artifact, capsys, change):
+    # the output must be exactly the replayed graph; the changed edges stay
+    # off the witness cycle, so the mutant output still parses
+    tmp, out, doc = artifact
+    inst = parse_graph(out.read_text(), k=doc["output"]["k"])
+    order = inst.witness.order
+    cycle = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
+    edges = set(inst.graph.edges)
+    verts = sorted(inst.graph.vertices)
+    dropped = min(edges - cycle)
+    added = min((u, v) for u in verts for v in verts if u < v and (u, v) not in edges)
+    if change in ("moved", "dropped"):
+        edges.remove(dropped)
+    if change in ("moved", "added"):
+        edges.add(added)
+    path = tmp / f"{change}.fvs"
+    path.write_text(write_graph(Instance(Graph(inst.graph.vertices, edges), inst.k, inst.witness)))
+    capsys.readouterr()
+    assert _verify(tmp, path, doc) == 4
+    assert "replayed graph differs from output graph" in capsys.readouterr().err
+
+
 def test_zeroed_deltas_are_rejected(tmp_path, capsys):
     # the ledger must come from the ops: a trace whose insert deltas, stage
     # budgets and output budget are all zeroed still replays to the same
