@@ -54,20 +54,49 @@ def _bit_order(g: Graph):
     return verts, masks
 
 
-def _clock(deadline):
-    """A per-node tick that reads the clock at its first call and then once
-    per 1 024 calls, raising UndecidedError once it passes deadline."""
+@dataclass
+class _Progress:
+    """What a search knows so far, for UndecidedError to report: the nodes
+    searched and the best lower and upper bounds on the optimum."""
+
+    lower: int
+    upper: int
+    nodes: int = 0
+
+    def undecided(self):
+        return UndecidedError(
+            f"undecided within budget: {self.nodes} nodes searched, "
+            f"{self.lower} <= opt <= {self.upper}"
+        )
+
+
+def _clock(deadline, progress):
+    """A per-node tick that counts nodes in progress and reads the clock at
+    its first call and then once per 1 024 calls, raising UndecidedError once
+    it passes deadline."""
     if deadline is None:
         return lambda: None
-    nodes = 0
+    calls = 0
 
     def tick():
-        nonlocal nodes
-        if not nodes % 1024 and time.monotonic() > deadline:
-            raise UndecidedError("undecided within budget")
-        nodes += 1
+        nonlocal calls
+        if not calls % 1024 and time.monotonic() > deadline:
+            raise progress.undecided()
+        calls += 1
+        progress.nodes += 1
 
     return tick
+
+
+def _exhaustive_lb(m, n, delta):
+    """Deletions that every FVS of a graph with m edges on n vertices and
+    maximum degree at most delta needs. Deleting S removes at most
+    delta·|S| edges, and a forest on the n − |S| ≥ 1 survivors keeps at most
+    n − |S| − 1 of them, so |S|·(delta − 1) ≥ m − n + 1. For S = V this
+    follows from m ≤ n·delta/2 once n ≥ 1."""
+    if delta <= 1 or not n:
+        return 0
+    return max(0, -((n - 1 - m) // (delta - 1)))
 
 
 def _join(comps, nb, i):
@@ -88,29 +117,38 @@ def _join(comps, nb, i):
     return out
 
 
-def _largest_forest(masks, tick):
+def _largest_forest(masks, tick, progress):
     """Order of a largest induced forest of the graph encoded by masks.
 
     Grows a kept set in index order, trying keep before delete, with the
-    kept components as bitmasks. A branch is cut once kept + undecided
-    vertices cannot beat the best forest found."""
+    kept components as bitmasks. The alive graph (kept and undecided
+    vertices) is a bitmask with its edge count. A branch is cut once the
+    alive vertices, less the deletions that _exhaustive_lb says the alive
+    graph still needs, cannot beat the best forest found. The bound on the
+    whole graph is progress.lower, and each new best lowers progress.upper."""
     n = len(masks)
+    delta = max((nb.bit_count() for nb in masks), default=0)
+    m = sum(nb.bit_count() for nb in masks) // 2
+    progress.lower = _exhaustive_lb(m, n, delta)
     best = 0
 
-    def grow(i, kept, comps, kept_mask):
+    def grow(i, kept, comps, kept_mask, alive, m_alive):
         nonlocal best
         tick()
-        if kept + n - i <= best:
+        n_alive = kept + n - i
+        if n_alive - _exhaustive_lb(m_alive, n_alive, delta) <= best:
             return
         if i == n:
             best = kept
+            progress.upper = n - best
             return
         joined = _join(comps, masks[i] & kept_mask, i)
         if joined is not None:
-            grow(i + 1, kept + 1, joined, kept_mask | 1 << i)
-        grow(i + 1, kept, comps, kept_mask)
+            grow(i + 1, kept + 1, joined, kept_mask | 1 << i, alive, m_alive)
+        cut = masks[i] & alive
+        grow(i + 1, kept, comps, kept_mask, alive & ~(1 << i), m_alive - cut.bit_count())
 
-    grow(0, 0, [], 0)
+    grow(0, 0, [], 0, (1 << n) - 1, m)
     return best
 
 
@@ -118,35 +156,46 @@ def _optimal_deletions(masks, k, tick):
     """Index tuples, in lexicographic order, of the size-k deletions that
     leave a forest in the graph encoded by masks, for k the optimum.
 
-    The same search as _largest_forest with delete tried before keep and at
-    most k deletions, so its leaves come in lexicographic order."""
+    The same search as _largest_forest with delete tried before keep, so
+    its leaves come in lexicographic order. A branch is cut once its
+    deletions plus those that _exhaustive_lb says the alive graph still
+    needs exceed k; such a branch has no leaf."""
     n = len(masks)
+    delta = max((nb.bit_count() for nb in masks), default=0)
 
-    def walk(i, deleted, comps, kept_mask):
+    def walk(i, deleted, comps, kept_mask, alive, m_alive):
         tick()
+        if len(deleted) + _exhaustive_lb(m_alive, n - len(deleted), delta) > k:
+            return
         if i == n:
             yield deleted
             return
         if len(deleted) < k:
-            yield from walk(i + 1, deleted + (i,), comps, kept_mask)
+            cut = masks[i] & alive
+            yield from walk(
+                i + 1, deleted + (i,), comps, kept_mask, alive & ~(1 << i), m_alive - cut.bit_count()
+            )
         joined = _join(comps, masks[i] & kept_mask, i)
         if joined is not None:
-            yield from walk(i + 1, deleted, joined, kept_mask | 1 << i)
+            yield from walk(i + 1, deleted, joined, kept_mask | 1 << i, alive, m_alive)
 
-    return walk(0, (), [], 0)
+    return walk(0, (), [], 0, (1 << n) - 1, sum(nb.bit_count() for nb in masks) // 2)
 
 
 def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
     """Minimum FVS by an exhaustive search over induced forests: one pass
     finds a largest forest, a second returns the lexicographically smallest
     optimal set (over sorted vertex ids). Raises UndecidedError once
-    time_budget seconds have passed."""
+    time_budget seconds have passed, naming the nodes searched and the
+    bounds on the optimum known by then."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise SolverError("use branch-reduce")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     verts, masks = _bit_order(g)
-    opt = len(verts) - _largest_forest(masks, _clock(deadline))
-    combo = next(_optimal_deletions(masks, opt, _clock(deadline)))
+    progress = _Progress(0, g.n)
+    opt = len(verts) - _largest_forest(masks, _clock(deadline, progress), progress)
+    progress.lower = progress.upper = opt
+    combo = next(_optimal_deletions(masks, opt, _clock(deadline, progress)))
     return FvsSolution(frozenset(verts[i] for i in combo), True, "exhaustive")
 
 
@@ -154,7 +203,7 @@ def enumerate_min_fvs(g: Graph):
     """(optimum, all optimal deletion sets), exhaustively."""
     opt = len(fvs_exact_exhaustive(g).deleted)
     verts, masks = _bit_order(g)
-    optima = _optimal_deletions(masks, opt, _clock(None))
+    optima = _optimal_deletions(masks, opt, _clock(None, None))
     return opt, [frozenset(verts[i] for i in combo) for combo in optima]
 
 
@@ -234,15 +283,37 @@ def _cycle_packing_lb(adj):
                 adj[w].discard(v)
 
 
+def _degree_sum_lb(adj):
+    """The fewest k whose k largest deg − 1 values sum to at least
+    m − n + 1. Deleting an FVS S removes at most the sum of its degrees in
+    edges, and the n − |S| ≥ 1 survivors keep at most n − |S| − 1, so the
+    deg − 1 values over S sum to at least m − n + 1. S = V needs no bound:
+    k ≤ n, as all n values sum to 2m − n ≥ m − n + 1 once m ≥ 1."""
+    need = sum(map(len, adj.values())) // 2 - len(adj) + 1
+    k = 0
+    for d in sorted((len(ns) - 1 for ns in adj.values()), reverse=True):
+        if need <= 0:
+            break
+        need -= d
+        k += 1
+    return k
+
+
 def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     """Exact minimum FVS via branching on the vertices of a shortest cycle,
-    with standard reductions and a cycle-packing lower bound."""
+    with standard reductions, a degree-sum lower bound and, where that does
+    not prune, a cycle-packing one. Raises UndecidedError once time_budget
+    seconds have passed, naming the nodes searched and the bounds on the
+    optimum known at the top level by then."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     adj0 = {v: set(ns) for v, ns in g.adjacency.items()}
+    greedy = _greedy_fvs(adj0)
+    progress = _Progress(0, len(greedy))
 
     def check_budget():
         if deadline is not None and time.monotonic() > deadline:
-            raise UndecidedError("undecided within budget")
+            raise progress.undecided()
+        progress.nodes += 1
 
     def reduce_graph(adj, forbidden):
         """Apply degree <=1 removal and safe degree-2 bypasses in place."""
@@ -270,8 +341,9 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                     adj[w].add(u)
                     changed = True
 
-    def solve(adj, forbidden, ub):
-        """Smallest FVS of adj avoiding forbidden with size < ub, else None."""
+    def solve(adj, forbidden, ub, top=False):
+        """Smallest FVS of adj avoiding forbidden with size < ub, else None.
+        The top call keeps the bounds in progress current."""
         check_budget()
         adj = {v: set(ns) for v, ns in adj.items()}
         reduce_graph(adj, forbidden)
@@ -288,17 +360,26 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 comps.append(reachable(adj, v))
                 seen |= comps[-1]
         if len(comps) > 1:
+            subs = [
+                {v: adj[v] & comp for v in comp}
+                for comp in sorted(comps, key=lambda c: (len(c), min(c)))
+            ]
+            if top:
+                progress.lower = sum(map(_degree_sum_lb, subs))
             total = set()
             remaining = ub
-            for comp in sorted(comps, key=lambda c: (len(c), min(c))):
-                sub = {v: adj[v] & comp for v in comp}
+            for sub in subs:
                 best = solve(sub, forbidden, remaining)
                 if best is None:
                     return None
                 total |= best
                 remaining -= len(best)
             return total
-        lb = _cycle_packing_lb(adj)
+        lb = _degree_sum_lb(adj)
+        if lb < ub:
+            lb = max(lb, _cycle_packing_lb(adj))
+        if top:
+            progress.lower = lb
         if lb >= ub:
             return None
         # every FVS hits cyc: branch on which of its vertices is deleted,
@@ -314,11 +395,13 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
             if sub is not None:
                 best = sub | {v}
                 ub = len(best)
+                if top:
+                    progress.upper = ub
             extra.add(v)
         return best
 
     # the greedy set has size < ub, so solve never returns None here
-    best = solve(adj0, frozenset(), len(_greedy_fvs(adj0)) + 1)
+    best = solve(adj0, frozenset(), len(greedy) + 1, top=True)
     assert is_fvs(g, best)
     return FvsSolution(frozenset(best), True, "branch-reduce")
 

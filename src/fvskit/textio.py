@@ -91,12 +91,20 @@ def parse_graph(text: str, k: int = 0) -> Instance:
 def write_graph(inst: Instance) -> str:
     """Canonical text form: vertices renumbered 1..n in sorted id order."""
     g = inst.graph
-    relabel = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
+    verts = sorted(g.vertices)
+    edges = g.edges
+    order = None if inst.witness is None else inst.witness.order
+    # n distinct ids from 1 to n are already 1..n
+    if verts and (verts[0], verts[-1]) != (1, g.n):
+        # an order-preserving relabel keeps every normalised edge u < v
+        relabel = {v: i + 1 for i, v in enumerate(verts)}
+        edges = [(relabel[u], relabel[v]) for u, v in edges]
+        if order is not None:
+            order = [relabel[v] for v in order]
     lines = [f"p fvs {g.n} {g.m}"]
-    for u, v in sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges):
-        lines.append(f"e {u} {v}")
-    if inst.witness is not None:
-        lines.append("h " + " ".join(str(relabel[v]) for v in inst.witness.order))
+    lines += [f"e {u} {v}" for u, v in sorted(edges)]
+    if order is not None:
+        lines.append("h " + " ".join(map(str, order)))
     return "\n".join(lines) + "\n"
 
 

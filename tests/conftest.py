@@ -83,6 +83,11 @@ def random_regular4(n, seed):
     return Graph.from_edges([(u + 1, v + 1) for u, v in G.edges()])
 
 
+def random_cubic(n, seed):
+    G = nx.random_regular_graph(3, n, seed=seed)
+    return Graph.from_edges([(u + 1, v + 1) for u, v in G.edges()])
+
+
 def medial_graph(base: Graph) -> Graph:
     """Vertex per base edge; two joined when consecutive in the rotation at
     a shared endpoint. 4-regular and planar for planar base of min degree 3."""

@@ -11,6 +11,7 @@ import fvskit
 from fvskit.cli import main
 from fvskit.graph import Instance
 from fvskit.pipeline import PipelineError, run_pipeline
+from fvskit.solvers import is_fvs
 from fvskit.textio import (
     CertificationError,
     FormatError,
@@ -21,7 +22,7 @@ from fvskit.textio import (
     write_graph,
 )
 
-from conftest import c4k1, cycle_graph, octahedron_graph, random_regular4
+from conftest import c4k1, cycle_graph, octahedron_graph, random_cubic, random_regular4
 
 C3_TEXT = """c a triangle
 p fvs 3 3
@@ -238,6 +239,24 @@ class TestCli:
         assert main(["solve", inp, "--time-budget", "1e-4"]) == 5
         assert main(["solve", inp]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "opt 7"
+
+    def test_solve_connected_cubic_48_on_branch_path(self, tmp_path, capsys):
+        # n > 26 takes branch-and-reduce; the degree-sum bound
+        # ceil((m - n + 1) / 2) = 13 certifies the optimum it finds
+        g = random_cubic(48, 0)
+        inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
+        assert main(["solve", inp, "--time-budget", "10"]) == 0
+        opt_line, set_line = capsys.readouterr().out.splitlines()
+        assert opt_line == f"opt {-(-(g.m - g.n + 1) // 2)}" == "opt 13"
+        assert is_fvs(g, {int(v) for v in set_line.split()[1:]})
+
+    def test_undecided_reports_bounds_on_stderr_only(self, tmp_path, capsys):
+        inp = self._write_input(tmp_path, write_graph(Instance(random_cubic(48, 0), 0)))
+        assert main(["solve", inp, "--time-budget", "0"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("undecided: undecided within budget: ")
+        assert " nodes searched, " in err and " <= opt <= " in err
 
     def test_ham_ordered_on_long_cycle_without_witness(self, tmp_path, capsys):
         # the Hamiltonian search goes 1 500 vertices deep

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import re
 
 import pytest
 
@@ -26,11 +28,13 @@ from conftest import (
     cycle_graph,
     path_graph,
     prism_graph,
+    random_cubic,
     random_regular4,
     wheel_graph,
 )
 
 
+@functools.cache
 def reference_exhaustive(g):
     """Every optimal deletion set, in lexicographic order over the sorted
     vertex ids, by testing every deletion subset of each size in turn: the
@@ -145,13 +149,58 @@ def test_exhaustive_matches_subset_scan(g):
     assert enumerate_min_fvs(g) == (len(expected[0]), expected)
 
 
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _oracle_corpus()])
+def test_branch_reduce_matches_subset_scan(g):
+    sol = fvs_branch_reduce(g)
+    assert len(sol.deleted) == len(reference_exhaustive(g)[0])
+    assert is_fvs(g, sol.deleted)
+
+
+def _degree_bounds(g):
+    """The exhaustive search's bound and branch-and-reduce's on all of g."""
+    delta = max(map(g.degree, g.vertices), default=0)
+    return solvers._exhaustive_lb(g.m, g.n, delta), solvers._degree_sum_lb(g.adjacency)
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _oracle_corpus()])
+def test_degree_bounds_below_subset_scan(g):
+    opt = len(reference_exhaustive(g)[0])
+    assert all(lb <= opt for lb in _degree_bounds(g))
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_degree_bounds_tight_on_cubic(n):
+    # m − n + 1 is 11 and 12 here: odd and even, so the ceiling and the + 1
+    # both matter
+    g = random_cubic(n, 0)
+    assert _degree_bounds(g) == (6, 6) == (len(reference_exhaustive(g)[0]),) * 2
+
+
+@pytest.mark.parametrize(
+    "solve, g",
+    [(fvs_exact_exhaustive, bull_free_random(26, 60, 3)), (fvs_branch_reduce, random_cubic(48, 0))],
+    ids=["exhaustive", "branch-reduce"],
+)
+def test_undecided_reports_nodes_and_bounds(monkeypatch, solve, g):
+    opt = len(solve(g).deleted)
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+    with pytest.raises(UndecidedError) as info:
+        solve(g, time_budget=3)
+    found = re.fullmatch(
+        r"undecided within budget: (\d+) nodes searched, (\d+) <= opt <= (\d+)", str(info.value)
+    )
+    nodes, lower, upper = map(int, found.groups())
+    assert nodes > 0 and lower <= opt <= upper
+
+
 def test_budget_honoured_mid_search(monkeypatch):
     # a clock that advances one unit per read: the deadline, three units out,
     # passes only at the search's periodic reads, thousands of nodes in
     reads = itertools.count()
     monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
     with pytest.raises(UndecidedError, match="undecided within budget"):
-        fvs_exact_exhaustive(random_regular4(22, 1), time_budget=3)
+        fvs_exact_exhaustive(bull_free_random(26, 60, 3), time_budget=3)
     assert next(reads) == 5
 
 
