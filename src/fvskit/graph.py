@@ -48,6 +48,22 @@ class Graph:
         object.__setattr__(self, "next_id", next_id)
         object.__setattr__(self, "_adj", None)
 
+    @classmethod
+    def _unchecked(cls, vertices: frozenset, edges: frozenset, next_id: int) -> Graph:
+        """A Graph on parts that its caller has already checked: edges are
+        normalised pairs u < v of distinct vertices, and next_id exceeds
+        every vertex. It skips the per-edge checks of Graph(...), which on a
+        dense output cost about as much as building the parts. Only
+        Builder.freeze, whose ops keep the adjacency symmetric, loop-free and
+        closed, and textio.parse_graph, which checks each edge line as it
+        reads it, call it; tests/test_graph.py holds the list."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "next_id", next_id)
+        object.__setattr__(g, "_adj", None)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -107,9 +123,10 @@ class Builder:
     and trace replay. It holds a mutable adjacency, the fresh-id counter,
     the running budget k and the steps recorded so far. Each op applies its
     edit in time proportional to the edit, derives its own budget delta and
-    appends its TraceStep; freeze() returns a validated immutable Graph.
-    Between ops it answers the read-only queries n, vertices, degree and
-    has_edge like a Graph does."""
+    appends its TraceStep. Every op keeps the adjacency symmetric, loop-free
+    and closed, so freeze() builds its immutable Graph without re-checking
+    the edges. Between ops it answers the read-only queries n, vertices,
+    degree and has_edge like a Graph does."""
 
     def __init__(self, g: Graph, k: int = 0, stage: str = ""):
         self._adj = {v: set(ns) for v, ns in g.adjacency.items()}
@@ -134,7 +151,8 @@ class Builder:
 
     def freeze(self) -> Graph:
         adj = self._adj
-        return Graph(adj, ((u, w) for u, ns in adj.items() for w in ns if u < w), self.next_id)
+        edges = frozenset((u, w) for u, ns in adj.items() for w in ns if u < w)
+        return Graph._unchecked(frozenset(adj), edges, self.next_id)
 
     def _record(self, op, k_delta=0, **fields):
         self.k += k_delta

@@ -347,8 +347,8 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         check_budget()
         adj = {v: set(ns) for v, ns in adj.items()}
         reduce_graph(adj, forbidden)
-        cyc = _shortest_cycle(adj) if adj else None
-        if cyc is None:
+        # reduced, every vertex left has degree >= 2, so a cycle remains
+        if not adj:
             return set()
         if ub <= 0:
             return None
@@ -382,6 +382,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
             progress.lower = lb
         if lb >= ub:
             return None
+        cyc = _shortest_cycle(adj)
         # every FVS hits cyc: branch on which of its vertices is deleted,
         # forbidding the earlier ones so branches stay disjoint
         best = None

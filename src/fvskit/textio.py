@@ -25,16 +25,44 @@ class FormatError(ValueError):
 
 
 def parse_graph(text: str, k: int = 0) -> Instance:
+    """Read the line-based graph format. One pass checks each edge line as
+    it reads it (endpoints in 1..n, no self-loop, no repeat), so the Graph
+    is built from the checked parts without a second check. An endpoint
+    string goes through int() and the range check once, at its first
+    sighting; ids then maps it to that int, so later lines skip both and
+    reuse its int object. The table holds only the spellings that occur,
+    never a row per vertex of a large header n."""
     n = m = None
-    edges = []
-    seen = set()
+    ids = {}
+    edges = set()
     witness = None
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tok = raw.split()
+        if not tok:
             continue
-        tok = line.split()
-        if tok[0] == "p":
+        if tok[0] == "e":
+            if n is None:
+                raise FormatError("edge before header", ln)
+            if len(tok) != 3:
+                raise FormatError("edge line must be 'e <u> <v>'", ln)
+            u, v = ids.get(tok[1]), ids.get(tok[2])
+            if u is None or v is None:
+                try:
+                    u, v = int(tok[1]), int(tok[2])
+                except ValueError:
+                    raise FormatError("edge endpoints must be integers", ln)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise FormatError(f"vertex out of range 1..{n}", ln)
+                u, v = ids.setdefault(tok[1], u), ids.setdefault(tok[2], v)
+            if u == v:
+                raise FormatError("self-loop", ln)
+            size = len(edges)
+            edges.add((u, v) if u < v else (v, u))
+            if len(edges) == size:
+                raise FormatError("duplicate edge", ln)
+        elif tok[0].startswith("c"):
+            continue
+        elif tok[0] == "p":
             if n is not None:
                 raise FormatError("duplicate header", ln)
             if len(tok) != 4 or tok[1] != "fvs":
@@ -45,24 +73,6 @@ def parse_graph(text: str, k: int = 0) -> Instance:
                 raise FormatError("header counts must be integers", ln)
             if n < 0 or m < 0:
                 raise FormatError("header counts must be non-negative", ln)
-        elif tok[0] == "e":
-            if n is None:
-                raise FormatError("edge before header", ln)
-            if len(tok) != 3:
-                raise FormatError("edge line must be 'e <u> <v>'", ln)
-            try:
-                u, v = int(tok[1]), int(tok[2])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers", ln)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"vertex out of range 1..{n}", ln)
-            if u == v:
-                raise FormatError("self-loop", ln)
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise FormatError("duplicate edge", ln)
-            seen.add(e)
-            edges.append(e)
         elif tok[0] == "h":
             if n is None:
                 raise FormatError("witness before header", ln)
@@ -79,7 +89,7 @@ def parse_graph(text: str, k: int = 0) -> Instance:
         raise FormatError("missing header")
     if len(edges) != m:
         raise FormatError(f"header announces {m} edges, found {len(edges)}")
-    g = Graph(range(1, n + 1), edges)
+    g = Graph._unchecked(frozenset(range(1, n + 1)), frozenset(edges), n + 1 if n else 0)
     w = None
     if witness is not None:
         w = HamCycleWitness(witness[0])
@@ -89,22 +99,22 @@ def parse_graph(text: str, k: int = 0) -> Instance:
 
 
 def write_graph(inst: Instance) -> str:
-    """Canonical text form: vertices renumbered 1..n in sorted id order."""
+    """Canonical text form: vertices renumbered 1..n in sorted id order,
+    edges in sorted order. Each vertex's sorted row of larger neighbours
+    gives its edges in that order, so the m edges are never sorted as
+    pairs."""
     g = inst.graph
     verts = sorted(g.vertices)
-    edges = g.edges
-    order = None if inst.witness is None else inst.witness.order
-    # n distinct ids from 1 to n are already 1..n
-    if verts and (verts[0], verts[-1]) != (1, g.n):
-        # an order-preserving relabel keeps every normalised edge u < v
-        relabel = {v: i + 1 for i, v in enumerate(verts)}
-        edges = [(relabel[u], relabel[v]) for u, v in edges]
-        if order is not None:
-            order = [relabel[v] for v in order]
+    name = {v: str(i) for i, v in enumerate(verts, 1)}
+    adj = g.adjacency
     lines = [f"p fvs {g.n} {g.m}"]
-    lines += [f"e {u} {v}" for u, v in sorted(edges)]
-    if order is not None:
-        lines.append("h " + " ".join(map(str, order)))
+    for u in verts:
+        row = sorted(w for w in adj[u] if w > u)
+        if row:
+            head = f"e {name[u]} "
+            lines.append(head + ("\n" + head).join([name[w] for w in row]))
+    if inst.witness is not None:
+        lines.append("h " + " ".join([name[v] for v in inst.witness.order]))
     return "\n".join(lines) + "\n"
 
 

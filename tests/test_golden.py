@@ -1,14 +1,16 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
 trace JSON for seven reductions. A digest change means the compiler's output
-changed; that must be deliberate and stated in CHANGES.md."""
+changed; that must be deliberate and stated in CHANGES.md. The canonical
+text is also a fixed point of parse_graph then write_graph."""
 
+import functools
 import hashlib
 
 import pytest
 
 from fvskit.graph import Instance
 from fvskit.pipeline import run_pipeline
-from fvskit.textio import trace_dumps, write_graph
+from fvskit.textio import parse_graph, trace_dumps, write_graph
 
 from conftest import cycle_graph, grid_graph, prism_graph
 
@@ -44,9 +46,23 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.cache
+def _reduced(make, target):
+    return run_pipeline(Instance(make(), 1), target)
+
+
 @pytest.mark.parametrize("name,make,target,fvs_sha,trace_sha", GOLDEN,
                          ids=[g[0] for g in GOLDEN])
 def test_output_bytes_pinned(name, make, target, fvs_sha, trace_sha):
-    res = run_pipeline(Instance(make(), 1), target)
+    res = _reduced(make, target)
     assert _sha(write_graph(res.instance)) == fvs_sha
     assert _sha(trace_dumps(res)) == trace_sha
+
+
+@pytest.mark.parametrize("name,make,target", [g[:3] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_canonical_text_is_a_fixed_point(name, make, target):
+    inst = _reduced(make, target).instance
+    text = write_graph(inst)
+    back = parse_graph(text, k=inst.k)
+    assert write_graph(back) == text

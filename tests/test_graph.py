@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import fvskit
 from fvskit.graph import (
     Graph,
     GraphError,
@@ -188,3 +192,43 @@ class TestTrace:
         )
         assert tr.total_k_delta == 7
         assert tr.stage_names() == ["a", "b"]
+
+
+# The only callers that may build a Graph without the per-edge checks of
+# Graph(...): freeze, whose ops keep the adjacency sound, and parse_graph,
+# which checks every edge line as it reads it.
+UNCHECKED_CALLERS = {("graph.py", "Builder.freeze"), ("textio.py", "parse_graph")}
+
+
+def _unchecked_references(tree):
+    """(qualified name of the enclosing def, or "" at module level) of each
+    name, attribute or string in tree that mentions Graph._unchecked, other
+    than its own definition."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+            if inner == "Graph._unchecked":
+                return
+            scope = inner
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+            or isinstance(node, ast.Name) and node.id == "_unchecked"
+            or isinstance(node, ast.Constant) and "_unchecked" in str(node.value)
+        ):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_freeze_and_parse_graph_skip_the_edge_checks():
+    src = Path(fvskit.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for scope in _unchecked_references(ast.parse(path.read_text())):
+            callers.add((path.name, scope))
+    assert callers == UNCHECKED_CALLERS

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fvskit
+from fvskit import solvers
 from fvskit.cli import main
 from fvskit.graph import Instance
 from fvskit.pipeline import PipelineError, run_pipeline
@@ -22,7 +24,14 @@ from fvskit.textio import (
     write_graph,
 )
 
-from conftest import c4k1, cycle_graph, octahedron_graph, random_cubic, random_regular4
+from conftest import (
+    bull_free_random,
+    c4k1,
+    cycle_graph,
+    octahedron_graph,
+    random_cubic,
+    random_regular4,
+)
 
 C3_TEXT = """c a triangle
 p fvs 3 3
@@ -74,6 +83,47 @@ class TestParse:
     def test_unknown_line(self):
         with pytest.raises(FormatError, match="unknown line type"):
             parse_graph("p fvs 1 0\nq zap\n")
+
+    def test_endpoint_spellings(self):
+        inst = parse_graph("p fvs 3 3\ne 01 +2\ne\t2\t03\n  e 3   1  \n")
+        assert inst.graph == cycle_graph(3)
+        assert inst.graph.next_id == 4
+
+    def test_edges_share_their_endpoint_ints(self):
+        # ids above 256 are not cached by the interpreter; the parser's
+        # table makes both edges at 1000 hold one int object
+        g = parse_graph("p fvs 1000 2\ne 999 1000\ne 1000 1\n").graph
+        (a, b), (c, d) = sorted(g.edges)
+        assert (a, b, c, d) == (1, 1000, 999, 1000) and b is d
+
+    @pytest.mark.parametrize("line,msg", [
+        ("e 1 x", "edge endpoints must be integers"),
+        ("e 0 x", "edge endpoints must be integers"),
+        ("e 1.0 2", "edge endpoints must be integers"),
+        ("e 1 4", "vertex out of range 1..3"),
+        ("e 0 2", "vertex out of range 1..3"),
+        ("e -1 2", "vertex out of range 1..3"),
+        ("e 1 2 3", "edge line must be 'e <u> <v>'"),
+        ("e 2 +2", "self-loop"),
+    ])
+    def test_bad_edge_line_message_and_number(self, line, msg):
+        with pytest.raises(FormatError) as info:
+            parse_graph(f"p fvs 3 2\ne 1 2\nc between\n{line}\n")
+        assert str(info.value) == f"line 4: {msg}"
+        assert info.value.line == 4
+
+    def test_duplicate_edge_names_the_second_line(self):
+        with pytest.raises(FormatError) as info:
+            parse_graph("p fvs 2 2\ne 1 2\ne 2 1\n")
+        assert str(info.value) == "line 3: duplicate edge"
+
+    def test_comments_between_edge_lines(self):
+        text = "c head\np fvs 3 3\ne 1 2\nc mid\ne 2 3\n   c indented\n\ne 1 3\nc tail\n"
+        assert parse_graph(text).graph == cycle_graph(3)
+
+    def test_empty_graph(self):
+        g = parse_graph("p fvs 0 0\n").graph
+        assert (g.n, g.m, g.next_id) == (0, 0, 0)
 
 
 class TestWrite:
@@ -233,12 +283,29 @@ class TestCli:
         assert main(["solve", inp, "--time-budget", "0.0001"]) == 5
 
     def test_undecided_exit_on_exhaustive_path(self, tmp_path, capsys):
-        # 20 vertices take the exhaustive path; optimum 7 takes ~0.25 s there
+        # 20 vertices take the exhaustive path. Its two passes search 310
+        # and 119 nodes (about 1 ms in all), each fewer than the 1 024
+        # between clock reads, so the 1e-4 s budget trips at the read that
+        # opens a pass; the next test trips it in the middle of a search
         g = random_regular4(20, 1)
         inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
         assert main(["solve", inp, "--time-budget", "1e-4"]) == 5
         assert main(["solve", inp]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "opt 7"
+
+    def test_undecided_exit_mid_search_on_exhaustive_path(self, tmp_path, capsys, monkeypatch):
+        # a clock that advances one unit per read: the deadline, three units
+        # out, passes at the fourth periodic read, 3 072 nodes into a first
+        # pass that needs 28 987
+        g = bull_free_random(26, 60, 3)
+        inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
+        reads = itertools.count()
+        monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+        assert main(["solve", inp, "--time-budget", "3"]) == 5
+        assert next(reads) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("undecided: undecided within budget: 3072 nodes searched, ")
 
     def test_solve_connected_cubic_48_on_branch_path(self, tmp_path, capsys):
         # n > 26 takes branch-and-reduce; the degree-sum bound

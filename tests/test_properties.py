@@ -1,8 +1,9 @@
-"""Property test for the CLI round trip parse -> reduce -> verify on random
-edge subsets of the 3x3 grid. Every subset is planar with maximum degree 4,
+"""Property tests. The CLI round trip parse -> reduce -> verify on random
+edge subsets of the 3x3 grid: every subset is planar with maximum degree 4,
 so reduce either succeeds or rejects a precondition (disconnected, empty
 after stripping); it must never raise, and everything it writes must
-verify."""
+verify. And random sequences of Builder ops, after each of which freeze()
+must equal the Graph that the validating constructor builds."""
 
 import contextlib
 import io
@@ -12,6 +13,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from fvskit.cli import EXIT_PRECONDITION, main
+from fvskit.gadgets import build_gadget
+from fvskit.graph import Builder, Graph
+
+from conftest import bull_free_random, c4k1, cube_graph, cycle_graph, path_graph
 
 GRID_EDGES = sorted(
     [(3 * i + j + 1, 3 * i + j + 2) for i in range(3) for j in range(2)]
@@ -36,3 +41,51 @@ def test_reduce_then_verify_on_grid_subgraphs(deleted):
             with contextlib.redirect_stdout(printed):
                 assert main(["verify", out, "--trace", tr]) == 0
             assert printed.getvalue() == "ok\n"
+
+
+# Builder.freeze builds its Graph without the edge checks of Graph(...):
+# every op must keep the adjacency symmetric, loop-free and closed.
+BUILDER_OPS = ["subdivide", "R", "L", "D", "Y", "copy", "lift", "strip"]
+STARTS = [cycle_graph(3), c4k1(), cube_graph(), path_graph(4), bull_free_random(8, 12, 1)]
+
+
+def _assert_adjacency_sound(adj):
+    for v, ns in adj.items():
+        assert v not in ns
+        for w in ns:
+            assert w in adj and v in adj[w]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(STARTS),
+       st.lists(st.tuples(st.sampled_from(BUILDER_OPS), st.integers(0, 999), st.integers(0, 999)),
+                max_size=8))
+def test_builder_ops_keep_freeze_trustworthy(start, ops):
+    b = Builder(start, 0, "ops")
+    for op, i, j in ops:
+        verts = sorted(b.vertices)
+        if op == "subdivide":
+            edges = sorted((u, w) for u in verts for w in b._adj[u] if u < w)
+            if not edges:
+                continue
+            b.subdivide(edges[i % len(edges)])
+        elif op in ("R", "L", "D", "Y"):
+            if not verts:
+                continue
+            u, v = verts[i % len(verts)], verts[j % len(verts)]
+            if u == v and op != "R":
+                continue
+            b.insert(build_gadget(op, 3 + i % 3 if op == "Y" else None), u, v)
+        elif op == "copy":
+            if b.n <= 200:
+                b.copy()
+        elif op == "lift":
+            if b.n <= 40:
+                b.lift()
+        else:
+            b.strip()
+        _assert_adjacency_sound(b._adj)
+        g = b.freeze()
+        edges = [(u, w) for u, ns in b._adj.items() for w in ns]
+        checked = Graph(b.vertices, edges, b.next_id)
+        assert g == checked and g.next_id == checked.next_id
