@@ -8,7 +8,6 @@ from .graph import (
     HamCycleWitness,
     Instance,
     PlaneGraph,
-    ReductionTrace,
     TraceStep,
     check_regular,
     faces,

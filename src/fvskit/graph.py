@@ -531,22 +531,3 @@ class TraceStep:
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Ordered ledger of reduction steps; the sum of k deltas certifies the
-    budget of the output instance."""
-
-    steps: tuple
-
-    @property
-    def total_k_delta(self):
-        return sum(s.k_delta for s in self.steps)
-
-    def stage_names(self):
-        seen = []
-        for s in self.steps:
-            if not seen or seen[-1] != s.stage:
-                seen.append(s.stage)
-        return seen

@@ -25,7 +25,6 @@ from .graph import (
     Instance,
     PlaneBuilder,
     PlaneGraph,
-    ReductionTrace,
     check_regular,
     faces,
     is_connected,
@@ -640,10 +639,6 @@ class PipelineResult:
     input: Instance
     stages: tuple
     instance: Instance
-
-    @property
-    def trace(self) -> ReductionTrace:
-        return ReductionTrace(tuple(s for st in self.stages for s in st.steps))
 
 
 def run_pipeline(inst: Instance, target: str) -> PipelineResult:

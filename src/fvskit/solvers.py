@@ -117,49 +117,15 @@ def _join(comps, nb, i):
     return out
 
 
-def _largest_forest(masks, tick, progress):
-    """Order of a largest induced forest of the graph encoded by masks.
-
-    Grows a kept set in index order, trying keep before delete, with the
-    kept components as bitmasks. The alive graph (kept and undecided
-    vertices) is a bitmask with its edge count. A branch is cut once the
-    alive vertices, less the deletions that _exhaustive_lb says the alive
-    graph still needs, cannot beat the best forest found. The bound on the
-    whole graph is progress.lower, and each new best lowers progress.upper."""
-    n = len(masks)
-    delta = max((nb.bit_count() for nb in masks), default=0)
-    m = sum(nb.bit_count() for nb in masks) // 2
-    progress.lower = _exhaustive_lb(m, n, delta)
-    best = 0
-
-    def grow(i, kept, comps, kept_mask, alive, m_alive):
-        nonlocal best
-        tick()
-        n_alive = kept + n - i
-        if n_alive - _exhaustive_lb(m_alive, n_alive, delta) <= best:
-            return
-        if i == n:
-            best = kept
-            progress.upper = n - best
-            return
-        joined = _join(comps, masks[i] & kept_mask, i)
-        if joined is not None:
-            grow(i + 1, kept + 1, joined, kept_mask | 1 << i, alive, m_alive)
-        cut = masks[i] & alive
-        grow(i + 1, kept, comps, kept_mask, alive & ~(1 << i), m_alive - cut.bit_count())
-
-    grow(0, 0, [], 0, (1 << n) - 1, m)
-    return best
-
-
 def _optimal_deletions(masks, k, tick):
-    """Index tuples, in lexicographic order, of the size-k deletions that
-    leave a forest in the graph encoded by masks, for k the optimum.
+    """Index tuples, in lexicographic order, of the deletions of at most k
+    vertices that leave a forest in the graph encoded by masks.
 
-    The same search as _largest_forest with delete tried before keep, so
-    its leaves come in lexicographic order. A branch is cut once its
-    deletions plus those that _exhaustive_lb says the alive graph still
-    needs exceed k; such a branch has no leaf."""
+    Grows a kept set in index order, trying delete before keep (hence the
+    order), with the kept components as bitmasks. The alive graph (kept and
+    undecided vertices) is a bitmask with its edge count. A branch is cut
+    once its deletions plus those that _exhaustive_lb says the alive graph
+    still needs exceed k; such a branch has no leaf."""
     n = len(masks)
     delta = max((nb.bit_count() for nb in masks), default=0)
 
@@ -182,29 +148,47 @@ def _optimal_deletions(masks, k, tick):
     return walk(0, (), [], 0, (1 << n) - 1, sum(nb.bit_count() for nb in masks) // 2)
 
 
-def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
-    """Minimum FVS by an exhaustive search over induced forests: one pass
-    finds a largest forest, a second returns the lexicographically smallest
-    optimal set (over sorted vertex ids). Raises UndecidedError once
-    time_budget seconds have passed, naming the nodes searched and the
-    bounds on the optimum known by then."""
+def _min_deletions(g: Graph, time_budget):
+    """(sorted vertex ids, index tuples of g's minimum FVSs in lexicographic
+    order), by iterative deepening: _optimal_deletions runs for k = the
+    root bound _exhaustive_lb, k + 1, ... under one clock, and the first
+    round with a leaf has k the optimum. A round without one proves k + 1
+    a lower bound, which progress.lower reports; progress.upper is a greedy
+    set's size, computed only under a budget and used only in the message.
+    The clock is read once more before the answer is returned."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise SolverError("use branch-reduce")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     verts, masks = _bit_order(g)
-    progress = _Progress(0, g.n)
-    opt = len(verts) - _largest_forest(masks, _clock(deadline, progress), progress)
-    progress.lower = progress.upper = opt
-    combo = next(_optimal_deletions(masks, opt, _clock(deadline, progress)))
-    return FvsSolution(frozenset(verts[i] for i in combo), True, "exhaustive")
+    delta = max((nb.bit_count() for nb in masks), default=0)
+    upper = g.n if deadline is None else len(_greedy_fvs(g.adjacency))
+    progress = _Progress(_exhaustive_lb(g.m, g.n, delta), upper)
+    tick = _clock(deadline, progress)
+    while True:
+        leaves = _optimal_deletions(masks, progress.lower, tick)
+        first = next(leaves, None)
+        if first is not None:
+            break
+        progress.lower += 1
+    if deadline is not None and time.monotonic() > deadline:
+        raise progress.undecided()
+    return verts, itertools.chain([first], leaves)
+
+
+def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
+    """Minimum FVS by an exhaustive search over induced forests: the
+    lexicographically smallest optimal set (over sorted vertex ids). Raises
+    UndecidedError once time_budget seconds have passed, naming the nodes
+    searched and the bounds on the optimum known by then."""
+    verts, optima = _min_deletions(g, time_budget)
+    return FvsSolution(frozenset(verts[i] for i in next(optima)), True, "exhaustive")
 
 
 def enumerate_min_fvs(g: Graph):
     """(optimum, all optimal deletion sets), exhaustively."""
-    opt = len(fvs_exact_exhaustive(g).deleted)
-    verts, masks = _bit_order(g)
-    optima = _optimal_deletions(masks, opt, _clock(None, None))
-    return opt, [frozenset(verts[i] for i in combo) for combo in optima]
+    verts, optima = _min_deletions(g, None)
+    sets = [frozenset(verts[i] for i in combo) for combo in optima]
+    return len(sets[0]), sets
 
 
 def _greedy_fvs(adj):

@@ -8,6 +8,7 @@ import json
 
 from .graph import Graph, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
 from .pipeline import (
+    MAX_OUTPUT_EDGES,
     CertificationError,
     PipelineError,
     PipelineResult,
@@ -31,7 +32,9 @@ def parse_graph(text: str, k: int = 0) -> Instance:
     string goes through int() and the range check once, at its first
     sighting; ids then maps it to that int, so later lines skip both and
     reuse its int object. The table holds only the spellings that occur,
-    never a row per vertex of a large header n."""
+    never a row per vertex of a large header n. A header n above
+    MAX_OUTPUT_EDGES, which bounds every graph fvskit writes, is refused
+    before the vertex set is built."""
     n = m = None
     ids = {}
     edges = set()
@@ -73,6 +76,8 @@ def parse_graph(text: str, k: int = 0) -> Instance:
                 raise FormatError("header counts must be integers", ln)
             if n < 0 or m < 0:
                 raise FormatError("header counts must be non-negative", ln)
+            if n > MAX_OUTPUT_EDGES:
+                raise FormatError(f"header n exceeds {MAX_OUTPUT_EDGES} vertices", ln)
         elif tok[0] == "h":
             if n is None:
                 raise FormatError("witness before header", ln)

@@ -1,5 +1,7 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for seven reductions. A digest change means the compiler's output
+trace JSON for seven reductions, and of `fvskit solve` stdout for five
+exhaustive-path inputs too large for the subset-scan oracle of
+test_solvers. A digest change means the compiler's or the solver's output
 changed; that must be deliberate and stated in CHANGES.md. The canonical
 text is also a fixed point of parse_graph then write_graph."""
 
@@ -8,11 +10,19 @@ import hashlib
 
 import pytest
 
+from fvskit.cli import main
 from fvskit.graph import Instance
 from fvskit.pipeline import run_pipeline
 from fvskit.textio import parse_graph, trace_dumps, write_graph
 
-from conftest import cycle_graph, grid_graph, prism_graph
+from conftest import (
+    bull_free_random,
+    cycle_graph,
+    grid_graph,
+    prism_graph,
+    random_cubic,
+    random_regular4,
+)
 
 GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
@@ -66,3 +76,28 @@ def test_canonical_text_is_a_fixed_point(name, make, target):
     text = write_graph(inst)
     back = parse_graph(text, k=inst.k)
     assert write_graph(back) == text
+
+
+# the lexicographically smallest optimal set, over the 1..n ids of the
+# canonical text; the optimum is in the comment
+SOLVE_GOLDEN = [
+    ("cubic22", lambda: random_cubic(22, 0),  # opt 6
+     "226d636800e9e892524d9ab14c464e029e8e92591a56d5b20578c618cc6fe5bc"),
+    ("cubic24", lambda: random_cubic(24, 3),  # opt 7
+     "b8ebf9af34d19bbebcc2e956fdb9448113cc21057357df4c775b5d3cb676a865"),
+    ("4reg20", lambda: random_regular4(20, 1),  # opt 7
+     "7cde39eab406558195182cf0997c026832267d75cce70c6afd65a8a3a910f9d7"),
+    ("4reg22", lambda: random_regular4(22, 5),  # opt 8
+     "e1424893fa474bf5617261d6a67d56439ef1a0b64750794e28fd161b60ef0991"),
+    # the root bound 4 is three below the optimum 7: four rounds
+    ("bull26", lambda: bull_free_random(26, 60, 3),
+     "476cb451e3cf42de27f1e64f2137ec229b01b01d2d3b8872c0eb89a3b6bf8479"),
+]
+
+
+@pytest.mark.parametrize("name,make,out_sha", SOLVE_GOLDEN, ids=[g[0] for g in SOLVE_GOLDEN])
+def test_solve_bytes_pinned(name, make, out_sha, tmp_path, capsys):
+    inp = tmp_path / "in.fvs"
+    inp.write_text(write_graph(Instance(make(), 0)))
+    assert main(["solve", str(inp)]) == 0
+    assert _sha(capsys.readouterr().out) == out_sha

@@ -11,7 +11,6 @@ from fvskit.graph import (
     Instance,
     PlaneBuilder,
     PlaneGraph,
-    ReductionTrace,
     TraceStep,
     check_regular,
     faces,
@@ -185,13 +184,6 @@ class TestTrace:
         s = TraceStep("merge", "insert", 4, gadget="L", attach=(3, 7))
         back = TraceStep.from_json("merge", s.to_json())
         assert back == s
-
-    def test_ledger_sum(self):
-        tr = ReductionTrace(
-            (TraceStep("a", "insert", 3), TraceStep("a", "subdivide", 0), TraceStep("b", "insert", 4))
-        )
-        assert tr.total_k_delta == 7
-        assert tr.stage_names() == ["a", "b"]
 
 
 # The only callers that may build a Graph without the per-edge checks of

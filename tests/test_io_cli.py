@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import fvskit
 from fvskit import solvers
 from fvskit.cli import main
 from fvskit.graph import Instance
-from fvskit.pipeline import PipelineError, run_pipeline
+from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
 from fvskit.textio import (
     CertificationError,
@@ -83,6 +84,23 @@ class TestParse:
     def test_unknown_line(self):
         with pytest.raises(FormatError, match="unknown line type"):
             parse_graph("p fvs 1 0\nq zap\n")
+
+    @pytest.mark.parametrize("n", [MAX_OUTPUT_EDGES + 1, 10**9])
+    def test_huge_header_refused_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                parse_graph(f"c big\np fvs {n} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"line 2: header n exceeds {MAX_OUTPUT_EDGES} vertices"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [1, 1000, 100_000])
+    def test_small_headers_parse(self, n):
+        g = parse_graph(f"p fvs {n} 1\ne 1 {n}\n" if n > 1 else "p fvs 1 0\n").graph
+        assert g.n == n and g.m == (n > 1)
 
     def test_endpoint_spellings(self):
         inst = parse_graph("p fvs 3 3\ne 01 +2\ne\t2\t03\n  e 3   1  \n")
@@ -283,10 +301,11 @@ class TestCli:
         assert main(["solve", inp, "--time-budget", "0.0001"]) == 5
 
     def test_undecided_exit_on_exhaustive_path(self, tmp_path, capsys):
-        # 20 vertices take the exhaustive path. Its two passes search 310
-        # and 119 nodes (about 1 ms in all), each fewer than the 1 024
-        # between clock reads, so the 1e-4 s budget trips at the read that
-        # opens a pass; the next test trips it in the middle of a search
+        # 20 vertices take the exhaustive path. Its root bound is the
+        # optimum, so one round of 119 nodes answers: fewer than the 1 024
+        # between periodic clock reads, so the 1e-4 s budget trips at the
+        # read that opens the search or, failing that, at the one taken just
+        # before answering; the next test trips it in the middle of a search
         g = random_regular4(20, 1)
         inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
         assert main(["solve", inp, "--time-budget", "1e-4"]) == 5
@@ -295,8 +314,8 @@ class TestCli:
 
     def test_undecided_exit_mid_search_on_exhaustive_path(self, tmp_path, capsys, monkeypatch):
         # a clock that advances one unit per read: the deadline, three units
-        # out, passes at the fourth periodic read, 3 072 nodes into a first
-        # pass that needs 28 987
+        # out, passes at the fourth periodic read, 3 072 nodes into a
+        # search whose four rounds need 13 971
         g = bull_free_random(26, 60, 3)
         inp = self._write_input(tmp_path, write_graph(Instance(g, 0)))
         reads = itertools.count()

@@ -381,7 +381,7 @@ class TestTargets:
     def test_run_4reg_planar(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar")
         assert res.instance.graph.n == 24 and res.instance.k == 10
-        assert res.trace.total_k_delta == res.instance.k - 1
+        assert sum(s.k_delta for sr in res.stages for s in sr.steps) == res.instance.k - 1
 
     def test_run_4reg_planar_ham(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
@@ -397,10 +397,6 @@ class TestTargets:
         inserts = sum(1 for s in sr.steps if s.op == "insert")
         assert inserts - sr.audit == 1  # one merge inserted two L gadgets
         verify_trace(res.instance, trace_to_json(res))
-
-    def test_trace_stage_names_are_the_stages_with_steps(self):
-        res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
-        assert res.trace.stage_names() == [sr.name for sr in res.stages if sr.steps]
 
     def test_run_ham_ordered_finds_witness(self):
         res = run_pipeline(Instance(prism_graph(), 2), "ham-ordered:4")

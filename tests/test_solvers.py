@@ -204,6 +204,34 @@ def test_budget_honoured_mid_search(monkeypatch):
     assert next(reads) == 5
 
 
+def test_undecided_lower_bound_is_the_current_round(monkeypatch):
+    # the search deepens k from the root bound 4; rounds 4 and 5 end within
+    # 1 216 nodes, so the budget trips 3 072 nodes in, in a later round,
+    # whose k each refuted round has proved a lower bound
+    rounds = []
+    search = solvers._optimal_deletions
+
+    def recording(masks, k, tick):
+        rounds.append(k)
+        return search(masks, k, tick)
+
+    monkeypatch.setattr(solvers, "_optimal_deletions", recording)
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+    with pytest.raises(UndecidedError) as info:
+        fvs_exact_exhaustive(bull_free_random(26, 60, 3), time_budget=3)
+    found = re.match(r"undecided within budget: 3072 nodes searched, (\d+) <= ", str(info.value))
+    assert rounds[0] == 4 < rounds[-1] == int(found.group(1))
+
+
+@pytest.mark.parametrize("g", [bull_free_random(26, 60, 3), random_regular4(20, 1)], ids=["bull", "4reg"])
+def test_greedy_bound_never_changes_the_answer(monkeypatch, g):
+    expected = fvs_exact_exhaustive(g).deleted
+    monkeypatch.setattr(solvers, "_greedy_fvs", lambda adj: {min(adj)})
+    assert fvs_exact_exhaustive(g).deleted == expected
+    assert fvs_exact_exhaustive(g, time_budget=60).deleted == expected
+
+
 class TestBranchReduce:
     def test_empty(self):
         assert fvs_branch_reduce(Graph()).deleted == frozenset()
