@@ -281,12 +281,12 @@ class PlaneBuilder(Builder):
         face[(v, w)] = face[(w, u)] = face.pop((v, u))
         return w
 
-    def insert(self, gadget, u, v, grot) -> dict:
-        """Builder.insert, laying grot, a planar rotation system of the
-        gadget's graph plus the edge xy, into the lowest-numbered face f that
-        u and v share. f splits in two: the side that runs from u round to v
-        and the gadget's face on the x-to-y side of xy get a new face id, the
-        other side keeps f, and the gadget's inner faces are new."""
+    def insert(self, gadget, u, v, plane) -> dict:
+        """Builder.insert, laying plane, the gadget's GadgetPlane, into the
+        lowest-numbered face f that u and v share. f splits in two: the side
+        that runs from u round to v and the gadget's face on the x-to-y side
+        of xy get a new face id, the other side keeps f, and the gadget's
+        inner faces are new."""
         rot, face = self.rotation, self.face
         if u == v or u not in rot or v not in rot:
             raise GraphError("plane insertion needs two distinct present vertices")
@@ -306,35 +306,21 @@ class PlaneBuilder(Builder):
                 raise GraphError(f"face {f} walked from {u} never reaches {v}")
         id_map = super().insert(gadget, u, v)
 
-        x, y = gadget.x, gadget.y
-
-        def after(t, other):
-            order = grot[t]
-            i = order.index(other)
-            return [id_map[w] for w in order[i + 1:] + order[:i]]
-
         # x's neighbours fill u's corner on f, just before corner[f]; y's
         # fill v's corner on f, just after the walk's last vertex before v
         i = rot[u].index(corner[f])
-        rot[u][i:i] = after(x, y)
+        rot[u][i:i] = [id_map[w] for w in plane.x_fan]
         i = rot[v].index(walk[-1][0]) + 1
-        rot[v][i:i] = after(y, x)
-        for w, order in grot.items():
-            if w != x and w != y:
-                rot[id_map[w]] = [id_map[t] for t in order]
+        rot[v][i:i] = [id_map[w] for w in plane.y_fan]
+        for w, order in plane.inner_rotation.items():
+            rot[id_map[w]] = [id_map[t] for t in order]
 
-        gwalks = _walk_faces(grot)
-        gface = {d: i for i, gw in enumerate(gwalks) for d in gw}
-        fa, fb = gface[(y, x)], gface[(x, y)]
         base = self.n_faces
-        inner = [i for i in range(len(gwalks)) if i != fa and i != fb]
-        new_id = {fa: f, fb: base, **{i: base + 1 + j for j, i in enumerate(inner)}}
-        self.n_faces = base + 1 + len(inner)
+        self.n_faces = base + plane.n_new
         for d in walk:
             face[d] = base
-        for (a, b), i in gface.items():
-            if {a, b} != {x, y}:
-                face[(id_map[a], id_map[b])] = new_id[i]
+        for (a, b), i in plane.face.items():
+            face[(id_map[a], id_map[b])] = f if i < 0 else base + i
         return id_map
 
     def _unsupported(self, *args):
@@ -423,6 +409,35 @@ def _walk_faces(rot):
                 break
         out.append(walk)
     return out
+
+
+class GadgetPlane:
+    """How PlaneBuilder.insert lays a gadget into a face: a planar rotation
+    system of the gadget's graph plus its edge xy, walked into faces once.
+    x_fan and y_fan are x's and y's neighbours in rotation order, starting
+    after y and after x; inner_rotation is every other vertex's rotation.
+    face maps each dart except (x, y) and (y, x) to -1 if it lies on the face
+    on the y-to-x side of xy, which the insertion merges with the host face,
+    else to the offset of its new face: 0 for the x-to-y side of xy, 1, 2,
+    ... for the inner faces in walk order. n_new counts the new faces."""
+
+    __slots__ = ("x_fan", "y_fan", "inner_rotation", "face", "n_new")
+
+    def __init__(self, rot, x, y):
+        def fan(t, other):
+            order = list(rot[t])
+            i = order.index(other)
+            return tuple(order[i + 1:] + order[:i])
+
+        walks = _walk_faces(rot)
+        where = {d: i for i, w in enumerate(walks) for d in w}
+        fa, fb = where[(y, x)], where[(x, y)]
+        inner = [i for i in range(len(walks)) if i != fa and i != fb]
+        offset = {fa: -1, fb: 0, **{i: 1 + j for j, i in enumerate(inner)}}
+        self.x_fan, self.y_fan = fan(x, y), fan(y, x)
+        self.inner_rotation = {w: tuple(order) for w, order in rot.items() if w != x and w != y}
+        self.face = {d: offset[i] for d, i in where.items() if {*d} != {x, y}}
+        self.n_new = 1 + len(inner)
 
 
 def faces(pg: PlaneGraph):

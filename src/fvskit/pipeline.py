@@ -19,6 +19,7 @@ from .geometry import (
 )
 from .graph import (
     Builder,
+    GadgetPlane,
     Graph,
     GraphError,
     HamCycleWitness,
@@ -38,13 +39,15 @@ GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
 _PLUS_XY = {kind: check_planarity(Graph(gd.graph.vertices, [*gd.graph.edges, (gd.x, gd.y)]))
             for kind, gd in GADGETS.items()}
 
-# a plane embedding of L plus its edge xy, which hamiltonize lays into faces
-_L = GADGETS["L"]
-L_ROTATION = _PLUS_XY["L"][1]
-
 # the gadgets G with G + xy planar: one inserted at a vertex or across an edge
 # is a 1-sum or a 2-sum with a planar graph, which keeps the host planar
 SUM_PLANAR = frozenset(kind for kind, (planar, _) in _PLUS_XY.items() if planar)
+
+# a plane embedding of each of them plus its edge xy, walked into faces once,
+# which PlaneBuilder.insert lays into a host face
+GADGET_PLANES = {kind: GadgetPlane(_PLUS_XY[kind][1], GADGETS[kind].x, GADGETS[kind].y)
+                 for kind in sorted(SUM_PLANAR)}
+_L = GADGETS["L"]
 
 # the most edges a Y round or a lift may build; a target beyond it is refused
 # before its first round
@@ -117,7 +120,7 @@ def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
 class PlanarityProof:
     """One planarity proof for a chain of stage graphs: a base graph and
     the outputs of the stages applied to it in order, each with its claim.
-    It keeps the latest graph whose planarity still needs an LR test, and
+    It keeps the latest graph whose planarity still needs a proof, and
     proves every other graph up to the last claim from it by two rules.
 
     - Minor rule: every op except strip only subdivides an edge or adds
@@ -129,11 +132,19 @@ class PlanarityProof:
       by 1-sums and 2-sums, so its output is planar if its input is.
 
     A stage that walked a plane embedding of its output proves it outright.
-    check_planarity runs at most once, on the kept graph, when the proof
-    reaches the last stage that claims planarity."""
+    The kept graph is proved when the proof reaches the last stage that
+    claims planarity. If it is the output of a stage whose steps all
+    subdivide or insert a SUM_PLANAR gadget between two distinct vertices,
+    the one LR test runs on that stage's smaller input: a non-planar input
+    fails by the minor rule, and a planar one gives the rotation that a
+    PlaneBuilder replays the steps on. A face walk of the replayed rotation,
+    which PlaneGraph checks against the kept graph's edges, then proves the
+    kept graph planar. If two ends of an insert share no face, an LR test
+    of the kept graph decides instead, as it does for any other stage."""
 
     def __init__(self, base: Graph, claims):
         self.kept = base
+        self.stage = None  # (input, steps) of the replayable stage that output kept
         self.claims = list(claims)
         self.last = max((i for i, c in enumerate(self.claims) if c), default=-1)
         self.claimant = None  # the first stage since kept that claims planarity
@@ -148,16 +159,45 @@ class PlanarityProof:
         if i > self.last:
             return None
         if embedded:
-            self.kept = self.claimant = None
+            self.kept = self.stage = self.claimant = None
         elif not all(s.op == "insert" and s.gadget in SUM_PLANAR
                      and (s.attach[0] == s.attach[1] or g_in.has_edge(*s.attach))
                      for s in steps):
             self.kept, self.claimant = g_out, None
+            self.stage = (g_in, steps) if all(map(_plane_step, steps)) else None
         if self.claims[i] and self.claimant is None:
             self.claimant = name
-        if i == self.last and self.kept is not None and not check_planarity(self.kept)[0]:
-            return self.claimant
+        if i == self.last and self.kept is not None:
+            planar = self._prove_kept()
+            self.kept = self.stage = None
+            if not planar:
+                return self.claimant
         return None
+
+    def _prove_kept(self) -> bool:
+        if self.stage is not None:
+            g_in, steps = self.stage
+            planar, rotation = check_planarity(g_in)
+            if not planar:
+                return False
+            try:
+                b = PlaneBuilder(g_in, rotation)
+                for s in steps:
+                    if s.op == "subdivide":
+                        b.subdivide(s.edge)
+                    else:
+                        b.insert(GADGETS[s.gadget], *s.attach, GADGET_PLANES[s.gadget])
+                faces(PlaneGraph(self.kept, b.rotation))
+                return True
+            except GraphError:
+                pass  # two ends share no face, or the replay is not the kept graph
+        return check_planarity(self.kept)[0]
+
+
+def _plane_step(s) -> bool:
+    """Whether PlaneBuilder can replay step s."""
+    return s.op == "subdivide" or (s.op == "insert" and s.gadget in GADGET_PLANES
+                                   and s.attach[0] != s.attach[1])
 
 
 def _require(cond, msg):
@@ -444,7 +484,7 @@ def _merge_case1(state, u, v, e, ep):
     v2 = _other_end(ep, v)
     z = b.subdivide(e)
     zp = b.subdivide(ep)
-    interior = interior_path(_L, b.insert(_L, z, zp, L_ROTATION))
+    interior = interior_path(_L, b.insert(_L, z, zp, GADGET_PLANES["L"]))
     # merged cycle: z, u2 .. u, v .. v2, zp, the interior backwards
     state.join(u, v, u2, v2, [v2, zp, *reversed(interior), z, u2], (z, u2))
 
@@ -458,8 +498,8 @@ def _merge_case2(state, u, v, e, et, ep):
     zt1 = b.subdivide(et)
     zt2 = b.subdivide(_norm_edge(zt1, wt))
     zp = b.subdivide(ep)
-    int1 = interior_path(_L, b.insert(_L, z, zt1, L_ROTATION))
-    int2 = interior_path(_L, b.insert(_L, zt2, zp, L_ROTATION))
+    int1 = interior_path(_L, b.insert(_L, z, zt1, GADGET_PLANES["L"]))
+    int2 = interior_path(_L, b.insert(_L, zt2, zp, GADGET_PLANES["L"]))
     # merged cycle: z, the first interior, zt1, zt2, the second, zp, v2 .. v, u .. u2
     state.join(u, v, u2, v2, [u2, z, *int1, zt1, zt2, *int2, zp, v2], (z, int1[0]))
 

@@ -168,7 +168,9 @@ def _edges_on_1_to_n(g: Graph):
 
 def _load_trace(trace: dict):
     """Check the shape of a trace JSON; returns (input graph, input k,
-    stages as (name, steps, k_after, certified), output (n, m, k))."""
+    stages as (name, steps, k_after, certified), output (n, m, k)). An
+    input n above MAX_OUTPUT_EDGES is refused before the vertex set is
+    built, as parse_graph refuses such a header."""
 
     def integer(x, what):
         if not _is_int(x):
@@ -177,7 +179,10 @@ def _load_trace(trace: dict):
 
     try:
         inp = trace["input"]
-        g = Graph(range(1, integer(inp["n"], "input n") + 1), [tuple(e) for e in inp["edges"]])
+        n = integer(inp["n"], "input n")
+        if n > MAX_OUTPUT_EDGES:
+            raise FormatError(f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices")
+        g = Graph(range(1, n + 1), [tuple(e) for e in inp["edges"]])
         k = integer(inp["k"], "input k")
         stages = []
         for st in trace["stages"]:

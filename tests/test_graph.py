@@ -224,3 +224,26 @@ def test_only_freeze_and_parse_graph_skip_the_edge_checks():
         for scope in _unchecked_references(ast.parse(path.read_text())):
             callers.add((path.name, scope))
     assert callers == UNCHECKED_CALLERS
+
+
+# What proves or tests planarity. textio may reach it only through
+# PlanarityProof, so reduce and verify run one proof of the same shape.
+PLANARITY_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneGraph",
+                        "PlaneBuilder"}
+
+
+def test_textio_reaches_planarity_only_through_planarity_proof():
+    tree = ast.parse((Path(fvskit.__file__).parent / "textio.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update((node.module or "").split("."))
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            used.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "PlanarityProof" in used
+    assert not used & PLANARITY_PRIMITIVES

@@ -186,6 +186,20 @@ class TestTraceVerify:
         with pytest.raises(FormatError, match="missing field"):
             verify_trace(produced.instance, {"stages": []})
 
+    @pytest.mark.parametrize("n", [MAX_OUTPUT_EDGES + 1, 10**9])
+    def test_huge_input_n_refused_before_allocating(self, produced, n):
+        trace = trace_to_json(produced)
+        trace["input"] = {"n": n, "m": 0, "k": 0, "edges": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                verify_trace(produced.instance, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices"
+        assert peak < 1 << 20
+
     def test_dumps_stable(self, produced):
         assert trace_dumps(produced) == trace_dumps(produced)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from fvskit.graph import (
+    GadgetPlane,
     Graph,
     GraphError,
     HamCycleWitness,
@@ -32,6 +33,7 @@ from fvskit.pipeline import (
     run_pipeline,
 )
 from fvskit.solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
+from fvskit.cli import main
 from fvskit.textio import parse_graph, trace_to_json, verify_trace, write_graph
 
 from conftest import (
@@ -210,10 +212,10 @@ class TestHamiltonize:
         # must then refuse the output instead of recording planar: false
         import fvskit.pipeline as pipeline
 
-        x = pipeline.GADGETS["L"].x
-        rot = dict(pipeline.L_ROTATION)
-        rot[x] = tuple(reversed(rot[x]))
-        monkeypatch.setattr(pipeline, "L_ROTATION", rot)
+        L = pipeline.GADGETS["L"]
+        rot = dict(pipeline._PLUS_XY["L"][1])
+        rot[L.x] = tuple(reversed(rot[L.x]))
+        monkeypatch.setitem(pipeline.GADGET_PLANES, "L", GadgetPlane(rot, L.x, L.y))
         inst = pair_degree_three(eliminate_degree_two(Instance(grid_graph(3, 4), 0)).instance).instance
         with pytest.raises(PipelineError, match="merging broke planarity"):
             hamiltonize(inst)
@@ -428,6 +430,42 @@ class TestPlanarityProof:
         calls.clear()
         verify_trace(parse_graph(write_graph(res.instance), res.instance.k), trace_to_json(res))
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("rows, target, kept, kept_input_n", [
+        (5, "4reg-planar-ham", "hamiltonize", 175),
+        (8, "4reg-planar", "pairing", 92),
+    ])
+    def test_lr_tests_stop_at_the_kept_stage_input(self, monkeypatch, rows, target, kept,
+                                                   kept_input_n):
+        # the proof replays the kept stage on an embedding of its input, so
+        # neither reduce nor verify tests a larger graph
+        import fvskit.pipeline as pipeline
+
+        sizes = []
+        real = pipeline.check_planarity
+        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+        res = run_pipeline(Instance(grid_graph(rows, rows), 1), target)
+        names = [sr.name for sr in res.stages]
+        assert res.stages[names.index(kept) - 1].instance.graph.n == kept_input_n
+        assert res.instance.graph.n > kept_input_n
+        assert max(sizes) == kept_input_n
+        sizes.clear()
+        verify_trace(parse_graph(write_graph(res.instance), res.instance.k), trace_to_json(res))
+        assert sizes == [kept_input_n]
+
+    def test_fallback_when_the_replay_finds_no_shared_face(self, monkeypatch, tmp_path):
+        # laying pairing's R gadgets by the lowest shared face fails on grid
+        # 5x5, so the proof tests the kept graph itself and the trace verifies
+        import fvskit.pipeline as pipeline
+
+        inp, out, tr = (str(tmp_path / f) for f in ("in.fvs", "out.fvs", "trace.json"))
+        (tmp_path / "in.fvs").write_text(write_graph(Instance(grid_graph(5, 5), 1)))
+        assert main(["reduce", inp, "--target", "4reg-planar", "-o", out, "--trace", tr]) == 0
+        sizes = []
+        real = pipeline.check_planarity
+        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+        assert main(["verify", out, "--trace", tr]) == 0
+        assert sizes[-1] == parse_graph((tmp_path / "out.fvs").read_text()).graph.n
 
     def test_false_claim_fails_the_run(self, monkeypatch):
         # a stage output that claims planarity and is K5 ends the run

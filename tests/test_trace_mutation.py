@@ -237,3 +237,26 @@ def test_planar_claim_over_one_d_insert(tmp_path, capsys, base, attach, rc):
     assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
     if rc:
         assert "stage 5regular: planarity claim fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, attach, rc", [
+    ("K5-e", (4, 5), 4),  # 4 and 5 share no face: the output holds a K5 subdivision
+    ("K5-e", (6, 4), 0),  # the subdivision vertex and 4 share a face
+    ("K5", (6, 4), 4),  # a nonplanar input fails by the minor rule
+])
+def test_planar_claim_over_subdivide_and_r_insert(tmp_path, capsys, base, attach, rc):
+    # hand-made one-stage traces that subdivide edge 12 into vertex 6 and
+    # then insert an R gadget between two vertices
+    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
+                            if base == "K5" or (i, j) != (4, 5)])
+    b = Builder(g, 0, "pairing")
+    b.subdivide((1, 2))
+    b.insert(GADGETS["R"], *attach)
+    out = Instance(b.freeze(), b.k)
+    stage = StageResult("pairing", out, tuple(b.steps), ClassCertificate(None, True, False, False))
+    path = tmp_path / "out.fvs"
+    path.write_text(write_graph(out))
+    capsys.readouterr()
+    assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
+    if rc:
+        assert "stage pairing: planarity claim fails" in capsys.readouterr().err
