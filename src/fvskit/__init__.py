@@ -7,32 +7,26 @@ from .graph import (
     GraphError,
     HamCycleWitness,
     Instance,
-    PlaneGraph,
     TraceStep,
     check_regular,
     faces,
-    strip_low_degree,
-    subdivide_edge,
 )
 from .solvers import (
     FvsSolution,
     SolverError,
     UndecidedError,
-    check_ham_ordered,
     check_ore_condition,
     check_planarity,
     find_hamiltonian_cycle,
     fvs_branch_reduce,
     fvs_exact_exhaustive,
     is_fvs,
-    vertex_connectivity_at_least,
 )
 from .gadgets import (
     Gadget,
     GadgetReport,
     build_gadget,
     certify_gadget,
-    verify_insertion_equivalence,
 )
 from .geometry import (
     GeometryError,

@@ -24,6 +24,7 @@ from .textio import (
     parse_graph,
     trace_dumps,
     verify_trace,
+    witness_line,
     write_graph,
 )
 
@@ -66,11 +67,9 @@ def cmd_reduce(args) -> int:
     if args.trace:
         _write(args.trace, trace_dumps(result))
     if args.witness_out:
-        w = result.instance.witness
-        if w is None:
+        if result.instance.witness is None:
             raise PipelineError("target class carries no witness")
-        relabel = {v: i + 1 for i, v in enumerate(sorted(result.instance.graph.vertices))}
-        _write(args.witness_out, "h " + " ".join(str(relabel[v]) for v in w.order) + "\n")
+        _write(args.witness_out, witness_line(result.instance) + "\n")
     if args.svg_debug:
         for sr in result.stages:
             audit = sr.audit
@@ -98,8 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = parse_graph(_read(args.input), k=args.k)
-    g = inst.graph
+    g = parse_graph(_read(args.input)).graph
     if g.n <= EXHAUSTIVE_LIMIT:
         sol = fvs_exact_exhaustive(g, time_budget=args.time_budget)
     else:
@@ -137,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sol = sub.add_parser("solve", help="exact minimum feedback vertex set")
     sol.add_argument("input")
-    sol.add_argument("--k", type=int, default=0)
     sol.add_argument("--time-budget", type=float, default=None)
     sol.set_defaults(func=cmd_solve)
 

@@ -1,7 +1,8 @@
 """Immutable simple-graph data model, the mutable Builder that every
 reduction stage and trace replay edits it through (subdivision, gadget
 insertion, copy, lift, low-degree stripping), rotation systems with face
-traversal, and Hamiltonian-cycle witnesses."""
+traversal, and the one check of a cycle cover behind Hamiltonian-cycle
+witnesses and 2-factors."""
 
 from __future__ import annotations
 
@@ -81,8 +82,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     @classmethod
-    def from_edges(cls, edges, extra_vertices=()):
-        vs = set(extra_vertices)
+    def from_edges(cls, edges):
+        vs = set()
         for u, v in edges:
             vs.add(u)
             vs.add(v)
@@ -263,7 +264,7 @@ class PlaneBuilder(Builder):
 
     def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
         super().__init__(g, k, stage)
-        walks = faces(PlaneGraph(g, rotation)) if g.m else []
+        walks = faces(g, rotation) if g.m else []
         self.rotation = {v: list(order) for v, order in rotation.items()}
         self.face = {d: f for f, w in enumerate(walks) for d in zip(w, w[1:] + w[:1])}
         self.n_faces = len(walks) or 1
@@ -370,22 +371,6 @@ def to_networkx(g: Graph) -> nx.Graph:
     return G
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneGraph:
-    """Graph plus a rotation system."""
-
-    graph: Graph
-    rotation: dict
-
-    def __post_init__(self):
-        adj = self.graph.adjacency
-        if set(self.rotation) != self.graph.vertices:
-            raise GraphError("rotation must cover exactly the vertex set")
-        for v, order in self.rotation.items():
-            if set(order) != set(adj[v]) or len(order) != len(adj[v]):
-                raise GraphError(f"rotation at {v} does not match incident edges")
-
-
 def _walk_faces(rot):
     """Partition the darts (v, w) of a rotation system into face boundary
     walks: the dart after (u, v) is (v, w) for the w that follows u in v's
@@ -440,18 +425,47 @@ class GadgetPlane:
         self.n_new = 1 + len(inner)
 
 
-def faces(pg: PlaneGraph):
-    """All face boundary walks of a connected embedded graph, via
-    next-edge-in-rotation traversal; checks Euler's formula."""
-    g = pg.graph
+def faces(g: Graph, rotation):
+    """All face boundary walks of the connected graph g embedded by
+    rotation (each vertex's neighbours in cyclic order), via
+    next-edge-in-rotation traversal. Checks that rotation lists exactly g's
+    edges at every vertex and that the walks satisfy Euler's formula, so
+    the walks prove g itself planar."""
+    adj = g.adjacency
+    if rotation.keys() != g.vertices:
+        raise GraphError("rotation must cover exactly the vertex set")
+    for v, order in rotation.items():
+        if len(order) != len(adj[v]) or set(order) != adj[v]:
+            raise GraphError(f"rotation at {v} does not match incident edges")
     if not is_connected(g):
         raise GraphError("faces require connected graph")
     if g.m == 0:
         return [sorted(g.vertices)]
-    walks = _walk_faces(pg.rotation)
+    walks = _walk_faces(rotation)
     if g.n - g.m + len(walks) != 2:
         raise GraphError("rotation system is not a planar embedding")
     return [[u for u, _ in walk] for walk in walks]
+
+
+def cycle_cover_error(g: Graph, cycles) -> str | None:
+    """Why cycles, a list of vertex orders, are not disjoint cycles of g,
+    each of length at least 3, that together cover g's vertices; None if
+    they are. The one check of a cycle certificate: a HamCycleWitness is
+    one such cycle, a 2-factor several."""
+    seen = set()
+    for cyc in cycles:
+        if len(cyc) < 3:
+            return "cycle shorter than 3"
+        for i, v in enumerate(cyc):
+            if v in seen:
+                return "cycles are not disjoint"
+            seen.add(v)
+            if not g.has_edge(v, cyc[i - 1]):
+                return "uses a non-edge"
+    # every vertex seen lies on an edge of g, so counting them suffices
+    if len(seen) != g.n:
+        return "does not span all vertices"
+    return None
 
 
 @dataclass(frozen=True)
@@ -461,15 +475,7 @@ class HamCycleWitness:
     order: tuple
 
     def is_valid_for(self, g: Graph) -> bool:
-        order = self.order
-        if len(order) != g.n or set(order) != g.vertices:
-            return False
-        if len(order) < 3:
-            return False
-        return all(
-            g.has_edge(order[i], order[(i + 1) % len(order)])
-            for i in range(len(order))
-        )
+        return cycle_cover_error(g, (self.order,)) is None
 
     def edge_set(self):
         n = len(self.order)

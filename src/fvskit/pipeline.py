@@ -25,8 +25,8 @@ from .graph import (
     HamCycleWitness,
     Instance,
     PlaneBuilder,
-    PlaneGraph,
     check_regular,
+    cycle_cover_error,
     faces,
     is_connected,
     regularity,
@@ -85,18 +85,9 @@ class TwoFactor:
     components: tuple
 
     def validate(self, g: Graph):
-        seen = set()
-        for cyc in self.components:
-            if len(cyc) < 3:
-                raise PipelineError("2-factor cycle shorter than 3")
-            for i, v in enumerate(cyc):
-                if v in seen:
-                    raise PipelineError("2-factor cycles are not disjoint")
-                seen.add(v)
-                if not g.has_edge(v, cyc[(i + 1) % len(cyc)]):
-                    raise PipelineError("2-factor uses a non-edge")
-        if seen != g.vertices:
-            raise PipelineError("2-factor does not span all vertices")
+        why = cycle_cover_error(g, self.components)
+        if why is not None:
+            raise PipelineError(f"2-factor {why}")
         return True
 
 
@@ -112,9 +103,11 @@ class StageResult:
 
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
+    """The certificate of a stage output; Instance checked its witness when
+    it was built. The stages read regular from here, so each output's
+    degrees are scanned once."""
     g = inst.graph
-    wit = inst.witness is not None and inst.witness.is_valid_for(g)
-    return ClassCertificate(regularity(g), claim_planar, wit, g.n % 2 == 0)
+    return ClassCertificate(regularity(g), claim_planar, inst.witness is not None, g.n % 2 == 0)
 
 
 class PlanarityProof:
@@ -138,7 +131,7 @@ class PlanarityProof:
     the one LR test runs on that stage's smaller input: a non-planar input
     fails by the minor rule, and a planar one gives the rotation that a
     PlaneBuilder replays the steps on. A face walk of the replayed rotation,
-    which PlaneGraph checks against the kept graph's edges, then proves the
+    which faces() checks against the kept graph's edges, then proves the
     kept graph planar. If two ends of an insert share no face, an LR test
     of the kept graph decides instead, as it does for any other stage."""
 
@@ -187,7 +180,7 @@ class PlanarityProof:
                         b.subdivide(s.edge)
                     else:
                         b.insert(GADGETS[s.gadget], *s.attach, GADGET_PLANES[s.gadget])
-                faces(PlaneGraph(self.kept, b.rotation))
+                faces(self.kept, b.rotation)
                 return True
             except GraphError:
                 pass  # two ends share no face, or the replay is not the kept graph
@@ -287,12 +280,12 @@ def pair_degree_three(inst: Instance) -> StageResult:
             b.insert(GADGETS["R"], x, y)
     g = b.freeze()
     out = Instance(g, b.k)
-    _require(check_regular(g, 4), "output not 4-regular")
-    _require(all(g.degree(d) == 4 for d in dissolution), "dissolution vertex degree != 4")
+    cert = _certificate(out)
+    _require(cert.regular == 4, "output not 4-regular")
     drawn_after = tuple(e for e in sorted(g.edges) if e[0] in coords and e[1] in coords)
     audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
                          drawn_after, tuple(dissolution))
-    return StageResult("pairing", out, tuple(b.steps), _certificate(out), audit)
+    return StageResult("pairing", out, tuple(b.steps), cert, audit)
 
 
 def compute_two_factor(g: Graph) -> TwoFactor:
@@ -360,15 +353,14 @@ class MergeState:
         self.nb = {}
         self.cycle_of = {}
         self.members = {}
-        # cycle id -> (first vertex, second vertex): where two_factor() starts
-        # each cycle's walk and which way it goes
-        self.heads = {}
         for ci, cyc in enumerate(tf.components):
             for i, v in enumerate(cyc):
                 self.nb[v] = [cyc[i - 1], cyc[(i + 1) % len(cyc)]]
                 self.cycle_of[v] = ci
             self.members[ci] = list(cyc)
-            self.heads[ci] = (cyc[0], cyc[1])
+        # the latest merged cycle's first two vertices: where cycle() starts
+        # its walk and which way it goes
+        self.head = tuple(tf.components[0][:2])
         self.heap = sorted(e for e in g.edges if self.cycle_of[e[0]] != self.cycle_of[e[1]])
 
     def cycle_edges(self, u):
@@ -394,17 +386,17 @@ class MergeState:
         return next(((e, et, ep) for et in spare for e in at_u for ep in at_v
                      if self.cofacial(e, et) and self.cofacial(et, ep)), None)
 
-    def two_factor(self) -> TwoFactor:
-        comps = []
-        for start, second in self.heads.values():
-            cyc = [start]
-            prev, cur = start, second
-            while cur != start:
-                cyc.append(cur)
-                a, b = self.nb[cur]
-                prev, cur = cur, (b if a == prev else a)
-            comps.append(tuple(cyc))
-        return TwoFactor(tuple(comps))
+    def cycle(self) -> tuple:
+        """The merged cycle, walked from its head; once one cycle is left,
+        the Hamiltonian cycle of the builder's graph."""
+        start, cur = self.head
+        cyc = [start]
+        prev = start
+        while cur != start:
+            cyc.append(cur)
+            a, b = self.nb[cur]
+            prev, cur = cur, (b if a == prev else a)
+        return tuple(cyc)
 
     def join(self, u, v, u2, v2, path, head):
         """Re-thread the cycles of u and v into one: drop the cycle edges
@@ -429,8 +421,7 @@ class MergeState:
         for w in self.members.pop(gone) + new_vertices:
             self.cycle_of[w] = keep
             merged.append(w)
-        del self.heads[ci], self.heads[cj]
-        self.heads[keep] = head
+        self.head = head
         rot = self.builder.rotation
         for w in new_vertices:
             for t in rot[w]:
@@ -447,7 +438,7 @@ def merge_step(state: MergeState):
     smallest connecting edge that admits case 1 or, if none does, the
     smallest that admits case 2. Edits state in place. Returns (u, v, the
     steps recorded, the case)."""
-    if len(state.heads) == 1:
+    if len(state.members) == 1:
         raise PipelineError("already Hamiltonian")
     held = []  # live connecting edges without a case 1, in sorted order
     found = None
@@ -507,30 +498,28 @@ def _merge_case2(state, u, v, e, et, ep):
 def hamiltonize(inst: Instance) -> StageResult:
     """Merge the 2-factor down to a single spanning cycle; at most n/3
     merges since every cycle has length at least 3. All merges edit one
-    plane builder; the merged graph and 2-factor are checked once at the
-    end, and a face walk of the maintained rotation must pass Euler's
-    formula, which proves the output planar."""
+    plane builder. At the end a face walk of the maintained rotation must
+    pass Euler's formula, which proves the output planar, and the merged
+    cycle is checked once, as the output's witness."""
     g = inst.graph
     state = MergeState(inst, compute_two_factor(g))
     budget = g.n // 3
     merges = 0
-    while len(state.heads) > 1:
+    while len(state.members) > 1:
         if merges >= budget:
             raise PipelineError("merge budget n/3 exceeded")
         merge_step(state)
         merges += 1
     b = state.builder
     g = b.freeze()
-    tf = state.two_factor()
-    tf.validate(g)
-    _require(check_regular(g, 4), "merging broke 4-regularity")
     try:
-        faces(PlaneGraph(g, b.rotation))
+        faces(g, b.rotation)
     except GraphError:
         raise PipelineError("merging broke planarity") from None
-    out = Instance(g, b.k, HamCycleWitness(tf.components[0]))
-    return StageResult("hamiltonize", out, tuple(b.steps), _certificate(out),
-                       audit=merges, embedded=True)
+    out = Instance(g, b.k, HamCycleWitness(state.cycle()))
+    cert = _certificate(out)
+    _require(cert.regular == 4, "merging broke 4-regularity")
+    return StageResult("hamiltonize", out, tuple(b.steps), cert, audit=merges, embedded=True)
 
 
 def evenize(inst: Instance) -> StageResult:
@@ -565,10 +554,11 @@ def evenize(inst: Instance) -> StageResult:
     )
     witness = HamCycleWitness(tuple(order))
     out = Instance(b.freeze(), b.k, witness)
+    cert = _certificate(out)
     _require(out.graph.n == 2 * g.n + 24, "evenize size mismatch")
     _require(out.k == 2 * inst.k + 8, "budget ledger mismatch")
-    _require(check_regular(out.graph, 4), "evenize broke 4-regularity")
-    return StageResult("evenize", out, tuple(b.steps), _certificate(out))
+    _require(cert.regular == 4, "evenize broke 4-regularity")
+    return StageResult("evenize", out, tuple(b.steps), cert)
 
 
 def _gadget_round(b: Builder, gadget, order) -> tuple:
@@ -595,10 +585,11 @@ def five_regularize(inst: Instance) -> StageResult:
     order = _gadget_round(b, GADGETS["D"], inst.witness.order)
     g = b.freeze()
     out = Instance(g, b.k, HamCycleWitness(order))
+    cert = _certificate(out)
     _require(g.n == 7 * n, "5-regularization size mismatch")
-    _require(check_regular(g, 5), "output not 5-regular")
+    _require(cert.regular == 5, "output not 5-regular")
     _require(out.k == inst.k + 3 * n, "budget ledger mismatch")
-    return StageResult("5regular", out, tuple(b.steps), _certificate(out))
+    return StageResult("5regular", out, tuple(b.steps), cert)
 
 
 def p_regularize(inst: Instance, target_p: int) -> StageResult:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
+from .graph import Graph, GraphError, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
 from .pipeline import (
     MAX_OUTPUT_EDGES,
     CertificationError,
@@ -34,7 +34,8 @@ def parse_graph(text: str, k: int = 0) -> Instance:
     reuse its int object. The table holds only the spellings that occur,
     never a row per vertex of a large header n. A header n above
     MAX_OUTPUT_EDGES, which bounds every graph fvskit writes, is refused
-    before the vertex set is built."""
+    before the vertex set is built. The witness is checked once, by
+    Instance; a failure is reported on its h line."""
     n = m = None
     ids = {}
     edges = set()
@@ -95,12 +96,25 @@ def parse_graph(text: str, k: int = 0) -> Instance:
     if len(edges) != m:
         raise FormatError(f"header announces {m} edges, found {len(edges)}")
     g = Graph._unchecked(frozenset(range(1, n + 1)), frozenset(edges), n + 1 if n else 0)
-    w = None
-    if witness is not None:
-        w = HamCycleWitness(witness[0])
-        if not w.is_valid_for(g):
-            raise FormatError("witness is not a Hamiltonian cycle", witness[1])
-    return Instance(g, k, w)
+    w = None if witness is None else HamCycleWitness(witness[0])
+    try:
+        return Instance(g, k, w)
+    except GraphError:
+        if k < 0:
+            raise  # a negative budget is a precondition error, not a format one
+        raise FormatError("witness is not a Hamiltonian cycle", witness[1]) from None
+
+
+def _file_names(g: Graph) -> dict:
+    """Each vertex's name in the graph format: 1..n in sorted id order."""
+    return {v: str(i) for i, v in enumerate(sorted(g.vertices), 1)}
+
+
+def witness_line(inst: Instance) -> str:
+    """The h line of inst's witness, its vertices named as write_graph
+    names them."""
+    name = _file_names(inst.graph)
+    return "h " + " ".join([name[v] for v in inst.witness.order])
 
 
 def write_graph(inst: Instance) -> str:
@@ -109,17 +123,16 @@ def write_graph(inst: Instance) -> str:
     gives its edges in that order, so the m edges are never sorted as
     pairs."""
     g = inst.graph
-    verts = sorted(g.vertices)
-    name = {v: str(i) for i, v in enumerate(verts, 1)}
+    name = _file_names(g)
     adj = g.adjacency
     lines = [f"p fvs {g.n} {g.m}"]
-    for u in verts:
+    for u, nu in name.items():
         row = sorted(w for w in adj[u] if w > u)
         if row:
-            head = f"e {name[u]} "
+            head = f"e {nu} "
             lines.append(head + ("\n" + head).join([name[w] for w in row]))
     if inst.witness is not None:
-        lines.append("h " + " ".join([name[v] for v in inst.witness.order]))
+        lines.append(witness_line(inst))
     return "\n".join(lines) + "\n"
 
 
@@ -211,7 +224,8 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
     """Replay a trace JSON against the claimed output; raises on any
     certificate mismatch. The ledger is rebuilt from the replayed ops
     alone: recorded k_delta values are compared, never added. One
-    PlanarityProof over the replayed stages proves every planarity claim."""
+    PlanarityProof over the replayed stages proves every planarity claim.
+    The output's witness was checked when out_inst was built."""
     g, k, stages, out_decl = _load_trace(trace)
     proof = PlanarityProof(g, (bool(cert.get("planar")) for *_, cert in stages))
     for name, steps, k_after, cert in stages:
@@ -237,7 +251,5 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
         )
     if g.n != out_inst.graph.n or _edges_on_1_to_n(g) != _edges_on_1_to_n(out_inst.graph):
         raise CertificationError("replayed graph differs from output graph")
-    if out_inst.witness is not None and not out_inst.witness.is_valid_for(out_inst.graph):
-        raise CertificationError("output witness invalid")
     if stages and stages[-1][3].get("witness") and out_inst.witness is None:
         raise CertificationError("trace claims a witness but output has none")

@@ -10,7 +10,6 @@ from fvskit.graph import (
     HamCycleWitness,
     Instance,
     PlaneBuilder,
-    PlaneGraph,
     TraceStep,
     check_regular,
     faces,
@@ -108,23 +107,27 @@ class TestStrip:
             assert opt(g) == opt(st.graph)
 
 
-def _embedded(g):
+def _rotation(g):
     planar, rot = check_planarity(g)
     assert planar
-    return PlaneGraph(g, rot)
+    return rot
+
+
+def _faces(g):
+    return faces(g, _rotation(g))
 
 
 class TestFaces:
     def test_k3(self):
-        fs = faces(_embedded(cycle_graph(3)))
+        fs = _faces(cycle_graph(3))
         assert len(fs) == 2 and all(len(f) == 3 for f in fs)
 
     def test_k4(self):
-        fs = faces(_embedded(complete_graph(4)))
+        fs = _faces(complete_graph(4))
         assert len(fs) == 4 and all(len(f) == 3 for f in fs)
 
     def test_c4k1(self):
-        fs = faces(_embedded(c4k1()))
+        fs = _faces(c4k1())
         assert len(fs) == 5
         assert sorted(len(f) for f in fs) == [3, 3, 3, 3, 4]
 
@@ -132,23 +135,44 @@ class TestFaces:
         # pins the walks and their order, not only their count
         rot = {1: (2, 5, 4), 2: (1, 3, 6), 3: (2, 4, 7), 4: (3, 1, 8),
                5: (8, 1, 6), 6: (5, 2, 7), 7: (6, 3, 8), 8: (4, 5, 7)}
-        assert faces(PlaneGraph(cube_graph(), rot)) == [
+        assert faces(cube_graph(), rot) == [
             [1, 2, 3, 4], [1, 4, 8, 5], [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 8, 4], [5, 8, 7, 6],
         ]
 
     def test_euler_on_corpus(self, pipeline_corpus):
         for g in pipeline_corpus.values():
-            pg = _embedded(g)
-            assert g.n - g.m + len(faces(pg)) == 2
+            assert g.n - g.m + len(_faces(g)) == 2
 
     def test_disconnected(self):
         g = Graph.from_edges([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
         with pytest.raises(GraphError, match="faces require connected graph"):
-            faces(_embedded(g))
+            _faces(g)
+
+    def test_rotation_missing_a_vertex(self):
+        g = complete_graph(4)
+        rot = _rotation(g)
+        del rot[4]
+        with pytest.raises(GraphError, match="cover exactly the vertex set"):
+            faces(g, rot)
+
+    def test_rotation_listing_a_non_edge(self):
+        # C4 with the chord 1-3 swapped in for the edge 1-2 at vertex 1
+        g = cycle_graph(4)
+        rot = _rotation(g)
+        rot[1] = tuple(3 if w == 2 else w for w in rot[1])
+        with pytest.raises(GraphError, match="rotation at 1 does not match incident edges"):
+            faces(g, rot)
+
+    def test_rotation_repeating_a_neighbour(self):
+        g = complete_graph(4)
+        rot = _rotation(g)
+        rot[1] = (rot[1][0], rot[1][0], rot[1][1])
+        with pytest.raises(GraphError, match="rotation at 1 does not match incident edges"):
+            faces(g, rot)
 
     def test_plane_builder_face_index(self):
-        pg = _embedded(cycle_graph(4))
-        b = PlaneBuilder(pg.graph, pg.rotation)
+        g = cycle_graph(4)
+        b = PlaneBuilder(g, _rotation(g))
         assert b.n_faces == 2
         assert sorted(list(b.face.values()).count(f) for f in range(2)) == [4, 4]
 
@@ -192,22 +216,22 @@ class TestTrace:
 UNCHECKED_CALLERS = {("graph.py", "Builder.freeze"), ("textio.py", "parse_graph")}
 
 
-def _unchecked_references(tree):
+def _references(tree, name, definition):
     """(qualified name of the enclosing def, or "" at module level) of each
-    name, attribute or string in tree that mentions Graph._unchecked, other
-    than its own definition."""
+    name, attribute or string in tree that mentions name, other than inside
+    its own definition, the def whose qualified name is definition."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-            if inner == "Graph._unchecked":
+            if inner == definition:
                 return
             scope = inner
         if (
-            isinstance(node, ast.Attribute) and node.attr == "_unchecked"
-            or isinstance(node, ast.Name) and node.id == "_unchecked"
-            or isinstance(node, ast.Constant) and "_unchecked" in str(node.value)
+            isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Constant) and name in str(node.value)
         ):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
@@ -217,19 +241,54 @@ def _unchecked_references(tree):
     return found
 
 
-def test_only_freeze_and_parse_graph_skip_the_edge_checks():
+def _callers(name, definition):
+    """(file name, enclosing def) of every mention of name in src/fvskit."""
     src = Path(fvskit.__file__).parent
-    callers = set()
+    return {(path.name, scope)
+            for path in sorted(src.glob("*.py"))
+            for scope in _references(ast.parse(path.read_text()), name, definition)}
+
+
+def test_only_freeze_and_parse_graph_skip_the_edge_checks():
+    assert _callers("_unchecked", "Graph._unchecked") == UNCHECKED_CALLERS
+
+
+# The one cycle-cover check is reached only where a cycle certificate is
+# built: Instance checks its witness through HamCycleWitness.is_valid_for,
+# and TwoFactor.validate checks a 2-factor, which only compute_two_factor
+# asks for. The one Hamiltonian search runs only for a ham-ordered input
+# that carries no witness.
+CERTIFICATE_CHECKERS = [
+    ("cycle_cover_error", "cycle_cover_error",
+     {("graph.py", "HamCycleWitness.is_valid_for"), ("pipeline.py", "TwoFactor.validate")}),
+    ("is_valid_for", "HamCycleWitness.is_valid_for", {("graph.py", "Instance.__post_init__")}),
+    ("find_hamiltonian_cycle", "find_hamiltonian_cycle", {("pipeline.py", "_run_stages")}),
+]
+
+
+@pytest.mark.parametrize("name, definition, callers", CERTIFICATE_CHECKERS,
+                         ids=[c[0] for c in CERTIFICATE_CHECKERS])
+def test_each_certificate_is_checked_where_it_is_built(name, definition, callers):
+    assert _callers(name, definition) == callers
+
+
+def test_only_compute_two_factor_validates_a_two_factor():
+    src = Path(fvskit.__file__).parent
+    calls = set()
     for path in sorted(src.glob("*.py")):
-        for scope in _unchecked_references(ast.parse(path.read_text())):
-            callers.add((path.name, scope))
-    assert callers == UNCHECKED_CALLERS
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls.update((path.name, fn.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Attribute)
+                             and node.func.attr == "validate")
+    assert calls == {("pipeline.py", "compute_two_factor")}
 
 
 # What proves or tests planarity. textio may reach it only through
 # PlanarityProof, so reduce and verify run one proof of the same shape.
-PLANARITY_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneGraph",
-                        "PlaneBuilder"}
+PLANARITY_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneBuilder"}
 
 
 def test_textio_reaches_planarity_only_through_planarity_proof():

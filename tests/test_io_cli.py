@@ -12,7 +12,7 @@ import pytest
 import fvskit
 from fvskit import solvers
 from fvskit.cli import main
-from fvskit.graph import Instance
+from fvskit.graph import GraphError, Instance
 from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
 from fvskit.textio import (
@@ -80,6 +80,16 @@ class TestParse:
     def test_bad_witness(self):
         with pytest.raises(FormatError, match="not a Hamiltonian cycle"):
             parse_graph("p fvs 3 2\ne 1 2\ne 2 3\nh 1 2 3\n")
+
+    def test_bad_witness_names_its_line(self):
+        with pytest.raises(FormatError) as info:
+            parse_graph("p fvs 4 4\nh 1 3 2 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n")
+        assert str(info.value) == "line 2: witness is not a Hamiltonian cycle"
+        assert info.value.line == 2
+
+    def test_negative_k_with_valid_witness_is_a_graph_error(self):
+        with pytest.raises(GraphError, match="budget k must be non-negative"):
+            parse_graph("p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\nh 1 2 3\n", k=-1)
 
     def test_unknown_line(self):
         with pytest.raises(FormatError, match="unknown line type"):
@@ -241,10 +251,22 @@ class TestCli:
     def test_witness_out(self, tmp_path):
         inp = self._write_input(tmp_path)
         wout = str(tmp_path / "wit.txt")
+        out = str(tmp_path / "o.fvs")
         assert main(["reduce", inp, "--target", "4reg-planar-ham",
-                     "-o", str(tmp_path / "o.fvs"), "--witness-out", wout,
-                     "--k", "1"]) == 0
-        assert open(wout).read().startswith("h ")
+                     "-o", out, "--witness-out", wout, "--k", "1"]) == 0
+        h_lines = [line for line in open(out).read().splitlines() if line.startswith("h ")]
+        assert h_lines == [open(wout).read().rstrip("\n")]
+        assert open(wout).read().endswith("\n")
+
+    def test_negative_k_exits_3_with_a_valid_witness(self, tmp_path, capsys):
+        inp = self._write_input(tmp_path, C3_TEXT + "h 1 2 3\n")
+        assert main(["reduce", inp, "--target", "4reg-planar", "--k", "-1"]) == 3
+        assert "budget k must be non-negative" in capsys.readouterr().err
+
+    def test_bad_witness_exits_2_with_its_line(self, tmp_path, capsys):
+        inp = self._write_input(tmp_path, C3_TEXT + "h 1 2 2\n")
+        assert main(["reduce", inp, "--target", "4reg-planar"]) == 2
+        assert "line 6: witness is not a Hamiltonian cycle" in capsys.readouterr().err
 
     def test_solve(self, tmp_path, capsys):
         inp = self._write_input(tmp_path)

@@ -7,7 +7,6 @@ from fvskit.graph import (
     HamCycleWitness,
     Instance,
     PlaneBuilder,
-    PlaneGraph,
     TraceStep,
     check_regular,
     faces,
@@ -156,7 +155,8 @@ class TestMerge:
         out = state.builder.freeze()
         assert case == 1
         assert state.builder.k == 3 + 4  # one bridging L gadget
-        assert len(state.two_factor().components) == 1
+        assert len(state.members) == 1
+        assert HamCycleWitness(state.cycle()).is_valid_for(out)
         assert check_regular(out, 4)
         assert check_planarity(out)[0]
 
@@ -169,7 +169,8 @@ class TestMerge:
         out = state.builder.freeze()
         assert case == 2
         assert state.builder.k == 3 + 8  # the spare edge threads through two L gadgets
-        assert len(state.two_factor().components) == 1
+        assert len(state.members) == 1
+        assert HamCycleWitness(state.cycle()).is_valid_for(out)
         assert check_regular(out, 4)
         assert check_planarity(out)[0]
 
@@ -247,10 +248,10 @@ class TestPlaneEmbedding:
         state = _merge_state(name)
         b = state.builder
         merges = 0
-        while len(state.heads) > 1:
+        while len(state.members) > 1:
             merge_step(state)
             merges += 1
-            walks = faces(PlaneGraph(b.freeze(), b.rotation))
+            walks = faces(b.freeze(), b.rotation)
             assert len(walks) == b.n_faces
             walked = {frozenset(zip(w, w[1:] + w[:1])) for w in walks}
             indexed = {}

@@ -78,7 +78,7 @@ def _oracle_corpus():
     yield "empty", Graph()
     yield "isolated", Graph(range(1, 6))
     yield "path", path_graph(9)
-    yield "star+path", Graph.from_edges([(1, 2), (1, 3), (1, 4), (5, 6), (6, 7)], (8,))
+    yield "star+path", Graph(range(1, 9), [(1, 2), (1, 3), (1, 4), (5, 6), (6, 7)])
     yield "k4+c5", Graph.from_edges(
         list(complete_graph(4).edges) + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     )
