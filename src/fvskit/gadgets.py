@@ -201,7 +201,7 @@ def _separates(g: Graph, deleted, s, t) -> bool:
     kept = g.vertices - set(deleted)
     if s not in kept or t not in kept:
         return False
-    return t not in reachable({v: g.neighbors(v) & kept for v in kept}, s)
+    return t not in reachable({v: kept.intersection(g.adjacency[v]) for v in kept}, s)
 
 
 def verify_insertion_equivalence(host: Graph, gadget: Gadget, u, v) -> bool:

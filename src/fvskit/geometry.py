@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from .graph import Graph, to_networkx
+from .graph import Graph, sorted_edges, to_networkx
 
 
 class GeometryError(ValueError):
@@ -125,7 +125,7 @@ class GridEmbedding:
                 raise GeometryError(f"vertex {v} at ({x}, {y}) outside grid")
         if len(set(self.coords.values())) != n:
             raise GeometryError("coords must be pairwise distinct")
-        edges = sorted(g.edges)
+        edges = sorted_edges(g)
         segs = [(self.coords[u], self.coords[v]) for u, v in edges]
         for i, j in _box_pairs(segs):
             e, f = edges[i], edges[j]
@@ -237,7 +237,7 @@ def _slanted_slopes(eps):
 
 
 def _drawn_segments(emb: GridEmbedding):
-    return [(emb.coords[e[0]], emb.coords[e[1]], ("edge", e)) for e in sorted(emb.graph.edges)]
+    return [(emb.coords[e[0]], emb.coords[e[1]], ("edge", e)) for e in sorted_edges(emb.graph)]
 
 
 def _route_segments(routes):
@@ -369,7 +369,7 @@ def emit_svg(emb: GridEmbedding, routes, path):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w + s}" height="{h + s}">'
     ]
-    for e in sorted(emb.graph.edges):
+    for e in sorted_edges(emb.graph):
         a, b = emb.coords[e[0]], emb.coords[e[1]]
         parts.append(
             f'<line x1="{pt(a).split(",")[0]}" y1="{pt(a).split(",")[1]}" '

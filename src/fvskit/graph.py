@@ -6,6 +6,7 @@ witnesses and 2-factors."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import networkx as nx
@@ -19,104 +20,92 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def _checked_edges(edges, vs):
-    for u, v in edges:
-        if u == v:
-            raise GraphError(f"self-loop at {u}")
-        if u not in vs or v not in vs:
-            raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
-        yield (u, v) if u < v else (v, u)
-
-
 class Graph:
-    """Simple undirected graph with stable opaque integer vertex ids.
+    """Simple undirected graph with stable opaque integer vertex ids, stored
+    as its adjacency rows (each vertex's neighbours as a sorted tuple), m and
+    next_id; vertices and edges are derived from the rows.
 
     Instances are immutable; every operation returns a new graph. Fresh ids
     come from a monotone counter so that traces replay deterministically.
     """
 
-    __slots__ = ("vertices", "edges", "next_id", "_adj")
+    __slots__ = ("adjacency", "m", "next_id")
 
     def __init__(self, vertices=(), edges=(), next_id=None):
-        vs = frozenset(vertices)
-        es = frozenset(_checked_edges(edges, vs))
+        rows = {v: set() for v in frozenset(vertices)}
+        for u, v in edges:
+            if u == v:
+                raise GraphError(f"self-loop at {u}")
+            if u not in rows or v not in rows:
+                raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
+            rows[u].add(v)
+            rows[v].add(u)
         if next_id is None:
-            next_id = max(vs, default=-1) + 1
-        elif vs and next_id <= max(vs):
+            next_id = max(rows, default=-1) + 1
+        elif rows and next_id <= max(rows):
             raise GraphError("next_id collides with existing vertex ids")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
+        adj = {v: tuple(sorted(ns)) for v, ns in rows.items()}
+        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "m", sum(map(len, adj.values())) // 2)
         object.__setattr__(self, "next_id", next_id)
-        object.__setattr__(self, "_adj", None)
 
     @classmethod
-    def _unchecked(cls, vertices: frozenset, edges: frozenset, next_id: int) -> Graph:
-        """A Graph on parts that its caller has already checked: edges are
-        normalised pairs u < v of distinct vertices, and next_id exceeds
-        every vertex. It skips the per-edge checks of Graph(...), which on a
-        dense output cost about as much as building the parts. Only
-        Builder.freeze, whose ops keep the adjacency symmetric, loop-free and
-        closed, and textio.parse_graph, which checks each edge line as it
-        reads it, call it; tests/test_graph.py holds the list."""
+    def _unchecked(cls, rows: dict, m: int, next_id: int) -> Graph:
+        """A Graph on rows its caller has already checked: sorted, symmetric
+        and loop-free, m counting their edges, next_id above every vertex.
+        It skips the per-edge checks of Graph(...), which on a dense output
+        cost about as much as building the rows. Only Builder.freeze, whose
+        ops keep the adjacency symmetric, loop-free and closed, and
+        textio.parse_graph, which checks each edge line as it reads it, call
+        it; tests/test_graph.py holds the list."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "adjacency", rows)
+        object.__setattr__(g, "m", m)
         object.__setattr__(g, "next_id", next_id)
-        object.__setattr__(g, "_adj", None)
         return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((frozenset(self.adjacency), self.m))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
     @classmethod
     def from_edges(cls, edges):
-        vs = set()
-        for u, v in edges:
-            vs.add(u)
-            vs.add(v)
-        return cls(vs, edges)
+        return cls({v for e in edges for v in e}, edges)
+
+    @property
+    def vertices(self):
+        return self.adjacency.keys()
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset((u, w) for u, row in self.adjacency.items() for w in row if u < w)
 
     @property
     def n(self):
-        return len(self.vertices)
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    @property
-    def adjacency(self):
-        adj = object.__getattribute__(self, "_adj")
-        if adj is None:
-            tmp = {v: [] for v in self.vertices}
-            for u, v in self.edges:
-                tmp[u].append(v)
-                tmp[v].append(u)
-            adj = {v: frozenset(ns) for v, ns in tmp.items()}
-            object.__setattr__(self, "_adj", adj)
-        return adj
-
-    def neighbors(self, v):
-        return self.adjacency[v]
+        return len(self.adjacency)
 
     def degree(self, v):
         return len(self.adjacency[v])
 
     def has_edge(self, u, v):
-        return _norm_edge(u, v) in self.edges
+        row = self.adjacency.get(u, ())
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
+
+
+def sorted_edges(g: Graph):
+    """g's edges (u, w), u < w, in sorted order: each vertex's row of larger
+    neighbours, in sorted vertex order."""
+    adj = g.adjacency
+    return [(u, w) for u in sorted(adj) for w in adj[u][bisect_right(adj[u], u):]]
 
 
 class Builder:
@@ -151,9 +140,8 @@ class Builder:
         return v in self._adj.get(u, ())
 
     def freeze(self) -> Graph:
-        adj = self._adj
-        edges = frozenset((u, w) for u, ns in adj.items() for w in ns if u < w)
-        return Graph._unchecked(frozenset(adj), edges, self.next_id)
+        rows = {v: tuple(sorted(ns)) for v, ns in self._adj.items()}
+        return Graph._unchecked(rows, sum(map(len, rows.values())) // 2, self.next_id)
 
     def _record(self, op, k_delta=0, **fields):
         self.k += k_delta
@@ -193,11 +181,10 @@ class Builder:
                 id_map[w] = self.next_id
                 adj[self.next_id] = set()
                 self.next_id += 1
-        for a, b in gadget.graph.edges:
-            ma, mb = id_map[a], id_map[b]
-            if ma != mb:  # u=v R-insertion: the x and y pendant edges both land on u
-                adj[ma].add(mb)
-                adj[mb].add(ma)
+        for a, row in gadget.graph.adjacency.items():
+            ma = id_map[a]
+            # u=v R-insertion: x and y both land on u, and an xy edge would be a loop
+            adj[ma].update(mb for b in row if (mb := id_map[b]) != ma)
         self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v))
         return id_map
 
@@ -367,7 +354,7 @@ def is_connected(g: Graph) -> bool:
 def to_networkx(g: Graph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from(sorted(g.vertices))
-    G.add_edges_from(sorted(g.edges))
+    G.add_edges_from(sorted_edges(g))
     return G
 
 
@@ -431,11 +418,10 @@ def faces(g: Graph, rotation):
     next-edge-in-rotation traversal. Checks that rotation lists exactly g's
     edges at every vertex and that the walks satisfy Euler's formula, so
     the walks prove g itself planar."""
-    adj = g.adjacency
     if rotation.keys() != g.vertices:
         raise GraphError("rotation must cover exactly the vertex set")
     for v, order in rotation.items():
-        if len(order) != len(adj[v]) or set(order) != adj[v]:
+        if tuple(sorted(order)) != g.adjacency[v]:
             raise GraphError(f"rotation at {v} does not match incident edges")
     if not is_connected(g):
         raise GraphError("faces require connected graph")
@@ -476,12 +462,6 @@ class HamCycleWitness:
 
     def is_valid_for(self, g: Graph) -> bool:
         return cycle_cover_error(g, (self.order,)) is None
-
-    def edge_set(self):
-        n = len(self.order)
-        return frozenset(
-            _norm_edge(self.order[i], self.order[(i + 1) % n]) for i in range(n)
-        )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .graph import (
     faces,
     is_connected,
     regularity,
+    sorted_edges,
     to_networkx,
     _norm_edge,
 )
@@ -245,7 +246,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
         raise PipelineError("handshake violation")
     if not deg3:
         out = Instance(g, inst.k)
-        audit = PairingAudit(emb, (), (), (), dict(emb.coords), tuple(sorted(g.edges)), ())
+        audit = PairingAudit(emb, (), (), (), dict(emb.coords), tuple(sorted_edges(g)), ())
         return StageResult("pairing", out, (), _certificate(out), audit)
     pairs = tuple((deg3[i], deg3[i + 1]) for i in range(0, len(deg3), 2))
     eps = pick_epsilon(emb, pairs)
@@ -259,7 +260,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
     coords = {v: tuple(map(int, p)) for v, p in emb.coords.items()}
     # split every crossed drawn edge at its crossing points
     point_vertex = {}
-    for e in sorted(g.edges):
+    for e in sorted_edges(g):
         hits = crossings_on(crossings, ("edge", e))
         tail = e
         for _, c in hits:
@@ -282,7 +283,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
     out = Instance(g, b.k)
     cert = _certificate(out)
     _require(cert.regular == 4, "output not 4-regular")
-    drawn_after = tuple(e for e in sorted(g.edges) if e[0] in coords and e[1] in coords)
+    drawn_after = tuple(e for e in sorted_edges(g) if e[0] in coords and e[1] in coords)
     audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
                          drawn_after, tuple(dissolution))
     return StageResult("pairing", out, tuple(b.steps), cert, audit)
@@ -361,7 +362,7 @@ class MergeState:
         # the latest merged cycle's first two vertices: where cycle() starts
         # its walk and which way it goes
         self.head = tuple(tf.components[0][:2])
-        self.heap = sorted(e for e in g.edges if self.cycle_of[e[0]] != self.cycle_of[e[1]])
+        self.heap = [e for e in sorted_edges(g) if self.cycle_of[e[0]] != self.cycle_of[e[1]]]
 
     def cycle_edges(self, u):
         return sorted(_norm_edge(u, w) for w in self.nb[u])
@@ -531,7 +532,7 @@ def evenize(inst: Instance) -> StageResult:
     if g.n % 2 == 0:
         return StageResult("evenize", inst, (), _certificate(inst))
     C = inst.witness.order
-    a, c = min(inst.witness.edge_set())
+    a, c = min(map(_norm_edge, C, C[1:] + C[:1]))
     b = Builder(g, inst.k, "evenize")
     cmap = b.copy()
     ap, cp = cmap[a], cmap[c]
@@ -630,8 +631,7 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     _require(target_p >= 3, "precondition: target p >= 3 required")
     n, m = inst.graph.n, inst.graph.m
     for _ in range(4, target_p + 1):
-        # a lift joins a K_3n and a pair joined to it and to each other
-        m += 3 * n * n + 3 * n * (3 * n - 1) // 2 + 6 * n + 1
+        m += _lift_edges(n)
         n = 4 * n + 2
         _require(m <= MAX_OUTPUT_EDGES,
                  f"ham-ordered:{target_p} would build more than {MAX_OUTPUT_EDGES} edges")
@@ -643,6 +643,12 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
         _require(check_ore_condition(b, p), f"degree-sum condition failed for p={p}")
     out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order))) if b.steps else inst
     return StageResult("lift", out, tuple(b.steps), _certificate(out, claim_planar=False))
+
+
+def _lift_edges(n):
+    """The edges a lift adds to n vertices: a K_3n joined to them and a pair
+    joined to it and to each other."""
+    return 3 * n * n + 3 * n * (3 * n - 1) // 2 + 6 * n + 1
 
 
 PLANAR_TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham")
@@ -724,20 +730,21 @@ def _run_stages(inst: Instance, target: str) -> list:
     return stages
 
 
-def replay_trace(g: Graph, steps, k: int = 0, *, n_out: int) -> tuple[Graph, int]:
+def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple) -> tuple[Graph, int]:
     """Re-execute recorded steps on g, whose budget is k, through the same
     Builder ops the compiler used. Fresh ids come from the same counter, so
     a faithful trace reproduces the output graph exactly. Every budget delta
     is derived from the op; a recorded step that differs from its replay in
     any field, that cannot be applied, or that would grow the graph beyond
-    the declared output order n_out raises CertificationError naming the
-    stage and step index. Returns the graph and the derived delta."""
+    out, the output's (n, m), raises CertificationError naming the stage and
+    step index. Returns the graph and the derived delta."""
     b = Builder(g, k)
     ys = {}
+    m = g.m
     for i, s in enumerate(steps):
         b.stage = s.stage
         try:
-            _replay_step(b, s, ys, n_out)
+            m = _replay_step(b, s, ys, m, *out)
         except (GraphError, PipelineError) as exc:
             raise CertificationError(f"stage {s.stage} step {i}: {exc}") from None
         derived = b.steps[-1]
@@ -751,37 +758,43 @@ def replay_trace(g: Graph, steps, k: int = 0, *, n_out: int) -> tuple[Graph, int
     return b.freeze(), b.k - k
 
 
-def _replay_step(b: Builder, s, ys, n_out):
+def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
+    """Apply step s to b, which has m edges; returns the edges after it."""
     # Strip runs first and only shrinks the graph; every other op only grows
-    # it, so a faithful trace never needs more than n_out vertices for them.
-    def room(grow):
-        _require(b.n + grow <= n_out,
-                 f"{s.op} would grow the graph to {b.n + grow} vertices, "
-                 f"beyond the declared output n={n_out}")
+    # it, by a size known before the op runs, so a faithful trace never
+    # needs more than the output's n vertices and m edges for them.
+    def room(dn, dm):
+        _require(b.n + dn <= n_out and m + dm <= m_out,
+                 f"{s.op} would grow the graph to {b.n + dn} vertices and {m + dm} "
+                 f"edges, beyond the output's {n_out} and {m_out}")
+        return m + dm
 
     if s.op == "subdivide":
         _require(s.edge is not None, "subdivide names no edge")
-        room(1)
+        m = room(1, 1)
         b.subdivide(s.edge)
     elif s.op == "insert":
         _require(len(s.attach) == 2, "insert names no attachment pair")
         if s.gadget == "Y":
-            # a Y_p insertion only ever lands in a p-regular graph, so p < n
-            _require(s.p is not None and s.p < b.n, f"Y_p with p={s.p} on {b.n} vertices")
-            if s.p not in ys:
-                ys[s.p] = build_gadget("Y", s.p)
-            gadget = ys[s.p]
+            # a Y_p insertion only ever lands in a p-regular graph, so p < n;
+            # Y_p adds 2p + 2 vertices and p^2 + 2p + 2 edges
+            p = s.p
+            _require(p is not None and p < b.n, f"Y_p with p={p} on {b.n} vertices")
+            m = room(2 * p + 2, p * p + 2 * p + 2)
+            gadget = ys[p] = ys.get(p) or build_gadget("Y", p)
         else:
             gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)
-        room(gadget.graph.n - 2)
+            m = room(gadget.graph.n - 2, gadget.graph.m)
         b.insert(gadget, *s.attach)
     elif s.op == "copy":
-        room(b.n)
+        m = room(b.n, m)
         b.copy()
     elif s.op == "lift":
-        room(3 * b.n + 2)
+        m = room(3 * b.n + 2, _lift_edges(b.n))
         b.lift()
     elif s.op == "strip":
         b.strip()
+        m = sum(map(b.degree, b.vertices)) // 2
     else:
         raise PipelineError(f"unknown trace op {s.op!r}")
+    return m

@@ -38,7 +38,7 @@ def is_fvs(g: Graph, deleted) -> bool:
     if not deleted <= g.vertices:
         raise GraphError("deleted set must be a subset of the vertices")
     kept = g.vertices - deleted
-    adj = {v: {w for w in g.neighbors(v) if w in kept} for v in kept}
+    adj = {v: kept.intersection(g.adjacency[v]) for v in kept}
     # a forest peels away completely under degree <= 1 stripping
     _strip_adjacency(adj)
     return not adj
@@ -47,10 +47,7 @@ def is_fvs(g: Graph, deleted) -> bool:
 def _bit_order(g: Graph):
     verts = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for u, v in g.edges:
-        masks[idx[u]] |= 1 << idx[v]
-        masks[idx[v]] |= 1 << idx[u]
+    masks = [sum(1 << idx[w] for w in g.adjacency[v]) for v in verts]
     return verts, masks
 
 
@@ -290,8 +287,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     seconds have passed, naming the nodes searched and the bounds on the
     optimum known at the top level by then."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    adj0 = {v: set(ns) for v, ns in g.adjacency.items()}
-    greedy = _greedy_fvs(adj0)
+    greedy = _greedy_fvs(g.adjacency)
     progress = _Progress(0, len(greedy))
 
     def check_budget():
@@ -386,7 +382,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         return best
 
     # the greedy set has size < ub, so solve never returns None here
-    best = solve(adj0, frozenset(), len(greedy) + 1, top=True)
+    best = solve(g.adjacency, frozenset(), len(greedy) + 1, top=True)
     assert is_fvs(g, best)
     return FvsSolution(frozenset(best), True, "branch-reduce")
 
@@ -402,8 +398,9 @@ def check_planarity(g: Graph):
 
 
 def _ham_search(adj, start, required):
-    """Backtracking search for a Hamiltonian cycle from start that visits the
-    vertices of `required` in order. Returns the cycle or None."""
+    """Backtracking search over adj (each vertex's sorted neighbours) for a
+    Hamiltonian cycle from start that visits `required` in order, trying
+    neighbours in sorted order. Returns the cycle or None."""
     n = len(adj)
     req_set = set(required)
     states = 0
@@ -424,7 +421,7 @@ def _ham_search(adj, start, required):
                 return path
             options = []
         else:
-            options = sorted(adj[v] - visited)
+            options = [w for w in adj[v] if w not in visited]
             if nxt is not None and nxt in adj[v]:
                 options.remove(nxt)
                 options.insert(0, nxt)
@@ -453,9 +450,7 @@ def find_hamiltonian_cycle(g: Graph):
     """Some Hamiltonian cycle as a witness, or None."""
     if g.n < 3:
         return None
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    start = min(g.vertices)
-    order = _ham_search(adj, start, ())
+    order = _ham_search(g.adjacency, min(g.vertices), ())
     return HamCycleWitness(tuple(order)) if order else None
 
 
@@ -465,7 +460,6 @@ def check_ham_ordered(g: Graph, p: int):
     verts = sorted(g.vertices)
     if p > len(verts):
         raise SolverError("p exceeds the number of vertices")
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
     cache = {}
 
     def ordered_ok(tup):
@@ -473,7 +467,7 @@ def check_ham_ordered(g: Graph, p: int):
         rots = [tup[i:] + tup[:i] for i in range(len(tup))]
         canon = min(rots)
         if canon not in cache:
-            order = _ham_search(adj, canon[0], canon[1:])
+            order = _ham_search(g.adjacency, canon[0], canon[1:])
             cache[canon] = order is not None
         return cache[canon]
 

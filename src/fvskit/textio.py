@@ -5,8 +5,11 @@ therefore checkable by a third party."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections import defaultdict
 
-from .graph import Graph, GraphError, HamCycleWitness, Instance, TraceStep, check_regular, _is_int
+from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, check_regular,
+                    sorted_edges, _is_int)
 from .pipeline import (
     MAX_OUTPUT_EDGES,
     CertificationError,
@@ -28,7 +31,8 @@ class FormatError(ValueError):
 def parse_graph(text: str, k: int = 0) -> Instance:
     """Read the line-based graph format. One pass checks each edge line as
     it reads it (endpoints in 1..n, no self-loop, no repeat), so the Graph
-    is built from the checked parts without a second check. An endpoint
+    is built from the checked rows without a second check; each vertex's
+    neighbour set becomes its sorted row as it is popped. An endpoint
     string goes through int() and the range check once, at its first
     sighting; ids then maps it to that int, so later lines skip both and
     reuse its int object. The table holds only the spellings that occur,
@@ -38,7 +42,7 @@ def parse_graph(text: str, k: int = 0) -> Instance:
     Instance; a failure is reported on its h line."""
     n = m = None
     ids = {}
-    edges = set()
+    rows = defaultdict(set)
     witness = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split()
@@ -60,10 +64,11 @@ def parse_graph(text: str, k: int = 0) -> Instance:
                 u, v = ids.setdefault(tok[1], u), ids.setdefault(tok[2], v)
             if u == v:
                 raise FormatError("self-loop", ln)
-            size = len(edges)
-            edges.add((u, v) if u < v else (v, u))
-            if len(edges) == size:
+            row = rows[u]
+            if v in row:
                 raise FormatError("duplicate edge", ln)
+            row.add(v)
+            rows[v].add(u)
         elif tok[0].startswith("c"):
             continue
         elif tok[0] == "p":
@@ -93,9 +98,11 @@ def parse_graph(text: str, k: int = 0) -> Instance:
             raise FormatError(f"unknown line type {tok[0]!r}", ln)
     if n is None:
         raise FormatError("missing header")
-    if len(edges) != m:
-        raise FormatError(f"header announces {m} edges, found {len(edges)}")
-    g = Graph._unchecked(frozenset(range(1, n + 1)), frozenset(edges), n + 1 if n else 0)
+    count = sum(map(len, rows.values())) // 2
+    if count != m:
+        raise FormatError(f"header announces {m} edges, found {count}")
+    adj = {v: tuple(sorted(rows.pop(v, ()))) for v in range(1, n + 1)}
+    g = Graph._unchecked(adj, m, n + 1 if n else 0)
     w = None if witness is None else HamCycleWitness(witness[0])
     try:
         return Instance(g, k, w)
@@ -119,18 +126,18 @@ def witness_line(inst: Instance) -> str:
 
 def write_graph(inst: Instance) -> str:
     """Canonical text form: vertices renumbered 1..n in sorted id order,
-    edges in sorted order. Each vertex's sorted row of larger neighbours
-    gives its edges in that order, so the m edges are never sorted as
-    pairs."""
+    edges in sorted order. The tail of each vertex's sorted row past the
+    vertex itself gives its edges in that order, so nothing is sorted but
+    the vertices."""
     g = inst.graph
     name = _file_names(g)
     adj = g.adjacency
     lines = [f"p fvs {g.n} {g.m}"]
     for u, nu in name.items():
-        row = sorted(w for w in adj[u] if w > u)
-        if row:
+        larger = adj[u][bisect_right(adj[u], u):]
+        if larger:
             head = f"e {nu} "
-            lines.append(head + ("\n" + head).join([name[w] for w in row]))
+            lines.append(head + ("\n" + head).join([name[w] for w in larger]))
     if inst.witness is not None:
         lines.append(witness_line(inst))
     return "\n".join(lines) + "\n"
@@ -150,7 +157,7 @@ def trace_to_json(result: PipelineResult) -> dict:
             "n": gin.n,
             "m": gin.m,
             "k": result.input.k,
-            "edges": [list(e) for e in sorted(gin.edges)],
+            "edges": [list(e) for e in sorted_edges(gin)],
         },
         "stages": [
             {
@@ -169,21 +176,21 @@ def trace_dumps(result: PipelineResult) -> str:
     return json.dumps(trace_to_json(result), indent=2, sort_keys=True) + "\n"
 
 
-def _edges_on_1_to_n(g: Graph):
-    """g's edge set with its vertices renumbered 1..n in order. The order is
-    kept, so normalised edges stay normalised; a graph already on 1..n, as
-    every parsed one is, is returned as it is."""
-    if not g.vertices or (min(g.vertices) == 1 and max(g.vertices) == g.n):
-        return g.edges
-    relabel = {v: i for i, v in enumerate(sorted(g.vertices), 1)}
-    return {(relabel[a], relabel[b]) for a, b in g.edges}
+def _same_on_1_to_n(g: Graph, h: Graph) -> bool:
+    """Whether g, renumbered 1..n in sorted id order, is h, a graph on 1..n.
+    The renumbering keeps the order, so each row stays sorted."""
+    adj, rows = g.adjacency, h.adjacency
+    if adj.keys() == rows.keys() or len(adj) != len(rows):
+        return adj == rows
+    name = dict(zip(sorted(adj), range(1, len(adj) + 1)))
+    return all(rows[name[v]] == tuple(map(name.__getitem__, row)) for v, row in adj.items())
 
 
 def _load_trace(trace: dict):
     """Check the shape of a trace JSON; returns (input graph, input k,
     stages as (name, steps, k_after, certified), output (n, m, k)). An
     input n above MAX_OUTPUT_EDGES is refused before the vertex set is
-    built, as parse_graph refuses such a header."""
+    built, as parse_graph refuses such a header; input m must count edges."""
 
     def integer(x, what):
         if not _is_int(x):
@@ -196,6 +203,8 @@ def _load_trace(trace: dict):
         if n > MAX_OUTPUT_EDGES:
             raise FormatError(f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices")
         g = Graph(range(1, n + 1), [tuple(e) for e in inp["edges"]])
+        if integer(inp["m"], "input m") != g.m:
+            raise FormatError(f"trace JSON: input m disagrees with its {g.m} edges")
         k = integer(inp["k"], "input k")
         stages = []
         for st in trace["stages"]:
@@ -222,15 +231,20 @@ def _load_trace(trace: dict):
 
 def verify_trace(out_inst: Instance, trace: dict) -> None:
     """Replay a trace JSON against the claimed output; raises on any
-    certificate mismatch. The ledger is rebuilt from the replayed ops
-    alone: recorded k_delta values are compared, never added. One
-    PlanarityProof over the replayed stages proves every planarity claim.
-    The output's witness was checked when out_inst was built."""
+    certificate mismatch. The trace's output summary must match the output
+    before any step runs, and no step may grow the graph past it. The
+    ledger is rebuilt from the replayed ops alone: recorded k_delta values
+    are compared, never added. One PlanarityProof over the replayed stages
+    proves every planarity claim. The output's witness was checked when
+    out_inst was built."""
     g, k, stages, out_decl = _load_trace(trace)
+    out = out_inst.graph
+    if out_decl != (out.n, out.m, out_inst.k):
+        raise CertificationError("trace output summary disagrees with the output")
     proof = PlanarityProof(g, (bool(cert.get("planar")) for *_, cert in stages))
     for name, steps, k_after, cert in stages:
         g_in = g
-        g, dk = replay_trace(g, steps, k, n_out=out_decl[0])
+        g, dk = replay_trace(g, steps, k, out=(out.n, out.m))
         k += dk
         if k != k_after:
             raise CertificationError(
@@ -245,11 +259,7 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
             raise CertificationError(f"stage {name}: even-order claim fails")
     if (g.n, g.m, k) != out_decl:
         raise CertificationError("trace output summary disagrees with replay")
-    if k != out_inst.k:
-        raise CertificationError(
-            f"output budget {out_inst.k} disagrees with replayed ledger {k}"
-        )
-    if g.n != out_inst.graph.n or _edges_on_1_to_n(g) != _edges_on_1_to_n(out_inst.graph):
+    if not _same_on_1_to_n(g, out):
         raise CertificationError("replayed graph differs from output graph")
     if stages and stages[-1][3].get("witness") and out_inst.witness is None:
         raise CertificationError("trace claims a witness but output has none")

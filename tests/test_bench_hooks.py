@@ -26,3 +26,21 @@ def test_every_traced_target_resolves():
         if not callable(getattr(importlib.import_module(f"fvskit.{m}"), a, None))
     ]
     assert missing == []
+
+
+def test_traced_graph_construction_counts_its_edges():
+    # the tracer wraps Graph.__init__ and reads len(g.edges), which the
+    # Graph derives from its rows
+    from fvskit.graph import Graph
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracer.install()
+    try:
+        g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 1), (2, 1)])
+    finally:
+        tracing.uninstall(patches)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert g.m == 3
+    assert metrics["graph.construct.calls"] == 1
+    assert metrics["graph.construct.edges"] == 3

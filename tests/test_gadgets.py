@@ -39,6 +39,7 @@ class TestConstruction:
             assert (gad.graph.n, gad.graph.m, gad.k_delta) == (n, m, kd)
 
     def test_y_sizes(self):
+        # replay bounds a Y_p insert by these sizes before it builds Y_p
         for p in (3, 4, 5, 6):
             gad = build_gadget("Y", p)
             assert gad.graph.n == 2 * p + 4

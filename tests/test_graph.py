@@ -54,6 +54,32 @@ class TestGraphBasics:
             Graph([0, 5], [(0, 5)], next_id=3)
 
 
+# A Graph is its sorted adjacency rows, with m and next_id; vertices and
+# edges are derived from the rows.
+MODEL_GRAPHS = [Graph(), cycle_graph(5), c4k1(), complete_graph(5), path_graph(4),
+                Graph([1, 9, 30], [(30, 1)]), subdivide_edge(cube_graph(), (1, 2))[0]]
+
+
+class TestDataModel:
+    @pytest.mark.parametrize("g", MODEL_GRAPHS)
+    def test_every_row_is_a_sorted_tuple(self, g):
+        for row in g.adjacency.values():
+            assert type(row) is tuple and list(row) == sorted(set(row))
+
+    @pytest.mark.parametrize("g", MODEL_GRAPHS)
+    def test_m_counts_the_derived_edges(self, g):
+        assert g.m == len(g.edges)
+        assert g.vertices == g.adjacency.keys()
+
+    def test_edge_order_and_repeats_do_not_matter(self):
+        assert Graph([1, 2, 3], [(2, 1), (1, 2), (3, 2)]) == Graph.from_edges([(1, 2), (2, 3)])
+
+    def test_has_edge_on_absent_vertex(self):
+        g = cycle_graph(3)
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert not g.has_edge(7, 1) and not g.has_edge(1, 7)
+
+
 class TestSubdivide:
     def test_k3_becomes_c4(self):
         g, w = subdivide_edge(cycle_graph(3), (1, 2))
@@ -251,6 +277,12 @@ def _callers(name, definition):
 
 def test_only_freeze_and_parse_graph_skip_the_edge_checks():
     assert _callers("_unchecked", "Graph._unchecked") == UNCHECKED_CALLERS
+    # each hands over the three stored parts: rows, m and next_id
+    src = Path(fvskit.__file__).parent
+    calls = [node for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_unchecked"]
+    assert len(calls) == 2 and all(len(c.args) == 3 and not c.keywords for c in calls)
 
 
 # The one cycle-cover check is reached only where a cycle certificate is

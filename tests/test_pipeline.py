@@ -490,7 +490,7 @@ class TestReplay:
         inp = Instance(cycle_graph(3), 1)
         res = run_pipeline(inp, "4reg-planar-ham")
         steps = [s for sr in res.stages for s in sr.steps]
-        g, dk = replay_trace(inp.graph, steps, n_out=res.instance.graph.n)
+        g, dk = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
         assert g == res.instance.graph
         assert inp.k + dk == res.instance.k
 
@@ -498,11 +498,11 @@ class TestReplay:
         inp = Instance(octahedron_graph(), 0)
         res = run_pipeline(inp, "ham-ordered:5")
         steps = [s for sr in res.stages for s in sr.steps]
-        g, dk = replay_trace(inp.graph, steps, n_out=res.instance.graph.n)
+        g, dk = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
         assert g == res.instance.graph and dk == res.instance.k
 
     def test_unknown_op(self):
         from fvskit.graph import TraceStep
 
         with pytest.raises(PipelineError, match="unknown trace op"):
-            replay_trace(cycle_graph(3), [TraceStep("x", "teleport", 0)], n_out=3)
+            replay_trace(cycle_graph(3), [TraceStep("x", "teleport", 0)], out=(3, 3))

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from fvskit.cli import EXIT_PRECONDITION, main
 from fvskit.gadgets import build_gadget
-from fvskit.graph import Builder, Graph
+from fvskit.graph import Builder, Graph, Instance
+from fvskit.textio import parse_graph, write_graph
 
 from conftest import bull_free_random, c4k1, cube_graph, cycle_graph, path_graph
 
@@ -89,3 +90,8 @@ def test_builder_ops_keep_freeze_trustworthy(start, ops):
         edges = [(u, w) for u, ns in b._adj.items() for w in ns]
         checked = Graph(b.vertices, edges, b.next_id)
         assert g == checked and g.next_id == checked.next_id
+        # the written and parsed graph has the frozen rows, renumbered 1..n
+        name = {v: i for i, v in enumerate(sorted(g.vertices), 1)}
+        parsed = parse_graph(write_graph(Instance(g, 0))).graph
+        assert parsed.adjacency == {name[v]: tuple(name[w] for w in row)
+                                    for v, row in g.adjacency.items()}

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from fvskit import pipeline
 from fvskit.cli import main
 from fvskit.graph import Builder, Graph, Instance, TraceStep
 from fvskit.pipeline import GADGETS, ClassCertificate, PipelineResult, StageResult, replay_trace
@@ -71,18 +72,24 @@ def mutants(doc):
             m = copy.deepcopy(doc)
             m["stages"][si]["k_after"] = new
             yield f"stage {si} k_after={new}", m
-    for field in ("n", "m", "k"):
-        for new in _field_mutants(doc["output"][field]):
+    for part in ("input", "output"):
+        for field in ("n", "m", "k"):
+            for new in _field_mutants(doc[part][field]):
+                m = copy.deepcopy(doc)
+                m[part][field] = new
+                yield f"{part} {field}={new}", m
+    for i, edge in enumerate(doc["input"]["edges"]):
+        for new in _field_mutants(edge):
             m = copy.deepcopy(doc)
-            m["output"][field] = new
-            yield f"output {field}={new}", m
+            m["input"]["edges"][i] = new
+            yield f"input edge {i}={new!r}", m
 
 
 def _replay(doc):
     inp = doc["input"]
     g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
     steps = [TraceStep.from_json(st["name"], d) for st in doc["stages"] for d in st["steps"]]
-    g, dk = replay_trace(g, steps, inp["k"], n_out=doc["output"]["n"])
+    g, dk = replay_trace(g, steps, inp["k"], out=(doc["output"]["n"], doc["output"]["m"]))
     return g, inp["k"] + dk
 
 
@@ -105,7 +112,9 @@ def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
 @pytest.mark.parametrize("change", ["moved", "added", "dropped"])
 def test_output_edge_mutants_are_rejected(artifact, capsys, change):
     # the output must be exactly the replayed graph; the changed edges stay
-    # off the witness cycle, so the mutant output still parses
+    # off the witness cycle, so the mutant output still parses. An added or
+    # dropped edge changes m, which the trace's output summary catches
+    # before any step runs
     tmp, out, doc = artifact
     inst = parse_graph(out.read_text(), k=doc["output"]["k"])
     order = inst.witness.order
@@ -122,7 +131,9 @@ def test_output_edge_mutants_are_rejected(artifact, capsys, change):
     path.write_text(write_graph(Instance(Graph(inst.graph.vertices, edges), inst.k, inst.witness)))
     capsys.readouterr()
     assert _verify(tmp, path, doc) == 4
-    assert "replayed graph differs from output graph" in capsys.readouterr().err
+    expected = ("replayed graph differs from output graph" if change == "moved"
+                else "trace output summary disagrees with the output")
+    assert expected in capsys.readouterr().err
 
 
 def test_zeroed_deltas_are_rejected(tmp_path, capsys):
@@ -184,6 +195,34 @@ class TestMalformedTraces:
     def test_trace_not_an_object(self, artifact):
         tmp, out, _ = artifact
         assert _verify(tmp, out, "[1, 2]") == 2
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_input_m_disagrees_with_edges(self, artifact, capsys, delta):
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        doc["input"]["m"] += delta
+        capsys.readouterr()
+        assert _verify(tmp, out, doc) == 2
+        assert "input m disagrees with its 3 edges" in capsys.readouterr().err
+
+    def test_y_gadget_beyond_the_output_is_never_built(self, artifact, monkeypatch, capsys):
+        # a Y_10 in place of the last insert fits the graph (p < n) but not
+        # the output: its 22 vertices and 122 edges are refused before
+        # build_gadget runs
+        tmp, out, doc = artifact
+        doc = copy.deepcopy(doc)
+        stage = max(i for i, st in enumerate(doc["stages"])
+                    if any(s["op"] == "insert" for s in st["steps"]))
+        steps = doc["stages"][stage]["steps"]
+        j = max(i for i, s in enumerate(steps) if s["op"] == "insert")
+        steps[j]["gadget"], steps[j]["p"] = "Y", 10
+        built = []
+        monkeypatch.setattr(pipeline, "build_gadget", lambda *a: built.append(a))
+        capsys.readouterr()
+        assert _verify(tmp, out, doc) == 4
+        err = capsys.readouterr().err
+        assert f"step {j}: insert would grow the graph" in err and "beyond the output's" in err
+        assert built == []
 
 
 @pytest.mark.parametrize("extra", [1, 3])
@@ -260,3 +299,31 @@ def test_planar_claim_over_subdivide_and_r_insert(tmp_path, capsys, base, attach
     assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
     if rc:
         assert "stage pairing: planarity claim fails" in capsys.readouterr().err
+
+
+def test_padded_output_stops_replay_at_first_lift(tmp_path, monkeypatch, capsys):
+    # a triangle padded with isolated vertices to p fvs 1000 3, and a trace
+    # whose summary matches it and whose four consistent lifts would replay
+    # to 938 vertices and about 650 000 edges: the first lift's K_9 join
+    # alone outgrows the output's 3 edges, so no lift runs
+    inp, out, tr = tmp_path / "in.fvs", tmp_path / "out.fvs", tmp_path / "trace.json"
+    inp.write_text(TRIANGLE)
+    assert main(["reduce", str(inp), "--target", "ham-ordered:4",
+                 "-o", str(out), "--trace", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    stage = doc["stages"][-1]
+    n = 4 * 3 + 2
+    for _ in range(3):
+        stage["steps"].append(dict(stage["steps"][-1], k_delta=3 * n))
+        stage["k_after"] += 3 * n
+        n = 4 * n + 2
+    assert n == 938
+    doc["output"] = {"n": 1000, "m": 3, "k": stage["k_after"]}
+    out.write_text(TRIANGLE.replace("p fvs 3 3", "p fvs 1000 3"))
+    lifted = []
+    monkeypatch.setattr(Builder, "lift", lambda self: lifted.append(self.n))
+    capsys.readouterr()
+    assert _verify(tmp_path, out, doc) == 4
+    err = capsys.readouterr().err
+    assert "stage lift step 0: lift would grow the graph to 14 vertices and 85 edges" in err
+    assert lifted == []
