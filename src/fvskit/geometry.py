@@ -109,7 +109,8 @@ def _param_on(p, a, b):
 @dataclass(frozen=True)
 class GridEmbedding:
     """Straight-line crossing-free drawing on the (2n-4) x (n-2) integer
-    grid (for n >= 4; tiny graphs use a fixed 2 x 1 layout)."""
+    grid (for n >= 4; tiny graphs use a fixed 2 x 1 layout). Every vertex is
+    a lattice point, which route_connection relies on."""
 
     graph: Graph
     coords: dict
@@ -121,6 +122,8 @@ class GridEmbedding:
             raise GeometryError("coords must cover exactly the vertex set")
         w, h = max(2 * n - 4, 2), max(n - 2, 1)
         for v, (x, y) in self.coords.items():
+            if not (isinstance(x, int) and isinstance(y, int)):
+                raise GeometryError(f"vertex {v} at ({x}, {y}) is not a lattice point")
             if not (0 <= x <= w and 0 <= y <= h):
                 raise GeometryError(f"vertex {v} at ({x}, {y}) outside grid")
         if len(set(self.coords.values())) != n:
@@ -176,7 +179,13 @@ class RoutedConnection:
 
 def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnection:
     """Waypoints of the channel route from v to v'. Endpoints are normalized
-    into scan order so the two case formulas apply as stated."""
+    into scan order so the two case formulas apply as stated.
+
+    No route point but its two ends is a lattice point, so on a verified
+    drawing a route meets no other vertex. For 0 < eps < 1/3 each inner
+    waypoint has x = i + 1/3 - eps, i - 1/3 - eps or i' - 1/3 + eps, off the
+    lattice, and y = j or j' +- 1/2; the inner segments run straight between
+    such points, and the two end segments change y by exactly 1/2."""
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise GeometryError("epsilon must lie strictly between 0 and 1/3")
@@ -204,18 +213,7 @@ def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnecti
     for p in pts[1:]:
         if p != dedup[-1]:
             dedup.append(p)
-    route = RoutedConnection((v, vp), tuple(dedup), eps)
-    s = _scale(list(dedup) + list(emb.coords.values()))
-    wps = [_scaled(p, s) for p in dedup]
-    ends = {wps[0], wps[-1]}
-    pts = [(w, _scaled(c, s)) for w, c in emb.coords.items()]
-    for a, b in zip(wps, wps[1:]):
-        for w, c in pts:
-            if c in ends and w in route.endpoints and c in (a, b):
-                continue
-            if _cross(a, b, c) == 0 and _on_segment(c, a, b):
-                raise GeometryError("epsilon invalid, re-pick")
-    return route
+    return RoutedConnection((v, vp), tuple(dedup), eps)
 
 
 def _slope(a, b):
@@ -259,8 +257,8 @@ def _primes():
 
 def pick_epsilon(emb: GridEmbedding, pairs=()) -> Fraction:
     """Smallest candidate epsilon = 1/4, 1/5, 1/7, 1/11, ... for which the
-    slanted channel slopes avoid every drawn slope and, when connection
-    pairs are given, the full routing validates with distinct crossings."""
+    slanted channel slopes avoid every drawn slope and the routing of the
+    given connection pairs validates with distinct crossings."""
     drawn = _drawn_segments(emb)
     drawn_slopes = {_slope(a, b) for a, b, _ in drawn}
 
@@ -272,8 +270,6 @@ def pick_epsilon(emb: GridEmbedding, pairs=()) -> Fraction:
     for eps in candidates():
         if _slanted_slopes(eps) & drawn_slopes:
             continue
-        if not pairs:
-            return eps
         try:
             routes = [route_connection(emb, a, b, eps) for a, b in pairs]
             find_crossings(emb, routes)
@@ -343,17 +339,14 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
     return out
 
 
-def crossings_on(crossings, owner):
-    """Crossings involving the given owner, each as (param, crossing),
-    sorted along the owner's geometry."""
-    out = []
+def crossing_index(crossings) -> dict:
+    """Each owner's crossings, sorted along the owner's geometry by their
+    param on it. The two owners of a crossing are distinct objects."""
+    hits = {}
     for c in crossings:
-        if c.owner_a == owner:
-            out.append((c.param_a, c))
-        elif c.owner_b == owner:
-            out.append((c.param_b, c))
-    out.sort(key=lambda pc: pc[0])
-    return out
+        hits.setdefault(c.owner_a, []).append((c.param_a, c))
+        hits.setdefault(c.owner_b, []).append((c.param_b, c))
+    return {owner: [c for _, c in sorted(h, key=lambda pc: pc[0])] for owner, h in hits.items()}
 
 
 def emit_svg(emb: GridEmbedding, routes, path):

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .gadgets import build_gadget, interior_path
 from .geometry import (
-    crossings_on,
+    crossing_index,
     find_crossings,
     grid_embed,
     pick_epsilon,
@@ -257,13 +257,13 @@ def pair_degree_three(inst: Instance) -> StageResult:
             raise PipelineError("routed connections cross each other")
 
     b = Builder(g, inst.k, "pairing")
-    coords = {v: tuple(map(int, p)) for v, p in emb.coords.items()}
+    coords = dict(emb.coords)  # lattice points, as verify requires
+    hits = crossing_index(crossings)
     # split every crossed drawn edge at its crossing points
     point_vertex = {}
     for e in sorted_edges(g):
-        hits = crossings_on(crossings, ("edge", e))
         tail = e
-        for _, c in hits:
+        for c in hits.get(("edge", e), ()):
             w = b.subdivide(tail)
             coords[w] = c.point
             point_vertex[c.point] = w
@@ -271,12 +271,9 @@ def pair_degree_three(inst: Instance) -> StageResult:
     # realize each route as a chain of R gadgets through its crossing points
     dissolution = []
     for ri, route in enumerate(routes):
-        hits = crossings_on(crossings, ("route", ri))
-        chain = [route.endpoints[0]]
-        for _, c in hits:
-            chain.append(point_vertex[c.point])
-        chain.append(route.endpoints[1])
-        dissolution.extend(chain[1:-1])
+        inner = [point_vertex[c.point] for c in hits.get(("route", ri), ())]
+        dissolution.extend(inner)
+        chain = [route.endpoints[0], *inner, route.endpoints[1]]
         for x, y in zip(chain, chain[1:]):
             b.insert(GADGETS["R"], x, y)
     g = b.freeze()
@@ -616,10 +613,12 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
         order = _gadget_round(b, build_gadget("Y", r), order)
         _require(b.n == n * (r + 2), "Y round size mismatch")
         r += 1
-        _require(check_regular(b, r), f"Y round did not reach {r}-regularity")
+        # the output certificate is the only check of the last round
+        _require(r == target_p or check_regular(b, r), f"Y round did not reach {r}-regularity")
     out = Instance(b.freeze(), b.k, HamCycleWitness(order))
-    # the clique gadgets rule out planarity from here on
-    return StageResult("pregular", out, tuple(b.steps), _certificate(out, claim_planar=False))
+    cert = _certificate(out, claim_planar=False)  # the clique gadgets rule out planarity
+    _require(cert.regular == target_p, f"Y round did not reach {target_p}-regularity")
+    return StageResult("pregular", out, tuple(b.steps), cert)
 
 
 def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:

@@ -207,7 +207,8 @@ def _shortest_cycle(adj):
     """A shortest (or near-shortest) cycle as a vertex list, or None.
 
     BFS from every root; the first non-tree edge closing two branches gives
-    a cycle through the root of length dist(u)+dist(w)+1."""
+    a cycle through the root of length dist(u)+dist(w)+1. The two tree paths
+    below their lowest common ancestor are disjoint, so no vertex repeats."""
     best = None
     for root in sorted(adj):
         parent = {root: None}
@@ -230,35 +231,30 @@ def _shortest_cycle(adj):
                         path_w.append(parent[path_w[-1]])
                     path_u.pop()
                     path_w.pop()
-                    # drop the common tail above the lowest common ancestor
-                    while (
-                        len(path_u) > 1
-                        and len(path_w) > 1
-                        and path_u[-1] == path_w[-1]
-                        and path_u[-2] == path_w[-2]
-                    ):
+                    # drop the common tail above the lowest common ancestor;
+                    # both paths end at the root, so their last entries agree
+                    while len(path_u) > 1 and len(path_w) > 1 and path_u[-2] == path_w[-2]:
                         path_u.pop()
                         path_w.pop()
-                    if path_u[-1] != path_w[-1]:
-                        continue  # edge joins two roots' trees oddly; skip
                     cyc = path_u[:-1] + list(reversed(path_w))
-                    if len(set(cyc)) == len(cyc) and (best is None or len(cyc) < len(best)):
+                    if best is None or len(cyc) < len(best):
                         best = cyc
         if best is not None and len(best) == 3:
             return best
     return best
 
 
-def _cycle_packing_lb(adj):
-    """Greedy vertex-disjoint packing of short cycles; each packed cycle
-    forces one deletion."""
+def _cycle_packing(adj):
+    """Greedy vertex-disjoint packing of short cycles, in packing order;
+    each packed cycle forces one deletion. The first is _shortest_cycle(adj),
+    which reads adj only through sorted keys and rows."""
     adj = {v: set(ns) for v, ns in adj.items()}
-    count = 0
+    cycles = []
     while True:
         cyc = _shortest_cycle(adj)
         if cyc is None:
-            return count
-        count += 1
+            return cycles
+        cycles.append(cyc)
         for v in cyc:
             for w in adj.pop(v):
                 adj[w].discard(v)
@@ -323,9 +319,10 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
 
     def solve(adj, forbidden, ub, top=False):
         """Smallest FVS of adj avoiding forbidden with size < ub, else None.
+        Edits adj, a dict of sets that no caller reads again: a branch builds
+        fresh sets, and a component split hands each component its own rows.
         The top call keeps the bounds in progress current."""
         check_budget()
-        adj = {v: set(ns) for v, ns in adj.items()}
         reduce_graph(adj, forbidden)
         # reduced, every vertex left has degree >= 2, so a cycle remains
         if not adj:
@@ -340,10 +337,9 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 comps.append(reachable(adj, v))
                 seen |= comps[-1]
         if len(comps) > 1:
-            subs = [
-                {v: adj[v] & comp for v in comp}
-                for comp in sorted(comps, key=lambda c: (len(c), min(c)))
-            ]
+            # a component holds all its vertices' neighbours: no set is shared
+            comps.sort(key=lambda c: (len(c), min(c)))
+            subs = [{v: adj[v] for v in comp} for comp in comps]
             if top:
                 progress.lower = sum(map(_degree_sum_lb, subs))
             total = set()
@@ -356,18 +352,19 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 remaining -= len(best)
             return total
         lb = _degree_sum_lb(adj)
-        if lb < ub:
-            lb = max(lb, _cycle_packing_lb(adj))
+        cycles = _cycle_packing(adj) if lb < ub else ()
+        lb = max(lb, len(cycles))
         if top:
             progress.lower = lb
         if lb >= ub:
             return None
-        cyc = _shortest_cycle(adj)
-        # every FVS hits cyc: branch on which of its vertices is deleted,
-        # forbidding the earlier ones so branches stay disjoint
+        # lb < ub held before the packing, so it ran on this adj and its
+        # first cycle is _shortest_cycle(adj). Every FVS hits that cycle:
+        # branch on which of its vertices is deleted, forbidding the earlier
+        # ones so branches stay disjoint
         best = None
         extra = set()
-        for v in cyc:
+        for v in cycles[0]:
             if v in forbidden:
                 extra.add(v)
                 continue
@@ -381,8 +378,10 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
             extra.add(v)
         return best
 
-    # the greedy set has size < ub, so solve never returns None here
-    best = solve(g.adjacency, frozenset(), len(greedy) + 1, top=True)
+    # the Graph's rows are tuples: the one copy as sets that solve edits.
+    # The greedy set has size < ub, so solve never returns None here
+    adj = {v: set(ns) for v, ns in g.adjacency.items()}
+    best = solve(adj, frozenset(), len(greedy) + 1, top=True)
     assert is_fvs(g, best)
     return FvsSolution(frozenset(best), True, "branch-reduce")
 

@@ -44,3 +44,24 @@ def test_traced_graph_construction_counts_its_edges():
     assert g.m == 3
     assert metrics["graph.construct.calls"] == 1
     assert metrics["graph.construct.edges"] == 3
+
+
+def test_traced_pairing_reports_its_geometry():
+    # tracing.py reads the denominator of pick_epsilon's Fraction result and
+    # counts route_connection and find_crossings calls made from pairing
+    from conftest import grid_graph
+    from fvskit.graph import Instance
+    from fvskit.pipeline import eliminate_degree_two, pair_degree_three
+
+    inst = eliminate_degree_two(Instance(grid_graph(3, 3), 1)).instance
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracer.install()
+    try:
+        pair_degree_three(inst)
+    finally:
+        tracing.uninstall(patches)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["geometry.epsilon_q"] > 0
+    assert metrics["geometry.route_connection.calls"] > 0
+    assert metrics["geometry.find_crossings.calls"] > 0

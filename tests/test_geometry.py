@@ -1,7 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fvskit.geometry import (
     Crossing,
@@ -11,7 +13,7 @@ from fvskit.geometry import (
     _primes,
     _slanted_slopes,
     _slope,
-    crossings_on,
+    crossing_index,
     find_crossings,
     grid_embed,
     pick_epsilon,
@@ -84,6 +86,19 @@ class TestGridEmbed:
         with pytest.raises(GeometryError, match="distinct"):
             emb.verify()
 
+    def test_verify_catches_off_lattice_vertex(self):
+        # a vertex where the route from 1 to 2 at eps = 1/100 turns: such a
+        # drawing is refused, so routing never has to look for it
+        blocker = (F(2) + F(1, 3) - F(1, 100), F(1, 2))
+        coords = {1: (2, 1), 2: (5, 3), 3: blocker, 4: (0, 0), 5: (6, 0)}
+        emb = GridEmbedding(Graph(coords, []), coords)
+        with pytest.raises(GeometryError, match="not a lattice point"):
+            emb.verify()
+        # coordinates are ints, as grid_embed makes them
+        emb = GridEmbedding(Graph([1, 2], []), {1: (F(2), 1), 2: (2, 0)})
+        with pytest.raises(GeometryError, match="not a lattice point"):
+            emb.verify()
+
 
 def _bare(coords):
     return GridEmbedding(Graph(coords.keys(), []), coords)
@@ -123,11 +138,28 @@ class TestRouting:
             with pytest.raises(GeometryError, match="between 0 and 1/3"):
                 route_connection(emb, 1, 2, eps)
 
-    def test_vertex_on_route_rejected(self):
-        blocker = (F(2) + F(1, 3) - F(1, 100), F(1, 2))
-        emb = _bare({1: (2, 1), 2: (5, 3), 3: blocker})
-        with pytest.raises(GeometryError, match="re-pick"):
-            route_connection(emb, 1, 2, F(1, 100))
+
+# the first candidates pick_epsilon tries
+FIRST_EPSILONS = [F(1, 4)] + [F(1, q) for q in itertools.islice(_primes(), 7)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.tuples(st.integers(0, 12), st.integers(0, 8)),
+       st.tuples(st.integers(0, 12), st.integers(0, 8)),
+       st.sampled_from(FIRST_EPSILONS))
+def test_route_meets_no_lattice_point_but_its_ends(p, q, eps):
+    """route_connection does not look for vertices on a route: on an integer
+    drawing no point of a route but its two ends is a lattice point."""
+    assume(p != q)
+    route = route_connection(_bare({1: p, 2: q}), 1, 2, eps)
+    ends = {route.waypoints[0], route.waypoints[-1]}
+    assert ends == {p, q}
+    for a, b in route.segments():
+        (xlo, xhi), (ylo, yhi) = sorted((a[0], b[0])), sorted((a[1], b[1]))
+        for x in range(math.ceil(xlo), math.floor(xhi) + 1):
+            for y in range(math.ceil(ylo), math.floor(yhi) + 1):
+                on = (b[0] - a[0]) * (y - a[1]) == (b[1] - a[1]) * (x - a[0])
+                assert not on or (x, y) in ends
 
 
 class TestPickEpsilon:
@@ -158,7 +190,7 @@ class TestFindCrossings:
         assert c.owner_a == ("edge", (3, 4))
         assert c.owner_b == ("route", 0)
         assert c.point == (F(5, 3) - eps, F(1))
-        assert crossings_on(crossings, ("route", 0)) == [(c.param_b, c)]
+        assert crossing_index(crossings) == {("edge", (3, 4)): [c], ("route", 0): [c]}
 
     def test_degenerate_touch_raises(self):
         # a route corner landing on a drawn edge's interior is degenerate

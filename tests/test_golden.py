@@ -1,9 +1,10 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
 trace JSON for seven reductions, and of `fvskit solve` stdout for five
 exhaustive-path inputs too large for the subset-scan oracle of
-test_solvers. A digest change means the compiler's or the solver's output
-changed; that must be deliberate and stated in CHANGES.md. The canonical
-text is also a fixed point of parse_graph then write_graph."""
+test_solvers and four inputs above the exhaustive limit, which
+branch-and-reduce answers. A digest change means the compiler's or the
+solver's output changed; that must be deliberate and stated in CHANGES.md.
+The canonical text is also a fixed point of parse_graph then write_graph."""
 
 import functools
 import hashlib
@@ -78,8 +79,9 @@ def test_canonical_text_is_a_fixed_point(name, make, target):
     assert write_graph(back) == text
 
 
-# the lexicographically smallest optimal set, over the 1..n ids of the
-# canonical text; the optimum is in the comment
+# an optimal set over the 1..n ids of the canonical text, the
+# lexicographically smallest one on the exhaustive path; the optimum is in
+# the comment
 SOLVE_GOLDEN = [
     ("cubic22", lambda: random_cubic(22, 0),  # opt 6
      "226d636800e9e892524d9ab14c464e029e8e92591a56d5b20578c618cc6fe5bc"),
@@ -92,6 +94,15 @@ SOLVE_GOLDEN = [
     # the root bound 4 is three below the optimum 7: four rounds
     ("bull26", lambda: bull_free_random(26, 60, 3),
      "476cb451e3cf42de27f1e64f2137ec229b01b01d2d3b8872c0eb89a3b6bf8479"),
+    # above EXHAUSTIVE_LIMIT: branch-and-reduce
+    ("cubic40", lambda: random_cubic(40, 1),  # opt 11
+     "62cbf07bb49ef41d295359dd8151445ab076ba99a4542b2fcc257de7d6c70172"),
+    ("cubic56", lambda: random_cubic(56, 2),  # opt 15
+     "03dc261cb7971a4d2263ae4abceaa03ce3302ae5dc03f438ffcf59bcd2e91810"),
+    ("4reg32", lambda: random_regular4(32, 3),  # opt 12
+     "a438ad35c0a6269762db19e427261cf7af4c1c30391fb4e88c5f326cffd8195a"),
+    ("bull60", lambda: bull_free_random(60, 90, 5),  # opt 8
+     "6b02ae4d9b6f585982baa6b0e56b91d89af1b3e0da35509e1e2a1a2859cc6c85"),
 ]
 
 
