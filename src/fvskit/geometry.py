@@ -6,6 +6,7 @@ denominator. No floating point anywhere."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,19 +78,24 @@ def _scaled(p, s):
     return (p[0].numerator * (s // p[0].denominator), p[1].numerator * (s // p[1].denominator))
 
 
-def _box_pairs(segs):
+def _box_pairs(segs, first=0):
     """Index pairs (i, j), i < j, in increasing order, of the segments whose
-    bounding boxes meet; no other two segments can share a point. A sweep
-    over the segments sorted by left end stops at the first one that
-    starts right of the current segment's right end."""
+    bounding boxes meet, leaving out pairs of two segments before index
+    first; no other two segments can share a point. A sweep over the
+    segments sorted by left end stops at the first one that starts right
+    of the current segment's right end. A segment before first sweeps only
+    the segments from first on."""
     boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
              for a, b in segs]
-    by_x = sorted(range(len(segs)), key=lambda i: boxes[i][0])
+    by_x = sorted(range(len(segs)), key=lambda i: (boxes[i][0], i))
+    late = [i for i in by_x if i >= first]
+    late_starts = [(boxes[i][0], i) for i in late]
     pairs = []
     for pos, i in enumerate(by_x):
-        _, xhi, ylo, yhi = boxes[i]
-        for k in range(pos + 1, len(by_x)):
-            j = by_x[k]
+        xlo, xhi, ylo, yhi = boxes[i]
+        seq, start = (by_x, pos + 1) if i >= first else (late, bisect_right(late_starts, (xlo, i)))
+        for k in range(start, len(seq)):
+            j = seq[k]
             jxlo, _, jylo, jyhi = boxes[j]
             if jxlo > xhi:
                 break
@@ -305,15 +311,15 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
     segments at a distinct point; any degeneracy raises. Segments are
     compared in integer arithmetic on the grid scaled by their common
     denominator, and only pairs whose bounding boxes meet are classified."""
-    segs = _drawn_segments(emb) + _route_segments(routes)
+    drawn = _drawn_segments(emb)
+    segs = drawn + _route_segments(routes)
     s = _scale(p for a, b, _ in segs for p in (a, b))
     ends = [(_scaled(a, s), _scaled(b, s)) for a, b, _ in segs]
     out = []
     seen_points = set()
-    for x, y in _box_pairs(ends):
+    # the base drawing is already crossing-free: no pair of drawn edges
+    for x, y in _box_pairs(ends, first=len(drawn)):
         oa, ob = segs[x][2], segs[y][2]
-        if oa[0] == "edge" and ob[0] == "edge":
-            continue  # the base drawing is already crossing-free
         if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
             continue  # consecutive segments of one polyline share corners
         (a1, a2), (b1, b2) = ends[x], ends[y]

@@ -226,10 +226,13 @@ class Builder:
         self._record("strip")
 
 
-def _strip_adjacency(adj):
+def _strip_adjacency(adj, queue=None):
     """Iteratively delete degree-zero and degree-one vertices from a mutable
-    adjacency dict (vertex -> set of neighbours), in place."""
-    queue = [v for v, ns in adj.items() if len(ns) <= 1]
+    adjacency dict (vertex -> set of neighbours), in place. queue holds the
+    vertices that may have degree <= 1, by default all of them; every
+    other vertex must have degree >= 2."""
+    if queue is None:
+        queue = [v for v, ns in adj.items() if len(ns) <= 1]
     while queue:
         v = queue.pop()
         if v not in adj or len(adj[v]) > 1:

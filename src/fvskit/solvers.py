@@ -5,8 +5,10 @@ planarity, Ore-type degree condition, and vertex connectivity."""
 from __future__ import annotations
 
 import collections
+import heapq
 import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import networkx as nx
@@ -190,16 +192,29 @@ def enumerate_min_fvs(g: Graph):
 
 def _greedy_fvs(adj):
     """Any valid FVS: strip low degree, then repeatedly delete a max-degree
-    vertex. Used only as an initial upper bound."""
+    vertex, the smallest on ties, and strip again. Used only as an initial
+    upper bound. Degrees only fall, so a heap of (-degree, v) entries stays
+    an upper bound: a popped entry whose degree is stale goes back with the
+    current one, and the first current entry popped is the vertex to delete.
+    Only its neighbours can fall to degree <= 1, so they seed the strip, and
+    the run costs O((n + m) log n)."""
     adj = {v: set(ns) for v, ns in adj.items()}
     out = set()
     _strip_adjacency(adj)
+    heap = [(-len(ns), v) for v, ns in adj.items()]
+    heapq.heapify(heap)
     while adj:
-        v = max(adj, key=lambda u: (len(adj[u]), -u))
+        d, v = heapq.heappop(heap)
+        if v not in adj:
+            continue
+        if -d != len(adj[v]):
+            heapq.heappush(heap, (-len(adj[v]), v))
+            continue
         out.add(v)
-        for w in adj.pop(v):
+        nbrs = adj.pop(v)
+        for w in nbrs:
             adj[w].discard(v)
-        _strip_adjacency(adj)
+        _strip_adjacency(adj, list(nbrs))
     return out
 
 
@@ -478,14 +493,20 @@ def check_ham_ordered(g: Graph, p: int):
 
 def check_ore_condition(g: Graph, p: int) -> bool:
     """Degree-sum condition deg(v)+deg(w) >= |V| + 2p - 6 over all
-    non-adjacent pairs; it implies the graph is p-Hamiltonian-ordered."""
+    non-adjacent pairs; it implies the graph is p-Hamiltonian-ordered.
+
+    With the vertices sorted by degree, the partners w that v could fail
+    with, deg(w) < bound - deg(v), are a prefix of that order. v must be
+    adjacent to all of it but itself, so each scan ends within deg(v) + 2
+    vertices and the check costs O(n log n + m)."""
     if g.n < 3 or not (3 <= p <= g.n):
         raise SolverError("need |V| >= 3 and 3 <= p <= |V|")
     bound = g.n + 2 * p - 6
-    verts = sorted(g.vertices)
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            if not g.has_edge(v, w) and g.degree(v) + g.degree(w) < bound:
+    by_degree = sorted(g.vertices, key=g.degree)
+    degrees = [g.degree(v) for v in by_degree]
+    for v, d in zip(by_degree, degrees):
+        for w in by_degree[:bisect_left(degrees, bound - d)]:
+            if w != v and not g.has_edge(v, w):
                 return False
     return True
 

@@ -124,12 +124,12 @@ def witness_line(inst: Instance) -> str:
     return "h " + " ".join([name[v] for v in inst.witness.order])
 
 
-def write_graph(inst: Instance) -> str:
-    """Canonical text form: vertices renumbered 1..n in sorted id order,
-    edges in sorted order. The tail of each vertex's sorted row past the
-    vertex itself gives its edges in that order, so nothing is sorted but
-    the vertices."""
-    g = inst.graph
+def _graph_text(g: Graph) -> str:
+    """The header and edge lines of g's canonical text: vertices renumbered
+    1..n in sorted id order, edges in sorted order. The tail of each
+    vertex's sorted row past the vertex itself gives its edges in that
+    order, so nothing is sorted but the vertices. Two graphs are equal up
+    to that renumbering exactly when their texts are."""
     name = _file_names(g)
     adj = g.adjacency
     lines = [f"p fvs {g.n} {g.m}"]
@@ -138,9 +138,15 @@ def write_graph(inst: Instance) -> str:
         if larger:
             head = f"e {nu} "
             lines.append(head + ("\n" + head).join([name[w] for w in larger]))
-    if inst.witness is not None:
-        lines.append(witness_line(inst))
     return "\n".join(lines) + "\n"
+
+
+def write_graph(inst: Instance) -> str:
+    """Canonical text form: the graph's text, then its witness's h line."""
+    text = _graph_text(inst.graph)
+    if inst.witness is not None:
+        text += witness_line(inst) + "\n"
+    return text
 
 
 def trace_to_json(result: PipelineResult) -> dict:
@@ -174,16 +180,6 @@ def trace_to_json(result: PipelineResult) -> dict:
 
 def trace_dumps(result: PipelineResult) -> str:
     return json.dumps(trace_to_json(result), indent=2, sort_keys=True) + "\n"
-
-
-def _same_on_1_to_n(g: Graph, h: Graph) -> bool:
-    """Whether g, renumbered 1..n in sorted id order, is h, a graph on 1..n.
-    The renumbering keeps the order, so each row stays sorted."""
-    adj, rows = g.adjacency, h.adjacency
-    if adj.keys() == rows.keys() or len(adj) != len(rows):
-        return adj == rows
-    name = dict(zip(sorted(adj), range(1, len(adj) + 1)))
-    return all(rows[name[v]] == tuple(map(name.__getitem__, row)) for v, row in adj.items())
 
 
 def _load_trace(trace: dict):
@@ -229,22 +225,52 @@ def _load_trace(trace: dict):
     return g, k, stages, out
 
 
-def verify_trace(out_inst: Instance, trace: dict) -> None:
-    """Replay a trace JSON against the claimed output; raises on any
-    certificate mismatch. The trace's output summary must match the output
-    before any step runs, and no step may grow the graph past it. The
-    ledger is rebuilt from the replayed ops alone: recorded k_delta values
-    are compared, never added. One PlanarityProof over the replayed stages
-    proves every planarity claim. The output's witness was checked when
-    out_inst was built."""
+def _backed_size(text: str):
+    """(n, m) from the text's first line when it is a header 'p fvs n m'
+    with n within MAX_OUTPUT_EDGES and m edge lines behind it, counted as
+    line breaks followed by 'e '; else None. Such an m is no larger than
+    the file, so replay bounded by it builds no more than the file holds."""
+    tok = text[:text.find("\n")].split()
+    if len(tok) != 4 or tok[:2] != ["p", "fvs"]:
+        return None
+    try:
+        n, m = int(tok[2]), int(tok[3])
+    except ValueError:
+        return None
+    if not (0 <= n <= MAX_OUTPUT_EDGES and m >= 0) or text.count("\ne ") != m:
+        return None
+    return n, m
+
+
+def _canonical_witness(line: str, g: Graph) -> bool:
+    """Whether line is the h line that write_graph writes for g with a
+    witness, one that Instance accepts as a Hamiltonian cycle of g."""
+    tok = line.split()
+    if tok[:1] != ["h"]:
+        return False
+    verts = sorted(g.vertices)
+    try:
+        inst = Instance(g, 0, HamCycleWitness(tuple(verts[int(t) - 1] for t in tok[1:])))
+    except (ValueError, IndexError, GraphError):
+        return False
+    return line == witness_line(inst) + "\n"
+
+
+def _replay_checked(trace: dict, n: int, m: int):
+    """Replay a trace against an output of n vertices and m edges with every
+    certificate check; returns the replayed graph and whether the last stage
+    claims a witness. The trace's output summary must match (n, m) before
+    any step runs, and no step may grow the graph past it. The ledger is
+    rebuilt from the replayed ops alone: recorded k_delta values are
+    compared, never added. One PlanarityProof over the replayed stages
+    proves every planarity claim."""
     g, k, stages, out_decl = _load_trace(trace)
-    out = out_inst.graph
-    if out_decl != (out.n, out.m, out_inst.k):
+    if out_decl[:2] != (n, m):
         raise CertificationError("trace output summary disagrees with the output")
     proof = PlanarityProof(g, (bool(cert.get("planar")) for *_, cert in stages))
     for name, steps, k_after, cert in stages:
         g_in = g
-        g, dk = replay_trace(g, steps, k, out=(out.n, out.m))
+        g, dk = replay_trace(g, steps, k, out=(n, m))
         k += dk
         if k != k_after:
             raise CertificationError(
@@ -259,7 +285,38 @@ def verify_trace(out_inst: Instance, trace: dict) -> None:
             raise CertificationError(f"stage {name}: even-order claim fails")
     if (g.n, g.m, k) != out_decl:
         raise CertificationError("trace output summary disagrees with replay")
-    if not _same_on_1_to_n(g, out):
+    return g, bool(stages and stages[-1][3].get("witness"))
+
+
+def verify_trace(text: str, trace: dict) -> None:
+    """Replay a trace JSON against the claimed output, given as its text;
+    raises on any certificate mismatch. The replayed graph is rendered as
+    write_graph renders it, and the output is accepted when its text is
+    exactly that rendering, followed by nothing or by one canonical h line
+    naming a Hamiltonian cycle of the replayed graph.
+
+    The text is parsed at most once, and only when it differs from the
+    rendering, a check fails, or its header's m is not backed by its own
+    edge lines (then before the replay, whose bound it sets). A malformed
+    output is thus reported before any trace failure, and another rendering
+    of the same graph (edges reordered, comments) is compared by the
+    canonical text of its parse."""
+    size = _backed_size(text)
+    out = None if size else parse_graph(text)
+    try:
+        g, claims_witness = _replay_checked(trace, *(size or (out.graph.n, out.graph.m)))
+        canon = _graph_text(g)
+        if out is None and text.startswith(canon):
+            rest = text[len(canon):]
+            if (not rest and not claims_witness) or _canonical_witness(rest, g):
+                return
+    except Exception:
+        if out is None:
+            parse_graph(text)  # the output's format error comes first
+        raise
+    if out is None:
+        out = parse_graph(text)
+    if _graph_text(out.graph) != canon:
         raise CertificationError("replayed graph differs from output graph")
-    if stages and stages[-1][3].get("witness") and out_inst.witness is None:
+    if claims_witness and out.witness is None:
         raise CertificationError("trace claims a witness but output has none")

@@ -10,6 +10,7 @@ from fvskit.geometry import (
     GeometryError,
     GridEmbedding,
     RoutedConnection,
+    _box_pairs,
     _primes,
     _slanted_slopes,
     _slope,
@@ -247,6 +248,19 @@ def reference_find_crossings(emb, routes):
             out.append(Crossing(oa[:2], ob[:2], pt, param(oa, t), param(ob, param_on(pt, b1, b2))))
     out.sort(key=lambda c: (c.owner_a, c.owner_b, c.point))
     return out
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=40), st.integers(0, 40))
+def test_box_pairs_from_first_are_the_full_sweep_without_earlier_pairs(coords, first):
+    segs = [((a, b), (c, d)) for a, b, c, d in coords]
+    full = _box_pairs(segs)
+    assert _box_pairs(segs, first) == [(i, j) for i, j in full if j >= first]
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+             for a, b in segs]
+    assert full == [(i, j) for i, j in itertools.combinations(range(len(segs)), 2)
+                    if boxes[i][0] <= boxes[j][1] and boxes[j][0] <= boxes[i][1]
+                    and boxes[i][2] <= boxes[j][3] and boxes[j][2] <= boxes[i][3]]
 
 
 def _slope_filtered_epsilons(emb, count):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fvskit
-from fvskit import solvers
+from fvskit import solvers, textio
 from fvskit.cli import main
 from fvskit.graph import GraphError, Instance
 from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
@@ -171,6 +171,14 @@ class TestWrite:
         assert "e 1 2" in write_graph(inst)
 
 
+def _count_parses(monkeypatch):
+    """Record each call of textio.parse_graph, the one verify_trace makes."""
+    calls = []
+    real = textio.parse_graph
+    monkeypatch.setattr(textio, "parse_graph", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def produced():
     return run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
@@ -178,23 +186,23 @@ def produced():
 
 class TestTraceVerify:
     def test_accepts_faithful_trace(self, produced):
-        verify_trace(produced.instance, trace_to_json(produced))
+        verify_trace(write_graph(produced.instance), trace_to_json(produced))
 
     def test_rejects_budget_tamper(self, produced):
         trace = trace_to_json(produced)
         trace["stages"][0]["k_after"] -= 1
         with pytest.raises(CertificationError, match="ledger"):
-            verify_trace(produced.instance, trace)
+            verify_trace(write_graph(produced.instance), trace)
 
     def test_rejects_output_tamper(self, produced):
         trace = trace_to_json(produced)
         trace["output"]["n"] += 1
         with pytest.raises(CertificationError, match="output summary"):
-            verify_trace(produced.instance, trace)
+            verify_trace(write_graph(produced.instance), trace)
 
     def test_rejects_missing_field(self, produced):
         with pytest.raises(FormatError, match="missing field"):
-            verify_trace(produced.instance, {"stages": []})
+            verify_trace(write_graph(produced.instance), {"stages": []})
 
     @pytest.mark.parametrize("n", [MAX_OUTPUT_EDGES + 1, 10**9])
     def test_huge_input_n_refused_before_allocating(self, produced, n):
@@ -203,12 +211,20 @@ class TestTraceVerify:
         tracemalloc.start()
         try:
             with pytest.raises(FormatError) as info:
-                verify_trace(produced.instance, trace)
+                verify_trace(write_graph(produced.instance), trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices"
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_parses_a_non_canonical_output_once(self, produced, monkeypatch, eol):
+        calls = _count_parses(monkeypatch)
+        text = write_graph(produced.instance)
+        head, *body = text.splitlines()
+        verify_trace(eol.join([head, "c moved", *reversed(body), ""]), trace_to_json(produced))
+        assert len(calls) == 1
 
     def test_dumps_stable(self, produced):
         assert trace_dumps(produced) == trace_dumps(produced)
@@ -220,7 +236,7 @@ class TestTraceVerify:
         with pytest.raises(PipelineError, match=r"parse_graph\(write_graph\(inst\)\)"):
             trace_to_json(run_pipeline(raw, "4reg-planar"))
         res = run_pipeline(parse_graph(write_graph(raw)), "4reg-planar")
-        verify_trace(res.instance, trace_to_json(res))
+        verify_trace(write_graph(res.instance), trace_to_json(res))
 
 
 class TestCli:
@@ -247,6 +263,72 @@ class TestCli:
         doc["stages"][0]["k_after"] += 1
         (tmp_path / "trace.json").write_text(json.dumps(doc))
         assert main(["verify", out, "--trace", tr]) == 4
+
+    def _reduced(self, tmp_path):
+        inp = self._write_input(tmp_path)
+        out, tr = tmp_path / "out.fvs", str(tmp_path / "trace.json")
+        assert main(["reduce", inp, "--target", "4reg-planar-ham",
+                     "-o", str(out), "--trace", tr, "--k", "1"]) == 0
+        return out, tr
+
+    def test_verify_accepts_canonical_output_without_parsing_it(self, tmp_path, monkeypatch):
+        out, tr = self._reduced(tmp_path)
+        calls = _count_parses(monkeypatch)
+        assert main(["verify", str(out), "--trace", tr]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("rendering, rc", [
+        ("shuffled", 0), ("flipped", 0), ("commented", 0), ("crlf", 0), ("relabelled", 4),
+    ])
+    def test_verify_compares_other_renderings_by_their_graph(self, tmp_path, monkeypatch,
+                                                             capsys, rendering, rc):
+        # the relabelled output swaps the names 1 and n on every line: a
+        # valid file of an isomorphic graph that is not the replayed one
+        out, tr = self._reduced(tmp_path)
+        head, *edges, witness = out.read_text().splitlines()
+        n = head.split()[2]
+        if rendering == "shuffled":
+            edges.reverse()
+        elif rendering == "flipped":
+            edges = [f"e {line.split()[2]} {line.split()[1]}" for line in edges]
+        elif rendering == "commented":
+            edges = [f"c edge {i}\n{line}" for i, line in enumerate(edges)]
+        elif rendering == "relabelled":
+            swap = {"1": n, n: "1"}
+            edges, witness = ([" ".join(swap.get(t, t) for t in line.split()) for line in lines]
+                              for lines in (edges, [witness]))
+            witness = witness[0]
+        eol = "\r\n" if rendering == "crlf" else "\n"
+        out.write_bytes(eol.join([head, *edges, witness, ""]).encode())
+        calls = _count_parses(monkeypatch)
+        capsys.readouterr()
+        assert main(["verify", str(out), "--trace", tr]) == rc
+        # the file is read with universal newlines, so CRLF arrives canonical
+        assert len(calls) == (rendering != "crlf")
+        if rc:
+            assert "replayed graph differs from output graph" in capsys.readouterr().err
+
+    def test_malformed_output_is_reported_before_a_tampered_trace(self, tmp_path, capsys):
+        out, tr = self._reduced(tmp_path)
+        text = out.read_text()
+        out.write_text(text + "q zap\n")
+        doc = json.loads(open(tr).read())
+        doc["stages"][0]["k_after"] += 1
+        (tmp_path / "trace.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out), "--trace", tr]) == 2
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"format error: line {line}: unknown line type 'q'\n"
+
+    def test_corrupted_witness_exits_2_with_its_line(self, tmp_path, capsys):
+        out, tr = self._reduced(tmp_path)
+        *lines, witness = out.read_text().splitlines()
+        first, *rest = witness.split()[1:]
+        out.write_text("\n".join([*lines, " ".join(["h", first, *rest[:-1], first])]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(out), "--trace", tr]) == 2
+        err = capsys.readouterr().err
+        assert err == f"format error: line {len(lines) + 1}: witness is not a Hamiltonian cycle\n"
 
     def test_witness_out(self, tmp_path):
         inp = self._write_input(tmp_path)

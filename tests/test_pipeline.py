@@ -399,7 +399,7 @@ class TestTargets:
         sr = next(sr for sr in res.stages if sr.name == "hamiltonize")
         inserts = sum(1 for s in sr.steps if s.op == "insert")
         assert inserts - sr.audit == 1  # one merge inserted two L gadgets
-        verify_trace(res.instance, trace_to_json(res))
+        verify_trace(write_graph(res.instance), trace_to_json(res))
 
     def test_run_ham_ordered_finds_witness(self):
         res = run_pipeline(Instance(prism_graph(), 2), "ham-ordered:4")
@@ -429,7 +429,7 @@ class TestPlanarityProof:
         evenized = next(sr.instance.graph for sr in res.stages if sr.name == "evenize")
         assert len(calls) <= 3 and calls[-1] is evenized
         calls.clear()
-        verify_trace(parse_graph(write_graph(res.instance), res.instance.k), trace_to_json(res))
+        verify_trace(write_graph(res.instance), trace_to_json(res))
         assert len(calls) <= 1
 
     @pytest.mark.parametrize("rows, target, kept, kept_input_n", [
@@ -451,7 +451,7 @@ class TestPlanarityProof:
         assert res.instance.graph.n > kept_input_n
         assert max(sizes) == kept_input_n
         sizes.clear()
-        verify_trace(parse_graph(write_graph(res.instance), res.instance.k), trace_to_json(res))
+        verify_trace(write_graph(res.instance), trace_to_json(res))
         assert sizes == [kept_input_n]
 
     def test_fallback_when_the_replay_finds_no_shared_face(self, monkeypatch, tmp_path):

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import random
 import re
+import time
 
 import pytest
 
 from fvskit import solvers
-from fvskit.graph import Graph
+from fvskit.graph import Graph, _strip_adjacency
 from fvskit.solvers import (
     SolverError,
     UndecidedError,
@@ -26,6 +28,7 @@ from conftest import (
     c4k1,
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     prism_graph,
     random_cubic,
@@ -232,6 +235,42 @@ def test_greedy_bound_never_changes_the_answer(monkeypatch, g):
     assert fvs_exact_exhaustive(g, time_budget=60).deleted == expected
 
 
+def reference_greedy(adj):
+    """The greedy that _greedy_fvs replaced, kept as its oracle: a full max
+    and a full strip scan per deletion."""
+    adj = {v: set(ns) for v, ns in adj.items()}
+    out = set()
+    _strip_adjacency(adj)
+    while adj:
+        v = max(adj, key=lambda u: (len(adj[u]), -u))
+        out.add(v)
+        for w in adj.pop(v):
+            adj[w].discard(v)
+        _strip_adjacency(adj)
+    return out
+
+
+def test_greedy_deletes_like_the_full_scan():
+    graphs = [bull_free_random(n, m, seed) for seed in range(150)
+              for n, m in [(8 + seed % 30, 10 + 3 * seed % 90)]]
+    graphs += [random_cubic(20 + 2 * s, s) for s in range(20)]
+    graphs += [random_regular4(20 + s, s) for s in range(20)]
+    for g in graphs:
+        got = solvers._greedy_fvs(g.adjacency)
+        assert got == reference_greedy(g.adjacency)
+        assert is_fvs(g, got)
+
+
+def test_greedy_scales_to_large_outputs():
+    # a 150x150 grid: 22 500 vertices whose degrees tie in long runs; the
+    # full-scan greedy needs minutes here
+    g = grid_graph(150, 150)
+    start = time.perf_counter()
+    out = solvers._greedy_fvs(g.adjacency)
+    assert time.perf_counter() - start < 5
+    assert is_fvs(g, out)
+
+
 class TestBranchReduce:
     def test_empty(self):
         assert fvs_branch_reduce(Graph()).deleted == frozenset()
@@ -314,6 +353,24 @@ class TestDegreeConditions:
     def test_bad_arguments(self):
         with pytest.raises(SolverError):
             check_ore_condition(cycle_graph(4), 2)
+
+    def test_matches_the_pair_scan_for_every_p(self):
+        def pair_scan(g, p):
+            bound = g.n + 2 * p - 6
+            verts = sorted(g.vertices)
+            return all(g.has_edge(v, w) or g.degree(v) + g.degree(w) >= bound
+                       for i, v in enumerate(verts) for w in verts[i + 1:])
+
+        rng = random.Random(0)
+        outcomes = set()
+        for seed in range(400):
+            n = rng.randint(3, 14)
+            g = bull_free_random(n, rng.randint(0, n * (n - 1) // 2), seed)
+            for p in range(3, n + 1):
+                expected = pair_scan(g, p)
+                assert check_ore_condition(g, p) == expected, (seed, p)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_connectivity(self):
         assert vertex_connectivity_at_least(complete_graph(5), 4)

@@ -301,11 +301,10 @@ def test_planar_claim_over_subdivide_and_r_insert(tmp_path, capsys, base, attach
         assert "stage pairing: planarity claim fails" in capsys.readouterr().err
 
 
-def test_padded_output_stops_replay_at_first_lift(tmp_path, monkeypatch, capsys):
-    # a triangle padded with isolated vertices to p fvs 1000 3, and a trace
-    # whose summary matches it and whose four consistent lifts would replay
-    # to 938 vertices and about 650 000 edges: the first lift's K_9 join
-    # alone outgrows the output's 3 edges, so no lift runs
+def _four_lifts(tmp_path):
+    """A triangle's ham-ordered:4 output and its trace with three more
+    consistent lifts, which would replay to 938 vertices and about 650 000
+    edges."""
     inp, out, tr = tmp_path / "in.fvs", tmp_path / "out.fvs", tmp_path / "trace.json"
     inp.write_text(TRIANGLE)
     assert main(["reduce", str(inp), "--target", "ham-ordered:4",
@@ -318,7 +317,15 @@ def test_padded_output_stops_replay_at_first_lift(tmp_path, monkeypatch, capsys)
         stage["k_after"] += 3 * n
         n = 4 * n + 2
     assert n == 938
-    doc["output"] = {"n": 1000, "m": 3, "k": stage["k_after"]}
+    return out, doc
+
+
+def test_padded_output_stops_replay_at_first_lift(tmp_path, monkeypatch, capsys):
+    # a triangle padded with isolated vertices to p fvs 1000 3, and a trace
+    # whose summary matches it: the first lift's K_9 join alone outgrows
+    # the output's 3 edges, so no lift runs
+    out, doc = _four_lifts(tmp_path)
+    doc["output"] = {"n": 1000, "m": 3, "k": doc["stages"][-1]["k_after"]}
     out.write_text(TRIANGLE.replace("p fvs 3 3", "p fvs 1000 3"))
     lifted = []
     monkeypatch.setattr(Builder, "lift", lambda self: lifted.append(self.n))
@@ -326,4 +333,20 @@ def test_padded_output_stops_replay_at_first_lift(tmp_path, monkeypatch, capsys)
     assert _verify(tmp_path, out, doc) == 4
     err = capsys.readouterr().err
     assert "stage lift step 0: lift would grow the graph to 14 vertices and 85 edges" in err
+    assert lifted == []
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+def test_unbacked_edge_count_is_refused_before_replay(tmp_path, monkeypatch, capsys, n):
+    # the header over-announces m, so its edge lines do not back it: the
+    # output is parsed, and refused, before the trace's lifts could take
+    # that m as their bound (with n = 1000 they would all fit under it)
+    out, doc = _four_lifts(tmp_path)
+    doc["output"] = {"n": n, "m": 1_000_000, "k": doc["stages"][-1]["k_after"]}
+    out.write_text(TRIANGLE.replace("p fvs 3 3", f"p fvs {n} 1000000"))
+    lifted = []
+    monkeypatch.setattr(Builder, "lift", lambda self: lifted.append(self.n))
+    capsys.readouterr()
+    assert _verify(tmp_path, out, doc) == 2
+    assert capsys.readouterr().err == "format error: header announces 1000000 edges, found 3\n"
     assert lifted == []
