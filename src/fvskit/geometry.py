@@ -155,12 +155,8 @@ def grid_embed(g: Graph) -> GridEmbedding:
     ok, emb = nx.check_planarity(to_networkx(g))
     if not ok:
         raise GeometryError("graph not planar")
-    if g.n == 3:
-        vs = sorted(g.vertices)
-        pos = {vs[0]: (0, 0), vs[1]: (2, 0), vs[2]: (1, 1)}
-    else:
-        raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
-        pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
+    raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
+    pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
     out = GridEmbedding(g, pos)
     out.verify()
     return out

@@ -145,7 +145,7 @@ class Builder:
 
     def _record(self, op, k_delta=0, **fields):
         self.k += k_delta
-        self.steps.append(TraceStep(self.stage, op, k_delta, **fields))
+        self.steps.append(TraceStep(self.stage, op, **fields))
 
     def subdivide(self, e) -> int:
         """Replace edge e by a path through one fresh vertex; the FVS optimum
@@ -492,11 +492,11 @@ def strip_low_degree(inst: Instance) -> Instance:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One replayable reduction event with its budget delta."""
+    """One replayable reduction event. Its budget delta is not recorded:
+    Builder derives it from the op whenever the step is applied."""
 
     stage: str
     op: str  # subdivide | insert | strip | copy | lift
-    k_delta: int = 0
     gadget: str | None = None
     p: int | None = None
     attach: tuple = ()
@@ -509,7 +509,6 @@ class TraceStep:
             "p": self.p,
             "attach": list(self.attach),
             "subdivided": list(self.edge) if self.edge else [],
-            "k_delta": self.k_delta,
         }
 
     @classmethod
@@ -518,19 +517,18 @@ class TraceStep:
         ValueError naming it."""
         if not isinstance(d, dict):
             raise ValueError("step is not a JSON object")
-        for key in ("op", "k_delta"):
-            if key not in d:
-                raise ValueError(f"step lacks {key!r}")
-        op, k_delta, gadget, p = d["op"], d["k_delta"], d.get("gadget"), d.get("p")
+        if "op" not in d:
+            raise ValueError("step lacks 'op'")
+        op, gadget, p = d["op"], d.get("gadget"), d.get("p")
         attach, edge = d.get("attach", []), d.get("subdivided", [])
-        if not isinstance(op, str) or not _is_int(k_delta):
-            raise ValueError("op must be a string and k_delta an integer")
+        if not isinstance(op, str):
+            raise ValueError("op must be a string")
         if not (gadget is None or isinstance(gadget, str)) or not (p is None or _is_int(p)):
             raise ValueError("gadget must be a string and p an integer, or null")
         for key, val in (("attach", attach), ("subdivided", edge)):
             if not (isinstance(val, list) and len(val) in (0, 2) and all(map(_is_int, val))):
                 raise ValueError(f"{key} must list zero or two integers")
-        return cls(stage, op, k_delta, gadget, p, tuple(attach), tuple(edge) or None)
+        return cls(stage, op, gadget, p, tuple(attach), tuple(edge) or None)
 
 
 def _is_int(x):

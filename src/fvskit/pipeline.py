@@ -7,7 +7,7 @@ Builder, so every delta is derived in one place."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .gadgets import build_gadget, interior_path
 from .geometry import (
@@ -65,17 +65,12 @@ class CertificationError(PipelineError):
 
 @dataclass(frozen=True)
 class ClassCertificate:
-    """Structural facts about a stage output. planar is the stage's claim,
-    which run_pipeline and verify_trace prove with one PlanarityProof; the
-    others are computed from the output."""
+    """Structural facts about a stage output: its common degree, if any,
+    and whether the stage keeps a planar input planar. What a run's output
+    must satisfy is its target's, which certify checks."""
 
     regular: int | None
     planar: bool
-    witness: bool
-    even: bool
-
-    def to_json(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,18 +99,16 @@ class StageResult:
 
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
-    """The certificate of a stage output; Instance checked its witness when
-    it was built. The stages read regular from here, so each output's
-    degrees are scanned once."""
-    g = inst.graph
-    return ClassCertificate(regularity(g), claim_planar, inst.witness is not None, g.n % 2 == 0)
+    """The certificate of a stage output. The stages read regular from
+    here, so each output's degrees are scanned once."""
+    return ClassCertificate(regularity(inst.graph), claim_planar)
 
 
 class PlanarityProof:
-    """One planarity proof for a chain of stage graphs: a base graph and
-    the outputs of the stages applied to it in order, each with its claim.
-    It keeps the latest graph whose planarity still needs a proof, and
-    proves every other graph up to the last claim from it by two rules.
+    """A planarity proof of the last graph of a chain: a base graph and the
+    outputs of the stages applied to it in order. It keeps the latest graph
+    whose planarity still needs a proof, and proves the last graph from it
+    by two rules.
 
     - Minor rule: every op except strip only subdivides an edge or adds
       vertices and edges, and strip only removes pendant trees. So each
@@ -126,54 +119,43 @@ class PlanarityProof:
       by 1-sums and 2-sums, so its output is planar if its input is.
 
     A stage that walked a plane embedding of its output proves it outright.
-    The kept graph is proved when the proof reaches the last stage that
-    claims planarity. If it is the output of a stage whose steps all
-    subdivide or insert a SUM_PLANAR gadget between two distinct vertices,
-    the one LR test runs on that stage's smaller input: a non-planar input
-    fails by the minor rule, and a planar one gives the rotation that a
-    PlaneBuilder replays the steps on. A face walk of the replayed rotation,
-    which faces() checks against the kept graph's edges, then proves the
-    kept graph planar. If two ends of an insert share no face, an LR test
-    of the kept graph decides instead, as it does for any other stage."""
+    failed() proves the kept graph. If it is the output of a stage whose
+    steps all subdivide or insert a SUM_PLANAR gadget between two distinct
+    vertices, the one LR test runs on that stage's smaller input: a
+    non-planar input fails by the minor rule, and a planar one gives the
+    rotation that a PlaneBuilder replays the steps on. A face walk of the
+    replayed rotation, which faces() checks against the kept graph's edges,
+    then proves the kept graph planar. If two ends of an insert share no
+    face, an LR test of the kept graph decides instead, as it does for any
+    other stage."""
 
-    def __init__(self, base: Graph, claims):
+    def __init__(self, base: Graph):
         self.kept = base
         self.stage = None  # (input, steps) of the replayable stage that output kept
-        self.claims = list(claims)
-        self.last = max((i for i, c in enumerate(self.claims) if c), default=-1)
-        self.claimant = None  # the first stage since kept that claims planarity
-        self.added = 0
+        self.name = "input"  # the stage that output the last graph, which a failure names
 
     def add(self, name, g_in: Graph, steps, g_out: Graph, embedded=False):
         """Take the next stage: its name, input graph, steps and output
-        graph, and whether it walked a plane embedding of its output.
-        Returns the name of a stage whose planarity claim fails, else None."""
-        i = self.added
-        self.added += 1
-        if i > self.last:
-            return None
+        graph, and whether it walked a plane embedding of its output."""
+        self.name = name
         if embedded:
-            self.kept = self.stage = self.claimant = None
+            self.kept = self.stage = None
         elif not all(s.op == "insert" and s.gadget in SUM_PLANAR
                      and (s.attach[0] == s.attach[1] or g_in.has_edge(*s.attach))
                      for s in steps):
-            self.kept, self.claimant = g_out, None
+            self.kept = g_out
             self.stage = (g_in, steps) if all(map(_plane_step, steps)) else None
-        if self.claims[i] and self.claimant is None:
-            self.claimant = name
-        if i == self.last and self.kept is not None:
-            planar = self._prove_kept()
-            self.kept = self.stage = None
-            if not planar:
-                return self.claimant
-        return None
 
-    def _prove_kept(self) -> bool:
+    def failed(self):
+        """None if the last graph is planar, else the name of the stage
+        that output it. Runs the proof's LR tests."""
+        if self.kept is None:
+            return None
         if self.stage is not None:
             g_in, steps = self.stage
             planar, rotation = check_planarity(g_in)
             if not planar:
-                return False
+                return self.name
             try:
                 b = PlaneBuilder(g_in, rotation)
                 for s in steps:
@@ -182,10 +164,10 @@ class PlanarityProof:
                     else:
                         b.insert(GADGETS[s.gadget], *s.attach, GADGET_PLANES[s.gadget])
                 faces(self.kept, b.rotation)
-                return True
+                return None
             except GraphError:
                 pass  # two ends share no face, or the replay is not the kept graph
-        return check_planarity(self.kept)[0]
+        return None if check_planarity(self.kept)[0] else self.name
 
 
 def _plane_step(s) -> bool:
@@ -654,10 +636,12 @@ PLANAR_TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham")
 
 
 def parse_target(target: str):
+    """(kind, p) of a target name; p is None for the planar targets. Any
+    other value, a string or not, is refused."""
     if target in PLANAR_TARGETS:
         return target, None
     for prefix in ("preg-ham:", "ham-ordered:"):
-        if target.startswith(prefix):
+        if isinstance(target, str) and target.startswith(prefix):
             try:
                 p = int(target[len(prefix):])
             except ValueError:
@@ -670,24 +654,61 @@ def parse_target(target: str):
     raise PipelineError(f"unknown target {target!r}")
 
 
+def target_class(target: str) -> tuple:
+    """What target's outputs must be, as (regular, planar, witness, ore):
+    regular of that degree (None: any degrees), planar, carrying a
+    Hamiltonian witness, and meeting the degree-sum condition for that p
+    (None: no condition). The only map from a target to the properties
+    that certify checks."""
+    kind, p = parse_target(target)
+    if kind in PLANAR_TARGETS:
+        return 5 if kind == "5reg-planar-ham" else 4, True, kind != "4reg-planar", None
+    if kind == "preg-ham":
+        return p, False, True, None
+    # every Hamiltonian graph is 3-Hamiltonian-ordered
+    return None, False, True, p if p >= 4 else None
+
+
+def certify(target: str, inst: Instance, proof: PlanarityProof) -> None:
+    """Raise CertificationError naming target and the property that fails
+    unless inst, the last graph of the chain that proof has taken, lies in
+    target's class. run_pipeline and verify_trace both certify through it.
+    Instance checked the witness when it was built, so only its presence is
+    read here; the proof's LR tests run only for a planar target."""
+    regular, planar, witness, ore = target_class(target)
+    g = inst.graph
+    why = None
+    if regular is not None and not check_regular(g, regular):
+        why = f"output is not {regular}-regular"
+    elif planar and (failed := proof.failed()) is not None:
+        why = f"stage {failed}: planarity claim fails"
+    elif witness and inst.witness is None:
+        why = "output carries no Hamiltonian witness"
+    elif ore is not None and not (ore <= g.n and check_ore_condition(g, ore)):
+        why = f"output fails the degree-sum condition for p={ore}"
+    if why is not None:
+        raise CertificationError(f"target {target}: {why}")
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     input: Instance
     stages: tuple
     instance: Instance
+    target: str
 
 
 def run_pipeline(inst: Instance, target: str) -> PipelineResult:
-    """Compile inst onto the target class. One PlanarityProof over the
-    stages proves every planarity claim they record."""
+    """Compile inst onto the target class, and certify the output against
+    it as verify_trace does."""
     stages = _run_stages(inst, target)
-    proof = PlanarityProof(inst.graph, (sr.certificate.planar for sr in stages))
+    proof = PlanarityProof(inst.graph)
     g_in = inst.graph
     for sr in stages:
-        failed = proof.add(sr.name, g_in, sr.steps, sr.instance.graph, sr.embedded)
-        _require(failed is None, f"stage {failed}: planarity claim fails")
+        proof.add(sr.name, g_in, sr.steps, sr.instance.graph, sr.embedded)
         g_in = sr.instance.graph
-    return PipelineResult(inst, tuple(stages), stages[-1].instance)
+    certify(target, stages[-1].instance, proof)
+    return PipelineResult(inst, tuple(stages), stages[-1].instance, target)
 
 
 def _run_stages(inst: Instance, target: str) -> list:
@@ -720,7 +741,8 @@ def _run_stages(inst: Instance, target: str) -> list:
     cur = push(hamiltonize(cur))
     if kind == "4reg-planar-ham" or (kind == "preg-ham" and p == 4):
         return stages
-    cur = push(evenize(cur))
+    if cur.graph.n % 2:
+        cur = push(evenize(cur))
     cur = push(five_regularize(cur))
     if kind == "5reg-planar-ham" or (kind == "preg-ham" and p == 5):
         return stages
@@ -750,7 +772,7 @@ def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple) -> tuple[Graph, int
         if derived != s:
             diff = ", ".join(
                 f"{f} recorded {getattr(s, f)!r}, replay derives {getattr(derived, f)!r}"
-                for f in ("op", "k_delta", "gadget", "p", "attach", "edge")
+                for f in ("op", "gadget", "p", "attach", "edge")
                 if getattr(s, f) != getattr(derived, f)
             )
             raise CertificationError(f"stage {s.stage} step {i}: {diff}")

@@ -218,14 +218,18 @@ def _greedy_fvs(adj):
     return out
 
 
-def _shortest_cycle(adj):
+def _shortest_cycle(adj, timeout=None):
     """A shortest (or near-shortest) cycle as a vertex list, or None.
 
     BFS from every root; the first non-tree edge closing two branches gives
     a cycle through the root of length dist(u)+dist(w)+1. The two tree paths
-    below their lowest common ancestor are disjoint, so no vertex repeats."""
+    below their lowest common ancestor are disjoint, so no vertex repeats.
+    timeout, when given, is called before each root and raises once the
+    search's budget is spent."""
     best = None
     for root in sorted(adj):
+        if timeout is not None:
+            timeout()
         parent = {root: None}
         dist = {root: 0}
         queue = collections.deque([root])
@@ -259,14 +263,15 @@ def _shortest_cycle(adj):
     return best
 
 
-def _cycle_packing(adj):
+def _cycle_packing(adj, timeout=None):
     """Greedy vertex-disjoint packing of short cycles, in packing order;
     each packed cycle forces one deletion. The first is _shortest_cycle(adj),
-    which reads adj only through sorted keys and rows."""
+    which reads adj only through sorted keys and rows. timeout is handed to
+    every _shortest_cycle call."""
     adj = {v: set(ns) for v, ns in adj.items()}
     cycles = []
     while True:
-        cyc = _shortest_cycle(adj)
+        cyc = _shortest_cycle(adj, timeout)
         if cyc is None:
             return cycles
         cycles.append(cyc)
@@ -296,14 +301,21 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     with standard reductions, a degree-sum lower bound and, where that does
     not prune, a cycle-packing one. Raises UndecidedError once time_budget
     seconds have passed, naming the nodes searched and the bounds on the
-    optimum known at the top level by then."""
+    optimum known at the top level by then. Without a budget the clock is
+    never read."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     greedy = _greedy_fvs(g.adjacency)
-    progress = _Progress(0, len(greedy))
+    progress = _Progress(_degree_sum_lb(g.adjacency), len(greedy))
+
+    def out_of_time():
+        if time.monotonic() > deadline:
+            raise progress.undecided()
+
+    timeout = None if deadline is None else out_of_time
 
     def check_budget():
-        if deadline is not None and time.monotonic() > deadline:
-            raise progress.undecided()
+        if timeout is not None:
+            timeout()
         progress.nodes += 1
 
     def reduce_graph(adj, forbidden):
@@ -367,7 +379,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 remaining -= len(best)
             return total
         lb = _degree_sum_lb(adj)
-        cycles = _cycle_packing(adj) if lb < ub else ()
+        cycles = _cycle_packing(adj, timeout) if lb < ub else ()
         lb = max(lb, len(cycles))
         if top:
             progress.lower = lb

@@ -8,14 +8,15 @@ import json
 from bisect import bisect_right
 from collections import defaultdict
 
-from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, check_regular,
-                    sorted_edges, _is_int)
+from .graph import Graph, GraphError, HamCycleWitness, Instance, TraceStep, sorted_edges, _is_int
 from .pipeline import (
     MAX_OUTPUT_EDGES,
     CertificationError,
     PipelineError,
     PipelineResult,
     PlanarityProof,
+    certify,
+    parse_target,
     replay_trace,
 )
 
@@ -159,6 +160,7 @@ def trace_to_json(result: PipelineResult) -> dict:
             "parse_graph(write_graph(inst)) before reducing"
         )
     return {
+        "target": result.target,
         "input": {
             "n": gin.n,
             "m": gin.m,
@@ -170,7 +172,6 @@ def trace_to_json(result: PipelineResult) -> dict:
                 "name": sr.name,
                 "steps": [s.to_json() for s in sr.steps],
                 "k_after": sr.instance.k,
-                "certified": sr.certificate.to_json(),
             }
             for sr in result.stages
         ],
@@ -183,10 +184,11 @@ def trace_dumps(result: PipelineResult) -> str:
 
 
 def _load_trace(trace: dict):
-    """Check the shape of a trace JSON; returns (input graph, input k,
-    stages as (name, steps, k_after, certified), output (n, m, k)). An
-    input n above MAX_OUTPUT_EDGES is refused before the vertex set is
-    built, as parse_graph refuses such a header; input m must count edges."""
+    """Check the shape of a trace JSON; returns (target, input graph, input
+    k, stages as (name, steps, k_after), output (n, m, k)). The target must
+    name a target and the output budget be non-negative. An input n above
+    MAX_OUTPUT_EDGES is refused before the vertex set is built, as
+    parse_graph refuses such a header; input m must count edges."""
 
     def integer(x, what):
         if not _is_int(x):
@@ -194,6 +196,8 @@ def _load_trace(trace: dict):
         return x
 
     try:
+        target = trace["target"]
+        parse_target(target)
         inp = trace["input"]
         n = integer(inp["n"], "input n")
         if n > MAX_OUTPUT_EDGES:
@@ -211,18 +215,17 @@ def _load_trace(trace: dict):
                     steps.append(TraceStep.from_json(name, d))
                 except ValueError as exc:
                     raise FormatError(f"stage {name} step {i}: {exc}") from None
-            if not isinstance(st["certified"], dict):
-                raise FormatError(f"stage {name}: certified must be an object")
-            stages.append((name, steps, integer(st["k_after"], f"stage {name} k_after"),
-                           st["certified"]))
+            stages.append((name, steps, integer(st["k_after"], f"stage {name} k_after")))
         out = tuple(integer(trace["output"][f], f"output {f}") for f in ("n", "m", "k"))
+        if out[2] < 0:
+            raise FormatError("trace JSON: output budget must be non-negative")
     except FormatError:
         raise
     except KeyError as exc:
         raise FormatError(f"trace JSON missing field: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed trace JSON: {exc}") from None
-    return g, k, stages, out
+    return target, g, k, stages, out
 
 
 def _backed_size(text: str):
@@ -242,33 +245,34 @@ def _backed_size(text: str):
     return n, m
 
 
-def _canonical_witness(line: str, g: Graph) -> bool:
-    """Whether line is the h line that write_graph writes for g with a
-    witness, one that Instance accepts as a Hamiltonian cycle of g."""
-    tok = line.split()
+def _rendered(rest: str, g: Graph):
+    """The output whose text is g's rendering followed by rest: g, when
+    rest is empty or the h line that write_graph writes for g with a
+    witness that Instance accepts as a Hamiltonian cycle of g; else None."""
+    if not rest:
+        return Instance(g, 0)
+    tok = rest.split()
     if tok[:1] != ["h"]:
-        return False
+        return None
     verts = sorted(g.vertices)
     try:
         inst = Instance(g, 0, HamCycleWitness(tuple(verts[int(t) - 1] for t in tok[1:])))
     except (ValueError, IndexError, GraphError):
-        return False
-    return line == witness_line(inst) + "\n"
+        return None
+    return inst if rest == witness_line(inst) + "\n" else None
 
 
 def _replay_checked(trace: dict, n: int, m: int):
     """Replay a trace against an output of n vertices and m edges with every
-    certificate check; returns the replayed graph and whether the last stage
-    claims a witness. The trace's output summary must match (n, m) before
-    any step runs, and no step may grow the graph past it. The ledger is
-    rebuilt from the replayed ops alone: recorded k_delta values are
-    compared, never added. One PlanarityProof over the replayed stages
-    proves every planarity claim."""
-    g, k, stages, out_decl = _load_trace(trace)
+    ledger check; returns the trace's target, the replayed graph and the
+    PlanarityProof that has taken its stages. The trace's output summary
+    must match (n, m) before any step runs, and no step may grow the graph
+    past it. The ledger is rebuilt from the replayed ops alone."""
+    target, g, k, stages, out_decl = _load_trace(trace)
     if out_decl[:2] != (n, m):
         raise CertificationError("trace output summary disagrees with the output")
-    proof = PlanarityProof(g, (bool(cert.get("planar")) for *_, cert in stages))
-    for name, steps, k_after, cert in stages:
+    proof = PlanarityProof(g)
+    for name, steps, k_after in stages:
         g_in = g
         g, dk = replay_trace(g, steps, k, out=(n, m))
         k += dk
@@ -276,24 +280,19 @@ def _replay_checked(trace: dict, n: int, m: int):
             raise CertificationError(
                 f"stage {name}: ledger k={k} disagrees with recorded {k_after}"
             )
-        if cert.get("regular") is not None and not check_regular(g, cert["regular"]):
-            raise CertificationError(f"stage {name}: regularity claim fails")
-        failed = proof.add(name, g_in, steps, g)
-        if failed is not None:
-            raise CertificationError(f"stage {failed}: planarity claim fails")
-        if cert.get("even") and g.n % 2:
-            raise CertificationError(f"stage {name}: even-order claim fails")
+        proof.add(name, g_in, steps, g)
     if (g.n, g.m, k) != out_decl:
         raise CertificationError("trace output summary disagrees with replay")
-    return g, bool(stages and stages[-1][3].get("witness"))
+    return target, g, proof
 
 
 def verify_trace(text: str, trace: dict) -> None:
-    """Replay a trace JSON against the claimed output, given as its text;
-    raises on any certificate mismatch. The replayed graph is rendered as
-    write_graph renders it, and the output is accepted when its text is
-    exactly that rendering, followed by nothing or by one canonical h line
-    naming a Hamiltonian cycle of the replayed graph.
+    """Replay a trace JSON against the claimed output, given as its text,
+    and certify the output against the trace's target with the certifier
+    run_pipeline uses; raises on any mismatch. The replayed graph is
+    rendered as write_graph renders it, and the output is the replayed
+    graph when its text is exactly that rendering, followed by nothing or
+    by one canonical h line naming a Hamiltonian cycle of it.
 
     The text is parsed at most once, and only when it differs from the
     rendering, a check fails, or its header's m is not backed by its own
@@ -304,19 +303,15 @@ def verify_trace(text: str, trace: dict) -> None:
     size = _backed_size(text)
     out = None if size else parse_graph(text)
     try:
-        g, claims_witness = _replay_checked(trace, *(size or (out.graph.n, out.graph.m)))
+        target, g, proof = _replay_checked(trace, *(size or (out.graph.n, out.graph.m)))
         canon = _graph_text(g)
-        if out is None and text.startswith(canon):
-            rest = text[len(canon):]
-            if (not rest and not claims_witness) or _canonical_witness(rest, g):
-                return
+        rendered = out is None and text.startswith(canon) and _rendered(text[len(canon):], g)
     except Exception:
         if out is None:
             parse_graph(text)  # the output's format error comes first
         raise
-    if out is None:
-        out = parse_graph(text)
-    if _graph_text(out.graph) != canon:
-        raise CertificationError("replayed graph differs from output graph")
-    if claims_witness and out.witness is None:
-        raise CertificationError("trace claims a witness but output has none")
+    if not rendered:
+        out = out or parse_graph(text)
+        if _graph_text(out.graph) != canon:
+            raise CertificationError("replayed graph differs from output graph")
+    certify(target, rendered or out, proof)

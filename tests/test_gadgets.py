@@ -124,7 +124,7 @@ class TestInsertion:
         b.insert(build_gadget("L"), 1, 3)
         assert b.k == 6
         (step,) = b.steps
-        assert (step.op, step.gadget, step.k_delta, step.attach) == ("insert", "L", 4, (1, 3))
+        assert (step.op, step.gadget, step.attach) == ("insert", "L", (1, 3))
 
     def test_interior_path_is_host_path(self):
         gad = build_gadget("D")

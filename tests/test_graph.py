@@ -231,7 +231,7 @@ class TestWitnessAndInstance:
 
 class TestTrace:
     def test_step_json_round_trip(self):
-        s = TraceStep("merge", "insert", 4, gadget="L", attach=(3, 7))
+        s = TraceStep("merge", "insert", gadget="L", attach=(3, 7))
         back = TraceStep.from_json("merge", s.to_json())
         assert back == s
 
@@ -318,9 +318,11 @@ def test_only_compute_two_factor_validates_a_two_factor():
     assert calls == {("pipeline.py", "compute_two_factor")}
 
 
-# What proves or tests planarity. textio may reach it only through
-# PlanarityProof, so reduce and verify run one proof of the same shape.
-PLANARITY_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneBuilder"}
+# What tests a class property of a graph. textio may reach them only through
+# certify, the certifier run_pipeline calls, and its PlanarityProof, so reduce
+# and verify certify an output against its target with the same code.
+CLASS_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneBuilder",
+                    "check_regular", "regularity", "check_ore_condition", "target_class"}
 
 
 def test_textio_reaches_planarity_only_through_planarity_proof():
@@ -336,5 +338,5 @@ def test_textio_reaches_planarity_only_through_planarity_proof():
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-    assert "PlanarityProof" in used
-    assert not used & PLANARITY_PRIMITIVES
+    assert {"certify", "PlanarityProof"} <= used
+    assert not used & CLASS_PRIMITIVES

@@ -11,7 +11,7 @@ import pytest
 
 import fvskit
 from fvskit import solvers, textio
-from fvskit.cli import main
+from fvskit.cli import build_parser, main
 from fvskit.graph import GraphError, Instance
 from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
@@ -244,6 +244,17 @@ class TestCli:
         p = tmp_path / "in.fvs"
         p.write_text(text)
         return str(p)
+
+    def test_parser_is_built_once(self, tmp_path):
+        assert build_parser() is build_parser()
+        # one call's options do not leak into the next: the second run
+        # takes the default budget
+        inp = self._write_input(tmp_path)
+        traces = [tmp_path / "k5.json", tmp_path / "k0.json"]
+        for tr, k in zip(traces, (["--k", "5"], [])):
+            assert main(["reduce", inp, "--target", "4reg-planar", "-o", str(tmp_path / "out"),
+                         "--trace", str(tr), *k]) == 0
+        assert [json.loads(tr.read_text())["input"]["k"] for tr in traces] == [5, 0]
 
     def test_reduce_then_verify(self, tmp_path):
         inp = self._write_input(tmp_path)

@@ -384,7 +384,9 @@ class TestTargets:
     def test_run_4reg_planar(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar")
         assert res.instance.graph.n == 24 and res.instance.k == 10
-        assert sum(s.k_delta for sr in res.stages for s in sr.steps) == res.instance.k - 1
+        steps = [s for sr in res.stages for s in sr.steps]
+        _, dk = replay_trace(res.input.graph, steps, out=(24, res.instance.graph.m))
+        assert dk == res.instance.k - 1
 
     def test_run_4reg_planar_ham(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar-ham")
@@ -432,6 +434,21 @@ class TestPlanarityProof:
         verify_trace(write_graph(res.instance), trace_to_json(res))
         assert len(calls) <= 1
 
+    @pytest.mark.parametrize("target", ["preg-ham:4", "preg-ham:6", "ham-ordered:4"])
+    def test_no_proof_runs_for_a_nonplanar_target(self, monkeypatch, target):
+        # the output need not be planar, so verify runs no LR test, and
+        # reduce runs only the degree2 precondition and hamiltonize's
+        import fvskit.pipeline as pipeline
+
+        sizes = []
+        real = pipeline.check_planarity
+        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+        res = run_pipeline(parse_graph(write_graph(Instance(cycle_graph(3), 1)), 1), target)
+        assert sizes == ([] if target.startswith("ham-ordered") else [3, 24])
+        sizes.clear()
+        verify_trace(write_graph(res.instance), trace_to_json(res))
+        assert sizes == []
+
     @pytest.mark.parametrize("rows, target, kept, kept_input_n", [
         (5, "4reg-planar-ham", "hamiltonize", 175),
         (8, "4reg-planar", "pairing", 92),
@@ -478,7 +495,7 @@ class TestPlanarityProof:
         def pairing(inst):
             step = TraceStep("pairing", "subdivide", edge=(1, 2))
             return StageResult("pairing", Instance(k5, inst.k), (step,),
-                               ClassCertificate(4, True, False, False))
+                               ClassCertificate(4, True))
 
         monkeypatch.setattr(pipeline, "pair_degree_three", pairing)
         with pytest.raises(PipelineError, match="stage pairing: planarity claim fails"):

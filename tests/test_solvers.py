@@ -207,6 +207,36 @@ def test_budget_honoured_mid_search(monkeypatch):
     assert next(reads) == 5
 
 
+def test_budget_trips_inside_the_cycle_packing(monkeypatch):
+    # a clock that advances one unit per read: the deadline is read at 0,
+    # the first node at 1, and the packing's first shortest-cycle search
+    # reads it before each BFS root, passing 3 at its third root
+    g = random_cubic(48, 0)
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: pytest.fail("clock read"))
+    opt = len(fvs_branch_reduce(g).deleted)
+    tripped = []
+    packing = solvers._cycle_packing
+
+    def spy(adj, timeout=None):
+        try:
+            return packing(adj, timeout)
+        except UndecidedError:
+            tripped.append(len(adj))
+            raise
+
+    monkeypatch.setattr(solvers, "_cycle_packing", spy)
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+    with pytest.raises(UndecidedError) as info:
+        fvs_branch_reduce(g, time_budget=3)
+    assert next(reads) == 5 and tripped == [48]
+    lower = solvers._degree_sum_lb(g.adjacency)
+    upper = len(solvers._greedy_fvs(g.adjacency))
+    assert 0 < lower <= opt <= upper
+    assert str(info.value) == (
+        f"undecided within budget: 1 nodes searched, {lower} <= opt <= {upper}")
+
+
 def test_undecided_lower_bound_is_the_current_round(monkeypatch):
     # the search deepens k from the root bound 4; rounds 4 and 5 end within
     # 1 216 nodes, so the budget trips 3 072 nodes in, in a later round,

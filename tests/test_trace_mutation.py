@@ -1,7 +1,8 @@
 """Tampered traces: `fvskit verify` must reject every single-field mutation
 of a valid trace with exit 2 (format) or 4 (certification), or else the
-mutant must replay to the identical output. It must never trust a recorded
-budget delta, and never end in a traceback."""
+mutant must replay to the identical output. It derives every budget delta
+from the replayed ops, decides from the trace's target alone what the
+output must satisfy, and never ends in a traceback."""
 
 import copy
 import json
@@ -11,12 +12,14 @@ import pytest
 from fvskit import pipeline
 from fvskit.cli import main
 from fvskit.graph import Builder, Graph, Instance, TraceStep
-from fvskit.pipeline import GADGETS, ClassCertificate, PipelineResult, StageResult, replay_trace
+from fvskit.pipeline import GADGETS, PipelineResult, PlanarityProof, StageResult, replay_trace
 from fvskit.textio import parse_graph, trace_to_json, write_graph
 
 TRIANGLE = "p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 OPS = ("subdivide", "insert", "copy", "lift", "strip")
 KINDS = ("R", "L", "D", "Y")
+TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham", "preg-ham:4", "preg-ham:5",
+           "preg-ham:6", "ham-ordered:3", "ham-ordered:4", "ham-ordered:5")
 
 
 def _compile(tmp_path, k):
@@ -61,6 +64,10 @@ def _field_mutants(value):
 
 
 def mutants(doc):
+    for new in [t for t in TARGETS if t != doc["target"]] + ["preg-ham:x", 7, None]:
+        m = copy.deepcopy(doc)
+        m["target"] = new
+        yield f"target={new!r}", m
     for si, st in enumerate(doc["stages"]):
         for j, step in enumerate(st["steps"]):
             for field, value in step.items():
@@ -137,21 +144,92 @@ def test_output_edge_mutants_are_rejected(artifact, capsys, change):
 
 
 def test_zeroed_deltas_are_rejected(tmp_path, capsys):
-    # the ledger must come from the ops: a trace whose insert deltas, stage
-    # budgets and output budget are all zeroed still replays to the same
-    # graph, so only a derived ledger can catch it
+    # the trace records no deltas, and a k_delta that a step still carries
+    # is never read; the ledger comes from the ops, so zeroed stage and
+    # output budgets are caught at the first stage
     out, doc = _compile(tmp_path, 0)
     assert doc["output"]["k"] == 29
+    assert all("k_delta" not in step for st in doc["stages"] for step in st["steps"])
     for st in doc["stages"]:
         for step in st["steps"]:
-            if step["op"] == "insert":
-                step["k_delta"] = 0
+            step["k_delta"] = 0
+    assert _verify(tmp_path, out, doc) == 0
+    for st in doc["stages"]:
         st["k_after"] = 0
     doc["output"]["k"] = 0
     capsys.readouterr()
     assert _verify(tmp_path, out, doc) == 4
-    err = capsys.readouterr().err
-    assert "stage degree2 step 0" in err and "k_delta recorded 0, replay derives 3" in err
+    assert "stage degree2: ledger k=9 disagrees with recorded 0" in capsys.readouterr().err
+
+
+def test_trace_keys_are_the_schema(artifact):
+    _, _, doc = artifact
+    assert set(doc) == {"target", "input", "stages", "output"}
+    for st in doc["stages"]:
+        assert set(st) == {"name", "steps", "k_after"}
+        for step in st["steps"]:
+            assert set(step) == {"op", "gadget", "p", "attach", "subdivided"}
+
+
+def test_the_target_decides_what_verifies(artifact, capsys):
+    # a triangle's 4reg-planar-ham output is 4-regular, planar and
+    # Hamiltonian, but neither 5-regular nor dense enough for the
+    # degree-sum condition of p >= 4
+    tmp, out, doc = artifact
+    accepted = set()
+    for target in TARGETS:
+        capsys.readouterr()
+        rc = _verify(tmp, out, dict(doc, target=target))
+        assert rc in (0, 4), target
+        if rc:
+            err = capsys.readouterr().err
+            assert f"target {target}: output " in err, err
+        else:
+            accepted.add(target)
+    assert accepted == {"4reg-planar", "4reg-planar-ham", "preg-ham:4", "ham-ordered:3"}
+    _verify(tmp, out, dict(doc, target="5reg-planar-ham"))
+    assert "target 5reg-planar-ham: output is not 5-regular" in capsys.readouterr().err
+    _verify(tmp, out, dict(doc, target="ham-ordered:4"))
+    assert "output fails the degree-sum condition for p=4" in capsys.readouterr().err
+
+
+def test_a_witness_target_needs_the_h_line(artifact, capsys):
+    tmp, out, doc = artifact
+    bare = tmp / "bare.fvs"
+    bare.write_text("".join(ln for ln in out.read_text().splitlines(True) if ln[0] != "h"))
+    assert _verify(tmp, bare, dict(doc, target="4reg-planar")) == 0
+    capsys.readouterr()
+    assert _verify(tmp, bare, doc) == 4
+    assert ("target 4reg-planar-ham: output carries no Hamiltonian witness"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("target", ["absent", "preg-ham:x", "preg-ham:3", "5reg", 7, None])
+def test_malformed_target_is_a_format_error(artifact, target):
+    tmp, out, doc = artifact
+    doc = dict(doc, target=target)
+    if target == "absent":
+        # a trace in the format that recorded per-stage claims instead
+        del doc["target"]
+        doc["stages"] = [dict(st, certified={"regular": 4, "planar": True}) for st in doc["stages"]]
+    assert _verify(tmp, out, doc) == 2
+
+
+def test_output_outside_the_target_class_is_refused(tmp_path, capsys):
+    # a faithful trace of a D insert across edge 12 of K5 - e: the output
+    # is planar but not 4-regular, so a 4reg-planar label does not verify
+    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
+                            if (i, j) != (4, 5)])
+    b = Builder(g, 0, "5regular")
+    b.insert(GADGETS["D"], 1, 2)
+    out = Instance(b.freeze(), b.k)
+    stage = StageResult("5regular", out, tuple(b.steps), pipeline._certificate(out))
+    path = tmp_path / "out.fvs"
+    path.write_text(write_graph(out))
+    trace = trace_to_json(PipelineResult(Instance(g, 0), (stage,), out, "4reg-planar"))
+    capsys.readouterr()
+    assert _verify(tmp_path, path, trace) == 4
+    assert "target 4reg-planar: output is not 4-regular" in capsys.readouterr().err
 
 
 def _first_insert(doc):
@@ -191,6 +269,11 @@ class TestMalformedTraces:
         step = _first_insert(doc)
         step["gadget"], step["p"] = "Y", 10**9
         assert _verify(tmp, out, doc) == 4
+
+    @pytest.mark.parametrize("k", [-1, "29", None])
+    def test_output_budget_not_a_non_negative_integer(self, artifact, k):
+        tmp, out, doc = artifact
+        assert _verify(tmp, out, dict(doc, output=dict(doc["output"], k=k))) == 2
 
     def test_trace_not_an_object(self, artifact):
         tmp, out, _ = artifact
@@ -238,7 +321,7 @@ def test_extra_lifts_stop_at_declared_size(tmp_path, monkeypatch, capsys, extra)
     assert n == 14
     stage = doc["stages"][-1]
     for _ in range(extra):
-        stage["steps"].append(dict(stage["steps"][-1], k_delta=3 * n))
+        stage["steps"].append(dict(stage["steps"][-1]))
         stage["k_after"] += 3 * n
         n = 4 * n + 2
     sizes = []
@@ -256,26 +339,44 @@ def test_extra_lifts_stop_at_declared_size(tmp_path, monkeypatch, capsys, extra)
     assert max(sizes) == 14
 
 
+def test_a_trace_without_stages_is_certified_too(tmp_path, capsys):
+    # K5 is 4-regular but not planar; with no stage, the planarity
+    # failure names the input
+    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
+    path = tmp_path / "out.fvs"
+    path.write_text(write_graph(Instance(g, 0)))
+    trace = trace_to_json(PipelineResult(Instance(g, 0), (), Instance(g, 0), "4reg-planar"))
+    assert _verify(tmp_path, path, dict(trace, target="preg-ham:4")) == 4
+    capsys.readouterr()
+    assert _verify(tmp_path, path, trace) == 4
+    assert ("target 4reg-planar: stage input: planarity claim fails"
+            in capsys.readouterr().err)
+
+
+def _k5_or_k5_minus_e(base):
+    return Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
+                               if base == "K5" or (i, j) != (4, 5)])
+
+
+def _proof_of_one_stage(name, g, b):
+    proof = PlanarityProof(g)
+    proof.add(name, g, tuple(b.steps), b.freeze())
+    return proof.failed()
+
+
+# rc: what verify exits with when this proof decides a planar target's output
+
 @pytest.mark.parametrize("base, attach, rc", [
     ("K5-e", (4, 5), 4),  # not an edge: the output holds a K5 subdivision
     ("K5-e", (1, 2), 0),  # a 2-sum along an edge keeps planarity
     ("K5", (1, 2), 4),  # a 2-sum cannot make a nonplanar base planar
 ])
-def test_planar_claim_over_one_d_insert(tmp_path, capsys, base, attach, rc):
-    # hand-made one-stage traces whose only step inserts a D gadget and
-    # whose stage claims a planar output
-    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
-                            if base == "K5" or (i, j) != (4, 5)])
+def test_planar_claim_over_one_d_insert(base, attach, rc):
+    # one stage whose only step inserts a D gadget
+    g = _k5_or_k5_minus_e(base)
     b = Builder(g, 0, "5regular")
     b.insert(GADGETS["D"], *attach)
-    out = Instance(b.freeze(), b.k)
-    stage = StageResult("5regular", out, tuple(b.steps), ClassCertificate(None, True, False, False))
-    path = tmp_path / "out.fvs"
-    path.write_text(write_graph(out))
-    capsys.readouterr()
-    assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
-    if rc:
-        assert "stage 5regular: planarity claim fails" in capsys.readouterr().err
+    assert _proof_of_one_stage("5regular", g, b) == ("5regular" if rc else None)
 
 
 @pytest.mark.parametrize("base, attach, rc", [
@@ -283,22 +384,14 @@ def test_planar_claim_over_one_d_insert(tmp_path, capsys, base, attach, rc):
     ("K5-e", (6, 4), 0),  # the subdivision vertex and 4 share a face
     ("K5", (6, 4), 4),  # a nonplanar input fails by the minor rule
 ])
-def test_planar_claim_over_subdivide_and_r_insert(tmp_path, capsys, base, attach, rc):
-    # hand-made one-stage traces that subdivide edge 12 into vertex 6 and
-    # then insert an R gadget between two vertices
-    g = Graph(range(1, 6), [(i, j) for i in range(1, 6) for j in range(i + 1, 6)
-                            if base == "K5" or (i, j) != (4, 5)])
+def test_planar_claim_over_subdivide_and_r_insert(base, attach, rc):
+    # one stage that subdivides edge 12 into vertex 6 and then inserts an R
+    # gadget between two vertices
+    g = _k5_or_k5_minus_e(base)
     b = Builder(g, 0, "pairing")
     b.subdivide((1, 2))
     b.insert(GADGETS["R"], *attach)
-    out = Instance(b.freeze(), b.k)
-    stage = StageResult("pairing", out, tuple(b.steps), ClassCertificate(None, True, False, False))
-    path = tmp_path / "out.fvs"
-    path.write_text(write_graph(out))
-    capsys.readouterr()
-    assert _verify(tmp_path, path, trace_to_json(PipelineResult(Instance(g, 0), (stage,), out))) == rc
-    if rc:
-        assert "stage pairing: planarity claim fails" in capsys.readouterr().err
+    assert _proof_of_one_stage("pairing", g, b) == ("pairing" if rc else None)
 
 
 def _four_lifts(tmp_path):
@@ -313,7 +406,7 @@ def _four_lifts(tmp_path):
     stage = doc["stages"][-1]
     n = 4 * 3 + 2
     for _ in range(3):
-        stage["steps"].append(dict(stage["steps"][-1], k_delta=3 * n))
+        stage["steps"].append(dict(stage["steps"][-1]))
         stage["k_after"] += 3 * n
         n = 4 * n + 2
     assert n == 938
