@@ -116,10 +116,12 @@ def _param_on(p, a, b):
 class GridEmbedding:
     """Straight-line crossing-free drawing on the (2n-4) x (n-2) integer
     grid (for n >= 4; tiny graphs use a fixed 2 x 1 layout). Every vertex is
-    a lattice point, which route_connection relies on."""
+    a lattice point, which route_connection relies on. rotation, if known,
+    lists each vertex's neighbours in their clockwise order in the drawing."""
 
     graph: Graph
     coords: dict
+    rotation: dict | None = None
 
     def verify(self):
         g = self.graph
@@ -149,17 +151,30 @@ class GridEmbedding:
 
 
 def grid_embed(g: Graph) -> GridEmbedding:
-    """Deterministic integer-grid drawing from a planarity certificate."""
+    """Deterministic integer-grid drawing of the rotation one LR test of g finds."""
     if g.n < 3:
         raise GeometryError("need at least 3 vertices")
     ok, emb = nx.check_planarity(to_networkx(g))
     if not ok:
         raise GeometryError("graph not planar")
+    rotation = {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
     raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
     pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
-    out = GridEmbedding(g, pos)
+    out = GridEmbedding(g, pos, rotation)
     out.verify()
     return out
+
+
+def first_clockwise(origin, ahead, points):
+    """The key of points (key -> point) whose ray from origin comes first
+    clockwise after the ray through ahead, no two rays collinear: a ray is
+    within half a turn clockwise of another when their cross product is < 0."""
+    best = None
+    for name, p in points.items():
+        half = _cross(origin, ahead, p) > 0
+        if best is None or (half, _cross(origin, p, best[1])) < (best[0], 0):
+            best = (half, p, name)
+    return best[2]
 
 
 @dataclass(frozen=True)

@@ -165,11 +165,11 @@ class Builder:
         self._record("subdivide", edge=tuple(e))
         return w
 
-    def insert(self, gadget, u, v) -> dict:
+    def insert(self, gadget, u, v, dart=None) -> dict:
         """Add a fresh copy of the gadget, fusing its x with u and its y with
         v. Budget +gadget.k_delta, its certified minimum FVS size. Returns the
         map from gadget-local ids to host ids (x -> u, y -> v, interior ->
-        fresh)."""
+        fresh). dart, PlaneBuilder's choice of face, is only recorded."""
         adj = self._adj
         if u not in adj or v not in adj:
             raise GraphError("attachment vertices must be present")
@@ -185,7 +185,8 @@ class Builder:
             ma = id_map[a]
             # u=v R-insertion: x and y both land on u, and an xy edge would be a loop
             adj[ma].update(mb for b in row if (mb := id_map[b]) != ma)
-        self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v))
+        self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v),
+                     face=dart)
         return id_map
 
     def copy(self) -> dict:
@@ -244,13 +245,10 @@ def _strip_adjacency(adj, queue=None):
 
 
 class PlaneBuilder(Builder):
-    """A Builder of a connected plane graph. Besides the adjacency it keeps
-    the rotation system (each vertex's neighbours in cyclic order), the face
-    of every dart (u, v) under the walk rule of faces(), and the face count.
-    The constructor walks the given rotation once, so one that is not a
-    planar embedding fails Euler's formula there. subdivide and insert then
-    update the embedding in time proportional to the edit times the degrees
-    it touches. The other ops have no plane form here."""
+    """A Builder that also keeps a rotation system (each vertex's neighbours
+    in cyclic order), each dart's face under _face_walk, and n_faces, above
+    every face id. The constructor walks the rotation, so one that is not a
+    plane embedding fails there; subdivide, insert and copy keep it plane."""
 
     def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
         super().__init__(g, k, stage)
@@ -258,6 +256,7 @@ class PlaneBuilder(Builder):
         self.rotation = {v: list(order) for v, order in rotation.items()}
         self.face = {d: f for f, w in enumerate(walks) for d in zip(w, w[1:] + w[:1])}
         self.n_faces = len(walks) or 1
+        self.split = None  # after a copy, the copy's lowest face id
 
     def subdivide(self, e) -> int:
         """Builder.subdivide; the fresh vertex takes the edge's place in both
@@ -272,52 +271,74 @@ class PlaneBuilder(Builder):
         face[(v, w)] = face[(w, u)] = face.pop((v, u))
         return w
 
-    def insert(self, gadget, u, v, plane) -> dict:
-        """Builder.insert, laying plane, the gadget's GadgetPlane, into the
-        lowest-numbered face f that u and v share. f splits in two: the side
-        that runs from u round to v and the gadget's face on the x-to-y side
-        of xy get a new face id, the other side keeps f, and the gadget's
-        inner faces are new."""
-        rot, face = self.rotation, self.face
-        if u == v or u not in rot or v not in rot:
-            raise GraphError("plane insertion needs two distinct present vertices")
-        corner = {}  # face -> the neighbour q that opens u's corner on it
-        for q in reversed(rot[u]):
-            corner[face[(u, q)]] = q
-        shared = corner.keys() & {face[(v, q)] for q in rot[v]}
-        if not shared:
-            raise GraphError(f"vertices {u} and {v} share no face")
-        f = min(shared)
-        walk = [(u, corner[f])]
-        while walk[-1][1] != v:
-            a, b = walk[-1]
-            order = rot[b]
-            walk.append((b, order[(order.index(a) + 1) % len(order)]))
-            if walk[-1] == walk[0]:
-                raise GraphError(f"face {f} walked from {u} never reaches {v}")
-        id_map = super().insert(gadget, u, v)
+    def copy(self) -> dict:
+        """Builder.copy; the copy's rotation and faces are the copied ones,
+        under face ids from split on. The next insert must join the halves."""
+        if self.split is not None:
+            raise GraphError("a plane builder copies only a connected graph")
+        mapping = super().copy()
+        rot = self.rotation
+        rot.update({c: [mapping[w] for w in rot[v]] for v, c in mapping.items()})
+        self.split = base = self.n_faces
+        self.face.update({(mapping[a], mapping[b]): base + f for (a, b), f in self.face.items()})
+        self.n_faces = 2 * base
+        return mapping
 
-        # x's neighbours fill u's corner on f, just before corner[f]; y's
-        # fill v's corner on f, just after the walk's last vertex before v
-        i = rot[u].index(corner[f])
-        rot[u][i:i] = [id_map[w] for w in plane.x_fan]
-        i = rot[v].index(walk[-1][0]) + 1
-        rot[v][i:i] = [id_map[w] for w in plane.y_fan]
+    def corner_reached(self, dart, stop):
+        """The q before which the walk of dart's face first reaches stop."""
+        order = self.rotation[stop]
+        return order[(order.index(_face_walk(self.rotation, dart, stop)[-1][0]) + 1) % len(order)]
+
+    def insert(self, gadget, u, v, plane=None, dart=None) -> dict:
+        """Builder.insert, laying plane, the gadget's GadgetPlane, into face
+        f: dart's, a dart (u, q) or (u, q, v, q2), else the lowest that u and
+        v share. x fills u's corner before q, or its first on f, and y v's
+        before q2, or its first on f's walk from x. The walked side and xy's
+        x-to-y side get a new face id. After a copy, the insert must join u's
+        lowest face f in one half to v's: v's face and xy's sides become f."""
+        rot, face = self.rotation, self.face
+        if plane is None or u == v or not rot.get(u) or not rot.get(v):
+            raise GraphError(f"no plane insert of {gadget.kind} joins {u} and {v}")
+        if dart is not None and not (dart[0] == u and dart[:2] in face and (
+                len(dart) == 2 or dart[2] == v and face.get(dart[2:]) == face[dart[:2]])):
+            raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
+        if join := self.split is not None:
+            # each end's first corner on its lowest face
+            q, qv = (min(rot[t], key=lambda w, t=t: face[(t, w)]) for t in (u, v))
+            f, fv = face[(u, q)], face[(v, qv)]
+            if dart is not None or (f < self.split) == (fv < self.split):
+                raise GraphError(f"the insert after a copy must join its halves at {u} and {v}")
+            walk, iv = _face_walk(rot, (v, qv)), rot[v].index(qv)
+            self.split = None
+        else:
+            if dart is None:
+                shared = {face[(u, t)] for t in rot[u]} & {face[(v, t)] for t in rot[v]}
+                if not shared:
+                    raise GraphError(f"vertices {u} and {v} share no face")
+                f = min(shared)
+                q, q2 = next(t for t in rot[u] if face[(u, t)] == f), None
+            else:
+                f, q, q2 = face[dart[:2]], dart[1], dart[3] if len(dart) == 4 else None
+            walk = _face_walk(rot, (u, q), v, q2)
+            iv = rot[v].index(walk[-1][0]) + 1
+        iu = rot[u].index(q)
+        id_map = super().insert(gadget, u, v, dart)
+        rot[u][iu:iu] = [id_map[w] for w in plane.x_fan]
+        rot[v][iv:iv] = [id_map[w] for w in plane.y_fan]
         for w, order in plane.inner_rotation.items():
             rot[id_map[w]] = [id_map[t] for t in order]
-
-        base = self.n_faces
-        self.n_faces = base + plane.n_new
+        base, self.n_faces = self.n_faces, self.n_faces + plane.n_new
+        seam = f if join else base  # the face of the walk and of xy's x-to-y side
         for d in walk:
-            face[d] = base
+            face[d] = seam
         for (a, b), i in plane.face.items():
-            face[(id_map[a], id_map[b])] = f if i < 0 else base + i
+            face[(id_map[a], id_map[b])] = f if i < 0 else seam if i == 0 else base + i
         return id_map
 
     def _unsupported(self, *args):
-        raise GraphError("a plane builder supports only subdivide and insert")
+        raise GraphError("a plane builder has no lift or strip")
 
-    copy = lift = strip = _unsupported
+    lift = strip = _unsupported
 
 
 def subdivide_edge(g: Graph, e) -> tuple[Graph, int]:
@@ -361,28 +382,32 @@ def to_networkx(g: Graph) -> nx.Graph:
     return G
 
 
+def _face_walk(rot, d, stop=None, then=None):
+    """The darts of d's face under rotation rot from d on, (v, w) after
+    (u, v) for the w after u in v's rotation: round to d, or up to the first
+    dart that ends at stop and, if then is given, goes on to (stop, then)."""
+    walk = [d]
+    while True:
+        a, b = walk[-1]
+        nxt = (b, rot[b][(rot[b].index(a) + 1) % len(rot[b])])
+        if b == stop and then in (None, nxt[1]):
+            return walk
+        if nxt == d:
+            if stop is None:
+                return walk
+            raise GraphError(f"the face walked from {d[0]} never reaches {stop}")
+        walk.append(nxt)
+
+
 def _walk_faces(rot):
-    """Partition the darts (v, w) of a rotation system into face boundary
-    walks: the dart after (u, v) is (v, w) for the w that follows u in v's
-    rotation. Each walk is a list of darts and starts at the smallest dart
-    not yet on a face."""
-    index = {(v, u): i for v, order in rot.items() for i, u in enumerate(order)}
-    visited = set()
+    """The face boundary walks of a rotation system, each a list of darts
+    starting at the smallest dart not yet on a face."""
+    seen = set()
     out = []
-    for d0 in sorted(index):
-        if d0 in visited:
-            continue
-        walk = []
-        d = d0
-        while True:
-            walk.append(d)
-            visited.add(d)
-            u, v = d
-            order = rot[v]
-            d = (v, order[(index[(v, u)] + 1) % len(order)])
-            if d == d0:
-                break
-        out.append(walk)
+    for d in sorted((v, u) for v, order in rot.items() for u in order):
+        if d not in seen:
+            out.append(_face_walk(rot, d))
+            seen.update(out[-1])
     return out
 
 
@@ -417,10 +442,9 @@ class GadgetPlane:
 
 def faces(g: Graph, rotation):
     """All face boundary walks of the connected graph g embedded by
-    rotation (each vertex's neighbours in cyclic order), via
-    next-edge-in-rotation traversal. Checks that rotation lists exactly g's
-    edges at every vertex and that the walks satisfy Euler's formula, so
-    the walks prove g itself planar."""
+    rotation (each vertex's neighbours in cyclic order). Checks that
+    rotation lists exactly g's edges at every vertex and that the walks
+    satisfy Euler's formula, so the walks prove g itself planar."""
     if rotation.keys() != g.vertices:
         raise GraphError("rotation must cover exactly the vertex set")
     for v, order in rotation.items():
@@ -501,6 +525,7 @@ class TraceStep:
     p: int | None = None
     attach: tuple = ()
     edge: tuple | None = None
+    face: tuple | None = None  # a pairing insert's dart(s); see PlaneBuilder.insert
 
     def to_json(self):
         return {
@@ -509,6 +534,7 @@ class TraceStep:
             "p": self.p,
             "attach": list(self.attach),
             "subdivided": list(self.edge) if self.edge else [],
+            **({"face": list(self.face)} if self.face else {}),
         }
 
     @classmethod
@@ -520,15 +546,16 @@ class TraceStep:
         if "op" not in d:
             raise ValueError("step lacks 'op'")
         op, gadget, p = d["op"], d.get("gadget"), d.get("p")
-        attach, edge = d.get("attach", []), d.get("subdivided", [])
+        attach, edge, face = d.get("attach", []), d.get("subdivided", []), d.get("face", [])
         if not isinstance(op, str):
             raise ValueError("op must be a string")
         if not (gadget is None or isinstance(gadget, str)) or not (p is None or _is_int(p)):
             raise ValueError("gadget must be a string and p an integer, or null")
-        for key, val in (("attach", attach), ("subdivided", edge)):
-            if not (isinstance(val, list) and len(val) in (0, 2) and all(map(_is_int, val))):
-                raise ValueError(f"{key} must list zero or two integers")
-        return cls(stage, op, gadget, p, tuple(attach), tuple(edge) or None)
+        for key, val, sizes in (("attach", attach, (0, 2)), ("subdivided", edge, (0, 2)),
+                                ("face", face, (0, 2, 4))):
+            if not (isinstance(val, list) and len(val) in sizes and all(map(_is_int, val))):
+                raise ValueError(f"{key} must list {' or '.join(map(str, sizes))} integers")
+        return cls(stage, op, gadget, p, tuple(attach), tuple(edge) or None, tuple(face) or None)
 
 
 def _is_int(x):

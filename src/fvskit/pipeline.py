@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gadgets import build_gadget, interior_path
 from .geometry import (
     crossing_index,
     find_crossings,
+    first_clockwise,
     grid_embed,
     pick_epsilon,
     route_connection,
@@ -37,17 +39,11 @@ from .graph import (
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
 
 GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
-_PLUS_XY = {kind: check_planarity(Graph(gd.graph.vertices, [*gd.graph.edges, (gd.x, gd.y)]))
-            for kind, gd in GADGETS.items()}
 
-# the gadgets G with G + xy planar: one inserted at a vertex or across an edge
-# is a 1-sum or a 2-sum with a planar graph, which keeps the host planar
-SUM_PLANAR = frozenset(kind for kind, (planar, _) in _PLUS_XY.items() if planar)
-
-# a plane embedding of each of them plus its edge xy, walked into faces once,
-# which PlaneBuilder.insert lays into a host face
-GADGET_PLANES = {kind: GadgetPlane(_PLUS_XY[kind][1], GADGETS[kind].x, GADGETS[kind].y)
-                 for kind in sorted(SUM_PLANAR)}
+# a plane embedding of each gadget G plus xy, which PlaneBuilder.insert lays into a face
+GADGET_PLANES = {kind: GadgetPlane(check_planarity(plus_xy)[1], gd.x, gd.y)
+                 for kind, gd in GADGETS.items()
+                 for plus_xy in [Graph(gd.graph.vertices, [*gd.graph.edges, (gd.x, gd.y)])]}
 _L = GADGETS["L"]
 
 # the most edges a Y round or a lift may build; a target beyond it is refused
@@ -94,8 +90,8 @@ class StageResult:
     steps: tuple
     certificate: ClassCertificate
     audit: object = None
-    # the stage proved its output planar by walking a plane embedding of it
-    embedded: bool = False
+    # the rotation system of the output that a planar stage's PlaneBuilder kept
+    rotation: dict | None = None
 
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
@@ -104,76 +100,27 @@ def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
     return ClassCertificate(regularity(inst.graph), claim_planar)
 
 
-class PlanarityProof:
-    """A planarity proof of the last graph of a chain: a base graph and the
-    outputs of the stages applied to it in order. It keeps the latest graph
-    whose planarity still needs a proof, and proves the last graph from it
-    by two rules.
+class Plane(NamedTuple):
+    """A planarity proof of a chain's last graph: a rotation system (or None)
+    of graph, the last graph or one that 2-sums take to it, and its stage."""
 
-    - Minor rule: every op except strip only subdivides an edge or adds
-      vertices and edges, and strip only removes pendant trees. So each
-      graph is a topological minor of every later one, up to pendant trees,
-      and a planar later graph proves every earlier one planar.
-    - Sum rule: a stage whose steps all insert a SUM_PLANAR gadget at one
-      vertex or across an edge of the stage's input glues planar graphs on
-      by 1-sums and 2-sums, so its output is planar if its input is.
+    name: str
+    graph: Graph
+    rotation: dict | None
 
-    A stage that walked a plane embedding of its output proves it outright.
-    failed() proves the kept graph. If it is the output of a stage whose
-    steps all subdivide or insert a SUM_PLANAR gadget between two distinct
-    vertices, the one LR test runs on that stage's smaller input: a
-    non-planar input fails by the minor rule, and a planar one gives the
-    rotation that a PlaneBuilder replays the steps on. A face walk of the
-    replayed rotation, which faces() checks against the kept graph's edges,
-    then proves the kept graph planar. If two ends of an insert share no
-    face, an LR test of the kept graph decides instead, as it does for any
-    other stage."""
-
-    def __init__(self, base: Graph):
-        self.kept = base
-        self.stage = None  # (input, steps) of the replayable stage that output kept
-        self.name = "input"  # the stage that output the last graph, which a failure names
-
-    def add(self, name, g_in: Graph, steps, g_out: Graph, embedded=False):
-        """Take the next stage: its name, input graph, steps and output
-        graph, and whether it walked a plane embedding of its output."""
-        self.name = name
-        if embedded:
-            self.kept = self.stage = None
-        elif not all(s.op == "insert" and s.gadget in SUM_PLANAR
-                     and (s.attach[0] == s.attach[1] or g_in.has_edge(*s.attach))
-                     for s in steps):
-            self.kept = g_out
-            self.stage = (g_in, steps) if all(map(_plane_step, steps)) else None
-
-    def failed(self):
-        """None if the last graph is planar, else the name of the stage
-        that output it. Runs the proof's LR tests."""
-        if self.kept is None:
-            return None
-        if self.stage is not None:
-            g_in, steps = self.stage
-            planar, rotation = check_planarity(g_in)
-            if not planar:
-                return self.name
-            try:
-                b = PlaneBuilder(g_in, rotation)
-                for s in steps:
-                    if s.op == "subdivide":
-                        b.subdivide(s.edge)
-                    else:
-                        b.insert(GADGETS[s.gadget], *s.attach, GADGET_PLANES[s.gadget])
-                faces(self.kept, b.rotation)
-                return None
-            except GraphError:
-                pass  # two ends share no face, or the replay is not the kept graph
-        return None if check_planarity(self.kept)[0] else self.name
+    def failed(self) -> bool:
+        """Whether the proof fails: no rotation, or faces(), which checks it
+        against graph's edges and Euler's formula, refuses it."""
+        try:
+            return self.rotation is None or not faces(self.graph, self.rotation)
+        except GraphError:
+            return True
 
 
-def _plane_step(s) -> bool:
-    """Whether PlaneBuilder can replay step s."""
-    return s.op == "subdivide" or (s.op == "insert" and s.gadget in GADGET_PLANES
-                                   and s.attach[0] != s.attach[1])
+def _two_sums(g: Graph, steps) -> bool:
+    """Whether every step is a 2-sum: a GADGET_PLANES gadget across an edge of g."""
+    return all(s.op == "insert" and s.gadget in GADGET_PLANES and len(s.attach) == 2
+               and g.has_edge(*s.attach) for s in steps)
 
 
 def _require(cond, msg):
@@ -186,7 +133,6 @@ def eliminate_degree_two(inst: Instance) -> StageResult:
     (v, v) per such vertex, raising each to degree four."""
     g = inst.graph
     _require(is_connected(g), "precondition: connected graph required")
-    _require(check_planarity(g)[0], "precondition: planar graph required")
     for v in sorted(g.vertices):
         if not 2 <= g.degree(v) <= 4:
             raise PipelineError(f"precondition: vertex {v} has degree {g.degree(v)}, need 2..4")
@@ -216,7 +162,9 @@ class PairingAudit:
 def pair_degree_three(inst: Instance) -> StageResult:
     """Raise every degree-3 vertex to degree four by routing connections
     between scan-order pairs and realizing each routed fragment as an R
-    gadget; crossings with drawn edges become degree-4 vertices."""
+    gadget; crossings with drawn edges become degree-4 vertices. A plane
+    builder started from grid_embed's rotation lays each R gadget into the
+    drawing's face that its fragment runs through, named by a dart."""
     g = inst.graph
     _require(is_connected(g), "precondition: connected graph required")
     for v in sorted(g.vertices):
@@ -226,10 +174,6 @@ def pair_degree_three(inst: Instance) -> StageResult:
     deg3 = sorted((v for v in g.vertices if g.degree(v) == 3), key=emb.coords.__getitem__)
     if len(deg3) % 2:
         raise PipelineError("handshake violation")
-    if not deg3:
-        out = Instance(g, inst.k)
-        audit = PairingAudit(emb, (), (), (), dict(emb.coords), tuple(sorted_edges(g)), ())
-        return StageResult("pairing", out, (), _certificate(out), audit)
     pairs = tuple((deg3[i], deg3[i + 1]) for i in range(0, len(deg3), 2))
     eps = pick_epsilon(emb, pairs)
     routes = [route_connection(emb, a, b, eps) for a, b in pairs]
@@ -238,7 +182,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
         if c.owner_a[0] == "route" and c.owner_b[0] == "route":
             raise PipelineError("routed connections cross each other")
 
-    b = Builder(g, inst.k, "pairing")
+    b = PlaneBuilder(g, emb.rotation, inst.k, "pairing")
     coords = dict(emb.coords)  # lattice points, as verify requires
     hits = crossing_index(crossings)
     # split every crossed drawn edge at its crossing points
@@ -253,11 +197,19 @@ def pair_degree_three(inst: Instance) -> StageResult:
     # realize each route as a chain of R gadgets through its crossing points
     dissolution = []
     for ri, route in enumerate(routes):
-        inner = [point_vertex[c.point] for c in hits.get(("route", ri), ())]
+        here = hits.get(("route", ri), ())
+        inner = [point_vertex[c.point] for c in here]
         dissolution.extend(inner)
         chain = [route.endpoints[0], *inner, route.endpoints[1]]
-        for x, y in zip(chain, chain[1:]):
-            b.insert(GADGETS["R"], x, y)
+        # the route segment that each chain vertex lies on
+        segs = route.segments()
+        on = [segs[0], *(segs[(c.param_a if c.owner_a[0] == "route" else c.param_b)[0]]
+                         for c in here), segs[-1]]
+        for i, (x, y) in enumerate(zip(chain, chain[1:])):
+            qx, qy = _corner(b, coords, x, on[i], 1), _corner(b, coords, y, on[i + 1], -1)
+            # a dart at y too if the walk from x's first meets y elsewhere (on a bridge)
+            dart = (x, qx) if b.corner_reached((x, qx), y) == qy else (x, qx, y, qy)
+            b.insert(GADGETS["R"], x, y, GADGET_PLANES["R"], dart)
     g = b.freeze()
     out = Instance(g, b.k)
     cert = _certificate(out)
@@ -265,7 +217,14 @@ def pair_degree_three(inst: Instance) -> StageResult:
     drawn_after = tuple(e for e in sorted_edges(g) if e[0] in coords and e[1] in coords)
     audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
                          drawn_after, tuple(dissolution))
-    return StageResult("pairing", out, tuple(b.steps), cert, audit)
+    return StageResult("pairing", out, tuple(b.steps), cert, audit, b.rotation)
+
+
+def _corner(b: PlaneBuilder, coords, v, seg, sign):
+    """The drawn neighbour q of v opening the corner that the fragment along sign * seg takes."""
+    (p, r), o = seg, coords[v]
+    ahead = (o[0] + sign * (r[0] - p[0]), o[1] + sign * (r[1] - p[1]))
+    return first_clockwise(o, ahead, {w: coords[w] for w in b.rotation[v] if w in coords})
 
 
 def compute_two_factor(g: Graph) -> TwoFactor:
@@ -322,13 +281,10 @@ class MergeState:
     each vertex's cycle id, and a heap of the edges that join two cycles.
     Heap entries go stale when their edge is subdivided or its cycles merge
     and are dropped when popped, so the heap always yields the smallest
-    connecting edge in sorted order. The first rotation comes from one
-    planarity test of inst.graph."""
+    connecting edge in sorted order."""
 
-    def __init__(self, inst: Instance, tf: TwoFactor):
+    def __init__(self, inst: Instance, tf: TwoFactor, rotation):
         g = inst.graph
-        planar, rotation = check_planarity(g)
-        _require(planar, "merge requires a planar graph")
         self.builder = PlaneBuilder(g, rotation, inst.k, "hamiltonize")
         self.nb = {}
         self.cycle_of = {}
@@ -475,14 +431,12 @@ def _merge_case2(state, u, v, e, et, ep):
     state.join(u, v, u2, v2, [u2, z, *int1, zt1, zt2, *int2, zp, v2], (z, int1[0]))
 
 
-def hamiltonize(inst: Instance) -> StageResult:
+def hamiltonize(inst: Instance, rotation) -> StageResult:
     """Merge the 2-factor down to a single spanning cycle; at most n/3
     merges since every cycle has length at least 3. All merges edit one
-    plane builder. At the end a face walk of the maintained rotation must
-    pass Euler's formula, which proves the output planar, and the merged
-    cycle is checked once, as the output's witness."""
+    plane builder started from rotation, a rotation system of inst.graph."""
     g = inst.graph
-    state = MergeState(inst, compute_two_factor(g))
+    state = MergeState(inst, compute_two_factor(g), rotation)
     budget = g.n // 3
     merges = 0
     while len(state.members) > 1:
@@ -491,46 +445,41 @@ def hamiltonize(inst: Instance) -> StageResult:
         merge_step(state)
         merges += 1
     b = state.builder
-    g = b.freeze()
-    try:
-        faces(g, b.rotation)
-    except GraphError:
-        raise PipelineError("merging broke planarity") from None
-    out = Instance(g, b.k, HamCycleWitness(state.cycle()))
+    out = Instance(b.freeze(), b.k, HamCycleWitness(state.cycle()))
     cert = _certificate(out)
     _require(cert.regular == 4, "merging broke 4-regularity")
-    return StageResult("hamiltonize", out, tuple(b.steps), cert, audit=merges, embedded=True)
+    return StageResult("hamiltonize", out, tuple(b.steps), cert, merges, b.rotation)
 
 
-def evenize(inst: Instance) -> StageResult:
+def evenize(inst: Instance, rotation) -> StageResult:
     """Force an even vertex count: duplicate the instance, doubly subdivide
     one witness edge in each copy, and bridge the copies with two L gadgets.
-    Budget doubles plus 8; the order becomes 2n + 24."""
+    Budget doubles plus 8; the order becomes 2n + 24. A plane builder started
+    from rotation, a rotation system of inst.graph, copies it too."""
     _require(inst.witness is not None, "precondition: witness required")
     g = inst.graph
     if g.n % 2 == 0:
-        return StageResult("evenize", inst, (), _certificate(inst))
+        return StageResult("evenize", inst, (), _certificate(inst), rotation=rotation)
     C = inst.witness.order
     a, c = min(map(_norm_edge, C, C[1:] + C[:1]))
-    b = Builder(g, inst.k, "evenize")
+    b = PlaneBuilder(g, rotation, inst.k, "evenize")
     cmap = b.copy()
     ap, cp = cmap[a], cmap[c]
     v1 = b.subdivide((a, c))
     w1 = b.subdivide((v1, c))
     v2 = b.subdivide((ap, cp))
     w2 = b.subdivide((v2, cp))
-    L = GADGETS["L"]
-    idm1 = b.insert(L, v1, v2)
-    idm2 = b.insert(L, w1, w2)
+    idm1 = b.insert(_L, v1, v2, GADGET_PLANES["L"])
+    idm2 = b.insert(_L, w1, w2, GADGET_PLANES["L"])
     # splice: original cycle from c around to a, through the first L into the
     # copy, around it, and back through the second L
     main = _cycle_long_way(C, c, a)
     copy_walk = [cmap[x] for x in _cycle_long_way(C, a, c)]
     order = (
         main
-        + [v1] + interior_path(L, idm1) + [v2]
+        + [v1] + interior_path(_L, idm1) + [v2]
         + copy_walk
-        + [w2] + list(reversed(interior_path(L, idm2))) + [w1]
+        + [w2] + list(reversed(interior_path(_L, idm2))) + [w1]
     )
     witness = HamCycleWitness(tuple(order))
     out = Instance(b.freeze(), b.k, witness)
@@ -538,7 +487,7 @@ def evenize(inst: Instance) -> StageResult:
     _require(out.graph.n == 2 * g.n + 24, "evenize size mismatch")
     _require(out.k == 2 * inst.k + 8, "budget ledger mismatch")
     _require(cert.regular == 4, "evenize broke 4-regularity")
-    return StageResult("evenize", out, tuple(b.steps), cert)
+    return StageResult("evenize", out, tuple(b.steps), cert, rotation=b.rotation)
 
 
 def _gadget_round(b: Builder, gadget, order) -> tuple:
@@ -606,8 +555,8 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
 def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     """Lift a Hamiltonian instance (3-Hamiltonian-ordered by definition) to
     target_p-Hamiltonian-ordered via target_p - 3 join steps, asserting the
-    degree-sum sufficiency condition after each. Each join keeps the graph
-    Hamiltonian and grows the budget by exactly 3n."""
+    degree-sum sufficiency condition after each but the last (certify's).
+    Each join keeps the graph Hamiltonian and grows the budget by 3n."""
     _require(inst.witness is not None, "precondition: witness required")
     _require(target_p >= 3, "precondition: target p >= 3 required")
     n, m = inst.graph.n, inst.graph.m
@@ -621,7 +570,8 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     for p in range(4, target_p + 1):
         clique, x, y = b.lift()
         order += [clique[0], x, y] + clique[1:]
-        _require(check_ore_condition(b, p), f"degree-sum condition failed for p={p}")
+        _require(p == target_p or check_ore_condition(b, p),
+                 f"degree-sum condition failed for p={p}")
     out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order))) if b.steps else inst
     return StageResult("lift", out, tuple(b.steps), _certificate(out, claim_planar=False))
 
@@ -669,19 +619,17 @@ def target_class(target: str) -> tuple:
     return None, False, True, p if p >= 4 else None
 
 
-def certify(target: str, inst: Instance, proof: PlanarityProof) -> None:
+def certify(target: str, inst: Instance, plane: Plane) -> None:
     """Raise CertificationError naming target and the property that fails
-    unless inst, the last graph of the chain that proof has taken, lies in
-    target's class. run_pipeline and verify_trace both certify through it.
-    Instance checked the witness when it was built, so only its presence is
-    read here; the proof's LR tests run only for a planar target."""
+    unless inst, the last graph of a chain, lies in target's class, for
+    run_pipeline and verify_trace alike; plane is read for a planar target."""
     regular, planar, witness, ore = target_class(target)
     g = inst.graph
     why = None
     if regular is not None and not check_regular(g, regular):
         why = f"output is not {regular}-regular"
-    elif planar and (failed := proof.failed()) is not None:
-        why = f"stage {failed}: planarity claim fails"
+    elif planar and plane.failed():
+        why = f"stage {plane.name}: planarity claim fails"
     elif witness and inst.witness is None:
         why = "output carries no Hamiltonian witness"
     elif ore is not None and not (ore <= g.n and check_ore_condition(g, ore)):
@@ -699,16 +647,15 @@ class PipelineResult:
 
 
 def run_pipeline(inst: Instance, target: str) -> PipelineResult:
-    """Compile inst onto the target class, and certify the output against
-    it as verify_trace does."""
+    """Compile inst onto the target class, and certify the output as verify_trace
+    does: by the last stage's rotation, or by its input's and the 2-sum rule."""
     stages = _run_stages(inst, target)
-    proof = PlanarityProof(inst.graph)
-    g_in = inst.graph
-    for sr in stages:
-        proof.add(sr.name, g_in, sr.steps, sr.instance.graph, sr.embedded)
-        g_in = sr.instance.graph
-    certify(target, stages[-1].instance, proof)
-    return PipelineResult(inst, tuple(stages), stages[-1].instance, target)
+    last, before = stages[-1], stages[max(len(stages) - 2, 0)]
+    g, rotation = last.instance.graph, last.rotation
+    if rotation is None and _two_sums(before.instance.graph, last.steps):
+        g, rotation = before.instance.graph, before.rotation
+    certify(target, last.instance, Plane(last.name, g, rotation))
+    return PipelineResult(inst, tuple(stages), last.instance, target)
 
 
 def _run_stages(inst: Instance, target: str) -> list:
@@ -717,7 +664,7 @@ def _run_stages(inst: Instance, target: str) -> list:
 
     def push(sr):
         stages.append(sr)
-        return sr.instance
+        return sr
 
     if kind == "ham-ordered":
         cur = inst
@@ -734,32 +681,32 @@ def _run_stages(inst: Instance, target: str) -> list:
     if cur.graph != inst.graph:
         stages.append(StageResult("strip", cur, tuple(b.steps), _certificate(cur)))
     _require(cur.graph.n > 0, "precondition: graph empty after stripping")
-    cur = push(eliminate_degree_two(cur))
-    cur = push(pair_degree_three(cur))
+    sr = push(eliminate_degree_two(cur))
+    sr = push(pair_degree_three(sr.instance))
     if kind == "4reg-planar":
         return stages
-    cur = push(hamiltonize(cur))
+    sr = push(hamiltonize(sr.instance, sr.rotation))
     if kind == "4reg-planar-ham" or (kind == "preg-ham" and p == 4):
         return stages
-    if cur.graph.n % 2:
-        cur = push(evenize(cur))
-    cur = push(five_regularize(cur))
+    if sr.instance.graph.n % 2:
+        sr = push(evenize(sr.instance, sr.rotation))
+    sr = push(five_regularize(sr.instance))
     if kind == "5reg-planar-ham" or (kind == "preg-ham" and p == 5):
         return stages
     # only preg-ham with p >= 6 remains
-    push(p_regularize(cur, p))
+    push(p_regularize(sr.instance, p))
     return stages
 
 
-def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple) -> tuple[Graph, int]:
+def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple, rotation=None) -> tuple:
     """Re-execute recorded steps on g, whose budget is k, through the same
-    Builder ops the compiler used. Fresh ids come from the same counter, so
-    a faithful trace reproduces the output graph exactly. Every budget delta
-    is derived from the op; a recorded step that differs from its replay in
-    any field, that cannot be applied, or that would grow the graph beyond
-    out, the output's (n, m), raises CertificationError naming the stage and
-    step index. Returns the graph and the derived delta."""
-    b = Builder(g, k)
+    Builder ops the compiler used, on a PlaneBuilder started from rotation
+    if given, with fresh ids from the same counter; returns the graph, the
+    derived delta and the rotation (or None). A step that differs from its
+    replay in any field, cannot be applied, or would grow the graph beyond
+    out, the output's (n, m), raises CertificationError naming the stage
+    and step index."""
+    b = Builder(g, k) if rotation is None else PlaneBuilder(g, rotation, k)
     ys = {}
     m = g.m
     for i, s in enumerate(steps):
@@ -772,11 +719,42 @@ def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple) -> tuple[Graph, int
         if derived != s:
             diff = ", ".join(
                 f"{f} recorded {getattr(s, f)!r}, replay derives {getattr(derived, f)!r}"
-                for f in ("op", "gadget", "p", "attach", "edge")
+                for f in ("op", "gadget", "p", "attach", "edge", "face")
                 if getattr(s, f) != getattr(derived, f)
             )
             raise CertificationError(f"stage {s.stage} step {i}: {diff}")
-    return b.freeze(), b.k - k
+    return b.freeze(), b.k - k, None if rotation is None else b.rotation
+
+
+def replay_stages(target: str, g: Graph, k: int, stages, out: tuple) -> tuple:
+    """Replay a trace's stages, each (name, steps, k_after), on its input g
+    of budget k, checking the ledger at each k_after; out bounds the graph
+    as in replay_trace; returns the last graph, its budget and its Plane.
+    For a planar target one LR test runs on the input of the first stage
+    with a step other than strip or a same-vertex insert (pairing's), and
+    later stages but a last one of 2-sums replay on PlaneBuilders, as in the
+    compiler."""
+    lr_test, rotation, plane = target_class(target)[1], None, Plane("input", g, None)
+    for i, (name, steps, k_after) in enumerate(stages):
+        if lr_test and any(s.op not in ("strip", "insert") or s.attach[:1] != s.attach[1:2]
+                           for s in steps):
+            lr_test, rotation = False, check_planarity(g)[1]
+        two_sums = rotation is not None and i == len(stages) - 1 and _two_sums(g, steps)
+        plane = Plane(name, g, rotation)  # the last stage's, if two_sums
+        try:  # the PlaneBuilder refuses a rotation of a disconnected graph
+            g, dk, rotation = replay_trace(g, steps, k, out=out,
+                                           rotation=None if two_sums else rotation)
+        except GraphError as exc:
+            raise CertificationError(f"stage {name}: {exc}") from None
+        k += dk
+        if k != k_after:
+            raise CertificationError(f"stage {name}: ledger k={k} disagrees with recorded "
+                                     f"{k_after}")
+        if not two_sums:
+            plane = Plane(name, g, rotation)
+    if lr_test:
+        plane = plane._replace(rotation=check_planarity(g)[1])
+    return g, k, plane
 
 
 def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
@@ -806,7 +784,8 @@ def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
         else:
             gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)
             m = room(gadget.graph.n - 2, gadget.graph.m)
-        b.insert(gadget, *s.attach)
+        plane = (GADGET_PLANES.get(s.gadget),) if isinstance(b, PlaneBuilder) else ()
+        b.insert(gadget, *s.attach, *plane, dart=s.face)
     elif s.op == "copy":
         m = room(b.n, m)
         b.copy()

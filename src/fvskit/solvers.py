@@ -190,14 +190,14 @@ def enumerate_min_fvs(g: Graph):
     return len(sets[0]), sets
 
 
-def _greedy_fvs(adj):
+def _greedy_fvs(adj, timeout=None):
     """Any valid FVS: strip low degree, then repeatedly delete a max-degree
     vertex, the smallest on ties, and strip again. Used only as an initial
     upper bound. Degrees only fall, so a heap of (-degree, v) entries stays
     an upper bound: a popped entry whose degree is stale goes back with the
     current one, and the first current entry popped is the vertex to delete.
     Only its neighbours can fall to degree <= 1, so they seed the strip, and
-    the run costs O((n + m) log n)."""
+    the run costs O((n + m) log n). timeout runs before each 1 024th deletion."""
     adj = {v: set(ns) for v, ns in adj.items()}
     out = set()
     _strip_adjacency(adj)
@@ -210,6 +210,8 @@ def _greedy_fvs(adj):
         if -d != len(adj[v]):
             heapq.heappush(heap, (-len(adj[v]), v))
             continue
+        if timeout is not None and out and not len(out) % 1024:
+            timeout()
         out.add(v)
         nbrs = adj.pop(v)
         for w in nbrs:
@@ -304,14 +306,15 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     optimum known at the top level by then. Without a budget the clock is
     never read."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    greedy = _greedy_fvs(g.adjacency)
-    progress = _Progress(_degree_sum_lb(g.adjacency), len(greedy))
+    progress = _Progress(_degree_sum_lb(g.adjacency), g.n)
 
     def out_of_time():
         if time.monotonic() > deadline:
             raise progress.undecided()
 
     timeout = None if deadline is None else out_of_time
+    greedy = _greedy_fvs(g.adjacency, timeout)
+    progress.upper = len(greedy)
 
     def check_budget():
         if timeout is not None:

@@ -14,10 +14,9 @@ from .pipeline import (
     CertificationError,
     PipelineError,
     PipelineResult,
-    PlanarityProof,
     certify,
     parse_target,
-    replay_trace,
+    replay_stages,
 )
 
 
@@ -262,48 +261,25 @@ def _rendered(rest: str, g: Graph):
     return inst if rest == witness_line(inst) + "\n" else None
 
 
-def _replay_checked(trace: dict, n: int, m: int):
-    """Replay a trace against an output of n vertices and m edges with every
-    ledger check; returns the trace's target, the replayed graph and the
-    PlanarityProof that has taken its stages. The trace's output summary
-    must match (n, m) before any step runs, and no step may grow the graph
-    past it. The ledger is rebuilt from the replayed ops alone."""
-    target, g, k, stages, out_decl = _load_trace(trace)
-    if out_decl[:2] != (n, m):
-        raise CertificationError("trace output summary disagrees with the output")
-    proof = PlanarityProof(g)
-    for name, steps, k_after in stages:
-        g_in = g
-        g, dk = replay_trace(g, steps, k, out=(n, m))
-        k += dk
-        if k != k_after:
-            raise CertificationError(
-                f"stage {name}: ledger k={k} disagrees with recorded {k_after}"
-            )
-        proof.add(name, g_in, steps, g)
-    if (g.n, g.m, k) != out_decl:
-        raise CertificationError("trace output summary disagrees with replay")
-    return target, g, proof
-
-
 def verify_trace(text: str, trace: dict) -> None:
     """Replay a trace JSON against the claimed output, given as its text,
     and certify the output against the trace's target with the certifier
-    run_pipeline uses; raises on any mismatch. The replayed graph is
-    rendered as write_graph renders it, and the output is the replayed
-    graph when its text is exactly that rendering, followed by nothing or
-    by one canonical h line naming a Hamiltonian cycle of it.
-
-    The text is parsed at most once, and only when it differs from the
-    rendering, a check fails, or its header's m is not backed by its own
-    edge lines (then before the replay, whose bound it sets). A malformed
-    output is thus reported before any trace failure, and another rendering
-    of the same graph (edges reordered, comments) is compared by the
-    canonical text of its parse."""
+    run_pipeline uses; raises on any mismatch. The trace's output summary
+    must match the output's n and m, which bound the replay. The output is
+    the replayed graph when its text is write_graph's rendering of it, then
+    nothing or one canonical h line naming a Hamiltonian cycle of it. The
+    text is parsed at most once: only if it differs from that rendering, a
+    check fails, or its m is not backed by its edge lines (then first, so a
+    malformed output is reported before any trace failure)."""
     size = _backed_size(text)
     out = None if size else parse_graph(text)
     try:
-        target, g, proof = _replay_checked(trace, *(size or (out.graph.n, out.graph.m)))
+        target, g, k, stages, out_decl = _load_trace(trace)
+        if out_decl[:2] != (size or (out.graph.n, out.graph.m)):
+            raise CertificationError("trace output summary disagrees with the output")
+        g, k, plane = replay_stages(target, g, k, stages, out_decl[:2])
+        if (g.n, g.m, k) != out_decl:
+            raise CertificationError("trace output summary disagrees with replay")
         canon = _graph_text(g)
         rendered = out is None and text.startswith(canon) and _rendered(text[len(canon):], g)
     except Exception:
@@ -314,4 +290,4 @@ def verify_trace(text: str, trace: dict) -> None:
         out = out or parse_graph(text)
         if _graph_text(out.graph) != canon:
             raise CertificationError("replayed graph differs from output graph")
-    certify(target, rendered or out, proof)
+    certify(target, rendered or out, plane)

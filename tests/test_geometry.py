@@ -16,12 +16,14 @@ from fvskit.geometry import (
     _slope,
     crossing_index,
     find_crossings,
+    first_clockwise,
     grid_embed,
     pick_epsilon,
     route_connection,
     segment_relation,
 )
 from fvskit.graph import Graph
+from fvskit.solvers import check_planarity
 
 from conftest import (
     complete_graph,
@@ -59,6 +61,21 @@ class TestSegmentRelation:
 
 
 class TestGridEmbed:
+    @pytest.mark.parametrize("make", [lambda: grid_graph(5, 5), prism_graph, octahedron_graph,
+                                      lambda: medial_graph(prism_graph())])
+    def test_rotation_is_the_lr_tests_and_the_drawings(self, make):
+        # the rotation is the LR test's, and each vertex's neighbours lie
+        # in that clockwise order around it in the drawing
+        g = make()
+        emb = grid_embed(g)
+        assert emb.rotation == check_planarity(g)[1]
+        for v, order in emb.rotation.items():
+            for i, w in enumerate(order):
+                rest = {t: emb.coords[t] for t in order if t != w}
+                if rest:
+                    after = first_clockwise(emb.coords[v], emb.coords[w], rest)
+                    assert after == order[(i + 1) % len(order)]
+
     def test_triangle_fixed_layout(self):
         emb = grid_embed(cycle_graph(3))
         assert sorted(emb.coords.values()) == [(0, 0), (1, 1), (2, 0)]

@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for seven reductions, and of `fvskit solve` stdout for five
+trace JSON for eight reductions, and of `fvskit solve` stdout for five
 exhaustive-path inputs too large for the subset-scan oracle of
 test_solvers and four inputs above the exhaustive limit, which
 branch-and-reduce answers. A digest change means the compiler's or the
@@ -30,8 +30,8 @@ GOLDEN = [
      "c6c8edc170fa01a0a52d93a2871cfd9ddd16f04a733a9160982a42eb8f6afa81",
      "56433c648a08e88c25bc61ee9f6df80ad7361d9937c9eab5348d864a6b843200"),
     ("prism", prism_graph, "5reg-planar-ham",
-     "ea1e379ce468a2c567ec6f5c85cb2e67630aaf7be68ddacd0d1176c675c3b2fc",
-     "30bbfa6ebeb888c2d1c74bc6f0141e2305ebf163b3adc476ccaf4b53093e4ae8"),
+     "a9d67f17731c109c20e43ea643e901f897e300da4d32d63530cd3be579a68518",
+     "4b09d8ea699013176ce7a324228c1775b26fcd6aeb2b1cbd2ee4f9648274c04a"),
     ("C3", lambda: cycle_graph(3), "preg-ham:5",
      "86d643ac1aa1626488884aa598160c0c0567b405e92774dee2fe8c9305c807ab",
      "38ce18bd27c3cbbb956b6edfc64d1841ff48737142cb407356d5b2533aa41fda"),
@@ -40,16 +40,20 @@ GOLDEN = [
      "2a30880ef2e06134b5e651e20a6eddf7b57788b5cf810ccf59649b820062356f"),
     # pairing routes through 8 crossings; hamiltonize runs 27 merges (81 steps)
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
-     "b5ae5d81516ca741f0cf533c6d329c528c4c5a549918d616ac51233671a646ab",
-     "0fe02d3555952be492ad3a646b073bf47fe896af1be854589689d18c13ca2e76"),
+     "d8cb9ac3dd536e73883e87fbafc48e568a894e94e0d29691e651b37459516b54",
+     "2ad68d818f0e90b10a1ea12f276d74c9861cb307c8138888f1fa7732ddd53fe2"),
     # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
      "2effdfa28c2df43172affe01d5d38d522efbd4a21754d23b6d63eb4482c2a62c",
      "0d6cba29d15f50e7306fd3f5cc1b81a61c4224c41bc4ff2c2964dbe00f9a13c5"),
-    # hamiltonize runs 42 merges, one of them case 2 (two L gadgets)
+    # pairing routes through 20 crossings; hamiltonize runs 42 merges, all case 1
     ("grid2x5", lambda: grid_graph(2, 5), "4reg-planar-ham",
-     "87626caa797fad4cee96a3d5d0a8bebcc74007e5a78eab24d36b965d5c0e1337",
-     "7567ec4110dcd6e1f5030517ee575c485e5af431646962e9c7fb41f3ae9ec8fe"),
+     "f7f3637ff6dc4abef1226580c744e52ba4524930457711e2ef248dc9cd0aee02",
+     "a4c845b97943c4e3eb038f61428152e30911f30e3960b4531933db3be6c1dade"),
+    # hamiltonize runs 46 merges, one of them case 2 (two L gadgets)
+    ("grid6x8", lambda: grid_graph(6, 8), "4reg-planar-ham",
+     "195b17cf6f97bf8fd9f418e105aade577f1cae396c86159b61f0ef3c42d5bad3",
+     "daae7010db84949f5d09bb673b548c030d917c7c4b2909d27a0c5b2db71c2029"),
 ]
 
 

@@ -319,8 +319,9 @@ def test_only_compute_two_factor_validates_a_two_factor():
 
 
 # What tests a class property of a graph. textio may reach them only through
-# certify, the certifier run_pipeline calls, and its PlanarityProof, so reduce
-# and verify certify an output against its target with the same code.
+# certify, the certifier run_pipeline calls, and replay_stages, which builds
+# the planarity proof that certify reads, so reduce and verify certify an
+# output against its target with the same code.
 CLASS_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneBuilder",
                     "check_regular", "regularity", "check_ore_condition", "target_class"}
 
@@ -338,5 +339,5 @@ def test_textio_reaches_planarity_only_through_planarity_proof():
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-    assert {"certify", "PlanarityProof"} <= used
+    assert {"certify", "replay_stages"} <= used
     assert not used & CLASS_PRIMITIVES

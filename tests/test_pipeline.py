@@ -1,5 +1,7 @@
+import networkx
 import pytest
 
+from fvskit.geometry import GeometryError
 from fvskit.graph import (
     GadgetPlane,
     Graph,
@@ -12,7 +14,8 @@ from fvskit.graph import (
     faces,
 )
 from fvskit.pipeline import (
-    SUM_PLANAR,
+    GADGET_PLANES,
+    CertificationError,
     ClassCertificate,
     MergeState,
     PipelineError,
@@ -70,8 +73,11 @@ class TestDegreeTwo:
             eliminate_degree_two(Instance(g, 0))
 
     def test_rejects_nonplanar(self):
-        with pytest.raises(PipelineError, match="planar"):
-            eliminate_degree_two(Instance(complete_graph(5), 0))
+        # degree2 runs no LR test: the run's one test, in pairing's
+        # grid_embed, refuses K5
+        assert eliminate_degree_two(Instance(complete_graph(5), 0)).steps == ()
+        with pytest.raises(GeometryError, match="not planar"):
+            run_pipeline(Instance(complete_graph(5), 0), "4reg-planar")
 
     def test_rejects_high_degree(self):
         hub = [(0, i) for i in range(1, 6)]
@@ -115,6 +121,26 @@ class TestPairing:
         with pytest.raises(PipelineError, match="need 3..4"):
             pair_degree_three(Instance(cycle_graph(5), 0))
 
+    @pytest.mark.parametrize("edges, darts_at_y", [
+        # two triangles joined by a bridge that the route crosses twice
+        ([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)], 2),
+        # rings joined by bridges: a fragment runs from a crossing on one
+        # bridge to an end of another, both with two corners on its face
+        ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (8, 9), (9, 7), (6, 8),
+          (10, 11), (11, 12), (12, 13), (13, 14), (14, 10), (5, 15), (15, 10), (16, 17),
+          (17, 18), (18, 19), (19, 20), (20, 16), (6, 18), (21, 22), (22, 23), (23, 24),
+          (24, 25), (25, 26), (26, 21), (18, 27), (27, 23)], 2),
+    ], ids=["dumbbell", "rings"])
+    def test_routes_across_bridges(self, edges, darts_at_y):
+        # where a bridge gives y two corners on the fragment's face, the
+        # insert names y's corner by a second dart, so the embedding keeps
+        # following the drawing and the closing walk passes
+        res = run_pipeline(Instance(Graph.from_edges(edges), 1), "4reg-planar")
+        pairing = next(sr for sr in res.stages if sr.name == "pairing")
+        faces(pairing.instance.graph, pairing.rotation)
+        assert sum(len(s.face) == 4 for s in pairing.steps if s.face) == darts_at_y
+        verify_trace(write_graph(res.instance), trace_to_json(res))
+
 
 class TestTwoFactor:
     def test_k5(self):
@@ -144,13 +170,17 @@ class TestTwoFactor:
             TwoFactor(((1, 2, 3),)).validate(octahedron_graph())
 
 
+def _rotation(g):
+    return check_planarity(g)[1]
+
+
 class TestMerge:
     def test_case1_on_prism_medial(self):
         g = medial_graph(prism_graph())
         inst = Instance(g, 3)
         tf = compute_two_factor(g)
         assert len(tf.components) == 2
-        state = MergeState(inst, tf)
+        state = MergeState(inst, tf, _rotation(g))
         _u, _v, steps, case = merge_step(state)
         out = state.builder.freeze()
         assert case == 1
@@ -164,7 +194,7 @@ class TestMerge:
         inst = Instance(octahedron_graph(), 3)
         tf = TwoFactor(((1, 2, 3), (4, 5, 6)))
         tf.validate(inst.graph)
-        state = MergeState(inst, tf)
+        state = MergeState(inst, tf, _rotation(inst.graph))
         _u, _v, steps, case = merge_step(state)
         out = state.builder.freeze()
         assert case == 2
@@ -178,13 +208,13 @@ class TestMerge:
         g = octahedron_graph()
         w = find_hamiltonian_cycle(g)
         with pytest.raises(PipelineError, match="already Hamiltonian"):
-            merge_step(MergeState(Instance(g, 0), TwoFactor((w.order,))))
+            merge_step(MergeState(Instance(g, 0), TwoFactor((w.order,)), _rotation(g)))
 
 
 class TestHamiltonize:
     def test_c3_derived(self):
         inst = eliminate_degree_two(Instance(cycle_graph(3), 1)).instance
-        sr = hamiltonize(inst)
+        sr = hamiltonize(inst, _rotation(inst.graph))
         out = sr.instance
         assert out.witness is not None and out.witness.is_valid_for(out.graph)
         assert check_regular(out.graph, 4)
@@ -193,51 +223,50 @@ class TestHamiltonize:
         merges = sum(1 for s in sr.steps if s.op == "insert")
         assert out.k >= inst.k + 4 * sr.audit  # case 2 merges cost double
 
-    def test_one_planarity_test_per_stage(self, monkeypatch):
-        # every merge edits one maintained embedding in place, and a face
-        # walk of it proves the output planar
-        import fvskit.pipeline as pipeline
-
-        inst = pair_degree_three(eliminate_degree_two(Instance(cycle_graph(3), 1)).instance).instance
+    def test_starts_from_the_carried_rotation(self, monkeypatch):
+        # every merge edits one embedding in place, started from the
+        # rotation pairing kept: hamiltonize runs no LR test of its own
+        pairing = pair_degree_three(eliminate_degree_two(Instance(grid_graph(3, 4), 1)).instance)
         calls = []
-        real = pipeline.check_planarity
-        monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
-        sr = hamiltonize(inst)
-        assert sr.audit >= 3 and sr.embedded
-        # the first rotation
-        assert calls == [inst.graph]
+        real = networkx.check_planarity
+        monkeypatch.setattr(networkx, "check_planarity", lambda G: calls.append(G) or real(G))
+        sr = hamiltonize(pairing.instance, pairing.rotation)
+        assert sr.audit >= 3 and calls == []
+        faces(sr.instance.graph, sr.rotation)
 
     def test_misspliced_embedding_is_rejected(self, monkeypatch):
-        # L's neighbours of x spliced in reverse misfile faces, so later
-        # merges bridge edges that share no face; the stage certificate
-        # must then refuse the output instead of recording planar: false
+        # L's neighbours of x spliced in reverse misfile faces, so merges
+        # leave a rotation that is not a plane embedding; the closing face
+        # walk of the run must then refuse the output
         import fvskit.pipeline as pipeline
 
         L = pipeline.GADGETS["L"]
-        rot = dict(pipeline._PLUS_XY["L"][1])
+        rot = dict(pipeline.check_planarity(
+            Graph(L.graph.vertices, [*L.graph.edges, (L.x, L.y)]))[1])
         rot[L.x] = tuple(reversed(rot[L.x]))
         monkeypatch.setitem(pipeline.GADGET_PLANES, "L", GadgetPlane(rot, L.x, L.y))
-        inst = pair_degree_three(eliminate_degree_two(Instance(grid_graph(3, 4), 0)).instance).instance
-        with pytest.raises(PipelineError, match="merging broke planarity"):
-            hamiltonize(inst)
+        with pytest.raises(CertificationError,
+                           match="stage hamiltonize: planarity claim fails"):
+            run_pipeline(Instance(grid_graph(3, 4), 0), "4reg-planar-ham")
 
     def test_deterministic(self):
         inst = eliminate_degree_two(Instance(cycle_graph(3), 1)).instance
-        a = hamiltonize(inst).instance
-        b = hamiltonize(inst).instance
+        a = hamiltonize(inst, _rotation(inst.graph)).instance
+        b = hamiltonize(inst, _rotation(inst.graph)).instance
         assert a.graph == b.graph and a.k == b.k and a.witness == b.witness
 
 
 def _merge_state(name):
     if name == "octahedron":
-        return MergeState(Instance(octahedron_graph(), 0), TwoFactor(((1, 2, 3), (4, 5, 6))))
+        g = octahedron_graph()
+        return MergeState(Instance(g, 0), TwoFactor(((1, 2, 3), (4, 5, 6))), _rotation(g))
     if name == "prism-medial":
         g = medial_graph(prism_graph())
     else:
         base = grid_graph(3, 4) if name == "grid3x4" else cycle_graph(3)
         g = eliminate_degree_two(Instance(base, 0)).instance.graph
         g = pair_degree_three(Instance(g, 0)).instance.graph
-    return MergeState(Instance(g, 0), compute_two_factor(g))
+    return MergeState(Instance(g, 0), compute_two_factor(g), _rotation(g))
 
 
 class TestPlaneEmbedding:
@@ -279,24 +308,26 @@ class TestEvenize:
     def test_identity_on_even(self):
         g = octahedron_graph()
         inst = Instance(g, 2, find_hamiltonian_cycle(g))
-        sr = evenize(inst)
+        sr = evenize(inst, _rotation(g))
         assert sr.instance is inst and sr.steps == ()
 
     def test_odd_fixture(self):
         g, w = odd_4regular_planar_ham()
         assert g.n % 2 == 1
         inst = Instance(g, 3, w)
-        sr = evenize(inst)
+        sr = evenize(inst, _rotation(g))
         out = sr.instance
         assert out.graph.n == 2 * g.n + 24
         assert out.k == 2 * 3 + 8
         assert check_regular(out.graph, 4)
         assert out.witness.is_valid_for(out.graph)
         assert out.graph.n % 2 == 0
+        # the copy and the L that joins its halves keep the embedding plane
+        faces(out.graph, sr.rotation)
 
     def test_requires_witness(self):
         with pytest.raises(PipelineError, match="witness required"):
-            evenize(Instance(octahedron_graph(), 0))
+            evenize(Instance(octahedron_graph(), 0), _rotation(octahedron_graph()))
 
 
 class TestFiveRegularize:
@@ -364,6 +395,17 @@ class TestLift:
         with pytest.raises(PipelineError, match="witness required"):
             ham_ordered_lift(Instance(cycle_graph(4), 0), 4)
 
+    def test_certify_checks_the_target_p(self, monkeypatch):
+        # the lift checks each p below the target, and certify the target's
+        import fvskit.pipeline as pipeline
+
+        ps = []
+        real = pipeline.check_ore_condition
+        monkeypatch.setattr(pipeline, "check_ore_condition", lambda g, p: ps.append(p) or real(g, p))
+        res = run_pipeline(Instance(cycle_graph(40), 1), "ham-ordered:5")
+        assert res.instance.graph.n == 650
+        assert ps == [4, 5]
+
     def test_p3_is_identity(self):
         inst = Instance(cycle_graph(4), 0, HamCycleWitness((1, 2, 3, 4)))
         sr = ham_ordered_lift(inst, 3)
@@ -385,7 +427,7 @@ class TestTargets:
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar")
         assert res.instance.graph.n == 24 and res.instance.k == 10
         steps = [s for sr in res.stages for s in sr.steps]
-        _, dk = replay_trace(res.input.graph, steps, out=(24, res.instance.graph.m))
+        _, dk, _ = replay_trace(res.input.graph, steps, out=(24, res.instance.graph.m))
         assert dk == res.instance.k - 1
 
     def test_run_4reg_planar_ham(self):
@@ -397,7 +439,7 @@ class TestTargets:
     def test_run_4reg_planar_ham_with_case2_merge(self):
         # no connecting edge of one merge admits case 1 here, so the
         # two-gadget path runs end to end and its trace must replay
-        res = run_pipeline(Instance(grid_graph(2, 5), 1), "4reg-planar-ham")
+        res = run_pipeline(Instance(grid_graph(6, 8), 1), "4reg-planar-ham")
         sr = next(sr for sr in res.stages if sr.name == "hamiltonize")
         inserts = sum(1 for s in sr.steps if s.op == "insert")
         assert inserts - sr.audit == 1  # one merge inserted two L gadgets
@@ -413,77 +455,75 @@ class TestTargets:
             run_pipeline(Instance(Graph.from_edges([(1, 2)]), 0), "4reg-planar")
 
 
+def _count_lr_tests(monkeypatch):
+    """The vertex counts of the graphs that LR planarity tests run on, as
+    fvskit.solvers and fvskit.geometry call networkx.check_planarity."""
+    sizes = []
+    real = networkx.check_planarity
+    monkeypatch.setattr(networkx, "check_planarity",
+                        lambda G, *a, **kw: sizes.append(G.number_of_nodes()) or real(G, *a, **kw))
+    return sizes
+
+
 class TestPlanarityProof:
     def test_sum_planar_gadgets(self):
-        assert SUM_PLANAR == {"R", "L", "D"}
+        # G + xy is planar for each of them, which the 2-sum rule needs
+        assert set(GADGET_PLANES) == {"R", "L", "D"}
 
     def test_lr_tests_per_run(self, monkeypatch):
-        # reduce: the degree2 precondition, the first rotation and the
-        # evenize output; hamiltonize walks its own faces and degree2 and
-        # 5regular keep planarity by the sum rule. verify: the evenize output
-        import fvskit.pipeline as pipeline
-
-        calls = []
-        real = pipeline.check_planarity
-        monkeypatch.setattr(pipeline, "check_planarity", lambda g: calls.append(g) or real(g))
+        # reduce: grid_embed's one test, of the degree2 output; the stages
+        # carry its rotation and 5regular keeps planarity by the 2-sum
+        # rule. verify: one test, of the same graph
+        sizes = _count_lr_tests(monkeypatch)
         res = run_pipeline(parse_graph(write_graph(Instance(prism_graph(), 1)), 1),
                            "5reg-planar-ham")
-        evenized = next(sr.instance.graph for sr in res.stages if sr.name == "evenize")
-        assert len(calls) <= 3 and calls[-1] is evenized
-        calls.clear()
+        assert sizes == [6]
+        sizes.clear()
         verify_trace(write_graph(res.instance), trace_to_json(res))
-        assert len(calls) <= 1
+        assert sizes == [6]
 
     @pytest.mark.parametrize("target", ["preg-ham:4", "preg-ham:6", "ham-ordered:4"])
     def test_no_proof_runs_for_a_nonplanar_target(self, monkeypatch, target):
         # the output need not be planar, so verify runs no LR test, and
-        # reduce runs only the degree2 precondition and hamiltonize's
-        import fvskit.pipeline as pipeline
-
-        sizes = []
-        real = pipeline.check_planarity
-        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+        # reduce runs only pairing's
+        sizes = _count_lr_tests(monkeypatch)
         res = run_pipeline(parse_graph(write_graph(Instance(cycle_graph(3), 1)), 1), target)
-        assert sizes == ([] if target.startswith("ham-ordered") else [3, 24])
+        assert sizes == ([] if target.startswith("ham-ordered") else [24])
         sizes.clear()
         verify_trace(write_graph(res.instance), trace_to_json(res))
         assert sizes == []
 
-    @pytest.mark.parametrize("rows, target, kept, kept_input_n", [
-        (5, "4reg-planar-ham", "hamiltonize", 175),
-        (8, "4reg-planar", "pairing", 92),
-    ])
-    def test_lr_tests_stop_at_the_kept_stage_input(self, monkeypatch, rows, target, kept,
-                                                   kept_input_n):
-        # the proof replays the kept stage on an embedding of its input, so
-        # neither reduce nor verify tests a larger graph
-        import fvskit.pipeline as pipeline
-
-        sizes = []
-        real = pipeline.check_planarity
-        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
-        res = run_pipeline(Instance(grid_graph(rows, rows), 1), target)
+    @pytest.mark.parametrize("make, target, tested_n, n_out", [
+        (lambda: grid_graph(5, 5), "4reg-planar-ham", 53, 571),
+        (lambda: grid_graph(8, 8), "4reg-planar", 92, 544),
+        (prism_graph, "5reg-planar-ham", 6, 4298),
+        (lambda: cycle_graph(3), "preg-ham:6", 24, 4116),
+    ], ids=["grid5x5", "grid8x8", "prism", "C3"])
+    def test_one_lr_test_per_reduce_and_verify(self, monkeypatch, make, target, tested_n, n_out):
+        # both test the degree2 output, pairing's input, and no larger graph
+        sizes = _count_lr_tests(monkeypatch)
+        res = run_pipeline(parse_graph(write_graph(Instance(make(), 1)), 1), target)
         names = [sr.name for sr in res.stages]
-        assert res.stages[names.index(kept) - 1].instance.graph.n == kept_input_n
-        assert res.instance.graph.n > kept_input_n
-        assert max(sizes) == kept_input_n
+        assert res.stages[names.index("degree2")].instance.graph.n == tested_n
+        assert res.instance.graph.n == n_out
+        assert sizes == [tested_n]
         sizes.clear()
         verify_trace(write_graph(res.instance), trace_to_json(res))
-        assert sizes == [kept_input_n]
+        assert sizes == ([] if target.startswith("preg-ham") else [tested_n])
 
-    def test_fallback_when_the_replay_finds_no_shared_face(self, monkeypatch, tmp_path):
-        # laying pairing's R gadgets by the lowest shared face fails on grid
-        # 5x5, so the proof tests the kept graph itself and the trace verifies
-        import fvskit.pipeline as pipeline
-
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (5, 5), (5, 6), (5, 7), (7, 7)])
+    def test_former_fallback_grids_verify_with_one_lr_test(self, monkeypatch, tmp_path,
+                                                         rows, cols):
+        # laying pairing's R gadgets by the lowest shared face failed on
+        # these grids; the darts lay each into its route's face, so verify
+        # tests only the degree2 output
         inp, out, tr = (str(tmp_path / f) for f in ("in.fvs", "out.fvs", "trace.json"))
-        (tmp_path / "in.fvs").write_text(write_graph(Instance(grid_graph(5, 5), 1)))
+        g = grid_graph(rows, cols)
+        (tmp_path / "in.fvs").write_text(write_graph(Instance(g, 1)))
         assert main(["reduce", inp, "--target", "4reg-planar", "-o", out, "--trace", tr]) == 0
-        sizes = []
-        real = pipeline.check_planarity
-        monkeypatch.setattr(pipeline, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+        sizes = _count_lr_tests(monkeypatch)
         assert main(["verify", out, "--trace", tr]) == 0
-        assert sizes[-1] == parse_graph((tmp_path / "out.fvs").read_text()).graph.n
+        assert sizes == [eliminate_degree_two(Instance(g, 1)).instance.graph.n]
 
     def test_false_claim_fails_the_run(self, monkeypatch):
         # a stage output that claims planarity and is K5 ends the run
@@ -507,7 +547,7 @@ class TestReplay:
         inp = Instance(cycle_graph(3), 1)
         res = run_pipeline(inp, "4reg-planar-ham")
         steps = [s for sr in res.stages for s in sr.steps]
-        g, dk = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
+        g, dk, _ = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
         assert g == res.instance.graph
         assert inp.k + dk == res.instance.k
 
@@ -515,7 +555,7 @@ class TestReplay:
         inp = Instance(octahedron_graph(), 0)
         res = run_pipeline(inp, "ham-ordered:5")
         steps = [s for sr in res.stages for s in sr.steps]
-        g, dk = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
+        g, dk, _ = replay_trace(inp.graph, steps, out=(res.instance.graph.n, res.instance.graph.m))
         assert g == res.instance.graph and dk == res.instance.k
 
     def test_unknown_op(self):

@@ -301,6 +301,25 @@ def test_greedy_scales_to_large_outputs():
     assert is_fvs(g, out)
 
 
+def test_budget_trips_inside_the_greedy(monkeypatch):
+    # the C3 -> preg-ham:6 output, 4 116 vertices: the greedy reads a clock
+    # that advances one unit per read at its 1 024th deletion, past the
+    # deadline half a unit out, before any node is searched
+    from fvskit.graph import Instance
+    from fvskit.pipeline import run_pipeline
+
+    g = run_pipeline(Instance(cycle_graph(3), 1), "preg-ham:6").instance.graph
+    assert g.n >= 4000 and len(solvers._greedy_fvs(g.adjacency)) >= 1024
+    finished = []
+    greedy = solvers._greedy_fvs
+    monkeypatch.setattr(solvers, "_greedy_fvs", lambda *a: finished.append(greedy(*a)))
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "monotonic", lambda: next(reads))
+    with pytest.raises(UndecidedError, match="0 nodes searched, "):
+        fvs_branch_reduce(g, time_budget=0.5)
+    assert next(reads) == 2 and finished == []
+
+
 class TestBranchReduce:
     def test_empty(self):
         assert fvs_branch_reduce(Graph()).deleted == frozenset()

@@ -12,7 +12,14 @@ import pytest
 from fvskit import pipeline
 from fvskit.cli import main
 from fvskit.graph import Builder, Graph, Instance, TraceStep
-from fvskit.pipeline import GADGETS, PipelineResult, PlanarityProof, StageResult, replay_trace
+from fvskit.pipeline import (
+    GADGETS,
+    CertificationError,
+    PipelineResult,
+    StageResult,
+    replay_stages,
+    replay_trace,
+)
 from fvskit.textio import parse_graph, trace_to_json, write_graph
 
 TRIANGLE = "p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -22,11 +29,14 @@ TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham", "preg-ham:4", "p
            "preg-ham:6", "ham-ordered:3", "ham-ordered:4", "ham-ordered:5")
 
 
-def _compile(tmp_path, k):
+PRISM = "p fvs 6 9\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 5\ne 3 6\ne 4 5\ne 4 6\ne 5 6\n"
+
+
+def _compile(tmp_path, k, text=TRIANGLE, target="4reg-planar-ham"):
     inp = tmp_path / "in.fvs"
-    inp.write_text(TRIANGLE)
+    inp.write_text(text)
     out, tr = tmp_path / "out.fvs", tmp_path / "trace.json"
-    assert main(["reduce", str(inp), "--target", "4reg-planar-ham", "--k", str(k),
+    assert main(["reduce", str(inp), "--target", target, "--k", str(k),
                  "-o", str(out), "--trace", str(tr)]) == 0
     return out, json.loads(tr.read_text())
 
@@ -41,6 +51,15 @@ def _verify(tmp_path, out, doc_or_text):
 def artifact(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("mutation")
     out, doc = _compile(tmp, 1)
+    return tmp, out, doc
+
+
+@pytest.fixture(scope="module")
+def dart_artifact(tmp_path_factory):
+    # the prism's pairing routes three pairs, so its inserts record darts;
+    # pairing is the last stage, so no later stage reads their faces
+    tmp = tmp_path_factory.mktemp("darts")
+    out, doc = _compile(tmp, 1, PRISM, "4reg-planar")
     return tmp, out, doc
 
 
@@ -96,11 +115,11 @@ def _replay(doc):
     inp = doc["input"]
     g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
     steps = [TraceStep.from_json(st["name"], d) for st in doc["stages"] for d in st["steps"]]
-    g, dk = replay_trace(g, steps, inp["k"], out=(doc["output"]["n"], doc["output"]["m"]))
+    g, dk, _ = replay_trace(g, steps, inp["k"], out=(doc["output"]["n"], doc["output"]["m"]))
     return g, inp["k"] + dk
 
 
-def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
+def _rejected_or_harmless(artifact):
     tmp, out, doc = artifact
     expected = parse_graph(out.read_text(), k=doc["output"]["k"])
     assert _verify(tmp, out, doc) == 0
@@ -113,9 +132,62 @@ def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
         else:
             assert rc in (2, 4), (label, rc)
         count += 1
-    assert count > 200
+    return count
 
 
+def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
+    assert _rejected_or_harmless(artifact) > 200
+
+
+def test_every_single_field_mutation_of_a_dart_is_rejected_or_harmless(dart_artifact):
+    _, _, doc = dart_artifact
+    assert sum("face" in step for st in doc["stages"] for step in st["steps"]) >= 10
+    assert _rejected_or_harmless(dart_artifact) > 200
+
+
+def _pairing_insert(doc):
+    """The pairing stage's index and its first insert's index and step."""
+    si = next(i for i, st in enumerate(doc["stages"]) if st["name"] == "pairing")
+    j, step = next((j, s) for j, s in enumerate(doc["stages"][si]["steps"]) if s["op"] == "insert")
+    return si, j, step
+
+
+def _with_dart(doc, q):
+    si, j, step = _pairing_insert(doc)
+    m = copy.deepcopy(doc)
+    m["stages"][si]["steps"][j]["face"] = [step["face"][0], q]
+    return m
+
+
+def test_a_dart_at_a_non_neighbour_is_refused(dart_artifact, capsys):
+    tmp, out, doc = dart_artifact
+    u = _pairing_insert(doc)[2]["face"][0]
+    g = parse_graph(out.read_text()).graph
+    q = max(w for w in g.vertices if w != u and not g.has_edge(u, w))
+    capsys.readouterr()
+    assert _verify(tmp, out, _with_dart(doc, q)) == 4
+    assert f"face dart [{u}, {q}] names no face at {u}" in capsys.readouterr().err
+
+
+def test_a_dart_moves_only_within_the_faces_of_both_ends(dart_artifact, capsys):
+    # every other neighbour q that u has when the insert runs names another
+    # corner of u: a face that misses v fails, and one that also holds v
+    # lays the gadget there and keeps the output
+    tmp, out, doc = dart_artifact
+    si, j, step = _pairing_insert(doc)
+    u, q0 = step["face"]
+    before = copy.deepcopy(doc)
+    before["stages"] = before["stages"][:si + 1]
+    before["stages"][si]["steps"] = before["stages"][si]["steps"][:j]
+    g, _ = _replay(before)
+    rcs = {}
+    for q in g.adjacency[u]:
+        if q != q0:
+            capsys.readouterr()
+            rcs[q] = _verify(tmp, out, _with_dart(doc, q))
+            if rcs[q]:
+                assert "never reaches" in capsys.readouterr().err
+    assert set(rcs.values()) == {0, 4}
 @pytest.mark.parametrize("change", ["moved", "added", "dropped"])
 def test_output_edge_mutants_are_rejected(artifact, capsys, change):
     # the output must be exactly the replayed graph; the changed edges stay
@@ -162,13 +234,20 @@ def test_zeroed_deltas_are_rejected(tmp_path, capsys):
     assert "stage degree2: ledger k=9 disagrees with recorded 0" in capsys.readouterr().err
 
 
-def test_trace_keys_are_the_schema(artifact):
-    _, _, doc = artifact
-    assert set(doc) == {"target", "input", "stages", "output"}
-    for st in doc["stages"]:
-        assert set(st) == {"name", "steps", "k_after"}
-        for step in st["steps"]:
-            assert set(step) == {"op", "gadget", "p", "attach", "subdivided"}
+def test_trace_keys_are_the_schema(artifact, dart_artifact):
+    # only a pairing insert records the face it is laid into
+    faces = 0
+    for _, _, doc in (artifact, dart_artifact):
+        assert set(doc) == {"target", "input", "stages", "output"}
+        for st in doc["stages"]:
+            assert set(st) == {"name", "steps", "k_after"}
+            for step in st["steps"]:
+                keys = {"op", "gadget", "p", "attach", "subdivided"}
+                if st["name"] == "pairing" and step["op"] == "insert":
+                    keys.add("face")
+                    faces += 1
+                assert set(step) == keys
+    assert faces > 0
 
 
 def test_the_target_decides_what_verifies(artifact, capsys):
@@ -359,9 +438,15 @@ def _k5_or_k5_minus_e(base):
 
 
 def _proof_of_one_stage(name, g, b):
-    proof = PlanarityProof(g)
-    proof.add(name, g, tuple(b.steps), b.freeze())
-    return proof.failed()
+    """What verify exits with when the planarity proof of a planar target
+    decides the output of one stage, b's steps on g."""
+    out = b.freeze()
+    try:
+        _, _, plane = replay_stages("4reg-planar", g, 0, [(name, tuple(b.steps), b.k)],
+                                    (out.n, out.m))
+    except CertificationError:
+        return 4
+    return 4 if plane.failed() else 0
 
 
 # rc: what verify exits with when this proof decides a planar target's output
@@ -369,20 +454,20 @@ def _proof_of_one_stage(name, g, b):
 @pytest.mark.parametrize("base, attach, rc", [
     ("K5-e", (4, 5), 4),  # not an edge: the output holds a K5 subdivision
     ("K5-e", (1, 2), 0),  # a 2-sum along an edge keeps planarity
-    ("K5", (1, 2), 4),  # a 2-sum cannot make a nonplanar base planar
+    ("K5", (1, 2), 4),  # the LR test of the input fails
 ])
 def test_planar_claim_over_one_d_insert(base, attach, rc):
     # one stage whose only step inserts a D gadget
     g = _k5_or_k5_minus_e(base)
     b = Builder(g, 0, "5regular")
     b.insert(GADGETS["D"], *attach)
-    assert _proof_of_one_stage("5regular", g, b) == ("5regular" if rc else None)
+    assert _proof_of_one_stage("5regular", g, b) == rc
 
 
 @pytest.mark.parametrize("base, attach, rc", [
     ("K5-e", (4, 5), 4),  # 4 and 5 share no face: the output holds a K5 subdivision
     ("K5-e", (6, 4), 0),  # the subdivision vertex and 4 share a face
-    ("K5", (6, 4), 4),  # a nonplanar input fails by the minor rule
+    ("K5", (6, 4), 4),  # the LR test of the input fails
 ])
 def test_planar_claim_over_subdivide_and_r_insert(base, attach, rc):
     # one stage that subdivides edge 12 into vertex 6 and then inserts an R
@@ -391,7 +476,7 @@ def test_planar_claim_over_subdivide_and_r_insert(base, attach, rc):
     b = Builder(g, 0, "pairing")
     b.subdivide((1, 2))
     b.insert(GADGETS["R"], *attach)
-    assert _proof_of_one_stage("pairing", g, b) == ("pairing" if rc else None)
+    assert _proof_of_one_stage("pairing", g, b) == rc
 
 
 def _four_lifts(tmp_path):
