@@ -5,9 +5,9 @@ Builder.insert."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
-from .graph import Builder, Graph, GraphError, reachable
+from .graph import Builder, GadgetPlane, Graph, GraphError, reachable
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -30,7 +30,8 @@ class Gadget:
 
     ham_path runs from x to y through every gadget vertex. k_delta is the
     certified minimum FVS size of the gadget, i.e. the exact amount the
-    deletion budget must grow per insertion.
+    deletion budget must grow per insertion. plane, how PlaneBuilder.insert
+    lays the gadget plus the edge xy into a face, is None for Y (non-planar).
     """
 
     kind: str  # R | L | D | Y
@@ -40,6 +41,7 @@ class Gadget:
     y: int
     ham_path: tuple
     k_delta: int
+    plane: GadgetPlane | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         hp = self.ham_path
@@ -70,6 +72,12 @@ class GadgetReport:
         return asdict(self)
 
 
+def _with_plane(kind, g: Graph, x, y, ham, k_delta) -> Gadget:
+    """The gadget with the plane of an LR embedding of g plus the edge xy."""
+    rot = check_planarity(Graph(g.vertices, [*g.edges, (x, y)]))[1]
+    return Gadget(kind, None, g, x, y, ham, k_delta, GadgetPlane(rot, x, y))
+
+
 def _build_r() -> Gadget:
     # wheel core on rim 2,3,4,5 with apex 6; ports 1 and 7 each cover two
     # adjacent rim vertices so every interior vertex ends up with degree 4
@@ -83,7 +91,7 @@ def _build_r() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 1, 2, 5, 6, 3, 4, 7, 8)
-    return Gadget("R", None, g, 0, 8, ham, 3)
+    return _with_plane("R", g, 0, 8, ham, 3)
 
 
 def _build_l() -> Gadget:
@@ -99,7 +107,7 @@ def _build_l() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 4, 3, 2, 5, 1, 6, 10, 7, 8, 9, 11)
-    return Gadget("L", None, g, 0, 11, ham, 4)
+    return _with_plane("L", g, 0, 11, ham, 4)
 
 
 def _build_d() -> Gadget:
@@ -116,7 +124,7 @@ def _build_d() -> Gadget:
     ]
     g = Graph.from_edges(edges)
     ham = (0, 1, 3, 2, 8, 7, 6, 10, 5, 9, 4, 11, 12, 13)
-    return Gadget("D", None, g, 0, 13, ham, 6)
+    return _with_plane("D", g, 0, 13, ham, 6)
 
 
 def _build_y(p: int) -> Gadget:

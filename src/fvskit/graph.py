@@ -31,7 +31,7 @@ class Graph:
 
     __slots__ = ("adjacency", "m", "next_id")
 
-    def __init__(self, vertices=(), edges=(), next_id=None):
+    def __init__(self, vertices=(), edges=()):
         rows = {v: set() for v in frozenset(vertices)}
         for u, v in edges:
             if u == v:
@@ -40,14 +40,10 @@ class Graph:
                 raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
             rows[u].add(v)
             rows[v].add(u)
-        if next_id is None:
-            next_id = max(rows, default=-1) + 1
-        elif rows and next_id <= max(rows):
-            raise GraphError("next_id collides with existing vertex ids")
         adj = {v: tuple(sorted(ns)) for v, ns in rows.items()}
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "m", sum(map(len, adj.values())) // 2)
-        object.__setattr__(self, "next_id", next_id)
+        object.__setattr__(self, "next_id", max(rows, default=-1) + 1)
 
     @classmethod
     def _unchecked(cls, rows: dict, m: int, next_id: int) -> Graph:
@@ -169,12 +165,23 @@ class Builder:
         """Add a fresh copy of the gadget, fusing its x with u and its y with
         v. Budget +gadget.k_delta, its certified minimum FVS size. Returns the
         map from gadget-local ids to host ids (x -> u, y -> v, interior ->
-        fresh). dart, PlaneBuilder's choice of face, is only recorded."""
+        fresh). dart, a PlaneBuilder's face, must name corners (u, q) or (u,
+        q, v, q2), q and q2 neighbours of u and v; a Builder only records it."""
+        self._check_insert(gadget, u, v, dart)
+        return self._add(gadget, u, v, dart)
+
+    def _check_insert(self, gadget, u, v, dart):
         adj = self._adj
         if u not in adj or v not in adj:
             raise GraphError("attachment vertices must be present")
         if u == v and gadget.kind != "R":
             raise GraphError("same-vertex insertion is only defined for kind R")
+        if dart is not None and not (dart[0] == u and dart[1] in adj[u] and (
+                len(dart) == 2 or dart[2] == v and dart[3] in adj[v])):
+            raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
+
+    def _add(self, gadget, u, v, dart):
+        adj = self._adj
         id_map = {gadget.x: u, gadget.y: v}
         for w in sorted(gadget.graph.vertices):
             if w not in id_map:
@@ -284,24 +291,17 @@ class PlaneBuilder(Builder):
         self.n_faces = 2 * base
         return mapping
 
-    def corner_reached(self, dart, stop):
-        """The q before which the walk of dart's face first reaches stop."""
-        order = self.rotation[stop]
-        return order[(order.index(_face_walk(self.rotation, dart, stop)[-1][0]) + 1) % len(order)]
-
-    def insert(self, gadget, u, v, plane=None, dart=None) -> dict:
-        """Builder.insert, laying plane, the gadget's GadgetPlane, into face
-        f: dart's, a dart (u, q) or (u, q, v, q2), else the lowest that u and
-        v share. x fills u's corner before q, or its first on f, and y v's
-        before q2, or its first on f's walk from x. The walked side and xy's
-        x-to-y side get a new face id. After a copy, the insert must join u's
-        lowest face f in one half to v's: v's face and xy's sides become f."""
-        rot, face = self.rotation, self.face
+    def insert(self, gadget, u, v, dart=None) -> dict:
+        """Builder.insert, laying gadget.plane into face f: dart's, else the
+        lowest that u and v share. x fills u's corner before q, dart's or its
+        first on f; y v's before q2, or its first on f's one walk from x, and
+        the step keeps q2 only if that first is another. The walked side and
+        xy's x-to-y side get a new face id. After a copy, the insert must join
+        u's lowest face f in one half to v's: v's face and xy's sides become f."""
+        rot, face, plane = self.rotation, self.face, gadget.plane
         if plane is None or u == v or not rot.get(u) or not rot.get(v):
             raise GraphError(f"no plane insert of {gadget.kind} joins {u} and {v}")
-        if dart is not None and not (dart[0] == u and dart[:2] in face and (
-                len(dart) == 2 or dart[2] == v and face.get(dart[2:]) == face[dart[:2]])):
-            raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
+        self._check_insert(gadget, u, v, dart)
         if join := self.split is not None:
             # each end's first corner on its lowest face
             q, qv = (min(rot[t], key=lambda w, t=t: face[(t, w)]) for t in (u, v))
@@ -321,8 +321,10 @@ class PlaneBuilder(Builder):
                 f, q, q2 = face[dart[:2]], dart[1], dart[3] if len(dart) == 4 else None
             walk = _face_walk(rot, (u, q), v, q2)
             iv = rot[v].index(walk[-1][0]) + 1
+            if q2 is not None and all(b != v for _, b in walk[:-1]):
+                dart = dart[:2]  # q2's corner is v's first on the walk
         iu = rot[u].index(q)
-        id_map = super().insert(gadget, u, v, dart)
+        id_map = self._add(gadget, u, v, dart)
         rot[u][iu:iu] = [id_map[w] for w in plane.x_fan]
         rot[v][iv:iv] = [id_map[w] for w in plane.y_fan]
         for w, order in plane.inner_rotation.items():

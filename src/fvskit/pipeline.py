@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .graph import (
     Builder,
-    GadgetPlane,
     Graph,
     GraphError,
     HamCycleWitness,
@@ -38,12 +37,8 @@ from .graph import (
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
 
+# the gadgets that carry a plane, which PlaneBuilder.insert lays into a face
 GADGETS = {kind: build_gadget(kind) for kind in ("R", "L", "D")}
-
-# a plane embedding of each gadget G plus xy, which PlaneBuilder.insert lays into a face
-GADGET_PLANES = {kind: GadgetPlane(check_planarity(plus_xy)[1], gd.x, gd.y)
-                 for kind, gd in GADGETS.items()
-                 for plus_xy in [Graph(gd.graph.vertices, [*gd.graph.edges, (gd.x, gd.y)])]}
 _L = GADGETS["L"]
 
 # the most edges a Y round or a lift may build; a target beyond it is refused
@@ -118,8 +113,8 @@ class Plane(NamedTuple):
 
 
 def _two_sums(g: Graph, steps) -> bool:
-    """Whether every step is a 2-sum: a GADGET_PLANES gadget across an edge of g."""
-    return all(s.op == "insert" and s.gadget in GADGET_PLANES and len(s.attach) == 2
+    """Whether every step is a 2-sum: a gadget with a plane across an edge of g."""
+    return all(s.op == "insert" and s.gadget in GADGETS and len(s.attach) == 2
                and g.has_edge(*s.attach) for s in steps)
 
 
@@ -207,9 +202,8 @@ def pair_degree_three(inst: Instance) -> StageResult:
                          for c in here), segs[-1]]
         for i, (x, y) in enumerate(zip(chain, chain[1:])):
             qx, qy = _corner(b, coords, x, on[i], 1), _corner(b, coords, y, on[i + 1], -1)
-            # a dart at y too if the walk from x's first meets y elsewhere (on a bridge)
-            dart = (x, qx) if b.corner_reached((x, qx), y) == qy else (x, qx, y, qy)
-            b.insert(GADGETS["R"], x, y, GADGET_PLANES["R"], dart)
+            # the step keeps qy only if the walk from qx first meets y elsewhere (a bridge)
+            b.insert(GADGETS["R"], x, y, (x, qx, y, qy))
     g = b.freeze()
     out = Instance(g, b.k)
     cert = _certificate(out)
@@ -411,7 +405,7 @@ def _merge_case1(state, u, v, e, ep):
     v2 = _other_end(ep, v)
     z = b.subdivide(e)
     zp = b.subdivide(ep)
-    interior = interior_path(_L, b.insert(_L, z, zp, GADGET_PLANES["L"]))
+    interior = interior_path(_L, b.insert(_L, z, zp))
     # merged cycle: z, u2 .. u, v .. v2, zp, the interior backwards
     state.join(u, v, u2, v2, [v2, zp, *reversed(interior), z, u2], (z, u2))
 
@@ -425,23 +419,19 @@ def _merge_case2(state, u, v, e, et, ep):
     zt1 = b.subdivide(et)
     zt2 = b.subdivide(_norm_edge(zt1, wt))
     zp = b.subdivide(ep)
-    int1 = interior_path(_L, b.insert(_L, z, zt1, GADGET_PLANES["L"]))
-    int2 = interior_path(_L, b.insert(_L, zt2, zp, GADGET_PLANES["L"]))
+    int1 = interior_path(_L, b.insert(_L, z, zt1))
+    int2 = interior_path(_L, b.insert(_L, zt2, zp))
     # merged cycle: z, the first interior, zt1, zt2, the second, zp, v2 .. v, u .. u2
     state.join(u, v, u2, v2, [u2, z, *int1, zt1, zt2, *int2, zp, v2], (z, int1[0]))
 
 
 def hamiltonize(inst: Instance, rotation) -> StageResult:
-    """Merge the 2-factor down to a single spanning cycle; at most n/3
-    merges since every cycle has length at least 3. All merges edit one
-    plane builder started from rotation, a rotation system of inst.graph."""
-    g = inst.graph
-    state = MergeState(inst, compute_two_factor(g), rotation)
-    budget = g.n // 3
+    """Merge the 2-factor down to a single spanning cycle, each merge joining
+    two of its at most n/3 cycles or raising. All merges edit one plane builder
+    started from rotation, a rotation system of inst.graph; audit counts them."""
+    state = MergeState(inst, compute_two_factor(inst.graph), rotation)
     merges = 0
     while len(state.members) > 1:
-        if merges >= budget:
-            raise PipelineError("merge budget n/3 exceeded")
         merge_step(state)
         merges += 1
     b = state.builder
@@ -469,8 +459,8 @@ def evenize(inst: Instance, rotation) -> StageResult:
     w1 = b.subdivide((v1, c))
     v2 = b.subdivide((ap, cp))
     w2 = b.subdivide((v2, cp))
-    idm1 = b.insert(_L, v1, v2, GADGET_PLANES["L"])
-    idm2 = b.insert(_L, w1, w2, GADGET_PLANES["L"])
+    idm1 = b.insert(_L, v1, v2)
+    idm2 = b.insert(_L, w1, w2)
     # splice: original cycle from c around to a, through the first L into the
     # copy, around it, and back through the second L
     main = _cycle_long_way(C, c, a)
@@ -784,8 +774,7 @@ def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
         else:
             gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)
             m = room(gadget.graph.n - 2, gadget.graph.m)
-        plane = (GADGET_PLANES.get(s.gadget),) if isinstance(b, PlaneBuilder) else ()
-        b.insert(gadget, *s.attach, *plane, dart=s.face)
+        b.insert(gadget, *s.attach, s.face)
     elif s.op == "copy":
         m = room(b.n, m)
         b.copy()

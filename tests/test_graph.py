@@ -1,10 +1,12 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import fvskit
 from fvskit.graph import (
+    Builder,
     Graph,
     GraphError,
     HamCycleWitness,
@@ -50,8 +52,6 @@ class TestGraphBasics:
     def test_next_id_fresh(self):
         g = Graph([0, 5], [(0, 5)])
         assert g.next_id == 6
-        with pytest.raises(GraphError):
-            Graph([0, 5], [(0, 5)], next_id=3)
 
 
 # A Graph is its sorted adjacency rows, with m and next_id; vertices and
@@ -341,3 +341,23 @@ def test_textio_reaches_planarity_only_through_planarity_proof():
             used.add(node.attr)
     assert {"certify", "replay_stages"} <= used
     assert not used & CLASS_PRIMITIVES
+
+
+# The compiler and the verifier execute an insert by one call,
+# b.insert(gadget, u, v, dart), on a Builder or a PlaneBuilder alike: the
+# gadget carries its plane, and that plane is built in one place.
+def test_one_insert_signature_and_the_gadget_carries_its_plane():
+    assert inspect.signature(PlaneBuilder.insert) == inspect.signature(Builder.insert)
+    src = Path(fvskit.__file__).parent
+    calls = [(path.name, node) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    assert [name for name, c in calls
+            if isinstance(c.func, ast.Name) and c.func.id == "GadgetPlane"] == ["gadgets.py"]
+    inserts = [c for _, c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "insert"]
+    assert len(inserts) >= 7
+    for c in inserts:
+        passed = [*c.args, *(kw.value for kw in c.keywords)]
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for arg in passed for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
+        assert len(passed) <= 4 and "plane" not in {kw.arg for kw in c.keywords}, ast.unparse(c)
+        assert not any("plane" in name.lower() for name in names), ast.unparse(c)

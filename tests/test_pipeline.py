@@ -1,6 +1,9 @@
+import dataclasses
+
 import networkx
 import pytest
 
+from fvskit.gadgets import build_gadget
 from fvskit.geometry import GeometryError
 from fvskit.graph import (
     GadgetPlane,
@@ -14,7 +17,7 @@ from fvskit.graph import (
     faces,
 )
 from fvskit.pipeline import (
-    GADGET_PLANES,
+    GADGETS,
     CertificationError,
     ClassCertificate,
     MergeState,
@@ -120,6 +123,22 @@ class TestPairing:
     def test_rejects_low_degree(self):
         with pytest.raises(PipelineError, match="need 3..4"):
             pair_degree_three(Instance(cycle_graph(5), 0))
+
+    def test_one_stopped_face_walk_per_insert(self, monkeypatch):
+        # each insert walks its face from x's corner once, both to find y's
+        # corner and to tell whether the step must name it
+        import fvskit.graph as graph
+
+        stops, walk = [], graph._face_walk
+
+        def spy(rot, d, stop=None, then=None):
+            if stop is not None:
+                stops.append(d)
+            return walk(rot, d, stop, then)
+
+        monkeypatch.setattr(graph, "_face_walk", spy)
+        sr = pair_degree_three(eliminate_degree_two(Instance(grid_graph(8, 8), 1)).instance)
+        assert len(stops) == sum(s.op == "insert" for s in sr.steps) == 58
 
     @pytest.mark.parametrize("edges, darts_at_y", [
         # two triangles joined by a bridge that the route crosses twice
@@ -244,7 +263,9 @@ class TestHamiltonize:
         rot = dict(pipeline.check_planarity(
             Graph(L.graph.vertices, [*L.graph.edges, (L.x, L.y)]))[1])
         rot[L.x] = tuple(reversed(rot[L.x]))
-        monkeypatch.setitem(pipeline.GADGET_PLANES, "L", GadgetPlane(rot, L.x, L.y))
+        bad = dataclasses.replace(L, plane=GadgetPlane(rot, L.x, L.y))
+        monkeypatch.setattr(pipeline, "_L", bad)
+        monkeypatch.setitem(pipeline.GADGETS, "L", bad)
         with pytest.raises(CertificationError,
                            match="stage hamiltonize: planarity claim fails"):
             run_pipeline(Instance(grid_graph(3, 4), 0), "4reg-planar-ham")
@@ -467,8 +488,10 @@ def _count_lr_tests(monkeypatch):
 
 class TestPlanarityProof:
     def test_sum_planar_gadgets(self):
-        # G + xy is planar for each of them, which the 2-sum rule needs
-        assert set(GADGET_PLANES) == {"R", "L", "D"}
+        # G + xy is planar for each of them, which the 2-sum rule needs; a
+        # Y gadget carries no plane
+        assert {kind for kind, gd in GADGETS.items() if gd.plane} == {"R", "L", "D"}
+        assert build_gadget("Y", 3).plane is None
 
     def test_lr_tests_per_run(self, monkeypatch):
         # reduce: grid_embed's one test, of the degree2 output; the stages

@@ -11,7 +11,7 @@ import pytest
 
 from fvskit import pipeline
 from fvskit.cli import main
-from fvskit.graph import Builder, Graph, Instance, TraceStep
+from fvskit.graph import Builder, Graph, Instance, PlaneBuilder, TraceStep
 from fvskit.pipeline import (
     GADGETS,
     CertificationError,
@@ -159,6 +159,15 @@ def _with_dart(doc, q):
     return m
 
 
+def _before_pairing_insert(doc):
+    """The graph that the first pairing insert edits."""
+    si, j, _ = _pairing_insert(doc)
+    before = copy.deepcopy(doc)
+    before["stages"] = before["stages"][:si + 1]
+    before["stages"][si]["steps"] = before["stages"][si]["steps"][:j]
+    return _replay(before)[0]
+
+
 def test_a_dart_at_a_non_neighbour_is_refused(dart_artifact, capsys):
     tmp, out, doc = dart_artifact
     u = _pairing_insert(doc)[2]["face"][0]
@@ -174,12 +183,8 @@ def test_a_dart_moves_only_within_the_faces_of_both_ends(dart_artifact, capsys):
     # corner of u: a face that misses v fails, and one that also holds v
     # lays the gadget there and keeps the output
     tmp, out, doc = dart_artifact
-    si, j, step = _pairing_insert(doc)
-    u, q0 = step["face"]
-    before = copy.deepcopy(doc)
-    before["stages"] = before["stages"][:si + 1]
-    before["stages"][si]["steps"] = before["stages"][si]["steps"][:j]
-    g, _ = _replay(before)
+    u, q0 = _pairing_insert(doc)[2]["face"]
+    g = _before_pairing_insert(doc)
     rcs = {}
     for q in g.adjacency[u]:
         if q != q0:
@@ -188,6 +193,71 @@ def test_a_dart_moves_only_within_the_faces_of_both_ends(dart_artifact, capsys):
             if rcs[q]:
                 assert "never reaches" in capsys.readouterr().err
     assert set(rcs.values()) == {0, 4}
+
+
+def test_a_redundant_second_dart_is_refused(dart_artifact, tmp_path, monkeypatch, capsys):
+    # pairing hands every insert both corners, (x, qx, y, qy); where the walk
+    # from qx first meets y at qy's corner, the step keeps (x, qx) alone, so
+    # replay derives that from a recorded 4-dart and refuses the trace
+    _, out, doc = dart_artifact
+    passed = []
+    insert = PlaneBuilder.insert
+    monkeypatch.setattr(PlaneBuilder, "insert",
+                        lambda b, gd, u, v, dart=None: passed.append(dart) or insert(b, gd, u, v, dart))
+    assert _compile(tmp_path, 1, PRISM, "4reg-planar")[1] == doc
+    si, j, _ = _pairing_insert(doc)
+    recorded = [s["face"] for s in doc["stages"][si]["steps"] if s["op"] == "insert"]
+    assert len(passed) == len(recorded) and all(len(d) == 4 for d in passed)
+    assert [list(d[:len(f)]) for d, f in zip(passed, recorded)] == recorded
+    redundant = passed[0]
+    assert len(recorded[0]) == 2
+    mutant = copy.deepcopy(doc)
+    mutant["stages"][si]["steps"][j]["face"] = list(redundant)
+    capsys.readouterr()
+    assert _verify(tmp_path, out, mutant) == 4
+    assert f"replay derives {redundant[:2]!r}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def nonplanar_dart_artifact(tmp_path_factory):
+    # preg-ham:5 need not be planar, so verify replays pairing's darts on a
+    # Builder, which keeps no faces and checks only that they name corners
+    tmp = tmp_path_factory.mktemp("nonplanar-darts")
+    out, doc = _compile(tmp, 1, PRISM, "preg-ham:5")
+    return tmp, out, doc
+
+
+def test_a_dart_at_another_corner_keeps_a_nonplanar_output(nonplanar_dart_artifact):
+    tmp, out, doc = nonplanar_dart_artifact
+    assert _verify(tmp, out, doc) == 0
+    u, q0 = _pairing_insert(doc)[2]["face"][:2]
+    others = [q for q in _before_pairing_insert(doc).adjacency[u] if q != q0]
+    assert others
+    # verify passes only if the replayed graph renders as the output
+    assert [_verify(tmp, out, _with_dart(doc, q)) for q in others] == [0] * len(others)
+
+
+def test_a_dart_names_corners_on_a_nonplanar_target_too(nonplanar_dart_artifact, capsys):
+    tmp, out, doc = nonplanar_dart_artifact
+    u = _pairing_insert(doc)[2]["face"][0]
+    g = _before_pairing_insert(doc)
+    q = max(w for w in g.vertices if w != u and not g.has_edge(u, w))
+    capsys.readouterr()
+    assert _verify(tmp, out, _with_dart(doc, q)) == 4
+    assert f"face dart [{u}, {q}] names no face at {u}" in capsys.readouterr().err
+
+
+def test_a_junk_dart_is_refused_where_no_plane_is_kept(artifact, capsys):
+    # degree2's same-vertex inserts replay on a Builder
+    tmp, out, doc = artifact
+    doc = copy.deepcopy(doc)
+    assert doc["stages"][0]["name"] == "degree2"
+    _first_insert(doc)["face"] = [999, 12345]
+    capsys.readouterr()
+    assert _verify(tmp, out, doc) == 4
+    assert "face dart [999, 12345] names no face" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", ["moved", "added", "dropped"])
 def test_output_edge_mutants_are_rejected(artifact, capsys, change):
     # the output must be exactly the replayed graph; the changed edges stay
