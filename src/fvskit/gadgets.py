@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graph import Builder, GadgetPlane, Graph, GraphError, reachable
+from .graph import Builder, GadgetPlane, GadgetRows, Graph, GraphError, reachable
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -30,7 +30,8 @@ class Gadget:
 
     ham_path runs from x to y through every gadget vertex. k_delta is the
     certified minimum FVS size of the gadget, i.e. the exact amount the
-    deletion budget must grow per insertion. plane, how PlaneBuilder.insert
+    deletion budget must grow per insertion. rows, how Builder.insert adds
+    the gadget's rows, is built with it. plane, how PlaneBuilder.insert
     lays the gadget plus the edge xy into a face, is None for Y (non-planar).
     """
 
@@ -42,6 +43,7 @@ class Gadget:
     ham_path: tuple
     k_delta: int
     plane: GadgetPlane | None = field(default=None, compare=False, repr=False)
+    rows: GadgetRows = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         hp = self.ham_path
@@ -53,6 +55,7 @@ class Gadget:
         for a, b in zip(hp, hp[1:]):
             if not g.has_edge(a, b):
                 raise GraphError(f"ham_path uses a non-edge ({a}, {b})")
+        object.__setattr__(self, "rows", GadgetRows(g, self.x, self.y))
 
 
 @dataclass(frozen=True)

@@ -106,16 +106,18 @@ def sorted_edges(g: Graph):
 
 class Builder:
     """The one mutable construction engine, shared by the compiler stages
-    and trace replay. It holds a mutable adjacency, the fresh-id counter,
-    the running budget k and the steps recorded so far. Each op applies its
-    edit in time proportional to the edit, derives its own budget delta and
-    appends its TraceStep. Every op keeps the adjacency symmetric, loop-free
-    and closed, so freeze() builds its immutable Graph without re-checking
-    the edges. Between ops it answers the read-only queries n, vertices,
-    degree and has_edge like a Graph does."""
+    and trace replay. It holds the adjacency as sorted lists, the fresh-id
+    counter, the running budget k and the steps recorded so far. Each op
+    applies its edit in time proportional to the edit, derives its own
+    budget delta and appends its TraceStep. A fresh id exceeds every id the
+    graph has held, so an op builds a row in order, appends fresh ids to it
+    or removes from it: rows stay sorted, symmetric, loop-free and closed,
+    and freeze() copies them into its Graph without sorting or checking
+    them. Between ops it answers the read-only queries n, vertices, degree
+    and has_edge like a Graph does."""
 
     def __init__(self, g: Graph, k: int = 0, stage: str = ""):
-        self._adj = {v: set(ns) for v, ns in g.adjacency.items()}
+        self._adj = {v: list(ns) for v, ns in g.adjacency.items()}
         self.next_id = g.next_id
         self.k = k
         self.stage = stage
@@ -133,10 +135,12 @@ class Builder:
         return len(self._adj[v])
 
     def has_edge(self, u, v):
-        return v in self._adj.get(u, ())
+        row = self._adj.get(u, ())
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def freeze(self) -> Graph:
-        rows = {v: tuple(sorted(ns)) for v, ns in self._adj.items()}
+        rows = {v: tuple(ns) for v, ns in self._adj.items()}
         return Graph._unchecked(rows, sum(map(len, rows.values())) // 2, self.next_id)
 
     def _record(self, op, k_delta=0, **fields):
@@ -149,15 +153,15 @@ class Builder:
         Budget +0."""
         u, v = e
         adj = self._adj
-        if v not in adj.get(u, ()):
+        if not self.has_edge(u, v):
             raise GraphError("edge not present")
         w = self.next_id
         self.next_id += 1
         adj[u].remove(v)
         adj[v].remove(u)
-        adj[u].add(w)
-        adj[v].add(w)
-        adj[w] = {u, v}
+        adj[u].append(w)
+        adj[v].append(w)
+        adj[w] = [u, v] if u < v else [v, u]
         self._record("subdivide", edge=tuple(e))
         return w
 
@@ -176,22 +180,20 @@ class Builder:
             raise GraphError("attachment vertices must be present")
         if u == v and gadget.kind != "R":
             raise GraphError("same-vertex insertion is only defined for kind R")
-        if dart is not None and not (dart[0] == u and dart[1] in adj[u] and (
-                len(dart) == 2 or dart[2] == v and dart[3] in adj[v])):
+        if dart is not None and not (dart[0] == u and self.has_edge(u, dart[1]) and (
+                len(dart) == 2 or dart[2] == v and self.has_edge(v, dart[3]))):
             raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
 
     def _add(self, gadget, u, v, dart):
-        adj = self._adj
-        id_map = {gadget.x: u, gadget.y: v}
-        for w in sorted(gadget.graph.vertices):
-            if w not in id_map:
-                id_map[w] = self.next_id
-                adj[self.next_id] = set()
-                self.next_id += 1
-        for a, row in gadget.graph.adjacency.items():
-            ma = id_map[a]
-            # u=v R-insertion: x and y both land on u, and an xy edge would be a loop
-            adj[ma].update(mb for b in row if (mb := id_map[b]) != ma)
+        adj, rows, base = self._adj, gadget.rows, self.next_id
+        self.next_id += len(rows.inner)
+        # at u == v (an R insert) y's fresh neighbours follow x's
+        adj[u] += [base + i for i in rows.x_row]
+        adj[v] += [base + i for i in rows.y_row]
+        ports = ([], [u], [v])
+        for i, (port, row) in enumerate(rows.inner_rows):
+            adj[base + i] = ports[port] + [base + j for j in row]
+        id_map = {gadget.x: u, gadget.y: v, **dict(zip(rows.inner, range(base, self.next_id)))}
         self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v),
                      face=dart)
         return id_map
@@ -204,8 +206,9 @@ class Builder:
         for v in sorted(adj):
             mapping[v] = self.next_id
             self.next_id += 1
+        # the renaming is monotone, so each copied row stays sorted
         for v, ns in list(adj.items()):
-            adj[mapping[v]] = {mapping[w] for w in ns}
+            adj[mapping[v]] = [mapping[w] for w in ns]
         self._record("copy", self.k)
         return mapping
 
@@ -214,17 +217,17 @@ class Builder:
         {x, y}. Budget +3n. Returns (clique, x, y)."""
         adj = self._adj
         n = len(adj)
-        hosts = list(adj)
+        hosts = sorted(adj)
         clique = list(range(self.next_id, self.next_id + 3 * n))
         x, y = self.next_id + 3 * n, self.next_id + 3 * n + 1
         self.next_id = y + 1
         for v in hosts:
-            adj[v].update(clique)
-        joined = set(hosts).union(clique, (x, y))
-        for h in clique:
-            adj[h] = joined - {h}
-        adj[x] = {*clique, y}
-        adj[y] = {*clique, x}
+            adj[v] += clique
+        joined = hosts + clique + [x, y]
+        for i, h in enumerate(clique, n):
+            adj[h] = joined[:i] + joined[i + 1:]
+        adj[x] = clique + [y]
+        adj[y] = clique + [x]
         self._record("lift", 3 * n)
         return clique, x, y
 
@@ -236,9 +239,9 @@ class Builder:
 
 def _strip_adjacency(adj, queue=None):
     """Iteratively delete degree-zero and degree-one vertices from a mutable
-    adjacency dict (vertex -> set of neighbours), in place. queue holds the
-    vertices that may have degree <= 1, by default all of them; every
-    other vertex must have degree >= 2."""
+    adjacency dict (vertex -> set or list of neighbours), in place. queue
+    holds the vertices that may have degree <= 1, by default all of them;
+    every other vertex must have degree >= 2."""
     if queue is None:
         queue = [v for v, ns in adj.items() if len(ns) <= 1]
     while queue:
@@ -246,7 +249,8 @@ def _strip_adjacency(adj, queue=None):
         if v not in adj or len(adj[v]) > 1:
             continue
         for w in adj.pop(v):
-            adj[w].discard(v)
+            # rows are symmetric, so v is in w's row
+            adj[w].remove(v)
             if len(adj[w]) <= 1:
                 queue.append(w)
 
@@ -413,6 +417,31 @@ def _walk_faces(rot):
     return out
 
 
+class GadgetRows:
+    """How Builder.insert adds a gadget's rows: interior vertex inner[i]
+    lands on fresh id base + i, x_row and y_row list the offsets i of x's
+    and y's neighbours, and inner_rows gives each interior vertex its port
+    (1 for x, 2 for y, else 0) and its interior neighbours' offsets. x and
+    y are not adjacent and x's neighbours come before y's, so a host row
+    gains only fresh ids, in order even when x and y land on one vertex."""
+
+    __slots__ = ("inner", "x_row", "y_row", "inner_rows")
+
+    def __init__(self, g: Graph, x, y):
+        self.inner = tuple(w for w in sorted(g.vertices) if w != x and w != y)
+        offset = {w: i for i, w in enumerate(self.inner)}
+
+        def offsets(w):
+            return tuple(offset[t] for t in g.adjacency[w] if t in offset)
+
+        self.x_row, self.y_row = offsets(x), offsets(y)
+        if g.has_edge(x, y) or self.x_row[-1] >= self.y_row[0]:
+            raise GraphError("a gadget's x must not be adjacent to y, and its neighbours "
+                             "must come before y's")
+        self.inner_rows = tuple((g.has_edge(w, x) + 2 * g.has_edge(w, y), offsets(w))
+                                for w in self.inner)
+
+
 class GadgetPlane:
     """How PlaneBuilder.insert lays a gadget into a face: a planar rotation
     system of the gadget's graph plus its edge xy, walked into faces once.
@@ -541,7 +570,8 @@ class TraceStep:
 
     @classmethod
     def from_json(cls, stage, d):
-        """Parse one serialized step; a missing or mistyped field raises
+        """Parse one serialized step of the named stage; a missing or
+        mistyped field, or a face on any step but a pairing insert, raises
         ValueError naming it."""
         if not isinstance(d, dict):
             raise ValueError("step is not a JSON object")
@@ -557,6 +587,8 @@ class TraceStep:
                                 ("face", face, (0, 2, 4))):
             if not (isinstance(val, list) and len(val) in sizes and all(map(_is_int, val))):
                 raise ValueError(f"{key} must list {' or '.join(map(str, sizes))} integers")
+        if "face" in d and (stage, op) != ("pairing", "insert"):
+            raise ValueError("only a pairing insert has a face")
         return cls(stage, op, gadget, p, tuple(attach), tuple(edge) or None, tuple(face) or None)
 
 

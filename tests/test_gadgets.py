@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from fvskit.gadgets import (
+    Gadget,
     build_core_wheel,
     build_gadget,
     certify_gadget,
@@ -61,6 +62,16 @@ class TestConstruction:
             gad = build_gadget(kind, p)
             assert gad.ham_path[0] == gad.x and gad.ham_path[-1] == gad.y
             assert set(gad.ham_path) == gad.graph.vertices
+
+    @pytest.mark.parametrize("ham, extra", [((0, 1, 2, 4), [(0, 4)]), ((0, 2, 1, 4), []),
+                                            ((0, 1, 4), [])],
+                             ids=["adjacent", "crossed", "common-neighbour"])
+    def test_ports_keep_host_rows_sorted(self, ham, extra):
+        # an insert only appends fresh ids to the host's rows, x's before
+        # y's when both land on one vertex
+        g = Graph.from_edges([*zip(ham, ham[1:]), *extra])
+        with pytest.raises(GraphError, match="neighbours must come before y's"):
+            Gadget("R", None, g, 0, 4, ham, 1)
 
 
 class TestCertification:

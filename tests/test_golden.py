@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of the canonical graph text and of the
-trace JSON for eight reductions, and of `fvskit solve` stdout for five
+trace JSON for nine reductions, and of `fvskit solve` stdout for five
 exhaustive-path inputs too large for the subset-scan oracle of
 test_solvers and four inputs above the exhaustive limit, which
 branch-and-reduce answers. A digest change means the compiler's or the
@@ -54,6 +54,10 @@ GOLDEN = [
     ("grid6x8", lambda: grid_graph(6, 8), "4reg-planar-ham",
      "195b17cf6f97bf8fd9f418e105aade577f1cae396c86159b61f0ef3c42d5bad3",
      "daae7010db84949f5d09bb673b548c030d917c7c4b2909d27a0c5b2db71c2029"),
+    # a lift after a lift: 138 vertices, 9 349 edges, the densest rows
+    ("C8-lift5", lambda: cycle_graph(8), "ham-ordered:5",
+     "60366193f79e86bda602f95c4f62125f977039d1b56ca1843be06f205e107a9c",
+     "b922a514cb8c05af76feadc44ac9e4dd0fe60de058979f741dbdadfcb3805a90"),
 ]
 
 

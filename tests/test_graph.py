@@ -1,5 +1,6 @@
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,22 @@ def test_only_freeze_and_parse_graph_skip_the_edge_checks():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "_unchecked"]
     assert len(calls) == 2 and all(len(c.args) == 3 and not c.keywords for c in calls)
+
+
+# Fresh ids exceed every id in the graph, so the builder's rows stay sorted
+# by how its ops edit them: freeze copies them, and the ops that run per
+# gadget or per subdivision neither sort a row nor hash one into a set.
+SORT_FREE = ("freeze", "insert", "_add", "subdivide")
+
+
+@pytest.mark.parametrize("method", SORT_FREE)
+def test_the_builder_keeps_its_rows_sorted_without_sorting(method):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(Builder, method))))
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Set, ast.SetComp)), ast.unparse(node)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert name not in ("sorted", "sort", "set", "frozenset"), ast.unparse(node)
 
 
 # The one cycle-cover check is reached only where a cycle certificate is

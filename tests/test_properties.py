@@ -2,15 +2,16 @@
 edge subsets of the 3x3 grid: every subset is planar with maximum degree 4,
 so reduce either succeeds or rejects a precondition (disconnected, empty
 after stripping); it must never raise, and everything it writes must
-verify. And random sequences of Builder ops, after each of which freeze()
-must equal the Graph that the validating constructor builds."""
+verify. And random sequences of Builder ops, after each of which every
+builder row must be strictly increasing and freeze() must equal the Graph
+that the validating constructor builds."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvskit.cli import EXIT_PRECONDITION, main
 from fvskit.gadgets import build_gadget
@@ -44,14 +45,21 @@ def test_reduce_then_verify_on_grid_subgraphs(deleted):
             assert printed.getvalue() == "ok\n"
 
 
-# Builder.freeze builds its Graph without the edge checks of Graph(...):
-# every op must keep the adjacency symmetric, loop-free and closed.
+# Builder.freeze builds its Graph without the edge checks of Graph(...) and
+# without sorting: every op must keep the adjacency symmetric, loop-free and
+# closed, and each row strictly increasing.
 BUILDER_OPS = ["subdivide", "R", "L", "D", "Y", "copy", "lift", "strip"]
-STARTS = [cycle_graph(3), c4k1(), cube_graph(), path_graph(4), bull_free_random(8, 12, 1)]
+# a C4 whose rows iterate from 8, not in vertex order: lift and copy must
+# sort the vertices themselves
+C4_UNORDERED = Graph.from_edges([(1, 2), (2, 3), (3, 8), (8, 1)])
+assert list(C4_UNORDERED.adjacency) != sorted(C4_UNORDERED.adjacency)
+STARTS = [cycle_graph(3), c4k1(), cube_graph(), path_graph(4), bull_free_random(8, 12, 1),
+          C4_UNORDERED]
 
 
 def _assert_adjacency_sound(adj):
     for v, ns in adj.items():
+        assert all(a < b for a, b in zip(ns, ns[1:])), (v, ns)
         assert v not in ns
         for w in ns:
             assert w in adj and v in adj[w]
@@ -61,6 +69,9 @@ def _assert_adjacency_sound(adj):
 @given(st.sampled_from(STARTS),
        st.lists(st.tuples(st.sampled_from(BUILDER_OPS), st.integers(0, 999), st.integers(0, 999)),
                 max_size=8))
+# the densest rows (a lift after a lift) and an R insert at u == v
+@example(C4_UNORDERED, [("lift", 0, 0), ("lift", 0, 0), ("R", 5, 5)])
+@example(C4_UNORDERED, [("copy", 0, 0)])
 def test_builder_ops_keep_freeze_trustworthy(start, ops):
     b = Builder(start, 0, "ops")
     for op, i, j in ops:
@@ -69,7 +80,8 @@ def test_builder_ops_keep_freeze_trustworthy(start, ops):
             edges = sorted((u, w) for u in verts for w in b._adj[u] if u < w)
             if not edges:
                 continue
-            b.subdivide(edges[i % len(edges)])
+            u, w = edges[i % len(edges)]
+            b.subdivide((u, w) if j % 2 else (w, u))
         elif op in ("R", "L", "D", "Y"):
             if not verts:
                 continue

@@ -247,15 +247,32 @@ def test_a_dart_names_corners_on_a_nonplanar_target_too(nonplanar_dart_artifact,
     assert f"face dart [{u}, {q}] names no face at {u}" in capsys.readouterr().err
 
 
-def test_a_junk_dart_is_refused_where_no_plane_is_kept(artifact, capsys):
-    # degree2's same-vertex inserts replay on a Builder
-    tmp, out, doc = artifact
+def test_a_junk_dart_is_refused_where_no_plane_is_kept(nonplanar_dart_artifact, capsys):
+    # preg-ham:5's pairing inserts replay on a Builder
+    tmp, out, doc = nonplanar_dart_artifact
+    si, j, _ = _pairing_insert(doc)
     doc = copy.deepcopy(doc)
-    assert doc["stages"][0]["name"] == "degree2"
-    _first_insert(doc)["face"] = [999, 12345]
+    doc["stages"][si]["steps"][j]["face"] = [999, 12345]
     capsys.readouterr()
     assert _verify(tmp, out, doc) == 4
     assert "face dart [999, 12345] names no face" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["insert", "subdivide"])
+def test_a_face_on_any_step_but_a_pairing_insert_is_a_format_error(artifact, capsys, op):
+    # the dart [1, 2] at degree2's first insert (attach [1, 1]) names a
+    # corner of 1, which a Builder would only record, as would a subdivision
+    # given its own edge; the schema gives no step but a pairing insert the key
+    tmp, out, doc = artifact
+    doc = copy.deepcopy(doc)
+    step = next(s for st in doc["stages"] if st["name"] != "pairing"
+                for s in st["steps"] if s["op"] == op)
+    if op == "insert":
+        assert step["attach"] == [1, 1]
+    step["face"] = [1, 2] if op == "insert" else step["subdivided"]
+    capsys.readouterr()
+    assert _verify(tmp, out, doc) == 2
+    assert "only a pairing insert has a face" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", ["moved", "added", "dropped"])
