@@ -32,7 +32,6 @@ from .graph import (
     is_connected,
     regularity,
     sorted_edges,
-    to_networkx,
     _norm_edge,
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
@@ -221,37 +220,127 @@ def _corner(b: PlaneBuilder, coords, v, seg, sign):
     return first_clockwise(o, ahead, {w: coords[w] for w in b.rotation[v] if w in coords})
 
 
-def compute_two_factor(g: Graph) -> TwoFactor:
-    """2-factor of a 4-regular connected graph: orient an Euler circuit and
-    take a perfect matching in the resulting out/in bipartite graph."""
-    import networkx as nx
+def _find(parent, v):
+    """v's root in the union-find forest parent, halving its path."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
+
+def _euler_arcs(adj, start) -> dict:
+    """Each vertex's out-neighbours once every edge of a connected graph with
+    even degrees is oriented the way an Euler circuit from start runs it:
+    Hierholzer's walk, on an explicit stack. Every vertex gets as many
+    out-neighbours as in-neighbours."""
+    rest = {v: list(row) for v, row in adj.items()}
+    out = {v: [] for v in adj}
+    stack = [start]
+    while stack:
+        v = stack[-1]
+        if rest[v]:
+            w = rest[v].pop(0)
+            rest[w].remove(v)
+            out[v].append(w)
+            stack.append(w)
+        else:
+            stack.pop()
+    return out
+
+
+def _alternations(out: dict):
+    """The cycles of the out/in bipartite graph of an orientation that gives
+    every vertex two out- and two in-neighbours. That graph is 2-regular, so
+    each of its cycles has exactly two perfect matchings, its alternations;
+    yields each cycle's pair as lists of (vertex, successor) arcs."""
+    ins = {v: [] for v in out}
+    for v, ws in out.items():
+        for w in ws:
+            ins[w].append(v)
+    seen = set()
+    for v in sorted(out):
+        if v in seen:
+            continue
+        alt = ([], [])
+        u, w = v, out[v][0]
+        while True:
+            seen.add(u)
+            alt[0].append((u, w))
+            a, b = ins[w]
+            u = b if a == u else a
+            alt[1].append((u, w))
+            if u == v:
+                break
+            a, b = out[u]
+            w = b if a == w else a
+        yield alt
+
+
+def _closes(parent, arcs) -> int:
+    """How many cycles arcs would close if added to the union-find parent."""
+    local = {}
+    closed = 0
+    for u, w in arcs:
+        a, b = _find(parent, u), _find(parent, w)
+        while a in local:
+            a = local[a]
+        while b in local:
+            b = local[b]
+        if a == b:
+            closed += 1
+        else:
+            local[a] = b
+    return closed
+
+
+def _switch_at(adj, nb, parent, a) -> bool:
+    """Make a free 4-cycle switch at a, if one exists: a 2-factor edge ac, a
+    spare edge ab, a 2-factor edge bd on another cycle and a spare edge dc
+    become spare ac and bd and 2-factor ab and cd, which joins the cycles."""
+    for c in nb[a]:
+        for b in adj[a]:
+            if b in nb[a] or _find(parent, a) == _find(parent, b):
+                continue
+            for d in nb[b]:
+                if d in adj[c] and d not in nb[c]:
+                    for x, old, new in ((a, c, b), (b, d, a), (c, a, d), (d, b, c)):
+                        nb[x][nb[x].index(old)] = new
+                    parent[_find(parent, a)] = _find(parent, b)
+                    return True
+    return False
+
+
+def compute_two_factor(g: Graph) -> TwoFactor:
+    """2-factor of a 4-regular connected graph with few cycles, in linear
+    time and without recursion, as in Petersen's 2-factor theorem. Orient an Euler circuit; each
+    cycle of the out/in bipartite graph then offers two alternations, and
+    the one that closes fewer cycles is kept, tracked by a union-find over
+    the 2-factor's cycles. Free 4-cycle switches then join cycles in sweeps
+    until a sweep makes none."""
     _require(check_regular(g, 4), "precondition: 4-regular graph required")
     _require(is_connected(g) and g.n > 0, "connected required")
-    circuit = list(nx.eulerian_circuit(to_networkx(g), source=min(g.vertices)))
-    # bipartite out/in copies encoded as even/odd integers so every internal
-    # iteration order is hash-stable across processes
-    B = nx.Graph()
-    outs = {v: 2 * v for v in g.vertices}
-    ins = {v: 2 * v + 1 for v in g.vertices}
-    B.add_nodes_from(sorted(outs.values()))
-    B.add_nodes_from(sorted(ins.values()))
-    for a, b in circuit:
-        B.add_edge(outs[a], ins[b])
-    match = nx.bipartite.hopcroft_karp_matching(B, top_nodes=sorted(outs.values()))
-    succ = {v: match[outs[v]] // 2 for v in g.vertices}
+    adj = g.adjacency
+    parent = {v: v for v in adj}
+    nb = {v: [] for v in adj}
+    for alt in _alternations(_euler_arcs(adj, min(adj))):
+        for u, w in min(alt, key=lambda arcs: _closes(parent, arcs)):
+            nb[u].append(w)
+            nb[w].append(u)
+            parent[_find(parent, u)] = _find(parent, w)
+    order = sorted(adj)
+    while sum(_switch_at(adj, nb, parent, a) for a in order):
+        pass  # another sweep: the last one made a switch
     comps = []
     seen = set()
-    for v in sorted(g.vertices):
+    for v in order:
         if v in seen:
             continue
         cyc = [v]
-        seen.add(v)
-        w = succ[v]
-        while w != v:
-            cyc.append(w)
-            seen.add(w)
-            w = succ[w]
+        prev, cur = v, min(nb[v])
+        while cur != v:
+            cyc.append(cur)
+            a, b = nb[cur]
+            prev, cur = cur, (b if a == prev else a)
+        seen.update(cyc)
         comps.append(tuple(cyc))
     tf = TwoFactor(tuple(comps))
     tf.validate(g)

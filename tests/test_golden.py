@@ -27,33 +27,34 @@ from conftest import (
 
 GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
-     "c6c8edc170fa01a0a52d93a2871cfd9ddd16f04a733a9160982a42eb8f6afa81",
-     "56433c648a08e88c25bc61ee9f6df80ad7361d9937c9eab5348d864a6b843200"),
+     "5cdd128f304d20e2b4c84328595577913284b8520461fed8ef92f6a21c6960ef",
+     "223fcbf24d59f383d8576ee0c3231858e7d94d98924c4202ef466836fcf1720f"),
     ("prism", prism_graph, "5reg-planar-ham",
-     "a9d67f17731c109c20e43ea643e901f897e300da4d32d63530cd3be579a68518",
-     "4b09d8ea699013176ce7a324228c1775b26fcd6aeb2b1cbd2ee4f9648274c04a"),
+     "c302a719b61bb8074649644f409762b9789fb8b552f2316c2ad65cce14578d77",
+     "c0417b70664e1bac25a351b5c90cce9e28ecde71d55381d459cf2b73d9999947"),
     ("C3", lambda: cycle_graph(3), "preg-ham:5",
-     "86d643ac1aa1626488884aa598160c0c0567b405e92774dee2fe8c9305c807ab",
-     "38ce18bd27c3cbbb956b6edfc64d1841ff48737142cb407356d5b2533aa41fda"),
+     "fda67ed6a47ccdce8927a98ba79a6959559b3b39b337ec0f61551777b9f52c51",
+     "99a5aa236bad0a681e1b97caefc479238870b17355ddc6080d4c94ad8ab6485e"),
     ("C8", lambda: cycle_graph(8), "ham-ordered:4",
      "aa0d1a06e61157fc17e9ba3e68b11d5205086edf961996bfe194af9fde9774cd",
      "2a30880ef2e06134b5e651e20a6eddf7b57788b5cf810ccf59649b820062356f"),
-    # pairing routes through 8 crossings; hamiltonize runs 27 merges (81 steps)
+    # pairing routes through 8 crossings; hamiltonize runs 8 merges, 5 of them
+    # case 2 (39 steps)
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
-     "d8cb9ac3dd536e73883e87fbafc48e568a894e94e0d29691e651b37459516b54",
-     "2ad68d818f0e90b10a1ea12f276d74c9861cb307c8138888f1fa7732ddd53fe2"),
+     "ed628657f76c4f910b949327553c809da503072af5213737ad8b2b1cc27d4766",
+     "b08dc09988eb25f889dd4ba6a44edfea2ee35ffc79757fa0f6b4bf2ed41ed33a"),
     # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
-     "2effdfa28c2df43172affe01d5d38d522efbd4a21754d23b6d63eb4482c2a62c",
-     "0d6cba29d15f50e7306fd3f5cc1b81a61c4224c41bc4ff2c2964dbe00f9a13c5"),
-    # pairing routes through 20 crossings; hamiltonize runs 42 merges, all case 1
+     "105743b153df2b49f93392a3f93e332df617b989854431404065a86df69d102b",
+     "f43610ca33ee36ea1fe608022cb6545c50fca7b8690345517a3eb36f396270ba"),
+    # pairing routes through 20 crossings; hamiltonize runs 14 merges, 4 of them case 2
     ("grid2x5", lambda: grid_graph(2, 5), "4reg-planar-ham",
-     "f7f3637ff6dc4abef1226580c744e52ba4524930457711e2ef248dc9cd0aee02",
-     "a4c845b97943c4e3eb038f61428152e30911f30e3960b4531933db3be6c1dade"),
-    # hamiltonize runs 46 merges, one of them case 2 (two L gadgets)
+     "05c4ddddc29a324e052b597772b06789668a2135306a444a8973e12185f66117",
+     "488cd49df9ca38f3fd3e135650881500b42cd2dd1203b3b8992e589de337604c"),
+    # hamiltonize runs 10 merges, one of them case 2 (two L gadgets)
     ("grid6x8", lambda: grid_graph(6, 8), "4reg-planar-ham",
-     "195b17cf6f97bf8fd9f418e105aade577f1cae396c86159b61f0ef3c42d5bad3",
-     "daae7010db84949f5d09bb673b548c030d917c7c4b2909d27a0c5b2db71c2029"),
+     "97a16edc63a7ff64be3747f6d82306ea1b0442dd31e4cfb4a79016592e0bb400",
+     "3297292257a696d6bd55e5b326b49f6b2331bece6a56b21f4b93d7caf605912f"),
     # a lift after a lift: 138 vertices, 9 349 edges, the densest rows
     ("C8-lift5", lambda: cycle_graph(8), "ham-ordered:5",
      "60366193f79e86bda602f95c4f62125f977039d1b56ca1843be06f205e107a9c",

@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx
 import pytest
 
+import fvskit
 from fvskit.gadgets import build_gadget
 from fvskit.geometry import GeometryError
 from fvskit.graph import (
@@ -188,17 +194,57 @@ class TestTwoFactor:
         with pytest.raises(PipelineError, match="span"):
             TwoFactor(((1, 2, 3),)).validate(octahedron_graph())
 
+    @pytest.mark.parametrize("make, cycles", [
+        (lambda: grid_graph(5, 5), 13),
+        (prism_graph, 6),
+        (lambda: cycle_graph(3), 3),
+    ], ids=["grid5x5", "prism", "C3"])
+    def test_few_cycles_on_the_bench_pairing_outputs(self, make, cycles):
+        # an arbitrary perfect matching of the out/in graph left 34, 18 and 6
+        tf = compute_two_factor(_pairing_output(make()))
+        assert len(tf.components) <= cycles
+
+    def test_calls_no_networkx(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx called")
+
+        g = _pairing_output(grid_graph(5, 5))
+        monkeypatch.setattr(networkx, "eulerian_circuit", refuse)
+        monkeypatch.setattr(networkx.bipartite, "hopcroft_karp_matching", refuse)
+        assert compute_two_factor(g).validate(g)
+
+    def test_same_components_whatever_the_hash_seed(self):
+        edges = sorted(_pairing_output(grid_graph(5, 5)).edges)
+        script = ("from fvskit.graph import Graph\n"
+                  "from fvskit.pipeline import compute_two_factor\n"
+                  f"print(compute_two_factor(Graph.from_edges({edges})).components)\n")
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "4242")]
+        assert runs[0] == runs[1] and runs[0].startswith("((")
+
+
+def _pairing_output(g):
+    return pair_degree_three(eliminate_degree_two(Instance(g, 1)).instance).instance.graph
+
 
 def _rotation(g):
     return check_planarity(g)[1]
 
 
+PRISM_MEDIAL_TWO_CYCLES = TwoFactor(((1, 5, 4, 6, 2), (3, 7, 9, 8)))
+
+
 class TestMerge:
     def test_case1_on_prism_medial(self):
+        # compute_two_factor finds a Hamiltonian cycle here, so the merge
+        # starts from a two-cycle 2-factor given by hand
         g = medial_graph(prism_graph())
         inst = Instance(g, 3)
-        tf = compute_two_factor(g)
-        assert len(tf.components) == 2
+        tf = PRISM_MEDIAL_TWO_CYCLES
+        tf.validate(g)
         state = MergeState(inst, tf, _rotation(g))
         _u, _v, steps, case = merge_step(state)
         out = state.builder.freeze()
@@ -276,6 +322,29 @@ class TestHamiltonize:
         b = hamiltonize(inst, _rotation(inst.graph)).instance
         assert a.graph == b.graph and a.k == b.k and a.witness == b.witness
 
+    @pytest.mark.parametrize("size", [5, 6, 8])
+    def test_fewer_merges_on_relabelled_grids(self, size):
+        # (merges, output n) of 4reg-planar-ham on the size x size grid, its
+        # ids as built and shuffled by seeds 1..8, when the 2-factor came
+        # from an arbitrary perfect matching of the out/in graph
+        before = {
+            5: [(33, 571), (48, 823), (51, 907), (30, 527), (51, 875), (50, 863), (62, 1063),
+                (56, 959), (72, 1191)],
+            6: [(49, 852), (42, 720), (64, 1072), (50, 848), (59, 1012), (38, 656), (71, 1228),
+                (40, 680), (90, 1568)],
+            8: [(98, 1720), (90, 1544), (55, 1004), (130, 2232), (67, 1124), (95, 1660),
+                (93, 1572), (74, 1304), (80, 1384)],
+        }[size]
+        g = grid_graph(size, size)
+        for seed, (merges, n_out) in enumerate(before):
+            ids = list(range(1, g.n + 1))
+            if seed:
+                random.Random(seed).shuffle(ids)
+            h = Graph.from_edges([(ids[u - 1], ids[v - 1]) for u, v in g.edges])
+            res = run_pipeline(Instance(h, 1), "4reg-planar-ham")
+            sr = next(sr for sr in res.stages if sr.name == "hamiltonize")
+            assert sr.audit < merges and res.instance.graph.n <= n_out, seed
+
 
 def _merge_state(name):
     if name == "octahedron":
@@ -283,10 +352,8 @@ def _merge_state(name):
         return MergeState(Instance(g, 0), TwoFactor(((1, 2, 3), (4, 5, 6))), _rotation(g))
     if name == "prism-medial":
         g = medial_graph(prism_graph())
-    else:
-        base = grid_graph(3, 4) if name == "grid3x4" else cycle_graph(3)
-        g = eliminate_degree_two(Instance(base, 0)).instance.graph
-        g = pair_degree_three(Instance(g, 0)).instance.graph
+        return MergeState(Instance(g, 0), PRISM_MEDIAL_TWO_CYCLES, _rotation(g))
+    g = _pairing_output(grid_graph(3, 4) if name == "grid3x4" else cycle_graph(3))
     return MergeState(Instance(g, 0), compute_two_factor(g), _rotation(g))
 
 
@@ -466,6 +533,17 @@ class TestTargets:
         assert inserts - sr.audit == 1  # one merge inserted two L gadgets
         verify_trace(write_graph(res.instance), trace_to_json(res))
 
+    def test_grid_36x36_reduces_and_verifies(self, tmp_path, capsys):
+        # its 7 424-vertex pairing output sent a recursive matching search
+        # past the default recursion limit, which this run keeps
+        assert sys.getrecursionlimit() <= 1000
+        inp, out, tr = (str(tmp_path / f) for f in ("in.fvs", "out.fvs", "trace.json"))
+        (tmp_path / "in.fvs").write_text(write_graph(Instance(grid_graph(36, 36), 1)))
+        assert main(["reduce", inp, "--target", "4reg-planar-ham", "-o", out, "--trace", tr]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, "--trace", tr]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_run_ham_ordered_finds_witness(self):
         res = run_pipeline(Instance(prism_graph(), 2), "ham-ordered:4")
         assert res.instance.graph.n == 4 * 6 + 2
@@ -517,10 +595,10 @@ class TestPlanarityProof:
         assert sizes == []
 
     @pytest.mark.parametrize("make, target, tested_n, n_out", [
-        (lambda: grid_graph(5, 5), "4reg-planar-ham", 53, 571),
+        (lambda: grid_graph(5, 5), "4reg-planar-ham", 53, 331),
         (lambda: grid_graph(8, 8), "4reg-planar", 92, 544),
-        (prism_graph, "5reg-planar-ham", 6, 4298),
-        (lambda: cycle_graph(3), "preg-ham:6", 24, 4116),
+        (prism_graph, "5reg-planar-ham", 6, 2282),
+        (lambda: cycle_graph(3), "preg-ham:6", 24, 2352),
     ], ids=["grid5x5", "grid8x8", "prism", "C3"])
     def test_one_lr_test_per_reduce_and_verify(self, monkeypatch, make, target, tested_n, n_out):
         # both test the degree2 output, pairing's input, and no larger graph

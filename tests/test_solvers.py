@@ -302,13 +302,13 @@ def test_greedy_scales_to_large_outputs():
 
 
 def test_budget_trips_inside_the_greedy(monkeypatch):
-    # the C3 -> preg-ham:6 output, 4 116 vertices: the greedy reads a clock
+    # the C5 -> preg-ham:6 output, 4 312 vertices: the greedy reads a clock
     # that advances one unit per read at its 1 024th deletion, past the
     # deadline half a unit out, before any node is searched
     from fvskit.graph import Instance
     from fvskit.pipeline import run_pipeline
 
-    g = run_pipeline(Instance(cycle_graph(3), 1), "preg-ham:6").instance.graph
+    g = run_pipeline(Instance(cycle_graph(5), 1), "preg-ham:6").instance.graph
     assert g.n >= 4000 and len(solvers._greedy_fvs(g.adjacency)) >= 1024
     finished = []
     greedy = solvers._greedy_fvs

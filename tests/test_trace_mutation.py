@@ -29,6 +29,7 @@ TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham", "preg-ham:4", "p
            "preg-ham:6", "ham-ordered:3", "ham-ordered:4", "ham-ordered:5")
 
 
+C5 = "p fvs 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 PRISM = "p fvs 6 9\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 5\ne 3 6\ne 4 5\ne 4 6\ne 5 6\n"
 
 
@@ -51,6 +52,14 @@ def _verify(tmp_path, out, doc_or_text):
 def artifact(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("mutation")
     out, doc = _compile(tmp, 1)
+    return tmp, out, doc
+
+
+@pytest.fixture(scope="module")
+def c5_artifact(tmp_path_factory):
+    # a triangle's trace has too few steps for the mutant count below
+    tmp = tmp_path_factory.mktemp("c5")
+    out, doc = _compile(tmp, 1, C5)
     return tmp, out, doc
 
 
@@ -135,8 +144,8 @@ def _rejected_or_harmless(artifact):
     return count
 
 
-def test_every_single_field_mutation_is_rejected_or_harmless(artifact):
-    assert _rejected_or_harmless(artifact) > 200
+def test_every_single_field_mutation_is_rejected_or_harmless(c5_artifact):
+    assert _rejected_or_harmless(c5_artifact) > 200
 
 
 def test_every_single_field_mutation_of_a_dart_is_rejected_or_harmless(dart_artifact):
@@ -307,7 +316,7 @@ def test_zeroed_deltas_are_rejected(tmp_path, capsys):
     # is never read; the ledger comes from the ops, so zeroed stage and
     # output budgets are caught at the first stage
     out, doc = _compile(tmp_path, 0)
-    assert doc["output"]["k"] == 29
+    assert doc["output"]["k"] == 17
     assert all("k_delta" not in step for st in doc["stages"] for step in st["steps"])
     for st in doc["stages"]:
         for step in st["steps"]:
