@@ -1,7 +1,19 @@
 """Exact planar geometry: integer-grid straight-line embeddings, channel
 routing of new connections between grid vertices, and crossing detection
-in integer arithmetic on a grid scaled by the coordinates' common
-denominator. No floating point anywhere."""
+in integer arithmetic on the grid scaled by 6q for epsilon = 1/q. No
+floating point anywhere.
+
+The drawing is grid_embed's lattice drawing, networkx's Chrobak-Payne
+drawing, and it is not re-checked at run time: the output's soundness does
+not rest on it. A wrong corner fails the walk of the carried rotation that
+each pairing insert makes, and certify walks the output's faces.
+
+Every test that pairing makes is an integer test. A corner compares
+integer directions (first_clockwise about the origin): the direction
+coords[b] - coords[a] of the drawn edge that each dart at the vertex lies
+on, and the route segment's direction scaled to integers. Crossing points
+are Fractions only in the pairing audit.
+"""
 
 from __future__ import annotations
 
@@ -31,54 +43,50 @@ def _on_segment(p, a, b):
     )
 
 
+_NONE = ("none", None, None)
+
+
 def segment_relation(p1, p2, p3, p4):
     """Classify how segments p1p2 and p3p4 meet.
 
     Returns (kind, point, t) with kind in {none, proper, touch, overlap};
-    for proper crossings t is the parameter of the point along p1p2.
+    for proper crossings t is the parameter of the point along p1p2. Two
+    cross products settle most pairs: when both ends of one segment lie
+    strictly on one side of the other's line, the segments do not meet.
     """
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
+    fx, fy = x4 - x3, y4 - y3
+    d1 = fx * (y1 - y3) - fy * (x1 - x3)  # side of p1 from p3p4
+    d2 = fx * (y2 - y3) - fy * (x2 - x3)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return _NONE
     if d1 == d2 == 0:
         # collinear: distinguish disjoint, single shared point, and overlap
         hits = [p for p in (p1, p2) if _on_segment(p, p3, p4)]
         hits += [p for p in (p3, p4) if _on_segment(p, p1, p2)]
         hits = sorted(set(hits))
         if not hits:
-            return ("none", None, None)
+            return _NONE
         if len(hits) == 1:
             return ("touch", hits[0], None)
         return ("overlap", None, None)
-    if (d1 < 0 < d2 or d2 < 0 < d1) and (d3 < 0 < d4 or d4 < 0 < d3):
-        t = Fraction(d1, d1 - d2)
-        pt = (
-            p1[0] + t * (p2[0] - p1[0]),
-            p1[1] + t * (p2[1] - p1[1]),
-        )
-        return ("proper", pt, t)
-    # at least one endpoint lies on the other segment
-    for p, a, b in ((p1, p3, p4), (p2, p3, p4)):
-        if _cross(a, b, p) == 0 and _on_segment(p, a, b):
+    ex, ey = x2 - x1, y2 - y1
+    d3 = ex * (y3 - y1) - ey * (x3 - x1)  # side of p3 from p1p2
+    d4 = ex * (y4 - y1) - ey * (x4 - x1)
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return _NONE
+    # neither pair of ends lies strictly on one side, and neither segment
+    # is a point on the other's line: a zero product puts that end on the
+    # other segment, and four nonzero ones make the crossing proper
+    for d, p in ((d1, p1), (d2, p2), (d3, p3), (d4, p4)):
+        if d == 0:
             return ("touch", p, None)
-    for p, a, b in ((p3, p1, p2), (p4, p1, p2)):
-        if _cross(a, b, p) == 0 and _on_segment(p, a, b):
-            return ("touch", p, None)
-    return ("none", None, None)
+    den = d1 - d2
+    pt = (Fraction(x1 * den + d1 * ex, den), Fraction(y1 * den + d1 * ey, den))
+    return ("proper", pt, Fraction(d1, den))
 
 
-def _scale(points):
-    """Least common multiple of the coordinate denominators; multiplying by
-    it puts every point on the integer grid (6q for epsilon = 1/q)."""
-    return math.lcm(*(c.denominator for p in points for c in p))
-
-
-def _scaled(p, s):
-    return (p[0].numerator * (s // p[0].denominator), p[1].numerator * (s // p[1].denominator))
-
-
-def _box_pairs(segs, first=0):
+def _box_pairs(segs, first):
     """Index pairs (i, j), i < j, in increasing order, of the segments whose
     bounding boxes meet, leaving out pairs of two segments before index
     first; no other two segments can share a point. A sweep over the
@@ -123,35 +131,12 @@ class GridEmbedding:
     coords: dict
     rotation: dict | None = None
 
-    def verify(self):
-        g = self.graph
-        n = g.n
-        if set(self.coords) != g.vertices:
-            raise GeometryError("coords must cover exactly the vertex set")
-        w, h = max(2 * n - 4, 2), max(n - 2, 1)
-        for v, (x, y) in self.coords.items():
-            if not (isinstance(x, int) and isinstance(y, int)):
-                raise GeometryError(f"vertex {v} at ({x}, {y}) is not a lattice point")
-            if not (0 <= x <= w and 0 <= y <= h):
-                raise GeometryError(f"vertex {v} at ({x}, {y}) outside grid")
-        if len(set(self.coords.values())) != n:
-            raise GeometryError("coords must be pairwise distinct")
-        edges = sorted_edges(g)
-        segs = [(self.coords[u], self.coords[v]) for u, v in edges]
-        for i, j in _box_pairs(segs):
-            e, f = edges[i], edges[j]
-            shared = set(e) & set(f)
-            kind, pt, _ = segment_relation(*segs[i], *segs[j])
-            if kind == "none":
-                continue
-            if kind == "touch" and shared and pt == self.coords[next(iter(shared))]:
-                continue
-            raise GeometryError(f"edges {e} and {f} cross in the drawing")
-        return True
-
 
 def grid_embed(g: Graph) -> GridEmbedding:
-    """Deterministic integer-grid drawing of the rotation one LR test of g finds."""
+    """Deterministic integer-grid drawing of the rotation one LR test of g
+    finds: networkx's Chrobak-Payne drawing, on distinct lattice points and
+    with no two edges crossing. It is not re-checked (see the module
+    docstring for why)."""
     if g.n < 3:
         raise GeometryError("need at least 3 vertices")
     ok, emb = nx.check_planarity(to_networkx(g))
@@ -160,9 +145,7 @@ def grid_embed(g: Graph) -> GridEmbedding:
     rotation = {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
     raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
     pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
-    out = GridEmbedding(g, pos, rotation)
-    out.verify()
-    return out
+    return GridEmbedding(g, pos, rotation)
 
 
 def first_clockwise(origin, ahead, points):
@@ -198,11 +181,14 @@ def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnecti
     """Waypoints of the channel route from v to v'. Endpoints are normalized
     into scan order so the two case formulas apply as stated.
 
-    No route point but its two ends is a lattice point, so on a verified
-    drawing a route meets no other vertex. For 0 < eps < 1/3 each inner
-    waypoint has x = i + 1/3 - eps, i - 1/3 - eps or i' - 1/3 + eps, off the
-    lattice, and y = j or j' +- 1/2; the inner segments run straight between
-    such points, and the two end segments change y by exactly 1/2."""
+    No route point but its two ends is a lattice point, and every vertex of
+    grid_embed's lattice drawing is one, so a route meets no other vertex
+    and routing reads only the two end coordinates. The drawing is not
+    re-checked at run time (see the module docstring for why). For
+    0 < eps < 1/3 each inner waypoint has x = i + 1/3 - eps, i - 1/3 - eps
+    or i' - 1/3 + eps, off the lattice, and y = j or j' +- 1/2; the inner
+    segments run straight between such points, and the two end segments
+    change y by exactly 1/2."""
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise GeometryError("epsilon must lie strictly between 0 and 1/3")
@@ -234,33 +220,24 @@ def route_connection(emb: GridEmbedding, v, vp, eps: Fraction) -> RoutedConnecti
 
 
 def _slope(a, b):
-    if a[0] == b[0]:
-        return None  # vertical
-    return Fraction(b[1] - a[1]) / Fraction(b[0] - a[0])
+    """The slope of segment ab between lattice points, as its reduced
+    integer direction pointing right, or up when vertical."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g = math.gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return (dx // g, dy // g)
 
 
 def _slanted_slopes(eps):
-    h = Fraction(1, 2)
-    third = Fraction(1, 3)
-    vals = {
-        h / (third - eps),
-        -h / (third - eps),
-        h / (third + eps),
-        -h / (third + eps),
-    }
-    return vals
+    """The slopes of the route segments that change y by 1/2 over
+    x by 1/3 -+ eps, as _slope gives them."""
+    a, q = eps.numerator, eps.denominator
+    return {_slope((0, 0), (2 * (q + c * 3 * a), t * 3 * q)) for c in (-1, 1) for t in (-1, 1)}
 
 
 def _drawn_segments(emb: GridEmbedding):
     return [(emb.coords[e[0]], emb.coords[e[1]], ("edge", e)) for e in sorted_edges(emb.graph)]
-
-
-def _route_segments(routes):
-    out = []
-    for ri, r in enumerate(routes):
-        for si, (a, b) in enumerate(r.segments()):
-            out.append((a, b, ("route", ri, si)))
-    return out
 
 
 def _primes():
@@ -319,18 +296,24 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
     """All proper crossings among drawn edges and routed connections.
 
     The epsilon regime guarantees every crossing involves exactly two
-    segments at a distinct point; any degeneracy raises. Segments are
-    compared in integer arithmetic on the grid scaled by their common
-    denominator, and only pairs whose bounding boxes meet are classified."""
+    segments at a distinct point; any degeneracy raises. A route at
+    epsilon = a/q has its waypoints on the grid of pitch 1/(6q), so
+    segments are compared in integer arithmetic on the grid scaled by 6q,
+    and only pairs whose bounding boxes meet are classified."""
     drawn = _drawn_segments(emb)
-    segs = drawn + _route_segments(routes)
-    s = _scale(p for a, b, _ in segs for p in (a, b))
-    ends = [(_scaled(a, s), _scaled(b, s)) for a, b, _ in segs]
+    s = 6 * math.lcm(*(r.epsilon.denominator for r in routes))
+    owners = [o for _, _, o in drawn]
+    ends = [((a[0] * s, a[1] * s), (b[0] * s, b[1] * s)) for a, b, _ in drawn]
+    for ri, r in enumerate(routes):
+        pts = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
+               for x, y in r.waypoints]
+        owners += [("route", ri, si) for si in range(len(pts) - 1)]
+        ends += zip(pts, pts[1:])
     out = []
     seen_points = set()
     # the base drawing is already crossing-free: no pair of drawn edges
     for x, y in _box_pairs(ends, first=len(drawn)):
-        oa, ob = segs[x][2], segs[y][2]
+        oa, ob = owners[x], owners[y]
         if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
             continue  # consecutive segments of one polyline share corners
         (a1, a2), (b1, b2) = ends[x], ends[y]

@@ -177,17 +177,23 @@ def pair_degree_three(inst: Instance) -> StageResult:
             raise PipelineError("routed connections cross each other")
 
     b = PlaneBuilder(g, emb.rotation, inst.k, "pairing")
-    coords = dict(emb.coords)  # lattice points, as verify requires
+    coords = dict(emb.coords)  # the audit's drawing: crossing points join it as Fractions
+    # each drawn dart's integer direction: that of the drawn edge it lies on
+    heading = {}
     hits = crossing_index(crossings)
     # split every crossed drawn edge at its crossing points
     point_vertex = {}
     for e in sorted_edges(g):
-        tail = e
+        (x0, y0), (x1, y1) = coords[e[0]], coords[e[1]]
+        fwd, back = (x1 - x0, y1 - y0), (x0 - x1, y0 - y1)
+        prev = e[0]
         for c in hits.get(("edge", e), ()):
-            w = b.subdivide(tail)
+            w = b.subdivide(_norm_edge(prev, e[1]))
             coords[w] = c.point
             point_vertex[c.point] = w
-            tail = _norm_edge(w, e[1])
+            heading[prev, w], heading[w, prev] = fwd, back
+            prev = w
+        heading[prev, e[1]], heading[e[1], prev] = fwd, back
     # realize each route as a chain of R gadgets through its crossing points
     dissolution = []
     for ri, route in enumerate(routes):
@@ -195,12 +201,15 @@ def pair_degree_three(inst: Instance) -> StageResult:
         inner = [point_vertex[c.point] for c in here]
         dissolution.extend(inner)
         chain = [route.endpoints[0], *inner, route.endpoints[1]]
-        # the route segment that each chain vertex lies on
-        segs = route.segments()
-        on = [segs[0], *(segs[(c.param_a if c.owner_a[0] == "route" else c.param_b)[0]]
-                         for c in here), segs[-1]]
+        # the direction, scaled to integers, of the route segment that each
+        # chain vertex lies on
+        dirs = [(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
+                for dx, dy in ((r[0] - p[0], r[1] - p[1]) for p, r in route.segments())]
+        on = [dirs[0], *(dirs[(c.param_a if c.owner_a[0] == "route" else c.param_b)[0]]
+                       for c in here), dirs[-1]]
         for i, (x, y) in enumerate(zip(chain, chain[1:])):
-            qx, qy = _corner(b, coords, x, on[i], 1), _corner(b, coords, y, on[i + 1], -1)
+            bx, by = on[i + 1]
+            qx, qy = _corner(b, heading, x, on[i]), _corner(b, heading, y, (-bx, -by))
             # the step keeps qy only if the walk from qx first meets y elsewhere (a bridge)
             b.insert(GADGETS["R"], x, y, (x, qx, y, qy))
     g = b.freeze()
@@ -213,11 +222,11 @@ def pair_degree_three(inst: Instance) -> StageResult:
     return StageResult("pairing", out, tuple(b.steps), cert, audit, b.rotation)
 
 
-def _corner(b: PlaneBuilder, coords, v, seg, sign):
-    """The drawn neighbour q of v opening the corner that the fragment along sign * seg takes."""
-    (p, r), o = seg, coords[v]
-    ahead = (o[0] + sign * (r[0] - p[0]), o[1] + sign * (r[1] - p[1]))
-    return first_clockwise(o, ahead, {w: coords[w] for w in b.rotation[v] if w in coords})
+def _corner(b: PlaneBuilder, heading, v, ahead):
+    """The drawn neighbour q of v opening the corner that a route fragment
+    leaving v in direction ahead takes: the first of v's drawn darts
+    clockwise after ahead, all compared as integer directions."""
+    return first_clockwise((0, 0), ahead, {w: heading[v, w] for w in b.rotation[v] if (v, w) in heading})
 
 
 def _find(parent, v):

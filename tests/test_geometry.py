@@ -22,7 +22,8 @@ from fvskit.geometry import (
     route_connection,
     segment_relation,
 )
-from fvskit.graph import Graph
+from fvskit.graph import Graph, Instance
+from fvskit.pipeline import eliminate_degree_two
 from fvskit.solvers import check_planarity
 
 from conftest import (
@@ -60,6 +61,58 @@ class TestSegmentRelation:
         assert segment_relation((0, 0), (1, 0), (2, 0), (3, 0))[0] == "none"
 
 
+def reference_segment_relation(p1, p2, p3, p4):
+    """The four-cross-product classification that segment_relation
+    replaced, kept as its oracle."""
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def on_segment(p, a, b):
+        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+    d1, d2 = cross(p3, p4, p1), cross(p3, p4, p2)
+    d3, d4 = cross(p1, p2, p3), cross(p1, p2, p4)
+    if d1 == d2 == 0:
+        hits = sorted({p for p in (p1, p2) if on_segment(p, p3, p4)}
+                      | {p for p in (p3, p4) if on_segment(p, p1, p2)})
+        if not hits:
+            return ("none", None, None)
+        if len(hits) == 1:
+            return ("touch", hits[0], None)
+        return ("overlap", None, None)
+    if (d1 < 0 < d2 or d2 < 0 < d1) and (d3 < 0 < d4 or d4 < 0 < d3):
+        t = F(d1, d1 - d2)
+        return ("proper", (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])), t)
+    for p, a, b in ((p1, p3, p4), (p2, p3, p4), (p3, p1, p2), (p4, p1, p2)):
+        if cross(a, b, p) == 0 and on_segment(p, a, b):
+            return ("touch", p, None)
+    return ("none", None, None)
+
+
+SMALL_POINTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=2000, derandomize=True)
+@given(st.lists(SMALL_POINTS, min_size=4, max_size=4), st.sampled_from([
+    # which ends coincide: none, a zero-length segment, a shared end, both
+    (), ((1, 0),), ((3, 2),), ((2, 0),), ((3, 1),), ((2, 0), (3, 1)), ((2, 1), (3, 0)),
+]), st.booleans())
+def test_segment_relation_matches_four_products(points, same, collinear):
+    """Kind, point and t agree with the four-cross-product oracle on small
+    integer segments, including collinear, touching and zero-length ones."""
+    for i, j in same:
+        points[i] = points[j]
+    if collinear:
+        # put p3 and p4 on the line through p1 and p2
+        (x1, y1), (x2, y2) = points[0], points[1]
+        for k, step in ((2, points[2][0]), (3, points[3][0])):
+            points[k] = (x1 + step * (x2 - x1), y1 + step * (y2 - y1))
+    got = segment_relation(*points)
+    assert got == reference_segment_relation(*points)
+    assert got[0] != "proper" or all(type(c) is F for c in (*got[1], got[2]))
+
+
 class TestGridEmbed:
     @pytest.mark.parametrize("make", [lambda: grid_graph(5, 5), prism_graph, octahedron_graph,
                                       lambda: medial_graph(prism_graph())])
@@ -80,42 +133,27 @@ class TestGridEmbed:
         emb = grid_embed(cycle_graph(3))
         assert sorted(emb.coords.values()) == [(0, 0), (1, 1), (2, 0)]
 
-    def test_bounds_and_verify(self):
-        for g in (complete_graph(4), cycle_graph(6)):
-            emb = grid_embed(g)
-            assert emb.verify()
-            w, h = 2 * g.n - 4, g.n - 2
-            for x, y in emb.coords.values():
-                assert 0 <= x <= w and 0 <= y <= h
-
     def test_not_planar(self):
         with pytest.raises(GeometryError, match="graph not planar"):
             grid_embed(complete_graph(5))
 
-    def test_verify_catches_crossing(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        emb = GridEmbedding(g, {1: (0, 0), 2: (2, 2), 3: (0, 2), 4: (2, 0)})
-        with pytest.raises(GeometryError, match="cross"):
-            emb.verify()
 
-    def test_verify_catches_duplicate_coords(self):
-        g = Graph.from_edges([(1, 2)])
-        emb = GridEmbedding(g, {1: (0, 0), 2: (0, 0)})
-        with pytest.raises(GeometryError, match="distinct"):
-            emb.verify()
-
-    def test_verify_catches_off_lattice_vertex(self):
-        # a vertex where the route from 1 to 2 at eps = 1/100 turns: such a
-        # drawing is refused, so routing never has to look for it
-        blocker = (F(2) + F(1, 3) - F(1, 100), F(1, 2))
-        coords = {1: (2, 1), 2: (5, 3), 3: blocker, 4: (0, 0), 5: (6, 0)}
-        emb = GridEmbedding(Graph(coords, []), coords)
-        with pytest.raises(GeometryError, match="not a lattice point"):
-            emb.verify()
-        # coordinates are ints, as grid_embed makes them
-        emb = GridEmbedding(Graph([1, 2], []), {1: (F(2), 1), 2: (2, 0)})
-        with pytest.raises(GeometryError, match="not a lattice point"):
-            emb.verify()
+def _edges_meet_only_at_shared_ends(coords, edges):
+    """No two edges of a straight-line drawing meet but at a shared end: a
+    sweep over the edges sorted by left end, each classified by the oracle
+    against every later one whose x range overlaps it."""
+    segs = sorted((min(coords[u], coords[v]), max(coords[u], coords[v]), (u, v))
+                  for u, v in edges)
+    for i, (a, b, e) in enumerate(segs):
+        for c, d, f in segs[i + 1:]:
+            if c[0] > b[0]:
+                break
+            kind, pt, _ = reference_segment_relation(a, b, c, d)
+            if kind == "none":
+                continue
+            if not (kind == "touch" and any(coords[w] == pt for w in set(e) & set(f))):
+                return False
+    return True
 
 
 def _bare(coords):
@@ -254,7 +292,7 @@ def reference_find_crossings(emb, routes):
                 continue
             if oa[0] == "route" and ob[0] == "route" and oa[1] == ob[1]:
                 continue
-            kind, pt, t = segment_relation(a1, a2, b1, b2)
+            kind, pt, t = reference_segment_relation(a1, a2, b1, b2)
             if kind == "none":
                 continue
             if kind == "touch" and pt in {a1, a2} & {b1, b2}:
@@ -269,15 +307,15 @@ def reference_find_crossings(emb, routes):
 
 @settings(max_examples=200, derandomize=True)
 @given(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=40), st.integers(0, 40))
-def test_box_pairs_from_first_are_the_full_sweep_without_earlier_pairs(coords, first):
+def test_box_pairs_are_the_brute_force_pairs_from_first(coords, first):
     segs = [((a, b), (c, d)) for a, b, c, d in coords]
-    full = _box_pairs(segs)
-    assert _box_pairs(segs, first) == [(i, j) for i, j in full if j >= first]
     boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
              for a, b in segs]
-    assert full == [(i, j) for i, j in itertools.combinations(range(len(segs)), 2)
-                    if boxes[i][0] <= boxes[j][1] and boxes[j][0] <= boxes[i][1]
-                    and boxes[i][2] <= boxes[j][3] and boxes[j][2] <= boxes[i][3]]
+    assert _box_pairs(segs, first) == [
+        (i, j) for i, j in itertools.combinations(range(len(segs)), 2)
+        if j >= first
+        and boxes[i][0] <= boxes[j][1] and boxes[j][0] <= boxes[i][1]
+        and boxes[i][2] <= boxes[j][3] and boxes[j][2] <= boxes[i][3]]
 
 
 def _slope_filtered_epsilons(emb, count):
@@ -298,6 +336,24 @@ ORACLE_GRAPHS = {
     "octahedron": octahedron_graph,
     "medial_prism": lambda: medial_graph(prism_graph()),
 }
+
+
+def test_grid_embed_draws_on_distinct_lattice_points_without_crossings(pipeline_corpus):
+    """grid_embed does not re-check networkx's drawing. On every oracle
+    graph and pipeline corpus input, and on the degree2 output of each,
+    which is what pairing draws, the drawing puts every vertex on a
+    distinct lattice point of the (2n-4) x (n-2) grid and no two edges
+    meet but at a shared end."""
+    graphs = [make() for make in ORACLE_GRAPHS.values()] + list(pipeline_corpus.values())
+    graphs += [eliminate_degree_two(Instance(g, 1)).instance.graph for g in graphs]
+    for g in graphs:
+        coords = grid_embed(g).coords
+        assert set(coords) == set(g.vertices)
+        assert all(type(c) is int for p in coords.values() for c in p)
+        assert len(set(coords.values())) == g.n
+        w, h = max(2 * g.n - 4, 2), max(g.n - 2, 1)
+        assert all(0 <= x <= w and 0 <= y <= h for x, y in coords.values())
+        assert _edges_meet_only_at_shared_ends(coords, g.edges)
 
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)

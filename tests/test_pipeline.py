@@ -146,6 +146,30 @@ class TestPairing:
         sr = pair_degree_three(eliminate_degree_two(Instance(grid_graph(8, 8), 1)).instance)
         assert len(stops) == sum(s.op == "insert" for s in sr.steps) == 58
 
+    def test_corners_are_integer_tests(self, monkeypatch):
+        # each corner compares integer directions: the drawn darts' and the
+        # route fragment's scaled to integers, never a Fraction crossing point
+        import fvskit.pipeline as pipeline
+
+        received, real = [], pipeline.first_clockwise
+
+        def spy(origin, ahead, points):
+            received.append((origin, ahead, *points.values()))
+            return real(origin, ahead, points)
+
+        for make in (lambda: grid_graph(5, 5), lambda: grid_graph(8, 8), prism_graph,
+                     lambda: medial_graph(prism_graph())):
+            inst = eliminate_degree_two(Instance(make(), 1)).instance
+            plain = pair_degree_three(inst)
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "first_clockwise", spy)
+                spied = pair_degree_three(inst)
+            assert spied == plain
+        assert len(received) > 100
+        for args in received:
+            for p in args:
+                assert type(p) is tuple and len(p) == 2 and all(type(c) is int for c in p)
+
     @pytest.mark.parametrize("edges, darts_at_y", [
         # two triangles joined by a bridge that the route crosses twice
         ([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)], 2),
