@@ -7,6 +7,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import defaultdict
+from itertools import zip_longest
+from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 
 from .graph import Graph, GraphError, HamCycleWitness, Instance, TraceStep, sorted_edges, _is_int
 from .pipeline import (
@@ -112,41 +115,52 @@ def parse_graph(text: str, k: int = 0) -> Instance:
         raise FormatError("witness is not a Hamiltonian cycle", witness[1]) from None
 
 
-def _file_names(g: Graph) -> dict:
-    """Each vertex's name in the graph format: 1..n in sorted id order."""
-    return {v: str(i) for i, v in enumerate(sorted(g.vertices), 1)}
+def _file_names(g: Graph):
+    """The name table: g's vertices in sorted id order, and each one's name
+    in the graph format, its 1-based place in that order. Any integer ids
+    work, 0, negative and sparse ones included."""
+    verts = sorted(g.vertices)
+    return verts, dict(zip(verts, map(str, range(1, len(verts) + 1))))
+
+
+def _named(name: dict, vs) -> tuple:
+    """The names of the vertices vs, in order; itemgetter looks them up in C."""
+    return itemgetter(*vs)(name) if len(vs) > 1 else tuple(name[v] for v in vs)
+
+
+def _text_blocks(g: Graph, verts, name):
+    """g's canonical text in blocks: the header, then for each vertex in
+    sorted id order its edge lines to larger neighbours, in sorted order.
+    The tail of each vertex's sorted row past the vertex itself gives those
+    lines, so nothing is sorted but the vertices. Two graphs are equal up
+    to the renumbering 1..n exactly when their texts are."""
+    yield f"p fvs {g.n} {g.m}\n"
+    adj = g.adjacency
+    for u in verts:
+        row = adj[u]
+        larger = row[bisect_right(row, u):]
+        if larger:
+            head = f"e {name[u]} "
+            yield head + ("\n" + head).join(_named(name, larger)) + "\n"
+
+
+def _h_line(order, name: dict) -> str:
+    return "h " + " ".join(_named(name, order))
 
 
 def witness_line(inst: Instance) -> str:
     """The h line of inst's witness, its vertices named as write_graph
     names them."""
-    name = _file_names(inst.graph)
-    return "h " + " ".join([name[v] for v in inst.witness.order])
-
-
-def _graph_text(g: Graph) -> str:
-    """The header and edge lines of g's canonical text: vertices renumbered
-    1..n in sorted id order, edges in sorted order. The tail of each
-    vertex's sorted row past the vertex itself gives its edges in that
-    order, so nothing is sorted but the vertices. Two graphs are equal up
-    to that renumbering exactly when their texts are."""
-    name = _file_names(g)
-    adj = g.adjacency
-    lines = [f"p fvs {g.n} {g.m}"]
-    for u, nu in name.items():
-        larger = adj[u][bisect_right(adj[u], u):]
-        if larger:
-            head = f"e {nu} "
-            lines.append(head + ("\n" + head).join([name[w] for w in larger]))
-    return "\n".join(lines) + "\n"
+    return _h_line(inst.witness.order, _file_names(inst.graph)[1])
 
 
 def write_graph(inst: Instance) -> str:
     """Canonical text form: the graph's text, then its witness's h line."""
-    text = _graph_text(inst.graph)
+    verts, name = _file_names(inst.graph)
+    blocks = list(_text_blocks(inst.graph, verts, name))
     if inst.witness is not None:
-        text += witness_line(inst) + "\n"
-    return text
+        blocks.append(_h_line(inst.witness.order, name) + "\n")
+    return "".join(blocks)
 
 
 def trace_to_json(result: PipelineResult) -> dict:
@@ -179,7 +193,36 @@ def trace_to_json(result: PipelineResult) -> dict:
 
 
 def trace_dumps(result: PipelineResult) -> str:
-    return json.dumps(trace_to_json(result), indent=2, sort_keys=True) + "\n"
+    """trace_to_json's document as JSON text: exactly the bytes of
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n". json's own encoder
+    runs in pure Python once it indents; this writer serves the document's
+    fixed shape, dicts and lists of strings, integers and nulls."""
+    return _json(trace_to_json(result), "\n") + "\n"
+
+
+def _json(x, nl: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it nested at the
+    indentation that follows the line break nl."""
+    if type(x) is list:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if type(x) is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + ",".join([f"{inner}{_string(k)}: {_json(x[k], inner)}"
+                               for k in sorted(x)]) + nl + "}"
+    if type(x) is str:
+        return _string(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    return "null" if x is None else json.dumps(x)
 
 
 def _load_trace(trace: dict):
@@ -229,9 +272,10 @@ def _load_trace(trace: dict):
 
 def _backed_size(text: str):
     """(n, m) from the text's first line when it is a header 'p fvs n m'
-    with n within MAX_OUTPUT_EDGES and m edge lines behind it, counted as
-    line breaks followed by 'e '; else None. Such an m is no larger than
-    the file, so replay bounded by it builds no more than the file holds."""
+    with n within MAX_OUTPUT_EDGES and m <= len(text) // 6; else None. An
+    edge line takes at least six characters ('e 1 2\\n'), so no text with m
+    edge lines is shorter, and replay bounded by such an m builds no more
+    edges than the file could hold."""
     tok = text[:text.find("\n")].split()
     if len(tok) != 4 or tok[:2] != ["p", "fvs"]:
         return None
@@ -239,26 +283,43 @@ def _backed_size(text: str):
         n, m = int(tok[2]), int(tok[3])
     except ValueError:
         return None
-    if not (0 <= n <= MAX_OUTPUT_EDGES and m >= 0) or text.count("\ne ") != m:
+    if not (0 <= n <= MAX_OUTPUT_EDGES and 0 <= m <= len(text) // 6):
         return None
     return n, m
 
 
-def _rendered(rest: str, g: Graph):
-    """The output whose text is g's rendering followed by rest: g, when
-    rest is empty or the h line that write_graph writes for g with a
-    witness that Instance accepts as a Hamiltonian cycle of g; else None."""
-    if not rest:
+def _rendered(text: str, g: Graph):
+    """The output that text holds, when text is write_graph's rendering of
+    g followed by nothing or by one h line, spelled as write_graph spells
+    it, of a witness that Instance accepts as a Hamiltonian cycle of g;
+    else None. Each block of the rendering is compared in place, so no
+    second copy of the output is built, and the h tokens are mapped back
+    through the same name table in one pass that refuses a token outside
+    1..n; the names of the mapped vertices must then spell the tokens."""
+    verts, name = _file_names(g)
+    pos = 0
+    for block in _text_blocks(g, verts, name):
+        if not text.startswith(block, pos):
+            return None
+        pos += len(block)
+    if pos == len(text):
         return Instance(g, 0)
-    tok = rest.split()
-    if tok[:1] != ["h"]:
+    if not text.startswith("h ", pos) or text.find("\n", pos) != len(text) - 1:
         return None
-    verts = sorted(g.vertices)
+    tokens = text[pos + 2:-1].split(" ")
     try:
-        inst = Instance(g, 0, HamCycleWitness(tuple(verts[int(t) - 1] for t in tok[1:])))
-    except (ValueError, IndexError, GraphError):
+        order = tuple(verts[i - 1] for i in map(int, tokens) if 0 < i <= len(verts))
+        if len(order) != len(tokens) or list(_named(name, order)) != tokens:
+            return None  # a token outside 1..n, or one not spelled as its name
+        return Instance(g, 0, HamCycleWitness(order))
+    except (ValueError, GraphError):
         return None
-    return inst if rest == witness_line(inst) + "\n" else None
+
+
+def _same_graph(a: Graph, b: Graph) -> bool:
+    """Whether a and b have the same canonical text, compared block by block."""
+    return all(x == y for x, y in zip_longest(_text_blocks(a, *_file_names(a)),
+                                              _text_blocks(b, *_file_names(b))))
 
 
 def verify_trace(text: str, trace: dict) -> None:
@@ -269,8 +330,8 @@ def verify_trace(text: str, trace: dict) -> None:
     the replayed graph when its text is write_graph's rendering of it, then
     nothing or one canonical h line naming a Hamiltonian cycle of it. The
     text is parsed at most once: only if it differs from that rendering, a
-    check fails, or its m is not backed by its edge lines (then first, so a
-    malformed output is reported before any trace failure)."""
+    check fails, or its header m exceeds what its length can hold (then
+    first, so a malformed output is reported before any trace failure)."""
     size = _backed_size(text)
     out = None if size else parse_graph(text)
     try:
@@ -280,14 +341,13 @@ def verify_trace(text: str, trace: dict) -> None:
         g, k, plane = replay_stages(target, g, k, stages, out_decl[:2])
         if (g.n, g.m, k) != out_decl:
             raise CertificationError("trace output summary disagrees with replay")
-        canon = _graph_text(g)
-        rendered = out is None and text.startswith(canon) and _rendered(text[len(canon):], g)
+        rendered = out is None and _rendered(text, g)
     except Exception:
         if out is None:
             parse_graph(text)  # the output's format error comes first
         raise
     if not rendered:
         out = out or parse_graph(text)
-        if _graph_text(out.graph) != canon:
+        if not _same_graph(out.graph, g):
             raise CertificationError("replayed graph differs from output graph")
     certify(target, rendered or out, plane)

@@ -128,6 +128,17 @@ def odd_4regular_planar_ham():
     raise AssertionError("no odd fixture found")
 
 
+# Inputs with bridges, whose pairing inserts name a second dart. The
+# dumbbell is two triangles joined by a bridge that the route crosses twice.
+# In the rings, a fragment runs from a crossing on one bridge to an end of
+# another, both with two corners on its face.
+DUMBBELL = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+RINGS = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (8, 9), (9, 7), (6, 8),
+         (10, 11), (11, 12), (12, 13), (13, 14), (14, 10), (5, 15), (15, 10), (16, 17),
+         (17, 18), (18, 19), (19, 20), (20, 16), (6, 18), (21, 22), (22, 23), (23, 24),
+         (24, 25), (25, 26), (26, 21), (18, 27), (27, 23)]
+
+
 def opt(g):
     return len(fvs_exact_exhaustive(g).deleted)
 

@@ -12,7 +12,7 @@ import pytest
 import fvskit
 from fvskit import solvers, textio
 from fvskit.cli import build_parser, main
-from fvskit.graph import GraphError, Instance
+from fvskit.graph import Graph, GraphError, HamCycleWitness, Instance
 from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
 from fvskit.textio import (
@@ -26,6 +26,8 @@ from fvskit.textio import (
 )
 
 from conftest import (
+    DUMBBELL,
+    RINGS,
     bull_free_random,
     c4k1,
     cycle_graph,
@@ -33,6 +35,7 @@ from conftest import (
     random_cubic,
     random_regular4,
 )
+from test_golden import GOLDEN, _reduced
 
 C3_TEXT = """c a triangle
 p fvs 3 3
@@ -165,10 +168,18 @@ class TestWrite:
         assert back.witness is not None
 
     def test_canonical_relabel(self):
-        from fvskit.graph import Graph
-
         inst = Instance(Graph.from_edges([(10, 20), (20, 31), (10, 31)]), 0)
         assert "e 1 2" in write_graph(inst)
+
+    def test_name_table_takes_any_integer_ids(self):
+        # 0, negative and sparse ids are named by their place in sorted order,
+        # and verify maps the h line back through the same table
+        g = Graph.from_edges([(-5, 0), (0, 7), (7, 100), (100, -5), (-5, 7)])
+        inst = Instance(g, 0, HamCycleWitness((-5, 0, 7, 100)))
+        text = write_graph(inst)
+        assert text == "p fvs 4 5\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 3 4\nh 1 2 3 4\n"
+        assert textio.witness_line(inst) == "h 1 2 3 4"
+        assert textio._rendered(text, g) == inst
 
 
 def _count_parses(monkeypatch):
@@ -218,6 +229,33 @@ class TestTraceVerify:
         assert str(info.value) == f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("token", ["0", "-1", "n+1", "01", "+1", "1_0", ""])
+    def test_h_token_outside_the_name_table_is_refused(self, produced, token):
+        # the compare maps each h token back itself: a token outside 1..n
+        # (0 and -1 would index the vertex list from its end) or spelled
+        # other than its vertex's name leaves the text to the parse
+        g = produced.instance.graph
+        text = write_graph(produced.instance)
+        assert textio._rendered(text, g).witness == produced.instance.witness
+        head, _, witness = text[:-1].rpartition("\n")
+        tokens = witness.split(" ")
+        tokens[-1] = str(g.n + 1) if token == "n+1" else token
+        assert textio._rendered(f"{head}\n{' '.join(tokens)}\n", g) is None
+
+    def test_verify_holds_no_second_copy_of_the_output(self):
+        # C40 -> ham-ordered:5 writes 2 032 356 bytes. Rendering the replayed
+        # graph's whole text beside the output peaked at 4.72 times its length;
+        # the row-by-row compare peaks at 3.36 times
+        res = run_pipeline(Instance(cycle_graph(40), 1), "ham-ordered:5")
+        text, trace = write_graph(res.instance), json.loads(trace_dumps(res))
+        tracemalloc.start()
+        try:
+            verify_trace(text, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_parses_a_non_canonical_output_once(self, produced, monkeypatch, eol):
         calls = _count_parses(monkeypatch)
@@ -233,10 +271,41 @@ class TestTraceVerify:
         # verify rebuilds the input on 1..n, so the wheel's hub 0 cannot be
         # traced as it is; its round-tripped form can
         raw = Instance(c4k1(), 0)
-        with pytest.raises(PipelineError, match=r"parse_graph\(write_graph\(inst\)\)"):
-            trace_to_json(run_pipeline(raw, "4reg-planar"))
+        for dump in (trace_to_json, trace_dumps):
+            with pytest.raises(PipelineError, match=r"parse_graph\(write_graph\(inst\)\)"):
+                dump(run_pipeline(raw, "4reg-planar"))
         res = run_pipeline(parse_graph(write_graph(raw)), "4reg-planar")
         verify_trace(write_graph(res.instance), trace_to_json(res))
+
+
+def _steps(doc):
+    return [step for stage in doc["stages"] for step in stage["steps"]]
+
+
+# The goldens (C3-preg6 holds p_regularize's Y rounds), inputs with bridges
+# whose pairing inserts carry 4-dart faces, an input that strips, and a lift
+# stage without steps.
+TRACE_CASES = [g[:3] for g in GOLDEN] + [
+    ("dumbbell", lambda: Graph.from_edges(DUMBBELL), "4reg-planar"),
+    ("rings", lambda: Graph.from_edges(RINGS), "4reg-planar"),
+    ("pendant", lambda: Graph.from_edges([(1, 2), (2, 3), (1, 3), (3, 4)]), "4reg-planar"),
+    ("C3-lift3", lambda: cycle_graph(3), "ham-ordered:3"),
+]
+
+
+class TestTraceDumps:
+    @pytest.mark.parametrize("name,make,target", TRACE_CASES, ids=[c[0] for c in TRACE_CASES])
+    def test_writes_the_bytes_of_json_dumps(self, name, make, target):
+        res = _reduced(make, target)
+        assert trace_dumps(res) == json.dumps(trace_to_json(res), indent=2, sort_keys=True) + "\n"
+
+    def test_cases_hold_every_trace_shape(self):
+        docs = {name: trace_to_json(_reduced(make, target)) for name, make, target in TRACE_CASES}
+        assert all(any(len(s.get("face", ())) == 4 for s in _steps(docs[name]))
+                   for name in ("dumbbell", "rings"))
+        assert docs["pendant"]["stages"][0]["name"] == "strip"
+        assert docs["C3-lift3"]["stages"] == [{"name": "lift", "steps": [], "k_after": 1}]
+        assert any(s["gadget"] == "Y" for s in _steps(docs["C3-preg6"]))
 
 
 class TestCli:
@@ -340,6 +409,64 @@ class TestCli:
         assert main(["verify", str(out), "--trace", tr]) == 2
         err = capsys.readouterr().err
         assert err == f"format error: line {len(lines) + 1}: witness is not a Hamiltonian cycle\n"
+
+    def _verify_edited(self, tmp_path, edit):
+        """Exit code of verify on the reduced output after edit(text)."""
+        out, tr = self._reduced(tmp_path)
+        out.write_text(edit(out.read_text()))
+        return main(["verify", str(out), "--trace", tr])
+
+    def test_verify_refuses_a_text_cut_inside_a_row(self, tmp_path):
+        # the cut drops the last digit and the line break of a middle edge line
+        assert self._verify_edited(
+            tmp_path, lambda t: t[:t.index("\n", len(t) // 2) - 1]) == 2
+
+    def test_verify_refuses_an_extra_edge_line(self, tmp_path):
+        def edit(text):
+            head, *edges, witness = text.splitlines()
+            n, m = map(int, head.split()[2:])
+            first = {int(e.split()[2]) for e in edges if e.split()[1] == "1"}
+            v = min(set(range(2, n + 1)) - first)
+            return "\n".join([f"p fvs {n} {m + 1}", *edges, f"e 1 {v}", witness, ""])
+
+        # the header's m is within len(text) // 6, so it is compared with the
+        # trace before replay, and the output parses as a valid graph
+        assert self._verify_edited(tmp_path, edit) == 4
+
+    def test_verify_parses_first_when_header_m_exceeds_the_text(self, tmp_path):
+        # the header and trace of a 7 056-edge output over three edge lines:
+        # the header m is above len(text) // 6, so the text is parsed, and
+        # refused, before replay builds anything
+        res = run_pipeline(Instance(cycle_graph(3), 1), "preg-ham:6")
+        head, *edges = write_graph(res.instance).splitlines()[:4]
+        out, tr = tmp_path / "out.fvs", tmp_path / "trace.json"
+        out.write_text("\n".join([head, *edges, ""]))
+        tr.write_text(trace_dumps(res))
+        assert int(head.split()[3]) > len(out.read_text()) // 6
+        tracemalloc.start()
+        try:
+            rc = main(["verify", str(out), "--trace", str(tr)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("token, rc", [("0", 2), ("01", 0)])
+    def test_verify_maps_h_tokens_through_the_name_table(self, tmp_path, monkeypatch,
+                                                         token, rc):
+        # a token outside 1..n is refused where it is mapped, and the parse
+        # then reports the witness (exit 2); a vertex named other than as
+        # write_graph names it verifies through the parse
+        def edit(text):
+            *lines, witness = text.splitlines()
+            tokens = witness.split()
+            tokens[-1 if token == "0" else tokens.index("1")] = token
+            return "\n".join([*lines, " ".join(tokens), ""])
+
+        calls = _count_parses(monkeypatch)
+        assert self._verify_edited(tmp_path, edit) == rc
+        assert len(calls) == 1
 
     def test_witness_out(self, tmp_path):
         inp = self._write_input(tmp_path)

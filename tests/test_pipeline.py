@@ -48,6 +48,8 @@ from fvskit.cli import main
 from fvskit.textio import parse_graph, trace_to_json, verify_trace, write_graph
 
 from conftest import (
+    DUMBBELL,
+    RINGS,
     complete_graph,
     cube_graph,
     cycle_graph,
@@ -170,16 +172,8 @@ class TestPairing:
             for p in args:
                 assert type(p) is tuple and len(p) == 2 and all(type(c) is int for c in p)
 
-    @pytest.mark.parametrize("edges, darts_at_y", [
-        # two triangles joined by a bridge that the route crosses twice
-        ([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)], 2),
-        # rings joined by bridges: a fragment runs from a crossing on one
-        # bridge to an end of another, both with two corners on its face
-        ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (8, 9), (9, 7), (6, 8),
-          (10, 11), (11, 12), (12, 13), (13, 14), (14, 10), (5, 15), (15, 10), (16, 17),
-          (17, 18), (18, 19), (19, 20), (20, 16), (6, 18), (21, 22), (22, 23), (23, 24),
-          (24, 25), (25, 26), (26, 21), (18, 27), (27, 23)], 2),
-    ], ids=["dumbbell", "rings"])
+    @pytest.mark.parametrize("edges, darts_at_y", [(DUMBBELL, 2), (RINGS, 2)],
+                             ids=["dumbbell", "rings"])
     def test_routes_across_bridges(self, edges, darts_at_y):
         # where a bridge gives y two corners on the fragment's face, the
         # insert names y's corner by a second dart, so the embedding keeps
