@@ -89,9 +89,17 @@ class StageResult:
 
 
 def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
-    """The certificate of a stage output. The stages read regular from
-    here, so each output's degrees are scanned once."""
+    """The certificate of a stage output."""
     return ClassCertificate(regularity(inst.graph), claim_planar)
+
+
+def _finish(b: Builder, witness=None, audit=None, planar=True) -> StageResult:
+    """The result of stage b.stage, whose output b built: b's graph, frozen,
+    with b's budget and with witness (a vertex order, or None) as its
+    Hamiltonian cycle; b's steps; audit; and b's rotation if it has one."""
+    out = Instance(b.freeze(), b.k, None if witness is None else HamCycleWitness(tuple(witness)))
+    return StageResult(b.stage, out, tuple(b.steps), _certificate(out, planar), audit,
+                       b.rotation if isinstance(b, PlaneBuilder) else None)
 
 
 class Plane(NamedTuple):
@@ -133,10 +141,7 @@ def eliminate_degree_two(inst: Instance) -> StageResult:
     b = Builder(g, inst.k, "degree2")
     for v in sorted(v for v in g.vertices if g.degree(v) == 2):
         b.insert(GADGETS["R"], v, v)
-    out = Instance(b.freeze(), b.k)
-    _require(all(3 <= out.graph.degree(v) <= 4 for v in out.graph.vertices) or not b.steps,
-             "degree bounds violated after insertion")
-    return StageResult("degree2", out, tuple(b.steps), _certificate(out))
+    return _finish(b)
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,8 @@ def pair_degree_three(inst: Instance) -> StageResult:
         if not 3 <= g.degree(v) <= 4:
             raise PipelineError(f"precondition: vertex {v} has degree {g.degree(v)}, need 3..4")
     emb = grid_embed(g)
+    # the degrees are 3 and 4 and sum to an even number, so len(deg3) is even
     deg3 = sorted((v for v in g.vertices if g.degree(v) == 3), key=emb.coords.__getitem__)
-    if len(deg3) % 2:
-        raise PipelineError("handshake violation")
     pairs = tuple((deg3[i], deg3[i + 1]) for i in range(0, len(deg3), 2))
     eps = pick_epsilon(emb, pairs)
     routes = [route_connection(emb, a, b, eps) for a, b in pairs]
@@ -214,12 +218,10 @@ def pair_degree_three(inst: Instance) -> StageResult:
             b.insert(GADGETS["R"], x, y, (x, qx, y, qy))
     g = b.freeze()
     out = Instance(g, b.k)
-    cert = _certificate(out)
-    _require(cert.regular == 4, "output not 4-regular")
     drawn_after = tuple(e for e in sorted_edges(g) if e[0] in coords and e[1] in coords)
     audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
                          drawn_after, tuple(dissolution))
-    return StageResult("pairing", out, tuple(b.steps), cert, audit, b.rotation)
+    return StageResult(b.stage, out, tuple(b.steps), _certificate(out), audit, b.rotation)
 
 
 def _corner(b: PlaneBuilder, heading, v, ahead):
@@ -341,30 +343,33 @@ def compute_two_factor(g: Graph) -> TwoFactor:
     comps = []
     seen = set()
     for v in order:
-        if v in seen:
-            continue
-        cyc = [v]
-        prev, cur = v, min(nb[v])
-        while cur != v:
-            cyc.append(cur)
-            a, b = nb[cur]
-            prev, cur = cur, (b if a == prev else a)
-        seen.update(cyc)
-        comps.append(tuple(cyc))
+        if v not in seen:
+            comps.append(_walk_cycle(nb, v, min(nb[v])))
+            seen.update(comps[-1])
     tf = TwoFactor(tuple(comps))
     tf.validate(g)
     return tf
 
 
+def _walk_cycle(nb, start, nxt) -> tuple:
+    """The cycle through start of nb, a map from each vertex to its two
+    neighbours on a cycle, walked from start towards nxt."""
+    cyc = [start]
+    prev, cur = start, nxt
+    while cur != start:
+        cyc.append(cur)
+        a, b = nb[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return tuple(cyc)
+
+
 def _cycle_long_way(cycle, frm, to):
-    """Walk the whole cycle from frm to to, avoiding their direct edge."""
+    """Walk the whole cycle from frm to to, its neighbour on the cycle,
+    avoiding their direct edge."""
     L = len(cycle)
     i = cycle.index(frm)
-    if cycle[(i + 1) % L] == to:
-        return [cycle[(i - t) % L] for t in range(L)]
-    if cycle[(i - 1) % L] == to:
-        return [cycle[(i + t) % L] for t in range(L)]
-    raise PipelineError("vertices not adjacent on the cycle")
+    step = -1 if cycle[(i + 1) % L] == to else 1
+    return [cycle[(i + step * t) % L] for t in range(L)]
 
 
 class MergeState:
@@ -417,14 +422,7 @@ class MergeState:
     def cycle(self) -> tuple:
         """The merged cycle, walked from its head; once one cycle is left,
         the Hamiltonian cycle of the builder's graph."""
-        start, cur = self.head
-        cyc = [start]
-        prev = start
-        while cur != start:
-            cyc.append(cur)
-            a, b = self.nb[cur]
-            prev, cur = cur, (b if a == prev else a)
-        return tuple(cyc)
+        return _walk_cycle(self.nb, *self.head)
 
     def join(self, u, v, u2, v2, path, head):
         """Re-thread the cycles of u and v into one: drop the cycle edges
@@ -532,11 +530,7 @@ def hamiltonize(inst: Instance, rotation) -> StageResult:
     while len(state.members) > 1:
         merge_step(state)
         merges += 1
-    b = state.builder
-    out = Instance(b.freeze(), b.k, HamCycleWitness(state.cycle()))
-    cert = _certificate(out)
-    _require(cert.regular == 4, "merging broke 4-regularity")
-    return StageResult("hamiltonize", out, tuple(b.steps), cert, merges, b.rotation)
+    return _finish(state.builder, state.cycle(), merges)
 
 
 def evenize(inst: Instance, rotation) -> StageResult:
@@ -561,21 +555,9 @@ def evenize(inst: Instance, rotation) -> StageResult:
     idm2 = b.insert(_L, w1, w2)
     # splice: original cycle from c around to a, through the first L into the
     # copy, around it, and back through the second L
-    main = _cycle_long_way(C, c, a)
-    copy_walk = [cmap[x] for x in _cycle_long_way(C, a, c)]
-    order = (
-        main
-        + [v1] + interior_path(_L, idm1) + [v2]
-        + copy_walk
-        + [w2] + list(reversed(interior_path(_L, idm2))) + [w1]
-    )
-    witness = HamCycleWitness(tuple(order))
-    out = Instance(b.freeze(), b.k, witness)
-    cert = _certificate(out)
-    _require(out.graph.n == 2 * g.n + 24, "evenize size mismatch")
-    _require(out.k == 2 * inst.k + 8, "budget ledger mismatch")
-    _require(cert.regular == 4, "evenize broke 4-regularity")
-    return StageResult("evenize", out, tuple(b.steps), cert, rotation=b.rotation)
+    return _finish(b, [*_cycle_long_way(C, c, a), v1, *interior_path(_L, idm1), v2,
+                       *(cmap[x] for x in _cycle_long_way(C, a, c)),
+                       w2, *reversed(interior_path(_L, idm2)), w1])
 
 
 def _gadget_round(b: Builder, gadget, order) -> tuple:
@@ -597,21 +579,15 @@ def five_regularize(inst: Instance) -> StageResult:
     _require(check_regular(g, 4), "precondition: 4-regular graph required")
     if g.n % 2:
         raise PipelineError("evenize first")
-    n = g.n
     b = Builder(g, inst.k, "5regular")
-    order = _gadget_round(b, GADGETS["D"], inst.witness.order)
-    g = b.freeze()
-    out = Instance(g, b.k, HamCycleWitness(order))
-    cert = _certificate(out)
-    _require(g.n == 7 * n, "5-regularization size mismatch")
-    _require(cert.regular == 5, "output not 5-regular")
-    _require(out.k == inst.k + 3 * n, "budget ledger mismatch")
-    return StageResult("5regular", out, tuple(b.steps), cert)
+    return _finish(b, _gadget_round(b, GADGETS["D"], inst.witness.order))
 
 
 def p_regularize(inst: Instance, target_p: int) -> StageResult:
-    """Repeated rounds of Y gadget insertions across a witness matching;
-    each round raises regularity by one and keeps the order even."""
+    """Repeated rounds of Y gadget insertions across a witness matching: a
+    Y_q round multiplies n by q + 2, which keeps it even, and raises the
+    regularity from q to q + 1. certify checks that the output is
+    target_p-regular."""
     g = inst.graph
     _require(inst.witness is not None, "precondition: witness required")
     r = regularity(g)
@@ -627,24 +603,17 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
                  f"preg-ham:{target_p} would build more than {MAX_OUTPUT_EDGES} edges")
     b = Builder(g, inst.k, "pregular")
     order = inst.witness.order
-    while r < target_p:
-        n = b.n
-        order = _gadget_round(b, build_gadget("Y", r), order)
-        _require(b.n == n * (r + 2), "Y round size mismatch")
-        r += 1
-        # the output certificate is the only check of the last round
-        _require(r == target_p or check_regular(b, r), f"Y round did not reach {r}-regularity")
-    out = Instance(b.freeze(), b.k, HamCycleWitness(order))
-    cert = _certificate(out, claim_planar=False)  # the clique gadgets rule out planarity
-    _require(cert.regular == target_p, f"Y round did not reach {target_p}-regularity")
-    return StageResult("pregular", out, tuple(b.steps), cert)
+    for q in range(r, target_p):
+        order = _gadget_round(b, build_gadget("Y", q), order)
+    return _finish(b, order, planar=False)  # the clique gadgets rule out planarity
 
 
 def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     """Lift a Hamiltonian instance (3-Hamiltonian-ordered by definition) to
-    target_p-Hamiltonian-ordered via target_p - 3 join steps, asserting the
-    degree-sum sufficiency condition after each but the last (certify's).
-    Each join keeps the graph Hamiltonian and grows the budget by 3n."""
+    target_p-Hamiltonian-ordered via target_p - 3 join steps. Each join
+    keeps the graph Hamiltonian, grows the budget by 3n and, the one for p,
+    meets the degree-sum sufficiency condition for p, which certify checks
+    of the output at target_p."""
     _require(inst.witness is not None, "precondition: witness required")
     _require(target_p >= 3, "precondition: target p >= 3 required")
     n, m = inst.graph.n, inst.graph.m
@@ -655,13 +624,12 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
                  f"ham-ordered:{target_p} would build more than {MAX_OUTPUT_EDGES} edges")
     b = Builder(inst.graph, inst.k, "lift")
     order = list(inst.witness.order)
-    for p in range(4, target_p + 1):
+    for _ in range(4, target_p + 1):
         clique, x, y = b.lift()
         order += [clique[0], x, y] + clique[1:]
-        _require(p == target_p or check_ore_condition(b, p),
-                 f"degree-sum condition failed for p={p}")
-    out = Instance(b.freeze(), b.k, HamCycleWitness(tuple(order))) if b.steps else inst
-    return StageResult("lift", out, tuple(b.steps), _certificate(out, claim_planar=False))
+    if not b.steps:
+        return StageResult(b.stage, inst, (), _certificate(inst, claim_planar=False))
+    return _finish(b, order, planar=False)
 
 
 def _lift_edges(n):
@@ -674,15 +642,19 @@ PLANAR_TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham")
 
 
 def parse_target(target: str):
-    """(kind, p) of a target name; p is None for the planar targets. Any
-    other value, a string or not, is refused."""
+    """(kind, p) of a target name; p is None for the planar targets, and
+    spelled as str(p) writes it. Any other value, a string or not, is
+    refused."""
     if target in PLANAR_TARGETS:
         return target, None
     for prefix in ("preg-ham:", "ham-ordered:"):
         if isinstance(target, str) and target.startswith(prefix):
+            spelled = target[len(prefix):]
             try:
-                p = int(target[len(prefix):])
+                p = int(spelled)
             except ValueError:
+                p = None
+            if p is None or spelled != str(p):
                 raise PipelineError(f"malformed target {target!r}")
             if prefix == "preg-ham:" and p < 4:
                 raise PipelineError("preg-ham requires p >= 4")

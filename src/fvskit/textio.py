@@ -276,7 +276,7 @@ def _backed_size(text: str):
     edge line takes at least six characters ('e 1 2\\n'), so no text with m
     edge lines is shorter, and replay bounded by such an m builds no more
     edges than the file could hold."""
-    tok = text[:text.find("\n")].split()
+    tok = text.partition("\n")[0].split()
     if len(tok) != 4 or tok[:2] != ["p", "fvs"]:
         return None
     try:

@@ -321,6 +321,22 @@ def test_each_certificate_is_checked_where_it_is_built(name, definition, callers
     assert _callers(name, definition) == callers
 
 
+# A stage checks the class of its input in its preconditions, and certify
+# checks a run's output against its target: no stage re-checks its output.
+CLASS_CHECKERS = [
+    ("check_ore_condition", "check_ore_condition", {("pipeline.py", "certify")}),
+    ("check_regular", "check_regular",
+     {("graph.py", "regularity"), ("pipeline.py", "certify"),
+      ("pipeline.py", "compute_two_factor"), ("pipeline.py", "five_regularize")}),
+]
+
+
+@pytest.mark.parametrize("name, definition, callers", CLASS_CHECKERS,
+                         ids=[c[0] for c in CLASS_CHECKERS])
+def test_class_checks_guard_stage_inputs_and_the_output_only(name, definition, callers):
+    assert _callers(name, definition) == callers
+
+
 def test_only_compute_two_factor_validates_a_two_factor():
     src = Path(fvskit.__file__).parent
     calls = set()

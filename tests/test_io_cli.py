@@ -452,6 +452,11 @@ class TestCli:
         assert rc == 2
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("text, size", [("p fvs 1 10", None), ("p fvs 3 0", (3, 0))])
+    def test_backed_size_reads_a_header_without_a_line_break(self, text, size):
+        # the whole text is the header line when it holds no line break
+        assert textio._backed_size(text) == size
+
     @pytest.mark.parametrize("token, rc", [("0", 2), ("01", 0)])
     def test_verify_maps_h_tokens_through_the_name_table(self, tmp_path, monkeypatch,
                                                          token, rc):
@@ -536,6 +541,14 @@ class TestCli:
         assert main(["reduce", inp, "--target", target]) == 3
         assert time.perf_counter() - start < 1
         assert "would build more than 2000000 edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["ham-ordered: 3", "ham-ordered:+3", "ham-ordered:03",
+                                        "ham-ordered:3 "])
+    def test_a_target_spelled_otherwise_than_str_p_is_malformed(self, tmp_path, capsys,
+                                                                target):
+        inp = self._write_input(tmp_path, C3_TEXT + "h 1 2 3\n")
+        assert main(["reduce", inp, "--target", target]) == 3
+        assert f"malformed target {target!r}" in capsys.readouterr().err
 
     def test_python_dash_m_fvskit(self):
         src = str(Path(fvskit.__file__).resolve().parents[1])

@@ -60,6 +60,17 @@ from conftest import (
     prism_graph,
 )
 
+# The small inputs on which each stage's output is pinned. The stages do not
+# check their own outputs, so these tests are what pins their formulas.
+STAGE_INPUTS = {"triangle": lambda: cycle_graph(3), "C4": lambda: cycle_graph(4),
+                "prism": prism_graph, "grid3x3": lambda: grid_graph(3, 3)}
+
+
+def _hamiltonized(make):
+    """The hamiltonize stage's result on make()'s compiled pairing output."""
+    sr = pair_degree_three(eliminate_degree_two(Instance(make(), 1)).instance)
+    return hamiltonize(sr.instance, sr.rotation)
+
 
 class TestDegreeTwo:
     def test_triangle(self):
@@ -69,6 +80,9 @@ class TestDegreeTwo:
         assert check_regular(sr.instance.graph, 4)
         assert len(sr.steps) == 3
         assert all(s.gadget == "R" and s.attach[0] == s.attach[1] for s in sr.steps)
+        for make in STAGE_INPUTS.values():
+            g = eliminate_degree_two(Instance(make(), 1)).instance.graph
+            assert {g.degree(v) for v in g.vertices} <= {3, 4}
 
     def test_square(self):
         sr = eliminate_degree_two(Instance(cycle_graph(4), 1))
@@ -113,6 +127,8 @@ class TestPairing:
         assert sr.instance.k == 2 + 3 * len(inserts)
         for d in sr.audit.dissolution_vertices:
             assert g.degree(d) == 4
+        for make in STAGE_INPUTS.values():
+            assert check_regular(_pairing_output(make()), 4)
 
     def test_octahedron_minus_edge(self):
         octa = octahedron_graph()
@@ -305,6 +321,9 @@ class TestHamiltonize:
         assert sr.audit <= inst.graph.n // 3
         merges = sum(1 for s in sr.steps if s.op == "insert")
         assert out.k >= inst.k + 4 * sr.audit  # case 2 merges cost double
+        for make in STAGE_INPUTS.values():
+            out = _hamiltonized(make).instance
+            assert check_regular(out.graph, 4) and out.witness.is_valid_for(out.graph)
 
     def test_starts_from_the_carried_rotation(self, monkeypatch):
         # every merge edits one embedding in place, started from the
@@ -420,16 +439,21 @@ class TestEvenize:
     def test_odd_fixture(self):
         g, w = odd_4regular_planar_ham()
         assert g.n % 2 == 1
-        inst = Instance(g, 3, w)
-        sr = evenize(inst, _rotation(g))
-        out = sr.instance
-        assert out.graph.n == 2 * g.n + 24
-        assert out.k == 2 * 3 + 8
-        assert check_regular(out.graph, 4)
-        assert out.witness.is_valid_for(out.graph)
-        assert out.graph.n % 2 == 0
-        # the copy and the L that joins its halves keep the embedding plane
-        faces(out.graph, sr.rotation)
+        # and the odd hamiltonize outputs of prism and grid 3x3
+        odd = [(Instance(g, 3, w), _rotation(g))]
+        odd += [(sr.instance, sr.rotation)
+                for sr in (_hamiltonized(STAGE_INPUTS[name]) for name in ("prism", "grid3x3"))]
+        for inst, rotation in odd:
+            assert inst.graph.n % 2 == 1
+            sr = evenize(inst, rotation)
+            out = sr.instance
+            assert out.graph.n == 2 * inst.graph.n + 24
+            assert out.k == 2 * inst.k + 8
+            assert check_regular(out.graph, 4)
+            assert out.witness.is_valid_for(out.graph)
+            assert out.graph.n % 2 == 0
+            # the copy and the L that joins its halves keep the embedding plane
+            faces(out.graph, sr.rotation)
 
     def test_requires_witness(self):
         with pytest.raises(PipelineError, match="witness required"):
@@ -439,14 +463,18 @@ class TestEvenize:
 class TestFiveRegularize:
     def test_octahedron(self):
         g = octahedron_graph()
-        inst = Instance(g, 2, find_hamiltonian_cycle(g))
-        sr = five_regularize(inst)
-        out = sr.instance
-        assert out.graph.n == 7 * 6
-        assert out.k == 2 + 3 * 6
-        assert check_regular(out.graph, 5)
-        assert check_planarity(out.graph)[0]
-        assert out.witness.is_valid_for(out.graph)
+        # and the even hamiltonize outputs of triangle and C4, and prism's evenized
+        even = [Instance(g, 2, find_hamiltonian_cycle(g))]
+        even += [_hamiltonized(STAGE_INPUTS[name]).instance for name in ("triangle", "C4")]
+        prism = _hamiltonized(prism_graph)
+        even.append(evenize(prism.instance, prism.rotation).instance)
+        for inst in even:
+            out = five_regularize(inst).instance
+            assert out.graph.n == 7 * inst.graph.n
+            assert out.k == inst.k + 3 * inst.graph.n
+            assert check_regular(out.graph, 5)
+            assert check_planarity(out.graph)[0]
+            assert out.witness.is_valid_for(out.graph)
 
     def test_odd_rejected(self):
         g, w = odd_4regular_planar_ham()
@@ -457,13 +485,18 @@ class TestFiveRegularize:
 class TestPRegularize:
     def test_one_round(self):
         g = octahedron_graph()
-        base = five_regularize(Instance(g, 2, find_hamiltonian_cycle(g))).instance
-        sr = p_regularize(base, 6)
-        out = sr.instance
-        assert out.graph.n == base.graph.n * 7
-        assert out.k == base.k + (base.graph.n // 2) * 8
-        assert check_regular(out.graph, 6)
-        assert out.witness.is_valid_for(out.graph)
+        octahedron = five_regularize(Instance(g, 2, find_hamiltonian_cycle(g))).instance
+        triangle = five_regularize(_hamiltonized(STAGE_INPUTS["triangle"]).instance).instance
+        # a Y_r round multiplies n by r + 2, costs 2r - 2 per witness pair and
+        # raises the regularity from r to r + 1: octahedron's two rounds, triangle's one
+        for base, rounds in ((octahedron, 2), (triangle, 1)):
+            for r in range(5, 5 + rounds):
+                out = p_regularize(base, r + 1).instance
+                assert out.graph.n == base.graph.n * (r + 2)
+                assert out.k == base.k + (base.graph.n // 2) * (2 * r - 2)
+                assert check_regular(out.graph, r + 1)
+                assert out.witness.is_valid_for(out.graph)
+                base = out
 
     def test_identity_at_target(self):
         g = octahedron_graph()
@@ -480,29 +513,33 @@ class TestPRegularize:
 
 class TestLift:
     def test_c4_numbers(self):
-        g = cycle_graph(4)
-        inst = Instance(g, 1, HamCycleWitness((1, 2, 3, 4)))
-        sr = ham_ordered_lift(inst, 4)
-        out = sr.instance
-        assert out.graph.n == 4 * 4 + 2
-        assert out.k == 1 + 3 * 4
-        assert out.witness.is_valid_for(out.graph)
-        assert check_ore_condition(out.graph, 4)
+        # and triangle's and prism's: each lift maps n to 4n + 2 and k to k + 3n
+        for g in (cycle_graph(4), cycle_graph(3), prism_graph()):
+            inst = Instance(g, 1, find_hamiltonian_cycle(g))
+            sr = ham_ordered_lift(inst, 4)
+            out = sr.instance
+            assert out.graph.n == 4 * g.n + 2
+            assert out.k == 1 + 3 * g.n
+            assert out.witness.is_valid_for(out.graph)
+            assert check_ore_condition(out.graph, 4)
 
     def test_two_lifts(self):
-        g = cycle_graph(4)
-        inst = Instance(g, 0, HamCycleWitness((1, 2, 3, 4)))
-        sr = ham_ordered_lift(inst, 5)
-        n1 = 4 * 4 + 2
-        assert sr.instance.graph.n == 4 * n1 + 2
-        assert check_ore_condition(sr.instance.graph, 5)
+        # after the lift for p, the graph meets the degree-sum condition for p
+        for g in (cycle_graph(4), cycle_graph(3), prism_graph()):
+            inst = Instance(g, 0, find_hamiltonian_cycle(g))
+            n = g.n
+            for p in (4, 5):
+                n = 4 * n + 2
+                out = ham_ordered_lift(inst, p).instance
+                assert out.graph.n == n
+                assert check_ore_condition(out.graph, p)
 
     def test_requires_witness(self):
         with pytest.raises(PipelineError, match="witness required"):
             ham_ordered_lift(Instance(cycle_graph(4), 0), 4)
 
     def test_certify_checks_the_target_p(self, monkeypatch):
-        # the lift checks each p below the target, and certify the target's
+        # only certify checks the degree-sum condition, and only the target's p
         import fvskit.pipeline as pipeline
 
         ps = []
@@ -510,7 +547,7 @@ class TestLift:
         monkeypatch.setattr(pipeline, "check_ore_condition", lambda g, p: ps.append(p) or real(g, p))
         res = run_pipeline(Instance(cycle_graph(40), 1), "ham-ordered:5")
         assert res.instance.graph.n == 650
-        assert ps == [4, 5]
+        assert ps == [5]
 
     def test_p3_is_identity(self):
         inst = Instance(cycle_graph(4), 0, HamCycleWitness((1, 2, 3, 4)))
@@ -525,7 +562,10 @@ class TestTargets:
         assert parse_target("ham-ordered:4") == ("ham-ordered", 4)
 
     def test_parse_errors(self):
-        for bad in ("5reg", "preg-ham:x", "preg-ham:3", "ham-ordered:2"):
+        for bad in ("5reg", "preg-ham:x", "preg-ham:3", "ham-ordered:2",
+                    # int() reads these as p, but str(p) spells none of them
+                    "preg-ham: 6", "preg-ham:+6", "preg-ham:0_6", "preg-ham:06",
+                    "preg-ham:\u0666", "ham-ordered:4 "):
             with pytest.raises(PipelineError):
                 parse_target(bad)
 

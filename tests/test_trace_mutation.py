@@ -379,7 +379,8 @@ def test_a_witness_target_needs_the_h_line(artifact, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("target", ["absent", "preg-ham:x", "preg-ham:3", "5reg", 7, None])
+@pytest.mark.parametrize("target", ["absent", "preg-ham:x", "preg-ham:3", "5reg", 7, None,
+                                    "preg-ham:+6", "ham-ordered:3 "])
 def test_malformed_target_is_a_format_error(artifact, target):
     tmp, out, doc = artifact
     doc = dict(doc, target=target)
