@@ -8,7 +8,7 @@ import functools
 import json
 import sys
 
-from .gadgets import build_gadget, certify_gadget
+from .gadgets import build_gadget, certify_gadget, refuse_uncertifiable
 from .geometry import GeometryError, emit_svg
 from .graph import GraphError
 from .pipeline import PipelineError, run_pipeline
@@ -71,20 +71,18 @@ def cmd_reduce(args) -> int:
         if result.instance.witness is None:
             raise PipelineError("target class carries no witness")
         _write(args.witness_out, witness_line(result.instance) + "\n")
-    if args.svg_debug:
-        for sr in result.stages:
-            audit = sr.audit
-            if hasattr(audit, "embedding"):
-                emit_svg(audit.embedding, audit.routes, args.svg_debug)
-                break
+    audit = next((sr.audit for sr in result.stages if sr.name == "pairing"), None)
+    if args.svg_debug and audit is not None:
+        _write(args.svg_debug, emit_svg(audit.embedding, audit.routes))
     return 0
 
 
 def cmd_verify(args) -> int:
+    text = _read(args.trace)
     try:
-        trace = json.loads(_read(args.trace))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"trace is not JSON: {exc}")
+        trace = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # too deep, or an int over the digit limit
+        raise FormatError(f"trace is not JSON: {exc}") from None
     verify_trace(_read(args.graph), trace)
     print("ok")
     return 0
@@ -102,10 +100,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gadget_check(args) -> int:
+    if args.kind == "Y" and args.p is not None:
+        refuse_uncertifiable(2 * args.p + 4)  # Y_p's order, known before it is built
     gadget = build_gadget(args.kind, p=args.p)
     report = certify_gadget(gadget)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
+
+
+def _time_budget(text) -> float:
+    """A --time-budget in seconds: a float that is neither negative nor NaN,
+    whose deadline would never pass."""
+    try:
+        if (seconds := float(text)) >= 0:  # false for NaN
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative number of seconds: {text!r}")
 
 
 @functools.cache
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sol = sub.add_parser("solve", help="exact minimum feedback vertex set")
     sol.add_argument("input")
-    sol.add_argument("--time-budget", type=float, default=None)
+    sol.add_argument("--time-budget", type=_time_budget, default=None)
     sol.set_defaults(func=cmd_solve)
 
     gad = sub.add_parser("gadget-check", help="exhaustively certify a gadget")

@@ -18,8 +18,10 @@ from .solvers import (
 
 
 def build_core_wheel() -> Graph:
-    """C4 joined to one apex: rim 0..3 in a cycle, apex 4. The cycle-rich
-    core reused by the two smaller gadgets."""
+    """C4 joined to one apex: rim 0..3 in a cycle, apex 4; its minimum FVS
+    has two vertices. R's core and each of L's two cores are this wheel,
+    written out in their own edge lists, so the gadget builders do not call
+    it."""
     rim = [(0, 1), (1, 2), (2, 3), (3, 0)]
     return Graph.from_edges(rim + [(4, i) for i in range(4)])
 
@@ -130,8 +132,8 @@ def _build_d() -> Gadget:
     return _with_plane("D", g, 0, 13, ham, 6)
 
 
-def _build_y(p: int) -> Gadget:
-    if p < 3:
+def _build_y(p: int | None) -> Gadget:
+    if p is None or p < 3:
         raise GraphError("p must be >= 3")
     a = list(range(2, p + 2))
     b = list(range(p + 2, 2 * p + 2))
@@ -159,8 +161,6 @@ def build_gadget(kind: str, p: int | None = None) -> Gadget:
     if kind == "D":
         return _build_d()
     if kind == "Y":
-        if p is None or p < 3:
-            raise GraphError("p must be >= 3")
         return _build_y(p)
     raise GraphError(f"unknown gadget kind {kind!r}")
 
@@ -179,15 +179,21 @@ def interior_path(gadget: Gadget, id_map) -> list:
     return [id_map[w] for w in gadget.ham_path[1:-1]]
 
 
+def refuse_uncertifiable(n: int) -> None:
+    """Raise SolverError if a gadget of n vertices is too large for
+    certify_gadget's exhaustive search."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise SolverError(
+            f"gadget has {n} vertices; exhaustive certification handles at most {EXHAUSTIVE_LIMIT}"
+        )
+
+
 def certify_gadget(gadget: Gadget) -> GadgetReport:
     """Recompute every claimed gadget property from scratch by exhaustive
     search; a disagreement with the stored k_delta raises. The Hamiltonian
     x-y path is the gadget's ham_path, which Gadget.__post_init__ checks."""
     g = gadget.graph
-    if g.n > EXHAUSTIVE_LIMIT:
-        raise SolverError(
-            f"gadget has {g.n} vertices; exhaustive certification handles at most {EXHAUSTIVE_LIMIT}"
-        )
+    refuse_uncertifiable(g.n)
     opt, solutions = enumerate_min_fvs(g)
     excludes_x = all(gadget.x not in s for s in solutions)
     excludes_y = all(gadget.y not in s for s in solutions)

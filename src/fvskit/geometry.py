@@ -349,8 +349,9 @@ def crossing_index(crossings) -> dict:
     return {owner: [c for _, c in sorted(h, key=lambda pc: pc[0])] for owner, h in hits.items()}
 
 
-def emit_svg(emb: GridEmbedding, routes, path):
-    """Debug-only drawing dump; floats appear here and nowhere else."""
+def emit_svg(emb: GridEmbedding, routes) -> str:
+    """Debug-only drawing of emb and routes as SVG text; floats appear here
+    and nowhere else."""
     s = 40
     xs = [c[0] for c in emb.coords.values()] or [0]
     ys = [c[1] for c in emb.coords.values()] or [0]
@@ -359,26 +360,18 @@ def emit_svg(emb: GridEmbedding, routes, path):
     def pt(p):
         return f"{float(p[0]) * s + s / 2:.2f},{h - float(p[1]) * s + s / 2:.2f}"
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w + s}" height="{h + s}">'
-    ]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w + s}" height="{h + s}">']
     for e in sorted_edges(emb.graph):
-        a, b = emb.coords[e[0]], emb.coords[e[1]]
-        parts.append(
-            f'<line x1="{pt(a).split(",")[0]}" y1="{pt(a).split(",")[1]}" '
-            f'x2="{pt(b).split(",")[0]}" y2="{pt(b).split(",")[1]}" '
-            'stroke="black" stroke-width="1.5"/>'
-        )
+        (x1, y1), (x2, y2) = (pt(emb.coords[v]).split(",") for v in e)
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                     'stroke="black" stroke-width="1.5"/>')
     for r in routes:
         pts = " ".join(pt(p) for p in r.waypoints)
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1"/>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1"/>')
     for v, c in sorted(emb.coords.items()):
         x, y = pt(c).split(",")
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="navy"/>')
         parts.append(f'<text x="{float(x) + 4:.2f}" y="{float(y) - 4:.2f}" font-size="9">{v}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 

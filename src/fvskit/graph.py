@@ -20,7 +20,30 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
+class _Rows:
+    """The read-only queries that a Graph and a Builder answer alike from
+    adjacency, each vertex's neighbours as a sorted sequence."""
+
+    __slots__ = ("adjacency",)
+
+    @property
+    def vertices(self):
+        return self.adjacency.keys()
+
+    @property
+    def n(self):
+        return len(self.adjacency)
+
+    def degree(self, v):
+        return len(self.adjacency[v])
+
+    def has_edge(self, u, v):
+        row = self.adjacency.get(u, ())
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
+
+
+class Graph(_Rows):
     """Simple undirected graph with stable opaque integer vertex ids, stored
     as its adjacency rows (each vertex's neighbours as a sorted tuple), m and
     next_id; vertices and edges are derived from the rows.
@@ -29,7 +52,7 @@ class Graph:
     come from a monotone counter so that traces replay deterministically.
     """
 
-    __slots__ = ("adjacency", "m", "next_id")
+    __slots__ = ("m", "next_id")
 
     def __init__(self, vertices=(), edges=()):
         rows = {v: set() for v in frozenset(vertices)}
@@ -77,24 +100,8 @@ class Graph:
         return cls({v for e in edges for v in e}, edges)
 
     @property
-    def vertices(self):
-        return self.adjacency.keys()
-
-    @property
     def edges(self) -> frozenset:
         return frozenset((u, w) for u, row in self.adjacency.items() for w in row if u < w)
-
-    @property
-    def n(self):
-        return len(self.adjacency)
-
-    def degree(self, v):
-        return len(self.adjacency[v])
-
-    def has_edge(self, u, v):
-        row = self.adjacency.get(u, ())
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
 
 
 def sorted_edges(g: Graph):
@@ -104,7 +111,7 @@ def sorted_edges(g: Graph):
     return [(u, w) for u in sorted(adj) for w in adj[u][bisect_right(adj[u], u):]]
 
 
-class Builder:
+class Builder(_Rows):
     """The one mutable construction engine, shared by the compiler stages
     and trace replay. It holds the adjacency as sorted lists, the fresh-id
     counter, the running budget k and the steps recorded so far. Each op
@@ -113,34 +120,18 @@ class Builder:
     graph has held, so an op builds a row in order, appends fresh ids to it
     or removes from it: rows stay sorted, symmetric, loop-free and closed,
     and freeze() copies them into its Graph without sorting or checking
-    them. Between ops it answers the read-only queries n, vertices, degree
-    and has_edge like a Graph does."""
+    them. Between ops it answers a Graph's read-only queries n, vertices,
+    degree and has_edge from the same rows."""
 
     def __init__(self, g: Graph, k: int = 0, stage: str = ""):
-        self._adj = {v: list(ns) for v, ns in g.adjacency.items()}
+        self.adjacency = {v: list(ns) for v, ns in g.adjacency.items()}
         self.next_id = g.next_id
         self.k = k
         self.stage = stage
         self.steps = []
 
-    @property
-    def vertices(self):
-        return self._adj.keys()
-
-    @property
-    def n(self):
-        return len(self._adj)
-
-    def degree(self, v):
-        return len(self._adj[v])
-
-    def has_edge(self, u, v):
-        row = self._adj.get(u, ())
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
     def freeze(self) -> Graph:
-        rows = {v: tuple(ns) for v, ns in self._adj.items()}
+        rows = {v: tuple(ns) for v, ns in self.adjacency.items()}
         return Graph._unchecked(rows, sum(map(len, rows.values())) // 2, self.next_id)
 
     def _record(self, op, k_delta=0, **fields):
@@ -152,7 +143,7 @@ class Builder:
         is unchanged (every cycle through e survives, one vertex longer).
         Budget +0."""
         u, v = e
-        adj = self._adj
+        adj = self.adjacency
         if not self.has_edge(u, v):
             raise GraphError("edge not present")
         w = self.next_id
@@ -175,7 +166,7 @@ class Builder:
         return self._add(gadget, u, v, dart)
 
     def _check_insert(self, gadget, u, v, dart):
-        adj = self._adj
+        adj = self.adjacency
         if u not in adj or v not in adj:
             raise GraphError("attachment vertices must be present")
         if u == v and gadget.kind != "R":
@@ -185,7 +176,7 @@ class Builder:
             raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
 
     def _add(self, gadget, u, v, dart):
-        adj, rows, base = self._adj, gadget.rows, self.next_id
+        adj, rows, base = self.adjacency, gadget.rows, self.next_id
         self.next_id += len(rows.inner)
         # at u == v (an R insert) y's fresh neighbours follow x's
         adj[u] += [base + i for i in rows.x_row]
@@ -201,7 +192,7 @@ class Builder:
     def copy(self) -> dict:
         """Add a disjoint second copy of the graph on fresh ids. Budget +k,
         i.e. it doubles. Returns the map from old ids to their copies."""
-        adj = self._adj
+        adj = self.adjacency
         mapping = {}
         for v in sorted(adj):
             mapping[v] = self.next_id
@@ -215,7 +206,7 @@ class Builder:
     def lift(self):
         """Join a K_{3n} onto the graph plus a dominating adjacent pair
         {x, y}. Budget +3n. Returns (clique, x, y)."""
-        adj = self._adj
+        adj = self.adjacency
         n = len(adj)
         hosts = sorted(adj)
         clique = list(range(self.next_id, self.next_id + 3 * n))
@@ -233,7 +224,7 @@ class Builder:
 
     def strip(self):
         """Iteratively delete degree-zero and degree-one vertices. Budget +0."""
-        _strip_adjacency(self._adj)
+        _strip_adjacency(self.adjacency)
         self._record("strip")
 
 

@@ -82,23 +82,28 @@ class StageResult:
     name: str
     instance: Instance
     steps: tuple
-    certificate: ClassCertificate
     audit: object = None
     # the rotation system of the output that a planar stage's PlaneBuilder kept
     rotation: dict | None = None
 
+    @property
+    def certificate(self) -> ClassCertificate:
+        """Derived when read; the clique-building stages give up planarity."""
+        return _certificate(self.instance, self.name not in ("pregular", "lift"))
 
-def _certificate(inst: Instance, claim_planar=True) -> ClassCertificate:
+
+def _certificate(inst: Instance, claim_planar: bool) -> ClassCertificate:
     """The certificate of a stage output."""
     return ClassCertificate(regularity(inst.graph), claim_planar)
 
 
-def _finish(b: Builder, witness=None, audit=None, planar=True) -> StageResult:
+def _finish(b: Builder, witness=None, audit=None) -> StageResult:
     """The result of stage b.stage, whose output b built: b's graph, frozen,
     with b's budget and with witness (a vertex order, or None) as its
-    Hamiltonian cycle; b's steps; audit; and b's rotation if it has one."""
+    Hamiltonian cycle; b's steps; audit; and b's rotation if it has one.
+    Every StageResult is built here."""
     out = Instance(b.freeze(), b.k, None if witness is None else HamCycleWitness(tuple(witness)))
-    return StageResult(b.stage, out, tuple(b.steps), _certificate(out, planar), audit,
+    return StageResult(b.stage, out, tuple(b.steps), audit,
                        b.rotation if isinstance(b, PlaneBuilder) else None)
 
 
@@ -176,9 +181,8 @@ def pair_degree_three(inst: Instance) -> StageResult:
     eps = pick_epsilon(emb, pairs)
     routes = [route_connection(emb, a, b, eps) for a, b in pairs]
     crossings = find_crossings(emb, routes)
-    for c in crossings:
-        if c.owner_a[0] == "route" and c.owner_b[0] == "route":
-            raise PipelineError("routed connections cross each other")
+    _require(not any(c.owner_a[0] == c.owner_b[0] == "route" for c in crossings),
+             "routed connections cross each other")
 
     b = PlaneBuilder(g, emb.rotation, inst.k, "pairing")
     coords = dict(emb.coords)  # the audit's drawing: crossing points join it as Fractions
@@ -216,12 +220,10 @@ def pair_degree_three(inst: Instance) -> StageResult:
             qx, qy = _corner(b, heading, x, on[i]), _corner(b, heading, y, (-bx, -by))
             # the step keeps qy only if the walk from qx first meets y elsewhere (a bridge)
             b.insert(GADGETS["R"], x, y, (x, qx, y, qy))
-    g = b.freeze()
-    out = Instance(g, b.k)
-    drawn_after = tuple(e for e in sorted_edges(g) if e[0] in coords and e[1] in coords)
-    audit = PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
-                         drawn_after, tuple(dissolution))
-    return StageResult(b.stage, out, tuple(b.steps), _certificate(out), audit, b.rotation)
+    drawn_after = tuple((u, w) for u in sorted(coords) for w in b.adjacency[u]
+                        if u < w and w in coords)
+    return _finish(b, audit=PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
+                                         drawn_after, tuple(dissolution)))
 
 
 def _corner(b: PlaneBuilder, heading, v, ahead):
@@ -464,8 +466,7 @@ def merge_step(state: MergeState):
     smallest connecting edge that admits case 1 or, if none does, the
     smallest that admits case 2. Edits state in place. Returns (u, v, the
     steps recorded, the case)."""
-    if len(state.members) == 1:
-        raise PipelineError("already Hamiltonian")
+    _require(len(state.members) > 1, "already Hamiltonian")
     held = []  # live connecting edges without a case 1, in sorted order
     found = None
     while state.heap and found is None:
@@ -483,8 +484,7 @@ def merge_step(state: MergeState):
                 break
     for e in held:
         heapq.heappush(state.heap, e)
-    if found is None:
-        raise PipelineError("no mergeable configuration found")
+    _require(found is not None, "no mergeable configuration found")
     b = state.builder
     n_steps = len(b.steps)
     (_merge_case1 if len(found) == 2 else _merge_case2)(state, u, v, *found)
@@ -539,12 +539,11 @@ def evenize(inst: Instance, rotation) -> StageResult:
     Budget doubles plus 8; the order becomes 2n + 24. A plane builder started
     from rotation, a rotation system of inst.graph, copies it too."""
     _require(inst.witness is not None, "precondition: witness required")
-    g = inst.graph
-    if g.n % 2 == 0:
-        return StageResult("evenize", inst, (), _certificate(inst), rotation=rotation)
     C = inst.witness.order
+    b = PlaneBuilder(inst.graph, rotation, inst.k, "evenize")
+    if b.n % 2 == 0:
+        return _finish(b, C)
     a, c = min(map(_norm_edge, C, C[1:] + C[:1]))
-    b = PlaneBuilder(g, rotation, inst.k, "evenize")
     cmap = b.copy()
     ap, cp = cmap[a], cmap[c]
     v1 = b.subdivide((a, c))
@@ -577,8 +576,7 @@ def five_regularize(inst: Instance) -> StageResult:
     g = inst.graph
     _require(inst.witness is not None, "precondition: witness required")
     _require(check_regular(g, 4), "precondition: 4-regular graph required")
-    if g.n % 2:
-        raise PipelineError("evenize first")
+    _require(g.n % 2 == 0, "evenize first")
     b = Builder(g, inst.k, "5regular")
     return _finish(b, _gadget_round(b, GADGETS["D"], inst.witness.order))
 
@@ -594,8 +592,7 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     _require(r is not None, "precondition: regular graph required")
     _require(r >= 4, "precondition: regularity >= 4 required")
     _require(r <= target_p, f"already {r}-regular, beyond target {target_p}")
-    if g.n % 2:
-        raise PipelineError("evenize first")
+    _require(g.n % 2 == 0, "evenize first")
     n = g.n
     for q in range(r, target_p):
         n *= q + 2  # a Y_q round multiplies n by q + 2 and makes the graph (q + 1)-regular
@@ -605,7 +602,7 @@ def p_regularize(inst: Instance, target_p: int) -> StageResult:
     order = inst.witness.order
     for q in range(r, target_p):
         order = _gadget_round(b, build_gadget("Y", q), order)
-    return _finish(b, order, planar=False)  # the clique gadgets rule out planarity
+    return _finish(b, order)
 
 
 def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
@@ -627,9 +624,7 @@ def ham_ordered_lift(inst: Instance, target_p: int) -> StageResult:
     for _ in range(4, target_p + 1):
         clique, x, y = b.lift()
         order += [clique[0], x, y] + clique[1:]
-    if not b.steps:
-        return StageResult(b.stage, inst, (), _certificate(inst, claim_planar=False))
-    return _finish(b, order, planar=False)
+    return _finish(b, order)
 
 
 def _lift_edges(n):
@@ -737,10 +732,10 @@ def _run_stages(inst: Instance, target: str) -> list:
 
     b = Builder(inst.graph, inst.k, "strip")
     b.strip()
-    cur = Instance(b.freeze(), inst.k)
-    if cur.graph != inst.graph:
-        stages.append(StageResult("strip", cur, tuple(b.steps), _certificate(cur)))
-    _require(cur.graph.n > 0, "precondition: graph empty after stripping")
+    _require(b.n > 0, "precondition: graph empty after stripping")
+    cur = inst
+    if b.n < inst.graph.n:  # strip only deletes vertices: it changed the graph
+        cur = push(_finish(b)).instance
     sr = push(eliminate_degree_two(cur))
     sr = push(pair_degree_three(sr.instance))
     if kind == "4reg-planar":

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import textwrap
 from pathlib import Path
@@ -19,6 +20,7 @@ from fvskit.graph import (
     strip_low_degree,
     subdivide_edge,
 )
+from fvskit.pipeline import StageResult, _finish
 from fvskit.solvers import check_planarity
 
 from conftest import (
@@ -335,6 +337,40 @@ CLASS_CHECKERS = [
                          ids=[c[0] for c in CLASS_CHECKERS])
 def test_class_checks_guard_stage_inputs_and_the_output_only(name, definition, callers):
     assert _callers(name, definition) == callers
+
+
+def _call_sites(name):
+    """(file name, qualified name of the enclosing def, or "" at module
+    level) of every call of name, as a name or an attribute, in src/fvskit."""
+    found = set()
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(Path(fvskit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path)
+    return found
+
+
+# pipeline._finish builds every stage result, from the Builder that built the
+# stage's output; a result's certificate is derived when it is read.
+def test_only_finish_builds_a_stage_result():
+    assert _call_sites("StageResult") == {("pipeline.py", "_finish")}
+    assert "certificate" not in {f.name for f in dataclasses.fields(StageResult)}
+    assert "planar" not in inspect.signature(_finish).parameters
+
+
+# Builder answers a Graph's read-only queries through their shared base.
+def test_builder_inherits_the_graph_read_methods():
+    for name in ("vertices", "n", "degree", "has_edge"):
+        assert name not in vars(Builder) and name not in vars(Graph)
+        assert getattr(Builder, name) is getattr(Graph, name)
 
 
 def test_only_compute_two_factor_validates_a_two_factor():

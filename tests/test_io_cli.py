@@ -308,6 +308,30 @@ class TestTraceDumps:
         assert any(s["gadget"] == "Y" for s in _steps(docs["C3-preg6"]))
 
 
+# a trace nested deeper than the recursion limit, and one with an integer
+# literal longer than Python's 4 300-digit limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+HUGE_INT_JSON = '{"target": "4reg-planar", "k": ' + "9" * 5_000 + "}"
+
+# case -> (argv, run in a directory of the files the test writes, documented exit code)
+MALFORMED = {
+    "deep-trace": (["verify", "in.fvs", "--trace", "deep.json"], 2),
+    "huge-int-trace": (["verify", "in.fvs", "--trace", "huge-int.json"], 2),
+    "non-utf8-trace": (["verify", "in.fvs", "--trace", "latin1.json"], 2),
+    "svg-into-missing-dir": (["reduce", "in.fvs", "--target", "4reg-planar", "-o", "out.fvs",
+                              "--svg-debug", "missing_dir/debug.svg"], 2),
+    "nan-time-budget": (["solve", "in.fvs", "--time-budget", "nan"], 2),
+    "zero-time-budget": (["solve", "big.fvs", "--time-budget", "0"], 5),
+    "y-gadget-too-large": (["gadget-check", "Y", "--p", "1000000"], 3),
+}
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
 class TestCli:
     def _write_input(self, tmp_path, text=C3_TEXT):
         p = tmp_path / "in.fvs"
@@ -635,3 +659,60 @@ class TestCli:
         assert main(["reduce", inp, "--target", "4reg-planar",
                      "-o", str(tmp_path / "o.fvs"), "--svg-debug", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_svg_debug_into_a_missing_directory_is_a_write_error(self, tmp_path, capsys):
+        inp = self._write_input(tmp_path)
+        svg = tmp_path / "missing_dir" / "debug.svg"
+        assert main(["reduce", inp, "--target", "4reg-planar",
+                     "-o", str(tmp_path / "o.fvs"), "--svg-debug", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith(f"format error: cannot write {svg}: ")
+
+    @pytest.mark.parametrize("text", [DEEP_JSON, HUGE_INT_JSON], ids=["deep", "huge-int"])
+    def test_trace_json_beyond_the_parser_limits_is_malformed(self, tmp_path, capsys, text):
+        # json.loads raises RecursionError on the one and a ValueError other
+        # than JSONDecodeError on the other
+        tr = tmp_path / "trace.json"
+        tr.write_text(text)
+        assert main(["verify", self._write_input(tmp_path), "--trace", str(tr)]) == 2
+        assert capsys.readouterr().err.startswith("format error: trace is not JSON: ")
+
+    @pytest.mark.parametrize("budget", ["nan", "NaN", "-1", "-0.5", "x"])
+    def test_only_a_non_negative_time_budget_is_accepted(self, tmp_path, capsys, budget):
+        # a NaN deadline never passes, so the run would have no budget
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", self._write_input(tmp_path), "--time-budget", budget])
+        assert exc.value.code == 2
+        assert f"argument --time-budget: not a non-negative number of seconds: {budget!r}" \
+            in capsys.readouterr().err
+
+    def test_a_y_gadget_too_large_to_certify_is_refused_before_it_is_built(
+            self, monkeypatch, capsys):
+        # Y_p has about p^2 edges: this one would not fit in memory
+        def build(*args, **kwargs):
+            raise AssertionError("Y_p built before its order was checked")
+
+        monkeypatch.setattr("fvskit.cli.build_gadget", build)
+        assert main(["gadget-check", "Y", "--p", "1000000"]) == 3
+        assert capsys.readouterr().err == (
+            "precondition error: gadget has 2000004 vertices; exhaustive certification "
+            "handles at most 26\n")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_ends_with_its_exit_code_and_no_traceback(self, tmp_path, case):
+        # run as a program, so that an uncaught exception shows its
+        # traceback, and under a 512 MiB address-space cap, so that a gadget
+        # too large to build fails fast instead of filling memory
+        files = {"in.fvs": C3_TEXT.encode(), "big.fvs": write_graph(
+                     Instance(random_cubic(48, 0), 0)).encode(),
+                 "deep.json": DEEP_JSON.encode(), "huge-int.json": HUGE_INT_JSON.encode(),
+                 "latin1.json": b'{"target": "caf\xe9"}'}
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv, rc = MALFORMED[case]
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "fvskit.cli", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              preexec_fn=_cap_address_space, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        assert "Traceback" not in proc.stderr
+

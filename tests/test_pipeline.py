@@ -21,6 +21,7 @@ from fvskit.graph import (
     TraceStep,
     check_regular,
     faces,
+    regularity,
 )
 from fvskit.pipeline import (
     GADGETS,
@@ -434,7 +435,8 @@ class TestEvenize:
         g = octahedron_graph()
         inst = Instance(g, 2, find_hamiltonian_cycle(g))
         sr = evenize(inst, _rotation(g))
-        assert sr.instance is inst and sr.steps == ()
+        # _finish builds the result: an equal instance, not the same object
+        assert sr.instance == inst and sr.steps == ()
 
     def test_odd_fixture(self):
         g, w = odd_4regular_planar_ham()
@@ -552,7 +554,7 @@ class TestLift:
     def test_p3_is_identity(self):
         inst = Instance(cycle_graph(4), 0, HamCycleWitness((1, 2, 3, 4)))
         sr = ham_ordered_lift(inst, 3)
-        assert sr.steps == () and sr.instance is inst
+        assert sr.steps == () and sr.instance == inst
 
 
 class TestTargets:
@@ -568,6 +570,26 @@ class TestTargets:
                     "preg-ham:\u0666", "ham-ordered:4 "):
             with pytest.raises(PipelineError):
                 parse_target(bad)
+
+    # whether each stage keeps a planar input planar
+    STAGE_PLANAR = {"strip": True, "degree2": True, "pairing": True, "hamiltonize": True,
+                    "evenize": True, "5regular": True, "pregular": False, "lift": False}
+
+    def test_each_certificate_is_derived_from_its_stage_output(self, pipeline_corpus):
+        runs = [run_pipeline(Instance(g, 1), "5reg-planar-ham") for g in pipeline_corpus.values()]
+        # a pendant vertex for strip, and the non-planar stages
+        runs += [run_pipeline(Instance(Graph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)]), 1),
+                              "4reg-planar"),
+                 run_pipeline(Instance(cycle_graph(3), 1), "preg-ham:6"),
+                 run_pipeline(Instance(cycle_graph(4), 1), "ham-ordered:4")]
+        seen = set()
+        for res in runs:
+            for sr in res.stages:
+                out = sr.instance.graph
+                assert sr.certificate == ClassCertificate(regularity(out),
+                                                          self.STAGE_PLANAR[sr.name])
+                seen.add(sr.name)
+        assert seen == self.STAGE_PLANAR.keys()
 
     def test_run_4reg_planar(self):
         res = run_pipeline(Instance(cycle_graph(3), 1), "4reg-planar")
@@ -693,8 +715,7 @@ class TestPlanarityProof:
 
         def pairing(inst):
             step = TraceStep("pairing", "subdivide", edge=(1, 2))
-            return StageResult("pairing", Instance(k5, inst.k), (step,),
-                               ClassCertificate(4, True))
+            return StageResult("pairing", Instance(k5, inst.k), (step,))
 
         monkeypatch.setattr(pipeline, "pair_degree_three", pairing)
         with pytest.raises(PipelineError, match="stage pairing: planarity claim fails"):

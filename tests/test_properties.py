@@ -77,7 +77,7 @@ def test_builder_ops_keep_freeze_trustworthy(start, ops):
     for op, i, j in ops:
         verts = sorted(b.vertices)
         if op == "subdivide":
-            edges = sorted((u, w) for u in verts for w in b._adj[u] if u < w)
+            edges = sorted((u, w) for u in verts for w in b.adjacency[u] if u < w)
             if not edges:
                 continue
             u, w = edges[i % len(edges)]
@@ -97,9 +97,9 @@ def test_builder_ops_keep_freeze_trustworthy(start, ops):
                 b.lift()
         else:
             b.strip()
-        _assert_adjacency_sound(b._adj)
+        _assert_adjacency_sound(b.adjacency)
         g = b.freeze()
-        edges = [(u, w) for u, ns in b._adj.items() for w in ns]
+        edges = [(u, w) for u, ns in b.adjacency.items() for w in ns]
         checked = Graph(b.vertices, edges)
         assert g == checked and g.next_id == b.next_id >= checked.next_id
         # the written and parsed graph has the frozen rows, renumbered 1..n

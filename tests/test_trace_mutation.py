@@ -399,7 +399,7 @@ def test_output_outside_the_target_class_is_refused(tmp_path, capsys):
     b = Builder(g, 0, "5regular")
     b.insert(GADGETS["D"], 1, 2)
     out = Instance(b.freeze(), b.k)
-    stage = StageResult("5regular", out, tuple(b.steps), pipeline._certificate(out))
+    stage = StageResult("5regular", out, tuple(b.steps))
     path = tmp_path / "out.fvs"
     path.write_text(write_graph(out))
     trace = trace_to_json(PipelineResult(Instance(g, 0), (stage,), out, "4reg-planar"))
