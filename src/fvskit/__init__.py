@@ -28,15 +28,6 @@ from .gadgets import (
     build_gadget,
     certify_gadget,
 )
-from .geometry import (
-    GeometryError,
-    GridEmbedding,
-    RoutedConnection,
-    find_crossings,
-    grid_embed,
-    pick_epsilon,
-    route_connection,
-)
 from .pipeline import (
     CertificationError,
     PipelineError,

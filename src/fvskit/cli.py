@@ -11,7 +11,7 @@ import sys
 from .gadgets import build_gadget, certify_gadget, refuse_uncertifiable
 from .geometry import GeometryError, emit_svg
 from .graph import GraphError
-from .pipeline import PipelineError, run_pipeline
+from .pipeline import PipelineError, parse_target, run_pipeline
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -62,6 +62,8 @@ def _io_error(verb, path, exc):
 
 
 def cmd_reduce(args) -> int:
+    if args.svg_debug and parse_target(args.target)[0] == "ham-ordered":
+        raise PipelineError("--svg-debug draws the pairing stage, which ham-ordered skips")
     inst = parse_graph(_read(args.input), k=args.k)
     result = run_pipeline(inst, args.target)
     _write(args.output, write_graph(result.instance))
@@ -71,9 +73,10 @@ def cmd_reduce(args) -> int:
         if result.instance.witness is None:
             raise PipelineError("target class carries no witness")
         _write(args.witness_out, witness_line(result.instance) + "\n")
-    audit = next((sr.audit for sr in result.stages if sr.name == "pairing"), None)
-    if args.svg_debug and audit is not None:
-        _write(args.svg_debug, emit_svg(audit.embedding, audit.routes))
+    if args.svg_debug:
+        audit = next(sr.audit for sr in result.stages if sr.name == "pairing")
+        _write(args.svg_debug, emit_svg(audit.coords_after, audit.drawn_edges_after,
+                                        audit.routes))
     return 0
 
 
@@ -100,6 +103,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gadget_check(args) -> int:
+    if args.kind != "Y" and args.p is not None:
+        args.usage_error(f"argument --p: only a Y gadget takes p, not {args.kind}")
     if args.kind == "Y" and args.p is not None:
         refuse_uncertifiable(2 * args.p + 4)  # Y_p's order, known before it is built
     gadget = build_gadget(args.kind, p=args.p)
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     gad = sub.add_parser("gadget-check", help="exhaustively certify a gadget")
     gad.add_argument("kind", choices=["R", "L", "D", "Y"])
     gad.add_argument("--p", type=int, default=None)
-    gad.set_defaults(func=cmd_gadget_check)
+    gad.set_defaults(func=cmd_gadget_check, usage_error=gad.error)
     return ap
 
 

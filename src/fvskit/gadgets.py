@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graph import Builder, GadgetPlane, GadgetRows, Graph, GraphError, reachable
+from .graph import Builder, GadgetPlane, GadgetRows, Graph, GraphError, quoted, reachable
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -162,7 +162,7 @@ def build_gadget(kind: str, p: int | None = None) -> Gadget:
         return _build_d()
     if kind == "Y":
         return _build_y(p)
-    raise GraphError(f"unknown gadget kind {kind!r}")
+    raise GraphError(f"unknown gadget kind {quoted(kind)}")
 
 
 def insert_gadget_graph(g: Graph, gadget: Gadget, u, v):

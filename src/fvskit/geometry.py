@@ -1,18 +1,11 @@
-"""Exact planar geometry: integer-grid straight-line embeddings, channel
-routing of new connections between grid vertices, and crossing detection
-in integer arithmetic on the grid scaled by 6q for epsilon = 1/q. No
-floating point anywhere.
+"""Exact planar geometry: grid_embed's integer-grid drawing, which only the
+pairing audit reads, and emit_svg, the one place floats appear.
 
-The drawing is grid_embed's lattice drawing, networkx's Chrobak-Payne
-drawing, and it is not re-checked at run time: the output's soundness does
-not rest on it. A wrong corner fails the walk of the carried rotation that
-each pairing insert makes, and certify walks the output's faces.
-
-Every test that pairing makes is an integer test. A corner compares
-integer directions (first_clockwise about the origin): the direction
-coords[b] - coords[a] of the drawn edge that each dart at the vertex lies
-on, and the route segment's direction scaled to integers. Crossing points
-are Fractions only in the pairing audit.
+The channel routing and crossing detection of the earlier routed pairing
+(pick_epsilon, route_connection, find_crossings and their helpers) serve
+no stage. They stay because perfbench/tracing.py resolves them by name, as
+tests/test_bench_hooks.py pins; segment_relation also checks the audit's
+drawing in the acceptance tests.
 """
 
 from __future__ import annotations
@@ -29,10 +22,6 @@ from .graph import Graph, sorted_edges, to_networkx
 
 class GeometryError(ValueError):
     pass
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _on_segment(p, a, b):
@@ -146,18 +135,6 @@ def grid_embed(g: Graph) -> GridEmbedding:
     raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
     pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
     return GridEmbedding(g, pos, rotation)
-
-
-def first_clockwise(origin, ahead, points):
-    """The key of points (key -> point) whose ray from origin comes first
-    clockwise after the ray through ahead, no two rays collinear: a ray is
-    within half a turn clockwise of another when their cross product is < 0."""
-    best = None
-    for name, p in points.items():
-        half = _cross(origin, ahead, p) > 0
-        if best is None or (half, _cross(origin, p, best[1])) < (best[0], 0):
-            best = (half, p, name)
-    return best[2]
 
 
 @dataclass(frozen=True)
@@ -339,39 +316,28 @@ def find_crossings(emb: GridEmbedding, routes) -> list:
     return out
 
 
-def crossing_index(crossings) -> dict:
-    """Each owner's crossings, sorted along the owner's geometry by their
-    param on it. The two owners of a crossing are distinct objects."""
-    hits = {}
-    for c in crossings:
-        hits.setdefault(c.owner_a, []).append((c.param_a, c))
-        hits.setdefault(c.owner_b, []).append((c.param_b, c))
-    return {owner: [c for _, c in sorted(h, key=lambda pc: pc[0])] for owner, h in hits.items()}
-
-
-def emit_svg(emb: GridEmbedding, routes) -> str:
-    """Debug-only drawing of emb and routes as SVG text; floats appear here
-    and nowhere else."""
+def emit_svg(coords: dict, edges, routes) -> str:
+    """Debug-only SVG text: edges as lines between their ends' coords, and
+    each route, a chain of vertices, as a polyline through theirs."""
     s = 40
-    xs = [c[0] for c in emb.coords.values()] or [0]
-    ys = [c[1] for c in emb.coords.values()] or [0]
+    xs = [c[0] for c in coords.values()] or [0]
+    ys = [c[1] for c in coords.values()] or [0]
     w, h = (max(xs) + 1) * s, (max(ys) + 1) * s
 
     def pt(p):
         return f"{float(p[0]) * s + s / 2:.2f},{h - float(p[1]) * s + s / 2:.2f}"
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w + s}" height="{h + s}">']
-    for e in sorted_edges(emb.graph):
-        (x1, y1), (x2, y2) = (pt(emb.coords[v]).split(",") for v in e)
+    for e in edges:
+        (x1, y1), (x2, y2) = (pt(coords[v]).split(",") for v in e)
         parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                      'stroke="black" stroke-width="1.5"/>')
     for r in routes:
-        pts = " ".join(pt(p) for p in r.waypoints)
+        pts = " ".join(pt(coords[v]) for v in r)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1"/>')
-    for v, c in sorted(emb.coords.items()):
+    for v, c in sorted(coords.items()):
         x, y = pt(c).split(",")
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="navy"/>')
         parts.append(f'<text x="{float(x) + 4:.2f}" y="{float(y) - 4:.2f}" font-size="9">{v}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-

@@ -6,6 +6,7 @@ witnesses and 2-factors."""
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -14,6 +15,16 @@ import networkx as nx
 
 class GraphError(ValueError):
     """Structurally invalid graph state or operation."""
+
+
+_SHORT = reprlib.Repr()  # cuts long strings and deep nesting short
+_SHORT.maxstring = _SHORT.maxother = 80
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message: at most 80 characters, with an ellipsis."""
+    text = _SHORT.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _norm_edge(u, v):

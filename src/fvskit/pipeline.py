@@ -8,17 +8,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .gadgets import build_gadget, interior_path
-from .geometry import (
-    crossing_index,
-    find_crossings,
-    first_clockwise,
-    grid_embed,
-    pick_epsilon,
-    route_connection,
-)
+from .geometry import grid_embed
 from .graph import (
     Builder,
     Graph,
@@ -30,9 +25,11 @@ from .graph import (
     cycle_cover_error,
     faces,
     is_connected,
+    quoted,
     regularity,
     sorted_edges,
     _norm_edge,
+    _walk_faces,
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
 
@@ -151,86 +148,109 @@ def eliminate_degree_two(inst: Instance) -> StageResult:
 
 @dataclass(frozen=True)
 class PairingAudit:
-    """Geometry evidence for the degree-3 pairing stage: the grid drawing,
-    the routed chains, their crossings, and the final drawn fragments."""
+    """What pairing decided: routes, the maximal chains of R inserts, which
+    run through the subdivision vertices (dissolution_vertices, each on its
+    edge of graph, the stage input, in subdivided); pairs, their ends. The
+    drawing is derived when first read: grid_embed's of graph, with each
+    subdivision vertex at its edge's midpoint."""
 
-    embedding: object
+    graph: Graph
     pairs: tuple
     routes: tuple
-    crossings: tuple
-    coords_after: dict
-    drawn_edges_after: tuple
     dissolution_vertices: tuple
+    subdivided: tuple
+    crossings = ()  # chords of consecutive points on one face walk cross nothing
+
+    @cached_property
+    def embedding(self):
+        return grid_embed(self.graph)
+
+    @cached_property
+    def coords_after(self) -> dict:
+        coords = dict(self.embedding.coords)
+        for w, (u, v) in zip(self.dissolution_vertices, self.subdivided):
+            (x0, y0), (x1, y1) = coords[u], coords[v]
+            coords[w] = (Fraction(x0 + x1, 2), Fraction(y0 + y1, 2))
+        return coords
+
+    @cached_property
+    def drawn_edges_after(self) -> tuple:
+        split = set(self.subdivided)
+        edges = [e for e in sorted_edges(self.graph) if e not in split]
+        for w, (u, v) in zip(self.dissolution_vertices, self.subdivided):
+            edges += [(u, w), (v, w)]  # w is fresh: above u and v
+        return tuple(sorted(edges))
 
 
 def pair_degree_three(inst: Instance) -> StageResult:
-    """Raise every degree-3 vertex to degree four by routing connections
-    between scan-order pairs and realizing each routed fragment as an R
-    gadget; crossings with drawn edges become degree-4 vertices. A plane
-    builder started from grid_embed's rotation lays each R gadget into the
-    drawing's face that its fragment runs through, named by a dart."""
+    """Raise every degree-3 vertex to degree four by a T-join in the
+    vertex-face graph of the input's LR rotation. A degree-3 vertex's point
+    is its corner on its face of least depth (the lowest such face) in a
+    BFS tree of the dual from the face of the smallest dart. From the
+    leaves up, a face with an odd number of points subdivides the edge of
+    its tree edge, and the fresh vertex gets a point on each side. Each
+    face pairs its points consecutively along its walk from its smallest
+    dart, one R gadget per pair laid through both corners' darts: such
+    chords never cross, and no tree edge is a bridge, so no vertex has two
+    points on one face."""
     g = inst.graph
     _require(is_connected(g), "precondition: connected graph required")
     for v in sorted(g.vertices):
         if not 3 <= g.degree(v) <= 4:
             raise PipelineError(f"precondition: vertex {v} has degree {g.degree(v)}, need 3..4")
-    emb = grid_embed(g)
-    # the degrees are 3 and 4 and sum to an even number, so len(deg3) is even
-    deg3 = sorted((v for v in g.vertices if g.degree(v) == 3), key=emb.coords.__getitem__)
-    pairs = tuple((deg3[i], deg3[i + 1]) for i in range(0, len(deg3), 2))
-    eps = pick_epsilon(emb, pairs)
-    routes = [route_connection(emb, a, b, eps) for a, b in pairs]
-    crossings = find_crossings(emb, routes)
-    _require(not any(c.owner_a[0] == c.owner_b[0] == "route" for c in crossings),
-             "routed connections cross each other")
-
-    b = PlaneBuilder(g, emb.rotation, inst.k, "pairing")
-    coords = dict(emb.coords)  # the audit's drawing: crossing points join it as Fractions
-    # each drawn dart's integer direction: that of the drawn edge it lies on
-    heading = {}
-    hits = crossing_index(crossings)
-    # split every crossed drawn edge at its crossing points
-    point_vertex = {}
-    for e in sorted_edges(g):
-        (x0, y0), (x1, y1) = coords[e[0]], coords[e[1]]
-        fwd, back = (x1 - x0, y1 - y0), (x0 - x1, y0 - y1)
-        prev = e[0]
-        for c in hits.get(("edge", e), ()):
-            w = b.subdivide(_norm_edge(prev, e[1]))
-            coords[w] = c.point
-            point_vertex[c.point] = w
-            heading[prev, w], heading[w, prev] = fwd, back
-            prev = w
-        heading[prev, e[1]], heading[e[1], prev] = fwd, back
-    # realize each route as a chain of R gadgets through its crossing points
-    dissolution = []
-    for ri, route in enumerate(routes):
-        here = hits.get(("route", ri), ())
-        inner = [point_vertex[c.point] for c in here]
-        dissolution.extend(inner)
-        chain = [route.endpoints[0], *inner, route.endpoints[1]]
-        # the direction, scaled to integers, of the route segment that each
-        # chain vertex lies on
-        dirs = [(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
-                for dx, dy in ((r[0] - p[0], r[1] - p[1]) for p, r in route.segments())]
-        on = [dirs[0], *(dirs[(c.param_a if c.owner_a[0] == "route" else c.param_b)[0]]
-                       for c in here), dirs[-1]]
-        for i, (x, y) in enumerate(zip(chain, chain[1:])):
-            bx, by = on[i + 1]
-            qx, qy = _corner(b, heading, x, on[i]), _corner(b, heading, y, (-bx, -by))
-            # the step keeps qy only if the walk from qx first meets y elsewhere (a bridge)
-            b.insert(GADGETS["R"], x, y, (x, qx, y, qy))
-    drawn_after = tuple((u, w) for u in sorted(coords) for w in b.adjacency[u]
-                        if u < w and w in coords)
-    return _finish(b, audit=PairingAudit(emb, pairs, tuple(routes), tuple(crossings), coords,
-                                         drawn_after, tuple(dissolution)))
-
-
-def _corner(b: PlaneBuilder, heading, v, ahead):
-    """The drawn neighbour q of v opening the corner that a route fragment
-    leaving v in direction ahead takes: the first of v's drawn darts
-    clockwise after ahead, all compared as integer directions."""
-    return first_clockwise((0, 0), ahead, {w: heading[v, w] for w in b.rotation[v] if (v, w) in heading})
+    planar, rotation = check_planarity(g)
+    _require(planar, "precondition: planar graph required")
+    b = PlaneBuilder(g, rotation, inst.k, "pairing")
+    face = b.face
+    # face f's darts from its smallest one on: b numbers faces in this order
+    walks = _walk_faces(rotation)
+    at = {d: i for walk in walks for i, d in enumerate(walk)}
+    # the dual's BFS tree, each face's neighbours visited in face order: each
+    # face's depth and its tree edge's dart on its parent's side, the last
+    # on the parent's walk that the two faces share
+    depth, up, order = {0: 0}, {}, [0]
+    for f in order:
+        across = {face[(w, u)]: (u, w) for u, w in walks[f]}
+        for h in sorted(across):
+            if h not in depth:
+                depth[h], up[h] = depth[f] + 1, across[h]
+                order.append(h)
+    # each face's points as (place on its walk, corner dart): a corner before
+    # dart d at 2 at[d], a subdivision vertex on dart d at 2 at[d] + 1
+    points = [[] for _ in walks]
+    for v in g.vertices:
+        if g.degree(v) == 3:
+            d = v, min(rotation[v], key=lambda q: (depth[face[(v, q)]], face[(v, q)]))
+            points[face[d]].append((2 * at[d], d))
+    dissolution, subdivided = [], []
+    mid = {}  # each subdivided dart's subdivision vertex
+    for h in reversed(order[1:]):
+        if len(points[h]) % 2:
+            u, w = up[h]
+            z = mid[(u, w)] = mid[(w, u)] = b.subdivide((u, w))
+            points[h].append((2 * at[(w, u)] + 1, (z, u)))
+            points[face[(u, z)]].append((2 * at[(u, w)] + 1, (z, w)))
+            dissolution.append(z)
+            subdivided.append(_norm_edge(u, w))
+    links = {}
+    for pts in points:
+        pts.sort()
+        for (_, (x, qx)), (_, (y, qy)) in zip(pts[::2], pts[1::2]):
+            # a corner before a subdivided dart lies before its first half
+            dart = (x, mid.get((x, qx), qx), y, mid.get((y, qy), qy))
+            b.insert(GADGETS["R"], x, y, dart)
+            links.setdefault(x, []).append(y)
+            links.setdefault(y, []).append(x)
+    routes = []  # the chains of inserts, each from its smaller end
+    for v in sorted(w for w, ns in links.items() if len(ns) == 1):
+        chain = [v, *links[v]]
+        while len(links[chain[-1]]) == 2:
+            a, c = links[chain[-1]]
+            chain.append(c if a == chain[-2] else a)
+        if v < chain[-1]:
+            routes.append(tuple(chain))
+    return _finish(b, audit=PairingAudit(g, tuple((r[0], r[-1]) for r in routes), tuple(routes),
+                                         tuple(dissolution), tuple(subdivided)))
 
 
 def _find(parent, v):
@@ -650,13 +670,13 @@ def parse_target(target: str):
             except ValueError:
                 p = None
             if p is None or spelled != str(p):
-                raise PipelineError(f"malformed target {target!r}")
+                raise PipelineError(f"malformed target {quoted(target)}")
             if prefix == "preg-ham:" and p < 4:
                 raise PipelineError("preg-ham requires p >= 4")
             if prefix == "ham-ordered:" and p < 3:
                 raise PipelineError("ham-ordered requires p >= 3")
             return prefix[:-1], p
-    raise PipelineError(f"unknown target {target!r}")
+    raise PipelineError(f"unknown target {quoted(target)}")
 
 
 def target_class(target: str) -> tuple:
@@ -773,7 +793,8 @@ def replay_trace(g: Graph, steps, k: int = 0, *, out: tuple, rotation=None) -> t
         derived = b.steps[-1]
         if derived != s:
             diff = ", ".join(
-                f"{f} recorded {getattr(s, f)!r}, replay derives {getattr(derived, f)!r}"
+                f"{f} recorded {quoted(getattr(s, f))}, "
+                f"replay derives {quoted(getattr(derived, f))}"
                 for f in ("op", "gadget", "p", "attach", "edge", "face")
                 if getattr(s, f) != getattr(derived, f)
             )
@@ -850,5 +871,5 @@ def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
         b.strip()
         m = sum(map(b.degree, b.vertices)) // 2
     else:
-        raise PipelineError(f"unknown trace op {s.op!r}")
+        raise PipelineError(f"unknown trace op {quoted(s.op)}")
     return m

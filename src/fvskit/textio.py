@@ -11,7 +11,8 @@ from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
-from .graph import Graph, GraphError, HamCycleWitness, Instance, TraceStep, sorted_edges, _is_int
+from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, quoted,
+                    sorted_edges, _is_int)
 from .pipeline import (
     MAX_OUTPUT_EDGES,
     CertificationError,
@@ -98,7 +99,7 @@ def parse_graph(text: str, k: int = 0) -> Instance:
                 raise FormatError("witness entries must be integers", ln)
             witness = (order, ln)
         else:
-            raise FormatError(f"unknown line type {tok[0]!r}", ln)
+            raise FormatError(f"unknown line type {quoted(tok[0])}", ln)
     if n is None:
         raise FormatError("missing header")
     count = sum(map(len, rows.values())) // 2

@@ -46,22 +46,26 @@ def test_traced_graph_construction_counts_its_edges():
     assert metrics["graph.construct.edges"] == 3
 
 
-def test_traced_pairing_reports_its_geometry():
-    # tracing.py reads the denominator of pick_epsilon's Fraction result and
-    # counts route_connection and find_crossings calls made from pairing
+def test_traced_pairing_reports_its_span_and_one_lr_test():
+    # pairing pairs its points by a T-join on one LR rotation: the tracer
+    # sees the stage's span, its output, and one planarity test inside it
+    # (called through its module, whose attribute the tracer wraps)
     from conftest import grid_graph
+    from fvskit import pipeline
     from fvskit.graph import Instance
-    from fvskit.pipeline import eliminate_degree_two, pair_degree_three
 
-    inst = eliminate_degree_two(Instance(grid_graph(3, 3), 1)).instance
+    inst = pipeline.eliminate_degree_two(Instance(grid_graph(3, 3), 1)).instance
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     patches = tracer.install()
     try:
-        pair_degree_three(inst)
+        sr = pipeline.pair_degree_three(inst)
     finally:
         tracing.uninstall(patches)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
-    assert metrics["geometry.epsilon_q"] > 0
-    assert metrics["geometry.route_connection.calls"] > 0
-    assert metrics["geometry.find_crossings.calls"] > 0
+    assert [span[0] for span in tracer.spans if span[3] == -1] == ["pipeline.pairing"]
+    assert metrics["pipeline.pairing.n_out"] == sr.instance.graph.n > inst.graph.n
+    assert metrics["pipeline.pairing.steps"] == len(sr.steps) > 0
+    assert metrics["solvers.check_planarity.calls"] == 1
+    assert metrics["geometry.route_connection.calls"] == 0
+    assert metrics["geometry.find_crossings.calls"] == 0

@@ -29,32 +29,33 @@ GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
      "5cdd128f304d20e2b4c84328595577913284b8520461fed8ef92f6a21c6960ef",
      "223fcbf24d59f383d8576ee0c3231858e7d94d98924c4202ef466836fcf1720f"),
+    # pairing subdivides one edge and lays four R gadgets; hamiltonize merges nothing
     ("prism", prism_graph, "5reg-planar-ham",
-     "c302a719b61bb8074649644f409762b9789fb8b552f2316c2ad65cce14578d77",
-     "c0417b70664e1bac25a351b5c90cce9e28ecde71d55381d459cf2b73d9999947"),
+     "5cc89873b5cbfac5c8f5bf59d152ca707a9e11e01ebff8233dff7f9218ce9134",
+     "ce3723938a4895d2c556b96b4f2b6316b2c79bb4eafd9089b18de090cf50dfed"),
     ("C3", lambda: cycle_graph(3), "preg-ham:5",
      "fda67ed6a47ccdce8927a98ba79a6959559b3b39b337ec0f61551777b9f52c51",
      "99a5aa236bad0a681e1b97caefc479238870b17355ddc6080d4c94ad8ab6485e"),
     ("C8", lambda: cycle_graph(8), "ham-ordered:4",
      "aa0d1a06e61157fc17e9ba3e68b11d5205086edf961996bfe194af9fde9774cd",
      "2a30880ef2e06134b5e651e20a6eddf7b57788b5cf810ccf59649b820062356f"),
-    # pairing routes through 8 crossings; hamiltonize runs 8 merges, 5 of them
-    # case 2 (39 steps)
+    # pairing lays three R gadgets in the outer face; hamiltonize runs 6
+    # merges (18 steps)
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
-     "ed628657f76c4f910b949327553c809da503072af5213737ad8b2b1cc27d4766",
-     "b08dc09988eb25f889dd4ba6a44edfea2ee35ffc79757fa0f6b4bf2ed41ed33a"),
+     "c04c9ecff159aabd0ca3a6d10c22c291bbdbfcc9200ab19189e52e4b1c5d55cf",
+     "4f2a8b78592dd6c20625eb52fb0144f5743c55a370f1e714822c4dae91dcf9ad"),
     # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
      "105743b153df2b49f93392a3f93e332df617b989854431404065a86df69d102b",
      "f43610ca33ee36ea1fe608022cb6545c50fca7b8690345517a3eb36f396270ba"),
-    # pairing routes through 20 crossings; hamiltonize runs 14 merges, 4 of them case 2
+    # pairing lays three R gadgets; hamiltonize runs 4 merges
     ("grid2x5", lambda: grid_graph(2, 5), "4reg-planar-ham",
-     "05c4ddddc29a324e052b597772b06789668a2135306a444a8973e12185f66117",
-     "488cd49df9ca38f3fd3e135650881500b42cd2dd1203b3b8992e589de337604c"),
-    # hamiltonize runs 10 merges, one of them case 2 (two L gadgets)
+     "f04e52458d03c930da362d241f8cf04f29afc942a07648f47cfea477db185c7e",
+     "2cd5d1d0182d463e6c59a515d3972d758f0517b1e9e9c612b16f27d7aa74db78"),
+    # pairing lays ten R gadgets, all in the outer face; hamiltonize runs 4 merges
     ("grid6x8", lambda: grid_graph(6, 8), "4reg-planar-ham",
-     "97a16edc63a7ff64be3747f6d82306ea1b0442dd31e4cfb4a79016592e0bb400",
-     "3297292257a696d6bd55e5b326b49f6b2331bece6a56b21f4b93d7caf605912f"),
+     "22c70b1af85e8656304a79cfbdc4756660d73fa31f78920b7792a0f23ffb260c",
+     "b2986846fe09424e0e845f1a564d4fef34c805b20b2e7884b47cfa8eef7b814b"),
     # a lift after a lift: 138 vertices, 9 349 edges, the densest rows
     ("C8-lift5", lambda: cycle_graph(8), "ham-ordered:5",
      "60366193f79e86bda602f95c4f62125f977039d1b56ca1843be06f205e107a9c",

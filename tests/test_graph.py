@@ -430,3 +430,17 @@ def test_one_insert_signature_and_the_gadget_carries_its_plane():
                  for arg in passed for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
         assert len(passed) <= 4 and "plane" not in {kw.arg for kw in c.keywords}, ast.unparse(c)
         assert not any("plane" in name.lower() for name in names), ast.unparse(c)
+
+
+# Pairing works on the LR rotation alone; the grid drawing serves only the
+# pairing audit, which derives it when first read.
+def test_pipeline_draws_only_the_pairing_audit():
+    tree = ast.parse((Path(fvskit.__file__).parent / "pipeline.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "geometry"
+                for alias in node.names]
+    assert imported == ["grid_embed"]
+    # named only in the audit's docstring and its embedding property
+    assert set(_references(tree, "grid_embed", "grid_embed")) == {"PairingAudit",
+                                                                 "PairingAudit.embedding"}
+    assert {scope for name, scope in _call_sites("grid_embed")} == {"PairingAudit.embedding"}

@@ -12,7 +12,7 @@ import pytest
 import fvskit
 from fvskit import solvers, textio
 from fvskit.cli import build_parser, main
-from fvskit.graph import Graph, GraphError, HamCycleWitness, Instance
+from fvskit.graph import Graph, GraphError, HamCycleWitness, Instance, quoted
 from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
 from fvskit.textio import (
@@ -529,6 +529,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["min_fvs"] == 4 and doc["kind"] == "Y3"
 
+    @pytest.mark.parametrize("kind", ["R", "L", "D"])
+    def test_only_a_y_gadget_takes_p(self, kind, capsys):
+        # R, L and D have no parameter: a --p is a usage error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["gadget-check", kind, "--p", "99"])
+        assert exc.value.code == 2
+        assert f"argument --p: only a Y gadget takes p, not {kind}" in capsys.readouterr().err
+
     def test_format_error_exit(self, tmp_path):
         bad = tmp_path / "bad.fvs"
         bad.write_text("p fvs 2 2\ne 1 2\ne 2 2\n")
@@ -658,7 +666,28 @@ class TestCli:
         svg = tmp_path / "debug.svg"
         assert main(["reduce", inp, "--target", "4reg-planar",
                      "-o", str(tmp_path / "o.fvs"), "--svg-debug", str(svg)]) == 0
-        assert svg.read_text().startswith("<svg")
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        # the cube's pairing: each of its four routes is a polyline through
+        # its chain's vertices, on the drawing of its 14 edges and 10 vertices
+        audit = next(sr.audit for sr in run_pipeline(parse_graph(cube), "4reg-planar").stages
+                     if sr.name == "pairing")
+        polylines = [line for line in text.splitlines() if line.startswith("<polyline")]
+        assert len(polylines) == len(audit.routes) == 4
+        assert sorted(line.count(",") for line in polylines) == sorted(map(len, audit.routes))
+        assert text.count("<line ") == len(audit.drawn_edges_after) == 14
+        assert text.count("<circle ") == len(audit.coords_after) == 10
+
+    def test_svg_debug_needs_a_pairing_stage(self, tmp_path, capsys):
+        # a ham-ordered target runs no pairing, so there is nothing to draw:
+        # the run is refused before it compiles
+        inp = self._write_input(tmp_path)
+        out, svg = tmp_path / "o.fvs", tmp_path / "debug.svg"
+        assert main(["reduce", inp, "--target", "ham-ordered:4", "-o", str(out),
+                     "--svg-debug", str(svg)]) == 3
+        assert capsys.readouterr().err == ("precondition error: --svg-debug draws the pairing "
+                                           "stage, which ham-ordered skips\n")
+        assert not out.exists() and not svg.exists()
 
     def test_svg_debug_into_a_missing_directory_is_a_write_error(self, tmp_path, capsys):
         inp = self._write_input(tmp_path)
@@ -675,6 +704,26 @@ class TestCli:
         tr.write_text(text)
         assert main(["verify", self._write_input(tmp_path), "--trace", str(tr)]) == 2
         assert capsys.readouterr().err.startswith("format error: trace is not JSON: ")
+
+    @pytest.mark.parametrize("target", [json.loads("[" * 900 + "]" * 900), "x" * (1 << 20)],
+                             ids=["deep-list", "1MB-string"])
+    def test_an_error_quotes_at_most_a_short_prefix_of_its_input(self, tmp_path, capsys,
+                                                                  target):
+        res = run_pipeline(parse_graph(C3_TEXT), "4reg-planar")
+        out, tr = tmp_path / "out.fvs", tmp_path / "trace.json"
+        out.write_text(write_graph(res.instance))
+        tr.write_text(json.dumps({**trace_to_json(res), "target": target}))
+        assert main(["verify", str(out), "--trace", str(tr)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: malformed trace JSON: unknown target ")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("value", ["v" * 1000, [[["deep"]]] * 50, 10 ** 500],
+                             ids=["string", "list", "int"])
+    def test_quoted_cuts_every_value_to_80_characters(self, value):
+        text = quoted(value)
+        assert len(text) <= 80 and "..." in text
+        assert quoted("grid") == "'grid'" and quoted((1, 2)) == "(1, 2)"
 
     @pytest.mark.parametrize("budget", ["nan", "NaN", "-1", "-0.5", "x"])
     def test_only_a_non_negative_time_budget_is_accepted(self, tmp_path, capsys, budget):

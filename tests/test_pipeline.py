@@ -10,7 +10,6 @@ import pytest
 
 import fvskit
 from fvskit.gadgets import build_gadget
-from fvskit.geometry import GeometryError
 from fvskit.graph import (
     GadgetPlane,
     Graph,
@@ -99,10 +98,9 @@ class TestDegreeTwo:
             eliminate_degree_two(Instance(g, 0))
 
     def test_rejects_nonplanar(self):
-        # degree2 runs no LR test: the run's one test, in pairing's
-        # grid_embed, refuses K5
+        # degree2 runs no LR test: the run's one test, in pairing, refuses K5
         assert eliminate_degree_two(Instance(complete_graph(5), 0)).steps == ()
-        with pytest.raises(GeometryError, match="not planar"):
+        with pytest.raises(PipelineError, match="planar graph required"):
             run_pipeline(Instance(complete_graph(5), 0), "4reg-planar")
 
     def test_rejects_high_degree(self):
@@ -139,11 +137,27 @@ class TestPairing:
         assert sr.audit.pairs != ()
 
     def test_route_audit_geometry(self):
+        # the cube's dual tree crosses two edges: each route runs from a
+        # degree-3 vertex through subdivision vertices, one R gadget per
+        # link, and the derived drawing puts each subdivision vertex at its
+        # edge's midpoint
         sr = pair_degree_three(Instance(cube_graph(), 0))
-        # routed chains never cross each other, only drawn edges
-        for c in sr.audit.crossings:
-            owners = {c.owner_a[0], c.owner_b[0]}
-            assert owners == {"edge", "route"}
+        audit = sr.audit
+        assert len(audit.dissolution_vertices) == len(audit.subdivided) == 2
+        assert audit.pairs == tuple((r[0], r[-1]) for r in audit.routes)
+        assert sorted(v for r in audit.routes for v in r[1:-1]) == \
+            sorted(audit.dissolution_vertices)
+        links = sorted(tuple(sorted(s.attach)) for s in sr.steps if s.op == "insert")
+        assert links == sorted(tuple(sorted(e)) for r in audit.routes for e in zip(r, r[1:]))
+        assert audit.crossings == ()
+        coords = audit.coords_after
+        assert coords.keys() == {*audit.embedding.coords, *audit.dissolution_vertices}
+        assert all(coords[v] == p for v, p in audit.embedding.coords.items())
+        for w, (u, v) in zip(audit.dissolution_vertices, audit.subdivided):
+            assert 2 * coords[w][0] == coords[u][0] + coords[v][0]
+            assert 2 * coords[w][1] == coords[u][1] + coords[v][1]
+            assert {(u, w), (v, w)} <= set(audit.drawn_edges_after)
+            assert (u, v) not in audit.drawn_edges_after
 
     def test_rejects_low_degree(self):
         with pytest.raises(PipelineError, match="need 3..4"):
@@ -163,38 +177,14 @@ class TestPairing:
 
         monkeypatch.setattr(graph, "_face_walk", spy)
         sr = pair_degree_three(eliminate_degree_two(Instance(grid_graph(8, 8), 1)).instance)
-        assert len(stops) == sum(s.op == "insert" for s in sr.steps) == 58
+        assert len(stops) == sum(s.op == "insert" for s in sr.steps) == 12
 
-    def test_corners_are_integer_tests(self, monkeypatch):
-        # each corner compares integer directions: the drawn darts' and the
-        # route fragment's scaled to integers, never a Fraction crossing point
-        import fvskit.pipeline as pipeline
-
-        received, real = [], pipeline.first_clockwise
-
-        def spy(origin, ahead, points):
-            received.append((origin, ahead, *points.values()))
-            return real(origin, ahead, points)
-
-        for make in (lambda: grid_graph(5, 5), lambda: grid_graph(8, 8), prism_graph,
-                     lambda: medial_graph(prism_graph())):
-            inst = eliminate_degree_two(Instance(make(), 1)).instance
-            plain = pair_degree_three(inst)
-            with monkeypatch.context() as m:
-                m.setattr(pipeline, "first_clockwise", spy)
-                spied = pair_degree_three(inst)
-            assert spied == plain
-        assert len(received) > 100
-        for args in received:
-            for p in args:
-                assert type(p) is tuple and len(p) == 2 and all(type(c) is int for c in p)
-
-    @pytest.mark.parametrize("edges, darts_at_y", [(DUMBBELL, 2), (RINGS, 2)],
+    @pytest.mark.parametrize("edges, darts_at_y", [(DUMBBELL, 1), (RINGS, 2)],
                              ids=["dumbbell", "rings"])
     def test_routes_across_bridges(self, edges, darts_at_y):
-        # where a bridge gives y two corners on the fragment's face, the
-        # insert names y's corner by a second dart, so the embedding keeps
-        # following the drawing and the closing walk passes
+        # where a bridge gives y two corners on the pair's face, the insert
+        # names y's corner by a second dart, so the chord joins the points
+        # that the T-join paired and the closing walk passes
         res = run_pipeline(Instance(Graph.from_edges(edges), 1), "4reg-planar")
         pairing = next(sr for sr in res.stages if sr.name == "pairing")
         faces(pairing.instance.graph, pairing.rotation)
@@ -605,9 +595,9 @@ class TestTargets:
         assert check_regular(out.graph, 4) and check_planarity(out.graph)[0]
 
     def test_run_4reg_planar_ham_with_case2_merge(self):
-        # no connecting edge of one merge admits case 1 here, so the
-        # two-gadget path runs end to end and its trace must replay
-        res = run_pipeline(Instance(grid_graph(6, 8), 1), "4reg-planar-ham")
+        # no connecting edge of one of the cube's two merges admits case 1,
+        # so the two-gadget path runs end to end and its trace must replay
+        res = run_pipeline(Instance(cube_graph(), 1), "4reg-planar-ham")
         sr = next(sr for sr in res.stages if sr.name == "hamiltonize")
         inserts = sum(1 for s in sr.steps if s.op == "insert")
         assert inserts - sr.audit == 1  # one merge inserted two L gadgets
@@ -652,7 +642,7 @@ class TestPlanarityProof:
         assert build_gadget("Y", 3).plane is None
 
     def test_lr_tests_per_run(self, monkeypatch):
-        # reduce: grid_embed's one test, of the degree2 output; the stages
+        # reduce: pairing's one test, of the degree2 output; the stages
         # carry its rotation and 5regular keeps planarity by the 2-sum
         # rule. verify: one test, of the same graph
         sizes = _count_lr_tests(monkeypatch)
@@ -675,14 +665,18 @@ class TestPlanarityProof:
         assert sizes == []
 
     @pytest.mark.parametrize("make, target, tested_n, n_out", [
-        (lambda: grid_graph(5, 5), "4reg-planar-ham", 53, 331),
-        (lambda: grid_graph(8, 8), "4reg-planar", 92, 544),
-        (prism_graph, "5reg-planar-ham", 6, 2282),
+        (lambda: grid_graph(5, 5), "4reg-planar-ham", 53, 251),
+        (lambda: grid_graph(8, 8), "4reg-planar", 92, 176),
+        (prism_graph, "5reg-planar-ham", 6, 658),
         (lambda: cycle_graph(3), "preg-ham:6", 24, 2352),
     ], ids=["grid5x5", "grid8x8", "prism", "C3"])
     def test_one_lr_test_per_reduce_and_verify(self, monkeypatch, make, target, tested_n, n_out):
-        # both test the degree2 output, pairing's input, and no larger graph
+        # both test the degree2 output, pairing's input, and no larger graph;
+        # neither draws it
         sizes = _count_lr_tests(monkeypatch)
+        drawn = []
+        monkeypatch.setattr(networkx, "combinatorial_embedding_to_pos",
+                            lambda *a, **kw: drawn.append(a))
         res = run_pipeline(parse_graph(write_graph(Instance(make(), 1)), 1), target)
         names = [sr.name for sr in res.stages]
         assert res.stages[names.index("degree2")].instance.graph.n == tested_n
@@ -691,12 +685,13 @@ class TestPlanarityProof:
         sizes.clear()
         verify_trace(write_graph(res.instance), trace_to_json(res))
         assert sizes == ([] if target.startswith("preg-ham") else [tested_n])
+        assert drawn == []
 
     @pytest.mark.parametrize("rows, cols", [(3, 3), (5, 5), (5, 6), (5, 7), (7, 7)])
     def test_former_fallback_grids_verify_with_one_lr_test(self, monkeypatch, tmp_path,
                                                          rows, cols):
         # laying pairing's R gadgets by the lowest shared face failed on
-        # these grids; the darts lay each into its route's face, so verify
+        # these grids; the darts lay each into its pair's face, so verify
         # tests only the degree2 output
         inp, out, tr = (str(tmp_path / f) for f in ("in.fvs", "out.fvs", "trace.json"))
         g = grid_graph(rows, cols)

@@ -2,13 +2,17 @@
 edge subsets of the 3x3 grid: every subset is planar with maximum degree 4,
 so reduce either succeeds or rejects a precondition (disconnected, empty
 after stripping); it must never raise, and everything it writes must
-verify. And random sequences of Builder ops, after each of which every
-builder row must be strictly increasing and freeze() must equal the Graph
-that the validating constructor builds."""
+verify. Every planar target on random planar inputs of maximum degree 4
+glued from blocks by bridges and at cut vertices: each output verifies and,
+where the exhaustive solver applies, its optimum is the input's plus the
+budget the trace adds. And random sequences of Builder ops, after each of
+which every builder row must be strictly increasing and freeze() must
+equal the Graph that the validating constructor builds."""
 
 import contextlib
 import io
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -16,9 +20,22 @@ from hypothesis import example, given, settings, strategies as st
 from fvskit.cli import EXIT_PRECONDITION, main
 from fvskit.gadgets import build_gadget
 from fvskit.graph import Builder, Graph, Instance
-from fvskit.textio import parse_graph, write_graph
+from fvskit.pipeline import PLANAR_TARGETS, run_pipeline
+from fvskit.solvers import EXHAUSTIVE_LIMIT
+from fvskit.textio import parse_graph, trace_to_json, verify_trace, write_graph
 
-from conftest import bull_free_random, c4k1, cube_graph, cycle_graph, path_graph
+from conftest import (
+    bull_free_random,
+    c4k1,
+    complete_graph,
+    cube_graph,
+    cycle_graph,
+    grid_graph,
+    octahedron_graph,
+    opt,
+    path_graph,
+    prism_graph,
+)
 
 GRID_EDGES = sorted(
     [(3 * i + j + 1, 3 * i + j + 2) for i in range(3) for j in range(2)]
@@ -43,6 +60,56 @@ def test_reduce_then_verify_on_grid_subgraphs(deleted):
             with contextlib.redirect_stdout(printed):
                 assert main(["verify", out, "--trace", tr]) == 0
             assert printed.getvalue() == "ok\n"
+
+
+# 2-connected planar blocks; a tree of them, joined by bridges or at cut
+# vertices, is planar
+BLOCKS = {"C3": cycle_graph(3), "C4": cycle_graph(4), "C5": cycle_graph(5),
+          "K4": complete_graph(4), "prism": prism_graph(), "wheel": c4k1(),
+          "octahedron": octahedron_graph(), "grid2x3": grid_graph(2, 3)}
+
+
+def _glued(parts) -> Graph:
+    """The graph of parts, a list of (block, where, bridge): each block after
+    the first joins the graph so far by an edge (bridge) or at a shared
+    vertex, between the pair of a vertex there and one of the block that
+    where picks among the pairs that keep every degree at most 4."""
+    edges, deg = [], Counter()
+    for i, (name, where, bridge) in enumerate(parts):
+        block = BLOCKS[name]
+        ids = {v: max(deg, default=0) + j for j, v in enumerate(sorted(block.vertices), 1)}
+        new = [(ids[u], ids[v]) for u, v in block.edges]
+        if i:
+            pairs = [(a, b) for a in sorted(deg) for b in sorted(block.vertices)
+                     if (max(deg[a], block.degree(b)) <= 3 if bridge
+                         else deg[a] + block.degree(b) <= 4)]
+            if not pairs:
+                continue
+            a, b = pairs[where % len(pairs)]
+            if bridge:
+                new.append((a, ids[b]))
+            else:
+                new = [tuple(a if w == ids[b] else w for w in e) for e in new]
+        edges += new
+        deg.update(v for e in new for v in e)
+    return Graph.from_edges(edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.sampled_from(sorted(BLOCKS)), st.integers(0, 99), st.booleans()),
+                min_size=1, max_size=4),
+       st.sampled_from(PLANAR_TARGETS))
+# outputs small enough for the exhaustive solver
+@example([("K4", 0, False)], "4reg-planar")
+@example([("octahedron", 0, False)], "4reg-planar-ham")
+def test_every_planar_target_verifies_on_glued_planar_inputs(parts, target):
+    g = _glued(parts)
+    inst = parse_graph(write_graph(Instance(g, 0)))
+    res = run_pipeline(inst, target)
+    verify_trace(write_graph(res.instance), trace_to_json(res))
+    out = res.instance.graph
+    if out.n <= EXHAUSTIVE_LIMIT:
+        assert opt(out) == opt(inst.graph) + res.instance.k
 
 
 # Builder.freeze builds its Graph without the edge checks of Graph(...) and

@@ -31,6 +31,10 @@ TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham", "preg-ham:4", "p
 
 C5 = "p fvs 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 PRISM = "p fvs 6 9\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 5\ne 3 6\ne 4 5\ne 4 6\ne 5 6\n"
+# the hexagonal prism C6 x K2: two hexagons 1..6 and 7..12 joined by rungs
+HEX_PRISM = "p fvs 12 18\n" + "".join(
+    f"e {u} {v}\n" for i in range(1, 7)
+    for u, v in ((i, i % 6 + 1), (i + 6, i % 6 + 7), (i, i + 6)))
 
 
 def _compile(tmp_path, k, text=TRIANGLE, target="4reg-planar-ham"):
@@ -65,10 +69,10 @@ def c5_artifact(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dart_artifact(tmp_path_factory):
-    # the prism's pairing routes three pairs, so its inserts record darts;
-    # pairing is the last stage, so no later stage reads their faces
+    # the hexagonal prism's pairing lays ten R gadgets, each recording its
+    # darts; pairing is the last stage, so no later stage reads their faces
     tmp = tmp_path_factory.mktemp("darts")
-    out, doc = _compile(tmp, 1, PRISM, "4reg-planar")
+    out, doc = _compile(tmp, 1, HEX_PRISM, "4reg-planar")
     return tmp, out, doc
 
 
@@ -213,7 +217,7 @@ def test_a_redundant_second_dart_is_refused(dart_artifact, tmp_path, monkeypatch
     insert = PlaneBuilder.insert
     monkeypatch.setattr(PlaneBuilder, "insert",
                         lambda b, gd, u, v, dart=None: passed.append(dart) or insert(b, gd, u, v, dart))
-    assert _compile(tmp_path, 1, PRISM, "4reg-planar")[1] == doc
+    assert _compile(tmp_path, 1, HEX_PRISM, "4reg-planar")[1] == doc
     si, j, _ = _pairing_insert(doc)
     recorded = [s["face"] for s in doc["stages"][si]["steps"] if s["op"] == "insert"]
     assert len(passed) == len(recorded) and all(len(d) == 4 for d in passed)
