@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graph import Builder, GadgetPlane, GadgetRows, Graph, GraphError, quoted, reachable
+from .graph import (Builder, GadgetPlane, GadgetRows, Graph, GraphError, embeds, quoted,
+                    reachable)
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -191,14 +192,15 @@ def refuse_uncertifiable(n: int) -> None:
 def certify_gadget(gadget: Gadget) -> GadgetReport:
     """Recompute every claimed gadget property from scratch by exhaustive
     search; a disagreement with the stored k_delta raises. The Hamiltonian
-    x-y path is the gadget's ham_path, which Gadget.__post_init__ checks."""
+    x-y path is the gadget's ham_path, which Gadget.__post_init__ checks,
+    and planar holds only if faces() accepts the LR test's rotation."""
     g = gadget.graph
     refuse_uncertifiable(g.n)
     opt, solutions = enumerate_min_fvs(g)
     excludes_x = all(gadget.x not in s for s in solutions)
     excludes_y = all(gadget.y not in s for s in solutions)
     separating = any(_separates(g, s, gadget.x, gadget.y) for s in solutions)
-    planar, _ = check_planarity(g)
+    planar = embeds(g, check_planarity(g)[1])
     if opt != gadget.k_delta:
         raise GraphError(
             f"gadget {gadget.kind}: certified optimum {opt} != stored k_delta {gadget.k_delta}"

@@ -15,8 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .graph import Graph, sorted_edges, to_networkx
 
 
@@ -125,7 +123,11 @@ def grid_embed(g: Graph) -> GridEmbedding:
     """Deterministic integer-grid drawing of the rotation one LR test of g
     finds: networkx's Chrobak-Payne drawing, on distinct lattice points and
     with no two edges crossing. It is not re-checked (see the module
-    docstring for why)."""
+    docstring for why). The drawing reads networkx's own LR embedding, whose
+    rotation is solvers.check_planarity's (tests/test_geometry.py checks);
+    networkx is imported here, so only the audit and --svg-debug load it."""
+    import networkx as nx
+
     if g.n < 3:
         raise GeometryError("need at least 3 vertices")
     ok, emb = nx.check_planarity(to_networkx(g))

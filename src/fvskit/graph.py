@@ -10,8 +10,6 @@ import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import networkx as nx
-
 
 class GraphError(ValueError):
     """Structurally invalid graph state or operation."""
@@ -260,15 +258,17 @@ def _strip_adjacency(adj, queue=None):
 class PlaneBuilder(Builder):
     """A Builder that also keeps a rotation system (each vertex's neighbours
     in cyclic order), each dart's face under _face_walk, and n_faces, above
-    every face id. The constructor walks the rotation, so one that is not a
-    plane embedding fails there; subdivide, insert and copy keep it plane."""
+    every face id. The constructor walks the rotation with faces(), so one
+    that is not a plane embedding fails there, and keeps each walk: until
+    the first edit, face f is walks[f], its darts from its smallest one on.
+    subdivide, insert and copy keep the rotation plane."""
 
     def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
         super().__init__(g, k, stage)
-        walks = faces(g, rotation) if g.m else []
+        self.walks = [list(zip(w, w[1:] + w[:1])) for w in faces(g, rotation)] if g.m else []
         self.rotation = {v: list(order) for v, order in rotation.items()}
-        self.face = {d: f for f, w in enumerate(walks) for d in zip(w, w[1:] + w[:1])}
-        self.n_faces = len(walks) or 1
+        self.face = {d: f for f, w in enumerate(self.walks) for d in w}
+        self.n_faces = len(self.walks) or 1
         self.split = None  # after a copy, the copy's lowest face id
 
     def subdivide(self, e) -> int:
@@ -383,7 +383,11 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(reachable(g.adjacency, next(iter(g.vertices)))) == g.n
 
 
-def to_networkx(g: Graph) -> nx.Graph:
+def to_networkx(g: Graph):
+    """g as a networkx Graph, for the drawing in geometry.grid_embed and for
+    vertex_connectivity_at_least."""
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(sorted(g.vertices))
     G.add_edges_from(sorted_edges(g))
@@ -491,6 +495,15 @@ def faces(g: Graph, rotation):
     if g.n - g.m + len(walks) != 2:
         raise GraphError("rotation system is not a planar embedding")
     return [[u for u, _ in walk] for walk in walks]
+
+
+def embeds(g: Graph, rotation) -> bool:
+    """Whether rotation (None for none) is a plane embedding of g: whether
+    faces() accepts it."""
+    try:
+        return rotation is not None and bool(faces(g, rotation))
+    except GraphError:
+        return False
 
 
 def cycle_cover_error(g: Graph, cycles) -> str | None:

@@ -23,13 +23,12 @@ from .graph import (
     PlaneBuilder,
     check_regular,
     cycle_cover_error,
-    faces,
+    embeds,
     is_connected,
     quoted,
     regularity,
     sorted_edges,
     _norm_edge,
-    _walk_faces,
 )
 from .solvers import check_ore_condition, check_planarity, find_hamiltonian_cycle
 
@@ -115,10 +114,7 @@ class Plane(NamedTuple):
     def failed(self) -> bool:
         """Whether the proof fails: no rotation, or faces(), which checks it
         against graph's edges and Euler's formula, refuses it."""
-        try:
-            return self.rotation is None or not faces(self.graph, self.rotation)
-        except GraphError:
-            return True
+        return not embeds(self.graph, self.rotation)
 
 
 def _two_sums(g: Graph, steps) -> bool:
@@ -201,9 +197,7 @@ def pair_degree_three(inst: Instance) -> StageResult:
     planar, rotation = check_planarity(g)
     _require(planar, "precondition: planar graph required")
     b = PlaneBuilder(g, rotation, inst.k, "pairing")
-    face = b.face
-    # face f's darts from its smallest one on: b numbers faces in this order
-    walks = _walk_faces(rotation)
+    face, walks = b.face, b.walks
     at = {d: i for walk in walks for i, d in enumerate(walk)}
     # the dual's BFS tree, each face's neighbours visited in face order: each
     # face's depth and its tree edge's dart on its parent's side, the last

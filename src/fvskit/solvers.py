@@ -11,8 +11,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graph import Graph, GraphError, HamCycleWitness, reachable, to_networkx, _strip_adjacency
 
 EXHAUSTIVE_LIMIT = 26
@@ -417,13 +415,219 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
 
 
 def check_planarity(g: Graph):
-    """(is_planar, rotation system or None); the rotation's face audit
-    satisfies Euler's formula whenever planar."""
-    ok, emb = nx.check_planarity(to_networkx(g))
-    if not ok:
+    """(is_planar, rotation system or None) by the left-right planarity test
+    of Brandes ("The Left-Right Planarity Test", 2009, after de Fraysseix,
+    Ossona de Mendez and Rosenstiehl, "Trémaux trees and planarity", 2006).
+    It ports networkx's non-recursive LRPlanarity step for step, so the
+    rotation is nx.check_planarity(to_networkx(g))'s: DFS roots in sorted
+    vertex order, neighbours in row order, stable sorts by nesting depth,
+    add_half_edge's leftmost-neighbour rule, and each rotation read
+    clockwise from the leftmost neighbour. No planarity claim rests on the
+    port: faces() checks each rotation against Euler's formula."""
+    adj, m = g.adjacency, g.m
+    if len(adj) > 2 and m > 3 * len(adj) - 6:
         return False, None
-    rot = {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
-    return True, rot
+    verts = sorted(adj)
+    # orientation: edges numbered as the DFS orients them, tail to head; an
+    # edge's lowpoints and nesting depth are final once its head's subtree is
+    tail, head, lowpt, lowpt2, nesting = [None] * m, [None] * m, [0] * m, [0] * m, [0] * m
+    height, parent, out, roots, n_oriented = {}, {}, {v: [] for v in verts}, [], 0
+    for root in verts:
+        if root in height:
+            continue
+        height[root], parent[root] = 0, None
+        roots.append(root)
+        stack, ind = [root], {root: 0}
+        while stack:
+            v = stack.pop()
+            e, hv, row = parent[v], height[v], adj[v]
+            for i in range(ind[v], len(row)):
+                w = row[i]
+                hw = height.get(w)
+                if hw is None or hw < hv - 1:  # a tree edge or a back edge
+                    vw, n_oriented = n_oriented, n_oriented + 1
+                    tail[vw], head[vw], lowpt2[vw] = v, w, hv
+                    out[v].append(vw)
+                    if hw is None:  # visit w, then come back to vw
+                        lowpt[vw] = hv
+                        parent[w], height[w], ind[v], ind[w] = vw, hv + 1, i, 0
+                        stack += (v, w)
+                        break
+                    lowpt[vw] = hw
+                elif hw > hv and tail[parent[w]] == v:
+                    vw = parent[w]  # the tree edge to w, back from w's subtree
+                else:
+                    continue  # the edge to the parent, or a back edge from below
+                lo = lowpt[vw]
+                nesting[vw] = 2 * lo + (lowpt2[vw] < hv)
+                if e is not None:
+                    if lo < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = lo
+                    elif lo > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lo)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    # testing: a stack S of conflict pairs [left low, left high, right low,
+    # right high] of return edges, None where an interval is empty
+    S, bottom, lowpt_edge, side, ref = [], [None] * m, [None] * m, [1] * m, {}
+
+    def conflicting(lo, hi, b):
+        return (lo is not None or hi is not None) and lowpt[hi] > lowpt[b]
+
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        while True:  # merge ei's return edges into P's right interval
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if Q[0] is not None or Q[1] is not None:
+                    return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of ei's earlier siblings into P's left
+        while True:
+            Q = S[-1]
+            if not (conflicting(Q[0], Q[1], ei) or conflicting(Q[2], Q[3], ei)):
+                break
+            S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if conflicting(Q[2], Q[3], ei):
+                    return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def lowest(P):
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e):
+        u = tail[e]
+        hu = height[u]
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # trim the left, then the right interval of the next pair
+            P = S[-1]
+            for lo, hi, other in ((0, 1, 2), (2, 3, 0)):
+                while P[hi] is not None and head[P[hi]] == u:
+                    P[hi] = ref.get(P[hi])
+                if P[hi] is None and P[lo] is not None:  # just emptied
+                    ref[P[lo]], side[P[lo]], P[lo] = P[other], -1, None
+        if lowpt[e] < hu:  # e's side is that of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    ordered = {v: sorted(out[v], key=nesting.__getitem__) for v in verts}
+    for root in roots:
+        stack, ind = [root], {root: 0}
+        while stack:
+            v = stack.pop()
+            e, hv, edges = parent[v], height[v], ordered[v]
+            for i in range(ind[v], len(edges)):
+                ei = edges[i]
+                w = head[ei]
+                if ei != parent[w]:  # a back edge
+                    bottom[ei] = S[-1] if S else None
+                    lowpt_edge[ei] = ei
+                    S.append([None, None, ei, ei])
+                elif w not in ind:  # a tree edge: test w's subtree, then come back
+                    bottom[ei] = S[-1] if S else None
+                    ind[v], ind[w] = i, 0
+                    stack += (v, w)
+                    break
+                if lowpt[ei] < hv:  # ei has a return edge
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return False, None
+            else:
+                if e is not None:
+                    remove_back_edges(e)
+
+    # sign: each edge's side, relative to its ref edge's, made absolute
+    for e in range(m):
+        chain = [e]
+        while (r := ref.get(chain[-1])) is not None:
+            ref[chain[-1]] = None
+            chain.append(r)
+        s = side[chain[-1]]
+        for x in reversed(chain[:-1]):
+            s = side[x] = side[x] * s
+        nesting[e] *= side[e]
+
+    # embedding: each vertex's neighbours as a cyclic list, clockwise and
+    # counterclockwise links, and its leftmost neighbour. Out-edges go in by
+    # signed nesting depth, each edge into a vertex as the DFS meets it
+    cw, ccw, left = {}, {}, {}
+    for v in verts:
+        ordered[v] = edges = sorted(out[v], key=nesting.__getitem__)
+        order = [head[x] for x in edges]
+        cw[v] = dict(zip(order, order[1:] + order[:1]))
+        ccw[v] = dict(zip(order, order[-1:] + order[:-1]))
+        left[v] = order[0] if order else None
+
+    def link(w, v, a, b):  # v into w's list, between a and b clockwise after it
+        cw[w][a] = ccw[w][b] = v
+        cw[w][v], ccw[w][v] = b, a
+
+    left_ref, right_ref = {}, {}
+    for root in roots:
+        stack, ind = [root], {root: 0}
+        while stack:
+            v = stack.pop()
+            edges = ordered[v]
+            for i in range(ind[v], len(edges)):
+                ei = edges[i]
+                w = head[ei]
+                if ei == parent[w]:  # v becomes w's leftmost neighbour
+                    if left[w] is None:
+                        link(w, v, v, v)
+                    else:
+                        link(w, v, ccw[w][left[w]], left[w])
+                    left[w], left_ref[v], right_ref[v] = v, w, w
+                    ind[v], ind[w] = i + 1, 0
+                    stack += (v, w)
+                    break
+                if side[ei] == 1:
+                    link(w, v, right_ref[w], cw[w][right_ref[w]])
+                else:
+                    link(w, v, ccw[w][left_ref[w]], left_ref[w])
+                    if left[w] == left_ref[w]:
+                        left[w] = v
+                    left_ref[w] = v
+
+    rotation = {}
+    for v, row in adj.items():
+        order, w = [], left[v]
+        for _ in row:
+            order.append(w)
+            w = cw[v][w]
+        rotation[v] = tuple(order)
+    return True, rotation
 
 
 def _ham_search(adj, start, required):
@@ -531,4 +735,6 @@ def vertex_connectivity_at_least(g: Graph, c: int) -> bool:
         return True
     if g.n <= c:
         return False
+    import networkx as nx
+
     return nx.node_connectivity(to_networkx(g)) >= c

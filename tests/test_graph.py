@@ -391,8 +391,9 @@ def test_only_compute_two_factor_validates_a_two_factor():
 # certify, the certifier run_pipeline calls, and replay_stages, which builds
 # the planarity proof that certify reads, so reduce and verify certify an
 # output against its target with the same code.
-CLASS_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "PlaneBuilder",
-                    "check_regular", "regularity", "check_ore_condition", "target_class"}
+CLASS_PRIMITIVES = {"check_planarity", "solvers", "networkx", "nx", "faces", "embeds",
+                    "PlaneBuilder", "check_regular", "regularity", "check_ore_condition",
+                    "target_class"}
 
 
 def test_textio_reaches_planarity_only_through_planarity_proof():

@@ -31,6 +31,7 @@ from conftest import (
     bull_free_random,
     c4k1,
     cycle_graph,
+    grid_graph,
     octahedron_graph,
     random_cubic,
     random_regular4,
@@ -587,6 +588,27 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "fvskit", "--help"], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0 and proc.stdout.startswith("usage: fvskit")
+
+    def test_reduce_verify_and_solve_never_load_networkx(self, tmp_path):
+        # the LR test is fvskit's own; networkx serves only grid_embed's
+        # drawing (the pairing audit and --svg-debug), to_networkx and
+        # vertex_connectivity_at_least
+        self._write_input(tmp_path, write_graph(Instance(grid_graph(5, 5), 1)))
+        script = ("import sys\n"
+                  "from fvskit.cli import main\n"
+                  "loaded = ['networkx' in sys.modules]\n"
+                  "for argv in (['reduce', 'in.fvs', '--target', '4reg-planar-ham', '-o', "
+                  "'out.fvs', '--trace', 'trace.json'], ['verify', 'out.fvs', '--trace', "
+                  "'trace.json'], ['solve', 'in.fvs']):\n"
+                  "    assert main(argv) == 0\n"
+                  "    loaded.append('networkx' in sys.modules)\n"
+                  "print(loaded)\n")
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "ok" and lines[-1] == "[False, False, False, False]"
 
     def test_precondition_exit(self, tmp_path):
         k5 = "p fvs 5 10\n" + "".join(

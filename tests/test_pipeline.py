@@ -320,9 +320,7 @@ class TestHamiltonize:
         # every merge edits one embedding in place, started from the
         # rotation pairing kept: hamiltonize runs no LR test of its own
         pairing = pair_degree_three(eliminate_degree_two(Instance(grid_graph(3, 4), 1)).instance)
-        calls = []
-        real = networkx.check_planarity
-        monkeypatch.setattr(networkx, "check_planarity", lambda G: calls.append(G) or real(G))
+        calls = _count_lr_tests(monkeypatch)
         sr = hamiltonize(pairing.instance, pairing.rotation)
         assert sr.audit >= 3 and calls == []
         faces(sr.instance.graph, sr.rotation)
@@ -625,12 +623,16 @@ class TestTargets:
 
 
 def _count_lr_tests(monkeypatch):
-    """The vertex counts of the graphs that LR planarity tests run on, as
-    fvskit.solvers and fvskit.geometry call networkx.check_planarity."""
+    """The vertex counts of the graphs that LR planarity tests run on:
+    fvskit's own, solvers.check_planarity, in every module that calls it by
+    name, and networkx's, which geometry.grid_embed runs for its drawing."""
     sizes = []
-    real = networkx.check_planarity
+    real = fvskit.solvers.check_planarity
+    for module in (fvskit.solvers, fvskit.pipeline, fvskit.gadgets):
+        monkeypatch.setattr(module, "check_planarity", lambda g: sizes.append(g.n) or real(g))
+    real_nx = networkx.check_planarity
     monkeypatch.setattr(networkx, "check_planarity",
-                        lambda G, *a, **kw: sizes.append(G.number_of_nodes()) or real(G, *a, **kw))
+                        lambda G, *a, **kw: sizes.append(len(G)) or real_nx(G, *a, **kw))
     return sizes
 
 

@@ -4,10 +4,11 @@ import random
 import re
 import time
 
+import networkx
 import pytest
 
 from fvskit import solvers
-from fvskit.graph import Graph, _strip_adjacency
+from fvskit.graph import Builder, Graph, _strip_adjacency, faces, to_networkx
 from fvskit.solvers import (
     SolverError,
     UndecidedError,
@@ -371,6 +372,98 @@ class TestPlanarityAndWitness:
 
     def test_find_ham_cycle_tiny(self):
         assert find_hamiltonian_cycle(Graph.from_edges([(1, 2)])) is None
+
+
+def _networkx_lr(g):
+    """networkx's LR test of g, the oracle of solvers.check_planarity: its
+    verdict, and its rotation read clockwise as the port reads its own."""
+    ok, emb = networkx.check_planarity(to_networkx(g))
+    return ok, {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices} if ok else None
+
+
+def _assert_same_lr_test(g):
+    ok, rot = check_planarity(g)
+    if g.n > 2 and g.m > 3 * g.n - 6:
+        # both tests refuse these by the edge count alone
+        assert (ok, rot) == (False, None)
+        return ok
+    want_ok, want = _networkx_lr(g)
+    assert ok == want_ok, g
+    assert rot is None or list(rot.items()) == list(want.items()), g
+    return ok
+
+
+def _subdivided(g):
+    b = Builder(g)
+    for e in sorted(g.edges):
+        b.subdivide(e)
+    return b.freeze()
+
+
+class TestLeftRightPort:
+    """check_planarity is fvskit's port of networkx's LRPlanarity: the same
+    verdict and the same rotation, on every graph."""
+
+    def test_every_stage_graph_of_the_golden_and_bench_jobs(self):
+        from test_golden import GOLDEN, _reduced
+
+        jobs = {(make, target) for _, make, target, *_ in GOLDEN}
+        jobs |= {(lambda: grid_graph(5, 5), "4reg-planar-ham"),
+                 (lambda: grid_graph(8, 8), "4reg-planar"),
+                 (prism_graph, "5reg-planar-ham"), (lambda: cycle_graph(40), "ham-ordered:5")}
+        planar = 0
+        for make, target in jobs:
+            res = _reduced(make, target)
+            for g in [make()] + [sr.instance.graph for sr in res.stages]:
+                planar += _assert_same_lr_test(g)
+        assert planar >= 40
+
+    def test_seeded_random_graphs(self):
+        # n 1..40 at densities from a forest-like m = n/2 past m = 3n - 6:
+        # disconnected graphs, isolated vertices and sparse ids included
+        rng = random.Random(29)
+        verdicts = set()
+        for n in range(1, 41):
+            pairs = list(itertools.combinations(range(n), 2))
+            for density in (0.5, 1.0, 1.5, 2.0, 2.5, 3.2):
+                m = min(int(density * n), len(pairs))
+                ids = rng.sample(range(1, 4 * n + 1), n)
+                edges = [(ids[a], ids[b]) for a, b in rng.sample(pairs, m)]
+                verdicts.add(_assert_same_lr_test(Graph(ids, edges)))
+        assert verdicts == {True, False}
+
+    def test_trees(self):
+        rng = random.Random(3)
+        for n in range(1, 60):
+            g = Graph(range(n), [(i, rng.randrange(i)) for i in range(1, n)])
+            assert _assert_same_lr_test(g)
+
+    def test_kuratowski_graphs_and_their_subdivisions(self):
+        k33 = Graph.from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+        for g in (complete_graph(5), k33):
+            assert not _assert_same_lr_test(g)
+            assert not _assert_same_lr_test(_subdivided(g))
+            assert not _assert_same_lr_test(_subdivided(_subdivided(g)))
+            for e in sorted(g.edges):  # one edge fewer: planar
+                assert _assert_same_lr_test(Graph(g.vertices, g.edges - {e}))
+
+    def test_builder_outputs_with_sparse_ids(self):
+        # gadgets on fresh ids above stripped-away ones
+        r = build_gadget("R")
+        for g in (grid_graph(4, 5), prism_graph(), wheel_graph(7)):
+            b = Builder(Graph([*g.vertices, 1000], g.edges | {(max(g.vertices), 1000)}))
+            b.strip()
+            for u, v in sorted(g.edges)[::3]:
+                b.subdivide((u, v))
+            for v in sorted(b.vertices)[::2]:
+                b.insert(r, v, v)
+            assert _assert_same_lr_test(b.freeze())
+
+    def test_deep_input(self):
+        # the DFS is iterative: a cycle 5 000 deep raises no RecursionError
+        g = cycle_graph(5000)
+        ok, rot = check_planarity(g)
+        assert ok and len(faces(g, rot)) == 2
 
 
 class TestHamOrdered:
