@@ -11,7 +11,7 @@ import sys
 from .gadgets import build_gadget, certify_gadget, refuse_uncertifiable
 from .geometry import GeometryError, emit_svg
 from .graph import GraphError
-from .pipeline import PipelineError, parse_target, run_pipeline
+from .pipeline import PipelineError, parse_target, run_pipeline, target_class
 from .solvers import (
     EXHAUSTIVE_LIMIT,
     SolverError,
@@ -64,14 +64,14 @@ def _io_error(verb, path, exc):
 def cmd_reduce(args) -> int:
     if args.svg_debug and parse_target(args.target)[0] == "ham-ordered":
         raise PipelineError("--svg-debug draws the pairing stage, which ham-ordered skips")
+    if args.witness_out and not target_class(args.target)[2]:
+        raise PipelineError("target class carries no witness")
     inst = parse_graph(_read(args.input), k=args.k)
     result = run_pipeline(inst, args.target)
     _write(args.output, write_graph(result.instance))
     if args.trace:
         _write(args.trace, trace_dumps(result))
     if args.witness_out:
-        if result.instance.witness is None:
-            raise PipelineError("target class carries no witness")
         _write(args.witness_out, witness_line(result.instance) + "\n")
     if args.svg_debug:
         audit = next(sr.audit for sr in result.stages if sr.name == "pairing")

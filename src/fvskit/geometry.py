@@ -1,5 +1,6 @@
 """Exact planar geometry: grid_embed's integer-grid drawing, which only the
-pairing audit reads, and emit_svg, the one place floats appear.
+pairing audit reads and nothing re-checks, as no output rests on it; and
+emit_svg, the one place floats appear.
 
 The channel routing and crossing detection of the earlier routed pairing
 (pick_epsilon, route_connection, find_crossings and their helpers) serve
@@ -15,7 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, sorted_edges, to_networkx
+from .graph import Graph, sorted_edges
+from .solvers import check_planarity
 
 
 class GeometryError(ValueError):
@@ -111,32 +113,30 @@ def _param_on(p, a, b):
 class GridEmbedding:
     """Straight-line crossing-free drawing on the (2n-4) x (n-2) integer
     grid (for n >= 4; tiny graphs use a fixed 2 x 1 layout). Every vertex is
-    a lattice point, which route_connection relies on. rotation, if known,
-    lists each vertex's neighbours in their clockwise order in the drawing."""
+    a lattice point, which route_connection relies on."""
 
     graph: Graph
     coords: dict
-    rotation: dict | None = None
 
 
 def grid_embed(g: Graph) -> GridEmbedding:
-    """Deterministic integer-grid drawing of the rotation one LR test of g
-    finds: networkx's Chrobak-Payne drawing, on distinct lattice points and
-    with no two edges crossing. It is not re-checked (see the module
-    docstring for why). The drawing reads networkx's own LR embedding, whose
-    rotation is solvers.check_planarity's (tests/test_geometry.py checks);
-    networkx is imported here, so only the audit and --svg-debug load it."""
+    """Deterministic integer-grid drawing of check_planarity's rotation of
+    g, the one pairing uses: networkx's Chrobak-Payne drawing, on distinct
+    lattice points and with no two edges crossing. It is not re-checked
+    (see the module docstring for why). networkx only computes coordinates,
+    and is imported here, so only the audit and --svg-debug load it."""
     import networkx as nx
 
     if g.n < 3:
         raise GeometryError("need at least 3 vertices")
-    ok, emb = nx.check_planarity(to_networkx(g))
+    ok, rotation = check_planarity(g)
     if not ok:
         raise GeometryError("graph not planar")
-    rotation = {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
+    emb = nx.PlanarEmbedding()
+    emb.add_nodes_from(sorted(g.vertices))
+    emb.set_data({v: rotation[v] for v in emb})
     raw = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
-    pos = {v: (int(p[0]), int(p[1])) for v, p in raw.items()}
-    return GridEmbedding(g, pos, rotation)
+    return GridEmbedding(g, {v: (int(p[0]), int(p[1])) for v, p in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -384,8 +384,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def to_networkx(g: Graph):
-    """g as a networkx Graph, for the drawing in geometry.grid_embed and for
-    vertex_connectivity_at_least."""
+    """g as a networkx Graph, for vertex_connectivity_at_least."""
     import networkx as nx
 
     G = nx.Graph()

@@ -648,6 +648,9 @@ def _lift_edges(n):
 
 
 PLANAR_TARGETS = ("4reg-planar", "4reg-planar-ham", "5reg-planar-ham")
+# every name a stage result, and so a trace stage, carries
+STAGE_NAMES = ("strip", "degree2", "pairing", "hamiltonize", "evenize", "5regular",
+               "pregular", "lift")
 
 
 def parse_target(target: str):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import defaultdict
-from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
@@ -15,6 +14,7 @@ from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, quo
                     sorted_edges, _is_int)
 from .pipeline import (
     MAX_OUTPUT_EDGES,
+    STAGE_NAMES,
     CertificationError,
     PipelineError,
     PipelineResult,
@@ -252,6 +252,8 @@ def _load_trace(trace: dict):
         stages = []
         for st in trace["stages"]:
             name = st["name"]
+            if name not in STAGE_NAMES:
+                raise FormatError(f"trace JSON: unknown stage name {quoted(name)}")
             steps = []
             for i, d in enumerate(st["steps"]):
                 try:
@@ -317,22 +319,16 @@ def _rendered(text: str, g: Graph):
         return None
 
 
-def _same_graph(a: Graph, b: Graph) -> bool:
-    """Whether a and b have the same canonical text, compared block by block."""
-    return all(x == y for x, y in zip_longest(_text_blocks(a, *_file_names(a)),
-                                              _text_blocks(b, *_file_names(b))))
-
-
 def verify_trace(text: str, trace: dict) -> None:
     """Replay a trace JSON against the claimed output, given as its text,
     and certify the output against the trace's target with the certifier
     run_pipeline uses; raises on any mismatch. The trace's output summary
     must match the output's n and m, which bound the replay. The output is
-    the replayed graph when its text is write_graph's rendering of it, then
-    nothing or one canonical h line naming a Hamiltonian cycle of it. The
-    text is parsed at most once: only if it differs from that rendering, a
-    check fails, or its header m exceeds what its length can hold (then
-    first, so a malformed output is reported before any trace failure)."""
+    the replayed graph when _rendered finds it: in the text, or else in
+    write_graph's rendering of the text's parse. The text is parsed at most
+    once: only if it is not that rendering, a check fails, or its header m
+    exceeds what its length can hold (then first, so a malformed output is
+    reported before any trace failure)."""
     size = _backed_size(text)
     out = None if size else parse_graph(text)
     try:
@@ -348,7 +344,7 @@ def verify_trace(text: str, trace: dict) -> None:
             parse_graph(text)  # the output's format error comes first
         raise
     if not rendered:
-        out = out or parse_graph(text)
-        if not _same_graph(out.graph, g):
+        rendered = _rendered(write_graph(out or parse_graph(text)), g)
+        if not rendered:
             raise CertificationError("replayed graph differs from output graph")
-    certify(target, rendered or out, plane)
+    certify(target, rendered, plane)

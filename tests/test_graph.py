@@ -433,6 +433,21 @@ def test_one_insert_signature_and_the_gadget_carries_its_plane():
         assert not any("plane" in name.lower() for name in names), ast.unparse(c)
 
 
+# fvskit has one planarity engine: every check_planarity it calls is
+# solvers', by its bare name, and none is networkx's, the drawing included.
+def test_no_module_calls_networkx_check_planarity():
+    src = Path(fvskit.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "attr", None) != "check_planarity", (
+                    path.name, ast.unparse(node))
+            elif isinstance(node, ast.ImportFrom):
+                if "check_planarity" in {alias.name for alias in node.names}:
+                    assert (node.module, node.level) == ("solvers", 1), path.name
+    assert ("geometry.py", "grid_embed") in _call_sites("check_planarity")
+
+
 # Pairing works on the LR rotation alone; the grid drawing serves only the
 # pairing audit, which derives it when first read.
 def test_pipeline_draws_only_the_pairing_audit():

@@ -13,7 +13,7 @@ import fvskit
 from fvskit import solvers, textio
 from fvskit.cli import build_parser, main
 from fvskit.graph import Graph, GraphError, HamCycleWitness, Instance, quoted
-from fvskit.pipeline import MAX_OUTPUT_EDGES, PipelineError, run_pipeline
+from fvskit.pipeline import MAX_OUTPUT_EDGES, STAGE_NAMES, PipelineError, run_pipeline
 from fvskit.solvers import is_fvs
 from fvskit.textio import (
     CertificationError,
@@ -294,6 +294,12 @@ TRACE_CASES = [g[:3] for g in GOLDEN] + [
 ]
 
 
+def test_every_stage_name_written_is_a_stage_name():
+    written = {st["name"] for _, make, target in TRACE_CASES
+               for st in trace_to_json(_reduced(make, target))["stages"]}
+    assert written == set(STAGE_NAMES)
+
+
 class TestTraceDumps:
     @pytest.mark.parametrize("name,make,target", TRACE_CASES, ids=[c[0] for c in TRACE_CASES])
     def test_writes_the_bytes_of_json_dumps(self, name, make, target):
@@ -413,6 +419,26 @@ class TestCli:
         if rc:
             assert "replayed graph differs from output graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper", ["none", "attach", "k_after"])
+    @pytest.mark.parametrize("name", ["x" * 100_000, 5], ids=["long", "int"])
+    def test_verify_refuses_an_unknown_stage_name(self, tmp_path, capsys, name, tamper):
+        # a stage name must be one of STAGE_NAMES, checked before the stage's
+        # steps and budget, so no later message repeats it in full
+        out, tr = self._reduced(tmp_path)
+        doc = json.loads(open(tr).read())
+        stage = doc["stages"][0]
+        stage["name"] = name
+        if tamper == "attach":
+            stage["steps"][0]["attach"] = [1]
+        elif tamper == "k_after":
+            stage["k_after"] += 1
+        (tmp_path / "trace.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out), "--trace", tr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: trace JSON: unknown stage name ")
+        assert len(err) < 200
+
     def test_malformed_output_is_reported_before_a_tampered_trace(self, tmp_path, capsys):
         out, tr = self._reduced(tmp_path)
         text = out.read_text()
@@ -507,6 +533,20 @@ class TestCli:
         h_lines = [line for line in open(out).read().splitlines() if line.startswith("h ")]
         assert h_lines == [open(wout).read().rstrip("\n")]
         assert open(wout).read().endswith("\n")
+
+    @pytest.mark.parametrize("to_files", [True, False], ids=["files", "stdout"])
+    def test_witness_out_without_a_witness_is_refused_before_reading(self, tmp_path, capsys,
+                                                                       to_files):
+        # 4reg-planar carries no witness: the option is refused before the
+        # input is read, so no output, trace or witness is written
+        inp = self._write_input(tmp_path)
+        out, tr, wout = (tmp_path / f for f in ("o.fvs", "trace.json", "wit.txt"))
+        files = ["-o", str(out), "--trace", str(tr)] if to_files else []
+        assert main(["reduce", inp, "--target", "4reg-planar", *files,
+                     "--witness-out", str(wout)]) == 3
+        assert capsys.readouterr() == ("", "precondition error: target class carries no "
+                                           "witness\n")
+        assert not out.exists() and not tr.exists() and not wout.exists()
 
     def test_negative_k_exits_3_with_a_valid_witness(self, tmp_path, capsys):
         inp = self._write_input(tmp_path, C3_TEXT + "h 1 2 3\n")
@@ -717,6 +757,26 @@ class TestCli:
         assert main(["reduce", inp, "--target", "4reg-planar",
                      "-o", str(tmp_path / "o.fvs"), "--svg-debug", str(svg)]) == 2
         assert capsys.readouterr().err.startswith(f"format error: cannot write {svg}: ")
+
+    def test_drawing_runs_no_networkx_lr_test(self, tmp_path, monkeypatch):
+        # grid_embed lays out check_planarity's rotation; networkx only
+        # computes its coordinates
+        import networkx
+
+        from fvskit.geometry import grid_embed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx's LR test ran")
+
+        monkeypatch.setattr(networkx, "check_planarity", refuse)
+        monkeypatch.setattr(networkx.algorithms.planarity, "check_planarity", refuse)
+        g = grid_graph(5, 5)
+        assert set(grid_embed(g).coords) == set(g.vertices)
+        inp = self._write_input(tmp_path, write_graph(Instance(g, 1)))
+        svg = tmp_path / "debug.svg"
+        assert main(["reduce", inp, "--target", "4reg-planar",
+                     "-o", str(tmp_path / "o.fvs"), "--svg-debug", str(svg)]) == 0
+        assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("text", [DEEP_JSON, HUGE_INT_JSON], ids=["deep", "huge-int"])
     def test_trace_json_beyond_the_parser_limits_is_malformed(self, tmp_path, capsys, text):

@@ -624,15 +624,12 @@ class TestTargets:
 
 def _count_lr_tests(monkeypatch):
     """The vertex counts of the graphs that LR planarity tests run on:
-    fvskit's own, solvers.check_planarity, in every module that calls it by
-    name, and networkx's, which geometry.grid_embed runs for its drawing."""
+    solvers.check_planarity, fvskit's one engine, in every module that calls
+    it by name."""
     sizes = []
     real = fvskit.solvers.check_planarity
-    for module in (fvskit.solvers, fvskit.pipeline, fvskit.gadgets):
+    for module in (fvskit.solvers, fvskit.pipeline, fvskit.gadgets, fvskit.geometry):
         monkeypatch.setattr(module, "check_planarity", lambda g: sizes.append(g.n) or real(g))
-    real_nx = networkx.check_planarity
-    monkeypatch.setattr(networkx, "check_planarity",
-                        lambda G, *a, **kw: sizes.append(len(G)) or real_nx(G, *a, **kw))
     return sizes
 
 
