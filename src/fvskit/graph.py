@@ -561,8 +561,9 @@ def strip_low_degree(inst: Instance) -> Instance:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One replayable reduction event. Its budget delta is not recorded:
-    Builder derives it from the op whenever the step is applied."""
+    """One replayable reduction event, a plain record; textio writes and
+    reads its JSON form. Its budget delta is not recorded: Builder derives
+    it from the op whenever the step is applied."""
 
     stage: str
     op: str  # subdivide | insert | strip | copy | lift
@@ -571,40 +572,3 @@ class TraceStep:
     attach: tuple = ()
     edge: tuple | None = None
     face: tuple | None = None  # a pairing insert's dart(s); see PlaneBuilder.insert
-
-    def to_json(self):
-        return {
-            "op": self.op,
-            "gadget": self.gadget,
-            "p": self.p,
-            "attach": list(self.attach),
-            "subdivided": list(self.edge) if self.edge else [],
-            **({"face": list(self.face)} if self.face else {}),
-        }
-
-    @classmethod
-    def from_json(cls, stage, d):
-        """Parse one serialized step of the named stage; a missing or
-        mistyped field, or a face on any step but a pairing insert, raises
-        ValueError naming it."""
-        if not isinstance(d, dict):
-            raise ValueError("step is not a JSON object")
-        if "op" not in d:
-            raise ValueError("step lacks 'op'")
-        op, gadget, p = d["op"], d.get("gadget"), d.get("p")
-        attach, edge, face = d.get("attach", []), d.get("subdivided", []), d.get("face", [])
-        if not isinstance(op, str):
-            raise ValueError("op must be a string")
-        if not (gadget is None or isinstance(gadget, str)) or not (p is None or _is_int(p)):
-            raise ValueError("gadget must be a string and p an integer, or null")
-        for key, val, sizes in (("attach", attach, (0, 2)), ("subdivided", edge, (0, 2)),
-                                ("face", face, (0, 2, 4))):
-            if not (isinstance(val, list) and len(val) in sizes and all(map(_is_int, val))):
-                raise ValueError(f"{key} must list {' or '.join(map(str, sizes))} integers")
-        if "face" in d and (stage, op) != ("pairing", "insert"):
-            raise ValueError("only a pairing insert has a face")
-        return cls(stage, op, gadget, p, tuple(attach), tuple(edge) or None, tuple(face) or None)
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)

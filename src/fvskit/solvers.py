@@ -51,38 +51,31 @@ def _bit_order(g: Graph):
     return verts, masks
 
 
-@dataclass
 class _Progress:
-    """What a search knows so far, for UndecidedError to report: the nodes
-    searched and the best lower and upper bounds on the optimum."""
+    """A search's one clock, and what UndecidedError reports: the nodes
+    searched and the best bounds on the optimum known so far. Under a time
+    budget the clock is read once to set the deadline and then by check(),
+    which raises once it has passed; tick() counts a node and checks at
+    every `every`-th, the first included. Without a budget both do nothing."""
 
-    lower: int
-    upper: int
-    nodes: int = 0
+    def __init__(self, time_budget, every, lower=0, upper=0):
+        self.every, self.lower, self.upper, self.nodes = every, lower, upper, 0
+        if time_budget is None:
+            self.check = self.tick = lambda: None
+        else:
+            self.deadline = time.monotonic() + time_budget
 
-    def undecided(self):
-        return UndecidedError(
-            f"undecided within budget: {self.nodes} nodes searched, "
-            f"{self.lower} <= opt <= {self.upper}"
-        )
+    def check(self):
+        if time.monotonic() > self.deadline:
+            raise UndecidedError(
+                f"undecided within budget: {self.nodes} nodes searched, "
+                f"{self.lower} <= opt <= {self.upper}"
+            )
 
-
-def _clock(deadline, progress):
-    """A per-node tick that counts nodes in progress and reads the clock at
-    its first call and then once per 1 024 calls, raising UndecidedError once
-    it passes deadline."""
-    if deadline is None:
-        return lambda: None
-    calls = 0
-
-    def tick():
-        nonlocal calls
-        if not calls % 1024 and time.monotonic() > deadline:
-            raise progress.undecided()
-        calls += 1
-        progress.nodes += 1
-
-    return tick
+    def tick(self):
+        if not self.nodes % self.every:
+            self.check()
+        self.nodes += 1
 
 
 def _exhaustive_lb(m, n, delta):
@@ -148,27 +141,26 @@ def _optimal_deletions(masks, k, tick):
 def _min_deletions(g: Graph, time_budget):
     """(sorted vertex ids, index tuples of g's minimum FVSs in lexicographic
     order), by iterative deepening: _optimal_deletions runs for k = the
-    root bound _exhaustive_lb, k + 1, ... under one clock, and the first
-    round with a leaf has k the optimum. A round without one proves k + 1
-    a lower bound, which progress.lower reports; progress.upper is a greedy
-    set's size, computed only under a budget and used only in the message.
-    The clock is read once more before the answer is returned."""
+    root bound _exhaustive_lb, k + 1, ... and the first round with a leaf
+    has k the optimum. One _Progress serves all rounds: it checks the
+    deadline at every 1 024th node, counted across rounds, and once more
+    before the answer is returned. A round without a leaf proves k + 1 a
+    lower bound, which progress.lower reports; progress.upper is a greedy
+    set's size, computed only under a budget and used only in the message."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise SolverError("use branch-reduce")
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    progress = _Progress(time_budget, 1024)
     verts, masks = _bit_order(g)
     delta = max((nb.bit_count() for nb in masks), default=0)
-    upper = g.n if deadline is None else len(_greedy_fvs(g.adjacency))
-    progress = _Progress(_exhaustive_lb(g.m, g.n, delta), upper)
-    tick = _clock(deadline, progress)
+    progress.lower = _exhaustive_lb(g.m, g.n, delta)
+    progress.upper = g.n if time_budget is None else len(_greedy_fvs(g.adjacency))
     while True:
-        leaves = _optimal_deletions(masks, progress.lower, tick)
+        leaves = _optimal_deletions(masks, progress.lower, progress.tick)
         first = next(leaves, None)
         if first is not None:
             break
         progress.lower += 1
-    if deadline is not None and time.monotonic() > deadline:
-        raise progress.undecided()
+    progress.check()
     return verts, itertools.chain([first], leaves)
 
 
@@ -218,18 +210,17 @@ def _greedy_fvs(adj, timeout=None):
     return out
 
 
-def _shortest_cycle(adj, timeout=None):
+def _shortest_cycle(adj, timeout):
     """A shortest (or near-shortest) cycle as a vertex list, or None.
 
     BFS from every root; the first non-tree edge closing two branches gives
     a cycle through the root of length dist(u)+dist(w)+1. The two tree paths
     below their lowest common ancestor are disjoint, so no vertex repeats.
-    timeout, when given, is called before each root and raises once the
-    search's budget is spent."""
+    timeout is called before each root and raises once the search's budget
+    is spent."""
     best = None
     for root in sorted(adj):
-        if timeout is not None:
-            timeout()
+        timeout()
         parent = {root: None}
         dist = {root: 0}
         queue = collections.deque([root])
@@ -263,11 +254,11 @@ def _shortest_cycle(adj, timeout=None):
     return best
 
 
-def _cycle_packing(adj, timeout=None):
+def _cycle_packing(adj, timeout):
     """Greedy vertex-disjoint packing of short cycles, in packing order;
-    each packed cycle forces one deletion. The first is _shortest_cycle(adj),
-    which reads adj only through sorted keys and rows. timeout is handed to
-    every _shortest_cycle call."""
+    each packed cycle forces one deletion. The first is
+    _shortest_cycle(adj, timeout), which reads adj only through sorted keys
+    and rows. timeout is handed to every _shortest_cycle call."""
     adj = {v: set(ns) for v, ns in adj.items()}
     cycles = []
     while True:
@@ -301,23 +292,13 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     with standard reductions, a degree-sum lower bound and, where that does
     not prune, a cycle-packing one. Raises UndecidedError once time_budget
     seconds have passed, naming the nodes searched and the bounds on the
-    optimum known at the top level by then. Without a budget the clock is
-    never read."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    progress = _Progress(_degree_sum_lb(g.adjacency), g.n)
-
-    def out_of_time():
-        if time.monotonic() > deadline:
-            raise progress.undecided()
-
-    timeout = None if deadline is None else out_of_time
-    greedy = _greedy_fvs(g.adjacency, timeout)
+    optimum known at the top level by then. Its _Progress checks the
+    deadline at every node and is the timeout of the initial greedy and of
+    each node's cycle packing. A returned set that is not an FVS raises
+    SolverError."""
+    progress = _Progress(time_budget, 1, _degree_sum_lb(g.adjacency), g.n)
+    greedy = _greedy_fvs(g.adjacency, progress.check)
     progress.upper = len(greedy)
-
-    def check_budget():
-        if timeout is not None:
-            timeout()
-        progress.nodes += 1
 
     def reduce_graph(adj, forbidden):
         """Apply degree <=1 removal and safe degree-2 bypasses in place."""
@@ -350,7 +331,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         Edits adj, a dict of sets that no caller reads again: a branch builds
         fresh sets, and a component split hands each component its own rows.
         The top call keeps the bounds in progress current."""
-        check_budget()
+        progress.tick()
         reduce_graph(adj, forbidden)
         # reduced, every vertex left has degree >= 2, so a cycle remains
         if not adj:
@@ -380,7 +361,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 remaining -= len(best)
             return total
         lb = _degree_sum_lb(adj)
-        cycles = _cycle_packing(adj, timeout) if lb < ub else ()
+        cycles = _cycle_packing(adj, progress.check) if lb < ub else ()
         lb = max(lb, len(cycles))
         if top:
             progress.lower = lb
@@ -410,7 +391,8 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     # The greedy set has size < ub, so solve never returns None here
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
     best = solve(adj, frozenset(), len(greedy) + 1, top=True)
-    assert is_fvs(g, best)
+    if not is_fvs(g, best):
+        raise SolverError("branch-and-reduce self-check failed: its set leaves a cycle")
     return FvsSolution(frozenset(best), True, "branch-reduce")
 
 

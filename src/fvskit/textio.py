@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
 from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, quoted,
-                    sorted_edges, _is_int)
+                    sorted_edges)
 from .pipeline import (
     MAX_OUTPUT_EDGES,
     STAGE_NAMES,
@@ -184,7 +184,7 @@ def trace_to_json(result: PipelineResult) -> dict:
         "stages": [
             {
                 "name": sr.name,
-                "steps": [s.to_json() for s in sr.steps],
+                "steps": [_step_to_json(s) for s in sr.steps],
                 "k_after": sr.instance.k,
             }
             for sr in result.stages
@@ -226,44 +226,91 @@ def _json(x, nl: str) -> str:
     return "null" if x is None else json.dumps(x)
 
 
+def _step_to_json(s: TraceStep) -> dict:
+    """A step's JSON object; only a step with a face has the key."""
+    return {
+        "op": s.op,
+        "gadget": s.gadget,
+        "p": s.p,
+        "attach": list(s.attach),
+        "subdivided": list(s.edge) if s.edge else [],
+        **({"face": list(s.face)} if s.face else {}),
+    }
+
+
+def _integer(x, what, *at):
+    """x, when it is a non-negative integer (a bool is not one); else
+    FormatError naming the field, what formatted with at. It formats only
+    on failure, so that a check per step entry stays cheap."""
+    if type(x) is int and x >= 0:
+        return x
+    raise FormatError(f"trace JSON: {what.format(*at)} must be a non-negative integer")
+
+
+# a step's integer lists, and the lengths each may have
+_STEP_LISTS = (("attach", (0, 2)), ("subdivided", (0, 2)), ("face", (0, 2, 4)))
+
+
+def _step_from_json(stage: str, i: int, d) -> TraceStep:
+    """The TraceStep that d, step i of the named stage, records. A missing or
+    mistyped field, or a face on any step but a pairing insert, raises
+    FormatError naming it; p and each list entry go through _integer."""
+    at = f"stage {stage} step {i}:"
+    if type(d) is not dict or "op" not in d:
+        raise FormatError(f"trace JSON: {at} step is not a JSON object with an 'op'")
+    op, gadget, p = d["op"], d.get("gadget"), d.get("p")
+    if type(op) is not str or not (gadget is None or type(gadget) is str):
+        raise FormatError(f"trace JSON: {at} op must be a string and gadget a string or null")
+    if p is not None:
+        _integer(p, "{} p", at)
+    lists = []
+    for key, sizes in _STEP_LISTS:
+        val = d.get(key, [])
+        if type(val) is not list or len(val) not in sizes:
+            raise FormatError(f"trace JSON: {at} {key} must list "
+                              f"{' or '.join(map(str, sizes))} integers")
+        for x in val:
+            _integer(x, "{} each {} entry", at, key)
+        lists.append(tuple(val))
+    if "face" in d and (stage, op) != ("pairing", "insert"):
+        raise FormatError(f"trace JSON: {at} only a pairing insert has a face")
+    attach, edge, face = lists
+    return TraceStep(stage, op, gadget, p, attach, edge or None, face or None)
+
+
 def _load_trace(trace: dict):
     """Check the shape of a trace JSON; returns (target, input graph, input
     k, stages as (name, steps, k_after), output (n, m, k)). The target must
-    name a target and the output budget be non-negative. An input n above
+    name a target. Every integer goes through _integer: input n, m and k,
+    both ends of each input edge, each step's p and list entries, each
+    k_after, and output n, m and k must be non-negative integers. The input
+    edges must be distinct pairs, in either orientation. An input n above
     MAX_OUTPUT_EDGES is refused before the vertex set is built, as
-    parse_graph refuses such a header; input m must count edges."""
-
-    def integer(x, what):
-        if not _is_int(x):
-            raise FormatError(f"trace JSON: {what} must be an integer")
-        return x
-
+    parse_graph refuses such a header; input m must count the edges."""
     try:
         target = trace["target"]
         parse_target(target)
         inp = trace["input"]
-        n = integer(inp["n"], "input n")
+        n = _integer(inp["n"], "input n")
         if n > MAX_OUTPUT_EDGES:
             raise FormatError(f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices")
-        g = Graph(range(1, n + 1), [tuple(e) for e in inp["edges"]])
-        if integer(inp["m"], "input m") != g.m:
+        edges = [(_integer(u, "end of input edge {}", j), _integer(v, "end of input edge {}", j))
+                 for j, (u, v) in enumerate(inp["edges"])]
+        g = Graph(range(1, n + 1), edges)
+        if g.m != len(edges):
+            raise FormatError(f"trace JSON: input edges must be distinct: {len(edges)} "
+                              f"listed, {g.m} distinct")
+        if _integer(inp["m"], "input m") != g.m:
             raise FormatError(f"trace JSON: input m disagrees with its {g.m} edges")
-        k = integer(inp["k"], "input k")
+        k = _integer(inp["k"], "input k")
         stages = []
         for st in trace["stages"]:
             name = st["name"]
             if name not in STAGE_NAMES:
                 raise FormatError(f"trace JSON: unknown stage name {quoted(name)}")
-            steps = []
-            for i, d in enumerate(st["steps"]):
-                try:
-                    steps.append(TraceStep.from_json(name, d))
-                except ValueError as exc:
-                    raise FormatError(f"stage {name} step {i}: {exc}") from None
-            stages.append((name, steps, integer(st["k_after"], f"stage {name} k_after")))
-        out = tuple(integer(trace["output"][f], f"output {f}") for f in ("n", "m", "k"))
-        if out[2] < 0:
-            raise FormatError("trace JSON: output budget must be non-negative")
+            steps = [_step_from_json(name, i, d) for i, d in enumerate(st["steps"])]
+            stages.append((name, steps, _integer(st["k_after"], "stage {} k_after", name)))
+        out = tuple(_integer(trace["output"][f], "output {}", f) for f in ("n", "m", "k"))
     except FormatError:
         raise
     except KeyError as exc:

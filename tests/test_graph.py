@@ -22,6 +22,7 @@ from fvskit.graph import (
 )
 from fvskit.pipeline import StageResult, _finish
 from fvskit.solvers import check_planarity
+from fvskit.textio import _step_from_json, _step_to_json
 
 from conftest import (
     bull_free_random,
@@ -235,7 +236,7 @@ class TestWitnessAndInstance:
 class TestTrace:
     def test_step_json_round_trip(self):
         s = TraceStep("merge", "insert", gadget="L", attach=(3, 7))
-        back = TraceStep.from_json("merge", s.to_json())
+        back = _step_from_json("merge", 0, _step_to_json(s))
         assert back == s
 
 
@@ -286,6 +287,12 @@ def test_only_freeze_and_parse_graph_skip_the_edge_checks():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "_unchecked"]
     assert len(calls) == 2 and all(len(c.args) == 3 and not c.keywords for c in calls)
+
+
+# Each exact search reads the clock only through its _Progress, which sets
+# the deadline and checks it; no other code reads the time.
+def test_only_the_search_progress_reads_the_clock():
+    assert _callers("monotonic", "_Progress") == set()
 
 
 # Fresh ids exceed every id in the graph, so the builder's rows stay sorted

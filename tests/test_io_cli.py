@@ -699,6 +699,17 @@ class TestCli:
         assert opt_line == f"opt {-(-(g.m - g.n + 1) // 2)}" == "opt 13"
         assert is_fvs(g, {int(v) for v in set_line.split()[1:]})
 
+    def test_a_failed_self_check_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
+        # branch-and-reduce checks its answer with is_fvs in an if, which
+        # python -O keeps; a failure exits 3 with a message, not a traceback
+        inp = self._write_input(tmp_path, write_graph(Instance(random_cubic(40, 0), 0)))
+        monkeypatch.setattr(solvers, "is_fvs", lambda g, deleted: False)
+        assert main(["solve", inp]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("precondition error: branch-and-reduce self-check failed: "
+                       "its set leaves a cycle\n")
+
     def test_undecided_reports_bounds_on_stderr_only(self, tmp_path, capsys):
         inp = self._write_input(tmp_path, write_graph(Instance(random_cubic(48, 0), 0)))
         assert main(["solve", inp, "--time-budget", "0"]) == 5

@@ -11,7 +11,7 @@ import pytest
 
 from fvskit import pipeline
 from fvskit.cli import main
-from fvskit.graph import Builder, Graph, Instance, PlaneBuilder, TraceStep
+from fvskit.graph import Builder, Graph, Instance, PlaneBuilder
 from fvskit.pipeline import (
     GADGETS,
     CertificationError,
@@ -20,7 +20,7 @@ from fvskit.pipeline import (
     replay_stages,
     replay_trace,
 )
-from fvskit.textio import parse_graph, trace_to_json, write_graph
+from fvskit.textio import _step_from_json, parse_graph, trace_to_json, write_graph
 
 TRIANGLE = "p fvs 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 OPS = ("subdivide", "insert", "copy", "lift", "strip")
@@ -56,6 +56,13 @@ def _verify(tmp_path, out, doc_or_text):
 def artifact(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("mutation")
     out, doc = _compile(tmp, 1)
+    return tmp, out, doc
+
+
+@pytest.fixture(scope="module")
+def planar_artifact(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("planar")
+    out, doc = _compile(tmp, 1, target="4reg-planar")
     return tmp, out, doc
 
 
@@ -127,7 +134,8 @@ def mutants(doc):
 def _replay(doc):
     inp = doc["input"]
     g = Graph(range(1, inp["n"] + 1), [tuple(e) for e in inp["edges"]])
-    steps = [TraceStep.from_json(st["name"], d) for st in doc["stages"] for d in st["steps"]]
+    steps = [_step_from_json(st["name"], i, d) for st in doc["stages"]
+             for i, d in enumerate(st["steps"])]
     g, dk, _ = replay_trace(g, steps, inp["k"], out=(doc["output"]["n"], doc["output"]["m"]))
     return g, inp["k"] + dk
 
@@ -454,6 +462,31 @@ class TestMalformedTraces:
     def test_output_budget_not_a_non_negative_integer(self, artifact, k):
         tmp, out, doc = artifact
         assert _verify(tmp, out, dict(doc, output=dict(doc["output"], k=k))) == 2
+
+    @pytest.mark.parametrize("change, field", [
+        ({"edges": [[True, 2], [1.0, 3], [2, 3.0]]}, "end of input edge 0"),
+        ({"edges": [[1, 2], [1.0, 3], [2, 3]]}, "end of input edge 1"),
+        ({"edges": [[1, 2], [1, 3], [2, 3], [2, 1]]}, "input edges must be distinct"),
+        ({"edges": [[1, 2], [1, 3], [2, 3], [1, 2]]}, "input edges must be distinct"),
+        ({"k": -1}, "input k must be a non-negative integer"),
+        ({"n": -5, "m": 0, "edges": []}, "input n must be a non-negative integer"),
+    ], ids=["bool-and-float-ends", "float-end", "reversed-repeat", "repeat", "negative-k",
+            "negative-n"])
+    def test_input_not_a_simple_graph_of_non_negative_integers(self, planar_artifact, capsys,
+                                                               change, field):
+        # each of these verified (exit 0), or failed replay (exit 4) with
+        # n = -5, before every integer of a trace got the one check; the
+        # negative k comes with every later budget lowered by 2 to match
+        tmp, out, doc = planar_artifact
+        doc = copy.deepcopy(doc)
+        doc["input"].update(change)
+        if "k" in change:
+            for st in doc["stages"]:
+                st["k_after"] -= 2
+            doc["output"]["k"] -= 2
+        capsys.readouterr()
+        assert _verify(tmp, out, doc) == 2
+        assert field in capsys.readouterr().err
 
     def test_trace_not_an_object(self, artifact):
         tmp, out, _ = artifact
