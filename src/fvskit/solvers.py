@@ -294,8 +294,9 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
     seconds have passed, naming the nodes searched and the bounds on the
     optimum known at the top level by then. Its _Progress checks the
     deadline at every node and is the timeout of the initial greedy and of
-    each node's cycle packing. A returned set that is not an FVS raises
-    SolverError."""
+    each node's cycle packing. The search keeps its nodes on an explicit
+    stack, so Python's recursion limit does not bound its depth. A returned
+    set that is not an FVS raises SolverError."""
     progress = _Progress(time_budget, 1, _degree_sum_lb(g.adjacency), g.n)
     greedy = _greedy_fvs(g.adjacency, progress.check)
     progress.upper = len(greedy)
@@ -327,10 +328,12 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                     changed = True
 
     def solve(adj, forbidden, ub, top=False):
-        """Smallest FVS of adj avoiding forbidden with size < ub, else None.
-        Edits adj, a dict of sets that no caller reads again: a branch builds
-        fresh sets, and a component split hands each component its own rows.
-        The top call keeps the bounds in progress current."""
+        """Smallest FVS of adj avoiding forbidden with size < ub, else None,
+        as a generator: it yields each subproblem as (adj, forbidden, ub) and
+        is sent that subproblem's answer. Edits adj, a dict of sets that no
+        caller reads again: a branch builds fresh sets, and a component
+        split hands each component its own rows. The top call keeps the
+        bounds in progress current."""
         progress.tick()
         reduce_graph(adj, forbidden)
         # reduced, every vertex left has degree >= 2, so a cycle remains
@@ -354,7 +357,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
             total = set()
             remaining = ub
             for sub in subs:
-                best = solve(sub, forbidden, remaining)
+                best = yield sub, forbidden, remaining
                 if best is None:
                     return None
                 total |= best
@@ -378,7 +381,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
                 extra.add(v)
                 continue
             adj_in = {u: ns - {v} for u, ns in adj.items() if u != v}
-            sub = solve(adj_in, forbidden | extra, ub - 1)
+            sub = yield adj_in, forbidden | extra, ub - 1
             if sub is not None:
                 best = sub | {v}
                 ub = len(best)
@@ -388,9 +391,18 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         return best
 
     # the Graph's rows are tuples: the one copy as sets that solve edits.
-    # The greedy set has size < ub, so solve never returns None here
+    # The greedy set has size < ub, so solve never returns None here. A
+    # yielded subproblem pushes its generator; a finished one pops and
+    # sends its answer to the one below, and the last answer is the top's
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    best = solve(adj, frozenset(), len(greedy) + 1, top=True)
+    stack, best = [solve(adj, frozenset(), len(greedy) + 1, top=True)], None
+    while stack:
+        try:
+            stack.append(solve(*stack[-1].send(best)))
+            best = None
+        except StopIteration as done:
+            stack.pop()
+            best = done.value
     if not is_fvs(g, best):
         raise SolverError("branch-and-reduce self-check failed: its set leaves a cycle")
     return FvsSolution(frozenset(best), True, "branch-reduce")

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import defaultdict
-from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
 from .graph import (Graph, GraphError, HamCycleWitness, Instance, TraceStep, quoted,
@@ -194,36 +193,10 @@ def trace_to_json(result: PipelineResult) -> dict:
 
 
 def trace_dumps(result: PipelineResult) -> str:
-    """trace_to_json's document as JSON text: exactly the bytes of
-    json.dumps(doc, indent=2, sort_keys=True) + "\\n". json's own encoder
-    runs in pure Python once it indents; this writer serves the document's
-    fixed shape, dicts and lists of strings, integers and nulls."""
-    return _json(trace_to_json(result), "\n") + "\n"
-
-
-def _json(x, nl: str) -> str:
-    """x as json.dumps(x, indent=2, sort_keys=True) writes it nested at the
-    indentation that follows the line break nl."""
-    if type(x) is list:
-        if not x:
-            return "[]"
-        inner = nl + "  "
-        if all(type(v) is int for v in x):
-            items = map(int.__repr__, x)
-        else:
-            items = [_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if type(x) is dict:
-        if not x:
-            return "{}"
-        inner = nl + "  "
-        return "{" + ",".join([f"{inner}{_string(k)}: {_json(x[k], inner)}"
-                               for k in sorted(x)]) + nl + "}"
-    if type(x) is str:
-        return _string(x)
-    if type(x) is int:
-        return int.__repr__(x)
-    return "null" if x is None else json.dumps(x)
+    """trace_to_json's document as compact JSON text with sorted keys and
+    one closing line break, written by json's C encoder. Any JSON
+    whitespace reads the same: verify also reads an indented trace."""
+    return json.dumps(trace_to_json(result), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _step_to_json(s: TraceStep) -> dict:
@@ -245,6 +218,13 @@ def _integer(x, what, *at):
     if type(x) is int and x >= 0:
         return x
     raise FormatError(f"trace JSON: {what.format(*at)} must be a non-negative integer")
+
+
+def _list(x, what: str) -> list:
+    """x, when it is a JSON list; else FormatError naming the field."""
+    if type(x) is list:
+        return x
+    raise FormatError(f"trace JSON: {what} must be a list")
 
 
 # a step's integer lists, and the lengths each may have
@@ -281,7 +261,9 @@ def _step_from_json(stage: str, i: int, d) -> TraceStep:
 def _load_trace(trace: dict):
     """Check the shape of a trace JSON; returns (target, input graph, input
     k, stages as (name, steps, k_after), output (n, m, k)). The target must
-    name a target. Every integer goes through _integer: input n, m and k,
+    name a target. The stages, each stage's steps and the input edges go
+    through _list, so an object or a string in their place is refused, not
+    read as empty. Every integer goes through _integer: input n, m and k,
     both ends of each input edge, each step's p and list entries, each
     k_after, and output n, m and k must be non-negative integers. The input
     edges must be distinct pairs, in either orientation. An input n above
@@ -295,7 +277,7 @@ def _load_trace(trace: dict):
         if n > MAX_OUTPUT_EDGES:
             raise FormatError(f"trace JSON: input n exceeds {MAX_OUTPUT_EDGES} vertices")
         edges = [(_integer(u, "end of input edge {}", j), _integer(v, "end of input edge {}", j))
-                 for j, (u, v) in enumerate(inp["edges"])]
+                 for j, (u, v) in enumerate(_list(inp["edges"], "input edges"))]
         g = Graph(range(1, n + 1), edges)
         if g.m != len(edges):
             raise FormatError(f"trace JSON: input edges must be distinct: {len(edges)} "
@@ -304,11 +286,12 @@ def _load_trace(trace: dict):
             raise FormatError(f"trace JSON: input m disagrees with its {g.m} edges")
         k = _integer(inp["k"], "input k")
         stages = []
-        for st in trace["stages"]:
+        for st in _list(trace["stages"], "stages"):
             name = st["name"]
             if name not in STAGE_NAMES:
                 raise FormatError(f"trace JSON: unknown stage name {quoted(name)}")
-            steps = [_step_from_json(name, i, d) for i, d in enumerate(st["steps"])]
+            steps = [_step_from_json(name, i, d)
+                     for i, d in enumerate(_list(st["steps"], f"stage {name} steps"))]
             stages.append((name, steps, _integer(st["k_after"], "stage {} k_after", name)))
         out = tuple(_integer(trace["output"][f], "output {}", f) for f in ("n", "m", "k"))
     except FormatError:

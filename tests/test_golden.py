@@ -28,38 +28,38 @@ from conftest import (
 GOLDEN = [
     ("triangle", lambda: cycle_graph(3), "4reg-planar-ham",
      "5cdd128f304d20e2b4c84328595577913284b8520461fed8ef92f6a21c6960ef",
-     "223fcbf24d59f383d8576ee0c3231858e7d94d98924c4202ef466836fcf1720f"),
+     "9e4ffc96e0e19609f8ca15c3107394265d6c14d68ecd99650846bfa2d780d322"),
     # pairing subdivides one edge and lays four R gadgets; hamiltonize merges nothing
     ("prism", prism_graph, "5reg-planar-ham",
      "5cc89873b5cbfac5c8f5bf59d152ca707a9e11e01ebff8233dff7f9218ce9134",
-     "ce3723938a4895d2c556b96b4f2b6316b2c79bb4eafd9089b18de090cf50dfed"),
+     "c74aecdaa9e26f1c19f93be6f86675d4f04cf5657283a9433c000468eaa0aab9"),
     ("C3", lambda: cycle_graph(3), "preg-ham:5",
      "fda67ed6a47ccdce8927a98ba79a6959559b3b39b337ec0f61551777b9f52c51",
-     "99a5aa236bad0a681e1b97caefc479238870b17355ddc6080d4c94ad8ab6485e"),
+     "0b9510b61f6da5cf9822af7858fd8784942e47f885b44f3686fbc7a2b4eb14b7"),
     ("C8", lambda: cycle_graph(8), "ham-ordered:4",
      "aa0d1a06e61157fc17e9ba3e68b11d5205086edf961996bfe194af9fde9774cd",
-     "2a30880ef2e06134b5e651e20a6eddf7b57788b5cf810ccf59649b820062356f"),
+     "00e09459cc25848aaee70c016a191d3f7b5260233914be8daa5b20ba7e74f6c2"),
     # pairing lays three R gadgets in the outer face; hamiltonize runs 6
     # merges (18 steps)
     ("grid3x4", lambda: grid_graph(3, 4), "4reg-planar-ham",
      "c04c9ecff159aabd0ca3a6d10c22c291bbdbfcc9200ab19189e52e4b1c5d55cf",
-     "4f2a8b78592dd6c20625eb52fb0144f5743c55a370f1e714822c4dae91dcf9ad"),
+     "9d2f1c54ca34c54a82616f0fc0f9fc44448e03227e716a2f4addcd6845094e7c"),
     # p_regularize's Y rounds: Y_5 across the witness matching of the 5-regular graph
     ("C3-preg6", lambda: cycle_graph(3), "preg-ham:6",
      "105743b153df2b49f93392a3f93e332df617b989854431404065a86df69d102b",
-     "f43610ca33ee36ea1fe608022cb6545c50fca7b8690345517a3eb36f396270ba"),
+     "aeb1076273ffa990415feb57cbf4f722f455faf9b4cae355232a7b4b27db3634"),
     # pairing lays three R gadgets; hamiltonize runs 4 merges
     ("grid2x5", lambda: grid_graph(2, 5), "4reg-planar-ham",
      "f04e52458d03c930da362d241f8cf04f29afc942a07648f47cfea477db185c7e",
-     "2cd5d1d0182d463e6c59a515d3972d758f0517b1e9e9c612b16f27d7aa74db78"),
+     "934ae4d5d9462c7a835215e3f44e1459d0cb0df790a60299d562ed766e3f01da"),
     # pairing lays ten R gadgets, all in the outer face; hamiltonize runs 4 merges
     ("grid6x8", lambda: grid_graph(6, 8), "4reg-planar-ham",
      "22c70b1af85e8656304a79cfbdc4756660d73fa31f78920b7792a0f23ffb260c",
-     "b2986846fe09424e0e845f1a564d4fef34c805b20b2e7884b47cfa8eef7b814b"),
+     "5cd56d6c55a48b5398c8a8a88c1055205d6d9725b9975cd784671bc1a901cec1"),
     # a lift after a lift: 138 vertices, 9 349 edges, the densest rows
     ("C8-lift5", lambda: cycle_graph(8), "ham-ordered:5",
      "60366193f79e86bda602f95c4f62125f977039d1b56ca1843be06f205e107a9c",
-     "b922a514cb8c05af76feadc44ac9e4dd0fe60de058979f741dbdadfcb3805a90"),
+     "52863ecf7b6a347b3edfea0fffc304cd4434e31308976cadc07e5782cee64f73"),
 ]
 
 

@@ -304,7 +304,15 @@ class TestTraceDumps:
     @pytest.mark.parametrize("name,make,target", TRACE_CASES, ids=[c[0] for c in TRACE_CASES])
     def test_writes_the_bytes_of_json_dumps(self, name, make, target):
         res = _reduced(make, target)
-        assert trace_dumps(res) == json.dumps(trace_to_json(res), indent=2, sort_keys=True) + "\n"
+        assert trace_dumps(res) == json.dumps(trace_to_json(res), sort_keys=True,
+                                              separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("name,make,target", TRACE_CASES, ids=[c[0] for c in TRACE_CASES])
+    def test_reads_back_as_the_document_on_one_line(self, name, make, target):
+        res = _reduced(make, target)
+        text = trace_dumps(res)
+        assert json.loads(text) == trace_to_json(res)
+        assert text.count("\n") == 1 and text.endswith("\n")
 
     def test_cases_hold_every_trace_shape(self):
         docs = {name: trace_to_json(_reduced(make, target)) for name, make, target in TRACE_CASES}
@@ -363,6 +371,12 @@ class TestCli:
         assert main(["reduce", inp, "--target", "4reg-planar-ham",
                      "-o", out, "--trace", tr, "--k", "1"]) == 0
         assert main(["verify", out, "--trace", tr]) == 0
+
+    def test_verify_reads_an_indented_trace(self, tmp_path):
+        out, tr = self._reduced(tmp_path)
+        doc = json.loads(open(tr).read())
+        (tmp_path / "trace.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert main(["verify", str(out), "--trace", tr]) == 0
 
     def test_verify_rejects_tampered_trace(self, tmp_path):
         inp = self._write_input(tmp_path)

@@ -1,7 +1,9 @@
 import functools
+import inspect
 import itertools
 import random
 import re
+import sys
 import time
 
 import networkx
@@ -343,6 +345,19 @@ class TestBranchReduce:
 
     def test_small_budget_hint_still_optimal(self):
         assert len(fvs_branch_reduce(complete_graph(6)).deleted) == 4
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # a chain of 150 triangles, each joined to the next by one edge: the
+        # search deletes one vertex per triangle, one node deeper each time
+        edges = [e for i in range(0, 450, 3)
+                 for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2), (i + 2, i + 3))]
+        g = Graph.from_edges(edges[:-1])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            assert len(fvs_branch_reduce(g).deleted) == 150
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_time_budget_raises(self):
         g = random_regular4(60, 7)

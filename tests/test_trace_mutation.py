@@ -488,6 +488,25 @@ class TestMalformedTraces:
         assert _verify(tmp, out, doc) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["stages", "stage pairing steps", "input edges"])
+    def test_object_where_the_schema_has_a_list(self, planar_artifact, capsys, field):
+        # the pairing stage has no steps, so an empty object in its place
+        # verified (exit 0); the empty stages, or no edges with m 0, failed
+        # replay (exit 4)
+        tmp, out, doc = planar_artifact
+        doc = copy.deepcopy(doc)
+        if field == "stages":
+            doc["stages"] = {}
+        elif field == "input edges":
+            doc["input"].update(edges={}, m=0)
+        else:
+            pairing, = (st for st in doc["stages"] if st["name"] == "pairing")
+            assert pairing["steps"] == []
+            pairing["steps"] = {}
+        capsys.readouterr()
+        assert _verify(tmp, out, doc) == 2
+        assert f"trace JSON: {field} must be a list" in capsys.readouterr().err
+
     def test_trace_not_an_object(self, artifact):
         tmp, out, _ = artifact
         assert _verify(tmp, out, "[1, 2]") == 2
