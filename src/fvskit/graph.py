@@ -185,15 +185,17 @@ class Builder(_Rows):
             raise GraphError(f"face dart {list(dart)} names no face at {u} (and {v})")
 
     def _add(self, gadget, u, v, dart):
-        adj, rows, base = self.adjacency, gadget.rows, self.next_id
-        self.next_id += len(rows.inner)
+        adj, rows = self.adjacency, gadget.rows
+        # one int object per fresh id, shared by its key and every row
+        fresh = list(range(self.next_id, self.next_id + len(rows.inner)))
+        self.next_id += len(fresh)
         # at u == v (an R insert) y's fresh neighbours follow x's
-        adj[u] += [base + i for i in rows.x_row]
-        adj[v] += [base + i for i in rows.y_row]
+        adj[u] += [fresh[i] for i in rows.x_row]
+        adj[v] += [fresh[i] for i in rows.y_row]
         ports = ([], [u], [v])
-        for i, (port, row) in enumerate(rows.inner_rows):
-            adj[base + i] = ports[port] + [base + j for j in row]
-        id_map = {gadget.x: u, gadget.y: v, **dict(zip(rows.inner, range(base, self.next_id)))}
+        for f, (port, row) in zip(fresh, rows.inner_rows):
+            adj[f] = ports[port] + [fresh[j] for j in row]
+        id_map = {gadget.x: u, gadget.y: v, **dict(zip(rows.inner, fresh))}
         self._record("insert", gadget.k_delta, gadget=gadget.kind, p=gadget.p, attach=(u, v),
                      face=dart)
         return id_map

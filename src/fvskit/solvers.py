@@ -211,13 +211,14 @@ def _greedy_fvs(adj, timeout=None):
 
 
 def _shortest_cycle(adj, timeout):
-    """A shortest (or near-shortest) cycle as a vertex list, or None.
+    """A shortest cycle as a vertex list, or None on a forest.
 
-    BFS from every root; the first non-tree edge closing two branches gives
-    a cycle through the root of length dist(u)+dist(w)+1. The two tree paths
-    below their lowest common ancestor are disjoint, so no vertex repeats.
-    timeout is called before each root and raises once the search's budget
-    is spent."""
+    BFS from every root; a non-tree edge uw closes the cycle of the two tree
+    paths from u and w up to their lowest common ancestor, found by one
+    climb from the deeper end. The paths are disjoint below it, so no vertex
+    repeats, and the cycle has at most dist(u)+dist(w)+1 vertices: from a
+    root on a shortest cycle, that is the girth. timeout is called before
+    each root and raises once the search's budget is spent."""
     best = None
     for root in sorted(adj):
         timeout()
@@ -234,19 +235,15 @@ def _shortest_cycle(adj, timeout):
                     parent[w] = u
                     queue.append(w)
                 elif parent[u] != w and parent.get(w) != u:
-                    path_u, path_w = [u], [w]
-                    while path_u[-1] is not None:
-                        path_u.append(parent[path_u[-1]])
-                    while path_w[-1] is not None:
-                        path_w.append(parent[path_w[-1]])
-                    path_u.pop()
-                    path_w.pop()
-                    # drop the common tail above the lowest common ancestor;
-                    # both paths end at the root, so their last entries agree
-                    while len(path_u) > 1 and len(path_w) > 1 and path_u[-2] == path_w[-2]:
-                        path_u.pop()
-                        path_w.pop()
-                    cyc = path_u[:-1] + list(reversed(path_w))
+                    a, b, up, down = u, w, [], []
+                    while a != b:
+                        if dist[a] >= dist[b]:
+                            up.append(a)
+                            a = parent[a]
+                        else:
+                            down.append(b)
+                            b = parent[b]
+                    cyc = up + [a] + down[::-1]
                     if best is None or len(cyc) < len(best):
                         best = cyc
         if best is not None and len(best) == 3:
@@ -287,45 +284,40 @@ def _degree_sum_lb(adj):
     return k
 
 
+def _reduce(adj, forbidden):
+    """Reduce a branch-and-reduce node in place: strip the vertices of
+    degree <= 1 with _strip_adjacency, then sweep once over the vertices of
+    degree 2 and bypass each (delete it and join its two neighbours) unless
+    a skip rule keeps it. A bypass joins non-adjacent neighbours, so it
+    keeps both their degrees and no vertex falls back to degree <= 1."""
+    _strip_adjacency(adj)
+    for v in [v for v, ns in adj.items() if len(ns) == 2]:
+        u, w = sorted(adj[v])
+        if w in adj[u]:
+            continue  # triangle through v: handled by branching
+        if v not in forbidden and u in forbidden and w in forbidden:
+            continue  # v may be the only deletable vertex here
+        del adj[v]
+        adj[u].remove(v)
+        adj[w].remove(v)
+        adj[u].add(w)
+        adj[w].add(u)
+
+
 def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
-    """Exact minimum FVS via branching on the vertices of a shortest cycle,
-    with standard reductions, a degree-sum lower bound and, where that does
-    not prune, a cycle-packing one. Raises UndecidedError once time_budget
-    seconds have passed, naming the nodes searched and the bounds on the
-    optimum known at the top level by then. Its _Progress checks the
-    deadline at every node and is the timeout of the initial greedy and of
-    each node's cycle packing. The search keeps its nodes on an explicit
-    stack, so Python's recursion limit does not bound its depth. A returned
+    """Exact minimum FVS via branching on the vertices of a shortest cycle.
+    Each node is reduced by _reduce and bounded below by the degree-sum
+    bound and, where that does not prune, a cycle-packing one. Raises
+    UndecidedError once time_budget seconds have passed, naming the nodes
+    searched and the bounds on the optimum known at the top level by then.
+    Its _Progress checks the deadline at every node and is the timeout of
+    the initial greedy and of each node's cycle packing. The search keeps
+    its nodes on an explicit stack, so Python's recursion limit does not
+    bound its depth. A returned
     set that is not an FVS raises SolverError."""
     progress = _Progress(time_budget, 1, _degree_sum_lb(g.adjacency), g.n)
     greedy = _greedy_fvs(g.adjacency, progress.check)
     progress.upper = len(greedy)
-
-    def reduce_graph(adj, forbidden):
-        """Apply degree <=1 removal and safe degree-2 bypasses in place."""
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if v not in adj:
-                    continue
-                ns = adj[v]
-                if len(ns) <= 1:
-                    for w in adj.pop(v):
-                        adj[w].discard(v)
-                    changed = True
-                elif len(ns) == 2:
-                    u, w = sorted(ns)
-                    if w in adj[u]:
-                        continue  # triangle through v: handled by branching
-                    if v not in forbidden and u in forbidden and w in forbidden:
-                        continue  # v may be the only deletable vertex here
-                    adj.pop(v)
-                    adj[u].discard(v)
-                    adj[w].discard(v)
-                    adj[u].add(w)
-                    adj[w].add(u)
-                    changed = True
 
     def solve(adj, forbidden, ub, top=False):
         """Smallest FVS of adj avoiding forbidden with size < ub, else None,
@@ -335,7 +327,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
         split hands each component its own rows. The top call keeps the
         bounds in progress current."""
         progress.tick()
-        reduce_graph(adj, forbidden)
+        _reduce(adj, forbidden)
         # reduced, every vertex left has degree >= 2, so a cycle remains
         if not adj:
             return set()

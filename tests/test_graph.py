@@ -16,13 +16,15 @@ from fvskit.graph import (
     PlaneBuilder,
     TraceStep,
     check_regular,
+    cycle_cover_error,
     faces,
     strip_low_degree,
     subdivide_edge,
 )
-from fvskit.pipeline import StageResult, _finish
+from fvskit.gadgets import build_gadget
+from fvskit.pipeline import StageResult, _finish, run_pipeline
 from fvskit.solvers import check_planarity
-from fvskit.textio import _step_from_json, _step_to_json
+from fvskit.textio import FormatError, _step_from_json, _step_to_json
 
 from conftest import (
     bull_free_random,
@@ -206,6 +208,18 @@ class TestFaces:
         assert b.n_faces == 2
         assert sorted(list(b.face.values()).count(f) for f in range(2)) == [4, 4]
 
+    def test_plane_builder_copy_must_be_joined_before_the_next_copy(self):
+        g = cycle_graph(4)
+        b = PlaneBuilder(g, _rotation(g))
+        mapping = b.copy()
+        with pytest.raises(GraphError, match="^a plane builder copies only a connected graph$"):
+            b.copy()
+        with pytest.raises(GraphError, match="^the insert after a copy must join its halves "
+                                             "at 1 and 2$"):
+            b.insert(build_gadget("L"), 1, 2)
+        b.insert(build_gadget("L"), 1, mapping[1])
+        assert b.split is None
+
 
 class TestCheckRegular:
     def test_examples(self):
@@ -232,12 +246,24 @@ class TestWitnessAndInstance:
         with pytest.raises(GraphError):
             Instance(cycle_graph(4), 0, HamCycleWitness((1, 3, 2, 4)))
 
+    def test_a_two_vertex_witness_is_shorter_than_a_cycle(self):
+        assert cycle_cover_error(cycle_graph(4), [(1, 2)]) == "cycle shorter than 3"
+
 
 class TestTrace:
     def test_step_json_round_trip(self):
         s = TraceStep("merge", "insert", gadget="L", attach=(3, 7))
         back = _step_from_json("merge", 0, _step_to_json(s))
         assert back == s
+
+    @pytest.mark.parametrize("field, msg", [
+        ({"attach": [1]}, "attach must list 0 or 2 integers"),
+        ({"face": [1, 2, 3]}, "face must list 0 or 2 or 4 integers"),
+    ])
+    def test_step_list_of_the_wrong_length(self, field, msg):
+        with pytest.raises(FormatError) as info:
+            _step_from_json("pairing", 3, {"op": "insert", "gadget": "L", **field})
+        assert str(info.value) == f"trace JSON: stage pairing step 3: {msg}"
 
 
 # The only callers that may build a Graph without the per-edge checks of
@@ -309,6 +335,24 @@ def test_the_builder_keeps_its_rows_sorted_without_sorting(method):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             assert name not in ("sorted", "sort", "set", "frozenset"), ast.unparse(node)
+
+
+# An op makes one int object per fresh id, shared by the id's key and by
+# every row that lists it, so an output holds one int object per vertex.
+def test_compiled_rows_share_one_int_per_vertex():
+    g = run_pipeline(Instance(cycle_graph(3), 1), "preg-ham:6").instance.graph
+    ints = {id(v) for v in g.adjacency} | {id(w) for row in g.adjacency.values() for w in row}
+    assert len(ints) == g.n == 2352
+
+
+# The one strip of degree <= 1 vertices: the builder's strip op, the FVS
+# check, the greedy bound and the branch-and-reduce node reduction.
+STRIP_CALLERS = {("graph.py", "Builder.strip"), ("solvers.py", "is_fvs"),
+                 ("solvers.py", "_greedy_fvs"), ("solvers.py", "_reduce")}
+
+
+def test_every_strip_runs_through_strip_adjacency():
+    assert _callers("_strip_adjacency", "_strip_adjacency") == STRIP_CALLERS
 
 
 # The one cycle-cover check is reached only where a cycle certificate is

@@ -144,6 +144,26 @@ class TestParse:
         assert str(info.value) == f"line 4: {msg}"
         assert info.value.line == 4
 
+    @pytest.mark.parametrize("lines, msg", [
+        (["p fvs 3 0", "p fvs 3 0"], "duplicate header"),
+        (["p fvs 3"], "header must be 'p fvs <n> <m>'"),
+        (["p fvx 3 0"], "header must be 'p fvs <n> <m>'"),
+        (["p fvs three 0"], "header counts must be integers"),
+        (["p fvs 3 -1"], "header counts must be non-negative"),
+        (["h 1 2 3"], "witness before header"),
+        (["p fvs 3 0", "h 1 2 3", "h 1 2 3"], "duplicate witness line"),
+        (["p fvs 3 0", "h 1 x 3"], "witness entries must be integers"),
+    ])
+    def test_bad_header_or_witness_line_message_and_number(self, tmp_path, lines, msg):
+        text = "\n".join(["c lead", *lines, ""])
+        with pytest.raises(FormatError) as info:
+            parse_graph(text)
+        line = len(lines) + 1
+        assert str(info.value) == f"line {line}: {msg}"
+        assert info.value.line == line
+        (tmp_path / "in.fvs").write_text(text)
+        assert main(["solve", str(tmp_path / "in.fvs")]) == 2
+
     def test_duplicate_edge_names_the_second_line(self):
         with pytest.raises(FormatError) as info:
             parse_graph("p fvs 2 2\ne 1 2\ne 2 1\n")
@@ -516,6 +536,24 @@ class TestCli:
             tracemalloc.stop()
         assert rc == 2
         assert peak < 1 << 20
+
+    def test_verify_refuses_a_header_with_a_non_integer_count(self, tmp_path, capsys):
+        # _backed_size reads no size from the header, so the parse reports it
+        out, tr = self._reduced(tmp_path)
+        head, rest = out.read_text().split("\n", 1)
+        out.write_text(f"p fvs x {head.split()[3]}\n{rest}")
+        capsys.readouterr()
+        assert main(["verify", str(out), "--trace", tr]) == 2
+        assert capsys.readouterr().err == "format error: line 1: header counts must be integers\n"
+
+    @pytest.mark.parametrize("edit", [lambda t: "c lead\n" + t, lambda t: t + "c tail\n"],
+                             ids=["before-header", "after-witness"])
+    def test_verify_reads_an_output_with_comment_lines(self, tmp_path, capsys, edit):
+        # the first has no header on its first line, and the second has text
+        # after its h line: neither is the rendering, so both are parsed
+        capsys.readouterr()
+        assert self._verify_edited(tmp_path, edit) == 0
+        assert capsys.readouterr().out == "ok\n"
 
     @pytest.mark.parametrize("text, size", [("p fvs 1 10", None), ("p fvs 3 0", (3, 0))])
     def test_backed_size_reads_a_header_without_a_line_break(self, text, size):

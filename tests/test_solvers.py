@@ -365,6 +365,79 @@ class TestBranchReduce:
             fvs_branch_reduce(g, time_budget=1e-4)
 
 
+def _random_adjacency(seed, n_range):
+    """A seeded G(n, p) as a dict of sets on 0..n-1."""
+    rng = random.Random(seed)
+    n = rng.randint(*n_range)
+    p = rng.uniform(0.1, 0.45)
+    adj = {v: set() for v in range(n)}
+    for u, w in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u].add(w)
+            adj[w].add(u)
+    return adj, rng
+
+
+def _graph(adj):
+    return Graph(set(adj), [(u, w) for u, ns in adj.items() for w in ns if u < w])
+
+
+def _min_fvs_avoiding(adj, forbidden):
+    """The size of a smallest FVS of adj that avoids forbidden, or None if
+    none does, by testing the deletable subsets in size order."""
+    g = _graph(adj)
+    free = sorted(set(adj) - forbidden)
+    for k in range(len(free) + 1):
+        if any(is_fvs(g, gone) for gone in itertools.combinations(free, k)):
+            return k
+    return None
+
+
+def _assert_reduced_rows(adj, before):
+    assert set(adj) <= set(before)
+    for v, ns in adj.items():
+        assert len(ns) >= 2 and v not in ns
+        assert all(v in adj[w] for w in ns)
+
+
+class TestReduce:
+    @pytest.mark.parametrize("seed", range(0, 600, 50))
+    def test_one_sweep_reaches_the_fixpoint_and_keeps_the_optimum(self, seed):
+        for s in range(seed, seed + 50):
+            adj, _ = _random_adjacency(s, (4, 16))
+            before = _graph(adj)
+            solvers._reduce(adj, frozenset())
+            _assert_reduced_rows(adj, before.adjacency)
+            for v, ns in adj.items():
+                if len(ns) == 2:
+                    u, w = ns
+                    assert w in adj[u], (s, v)
+            opt = len(fvs_exact_exhaustive(before).deleted)
+            assert len(fvs_exact_exhaustive(_graph(adj)).deleted) == opt, s
+
+    def test_keeps_the_optimum_that_avoids_the_forbidden_vertices(self):
+        for s in range(300):
+            adj, rng = _random_adjacency(s, (4, 11))
+            forbidden = frozenset(v for v in adj if rng.random() < 0.3)
+            before = {v: set(ns) for v, ns in adj.items()}
+            solvers._reduce(adj, forbidden)
+            _assert_reduced_rows(adj, before)
+            assert _min_fvs_avoiding(adj, forbidden) == _min_fvs_avoiding(before, forbidden), s
+
+
+def test_shortest_cycle_has_the_girth():
+    for s in range(2000):
+        adj, _ = _random_adjacency(s, (3, 14))
+        g = _graph(adj)
+        cyc = solvers._shortest_cycle(adj, lambda: None)
+        girth = networkx.girth(to_networkx(g))
+        if cyc is None:
+            assert girth == float("inf"), s
+            continue
+        assert len(set(cyc)) == len(cyc) == girth, s
+        assert all(cyc[i - 1] in adj[v] for i, v in enumerate(cyc)), s
+
+
 class TestPlanarityAndWitness:
     def test_k4_planar_with_rotation(self):
         ok, rot = check_planarity(complete_graph(4))
