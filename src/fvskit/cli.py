@@ -8,7 +8,7 @@ import functools
 import json
 import sys
 
-from .gadgets import build_gadget, certify_gadget, refuse_uncertifiable
+from .gadgets import build_gadget, certify_gadget, refuse_uncertifiable, y_size
 from .geometry import GeometryError, emit_svg
 from .graph import GraphError
 from .pipeline import PipelineError, parse_target, run_pipeline, target_class
@@ -106,7 +106,7 @@ def cmd_gadget_check(args) -> int:
     if args.kind != "Y" and args.p is not None:
         args.usage_error(f"argument --p: only a Y gadget takes p, not {args.kind}")
     if args.kind == "Y" and args.p is not None:
-        refuse_uncertifiable(2 * args.p + 4)  # Y_p's order, known before it is built
+        refuse_uncertifiable(y_size(args.p)[0])
     gadget = build_gadget(args.kind, p=args.p)
     report = certify_gadget(gadget)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))

@@ -154,6 +154,12 @@ def _build_y(p: int | None) -> Gadget:
     return Gadget("Y", p, g, 0, 2 * p + 3, ham, 2 * p - 2)
 
 
+def y_size(p: int) -> tuple:
+    """(order, edge count) of build_gadget("Y", p), known before it is
+    built: 2p + 4 vertices and p^2 + 2p + 2 edges."""
+    return 2 * p + 4, p * p + 2 * p + 2
+
+
 def build_gadget(kind: str, p: int | None = None) -> Gadget:
     if kind == "R":
         return _build_r()

@@ -267,10 +267,10 @@ class PlaneBuilder(Builder):
 
     def __init__(self, g: Graph, rotation, k: int = 0, stage: str = ""):
         super().__init__(g, k, stage)
-        self.walks = [list(zip(w, w[1:] + w[:1])) for w in faces(g, rotation)] if g.m else []
+        self.walks = faces(g, rotation)
         self.rotation = {v: list(order) for v, order in rotation.items()}
         self.face = {d: f for f, w in enumerate(self.walks) for d in w}
-        self.n_faces = len(self.walks) or 1
+        self.n_faces = len(self.walks)
         self.split = None  # after a copy, the copy's lowest face id
 
     def subdivide(self, e) -> int:
@@ -479,10 +479,11 @@ class GadgetPlane:
 
 
 def faces(g: Graph, rotation):
-    """All face boundary walks of the connected graph g embedded by
-    rotation (each vertex's neighbours in cyclic order). Checks that
-    rotation lists exactly g's edges at every vertex and that the walks
-    satisfy Euler's formula, so the walks prove g itself planar."""
+    """The face walks of the connected graph g embedded by rotation (each
+    vertex's neighbours in cyclic order), as _walk_faces gives them; an
+    edgeless graph's one face is []. Checks that rotation lists exactly g's
+    edges at every vertex and that the walks satisfy Euler's formula, so
+    the walks prove g itself planar."""
     if rotation.keys() != g.vertices:
         raise GraphError("rotation must cover exactly the vertex set")
     for v, order in rotation.items():
@@ -491,11 +492,11 @@ def faces(g: Graph, rotation):
     if not is_connected(g):
         raise GraphError("faces require connected graph")
     if g.m == 0:
-        return [sorted(g.vertices)]
+        return [[]]
     walks = _walk_faces(rotation)
     if g.n - g.m + len(walks) != 2:
         raise GraphError("rotation system is not a planar embedding")
-    return [[u for u, _ in walk] for walk in walks]
+    return walks
 
 
 def embeds(g: Graph, rotation) -> bool:

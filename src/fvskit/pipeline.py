@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .gadgets import build_gadget, interior_path
+from .gadgets import build_gadget, interior_path, y_size
 from .geometry import grid_embed
 from .graph import (
     Builder,
@@ -391,26 +391,25 @@ def _cycle_long_way(cycle, frm, to):
 class MergeState:
     """The hamiltonize stage between merges: one PlaneBuilder that every
     merge edits in place, the 2-factor as each vertex's two cycle neighbours,
-    each vertex's cycle id, and a heap of the edges that join two cycles.
-    Heap entries go stale when their edge is subdivided or its cycles merge
-    and are dropped when popped, so the heap always yields the smallest
-    connecting edge in sorted order."""
+    a union-find parent over its cycles, each rooted at its first vertex, the
+    count of cycles left, and a heap of the edges that join two cycles. Heap
+    entries go stale when their edge is subdivided or its cycles merge and
+    are dropped when popped, so the heap yields the smallest connecting edge."""
 
     def __init__(self, inst: Instance, tf: TwoFactor, rotation):
         g = inst.graph
         self.builder = PlaneBuilder(g, rotation, inst.k, "hamiltonize")
         self.nb = {}
-        self.cycle_of = {}
-        self.members = {}
-        for ci, cyc in enumerate(tf.components):
+        self.parent = parent = {}
+        for cyc in tf.components:
             for i, v in enumerate(cyc):
                 self.nb[v] = [cyc[i - 1], cyc[(i + 1) % len(cyc)]]
-                self.cycle_of[v] = ci
-            self.members[ci] = list(cyc)
+                parent[v] = cyc[0]
+        self.cycles = len(tf.components)
         # the latest merged cycle's first two vertices: where cycle() starts
         # its walk and which way it goes
         self.head = tuple(tf.components[0][:2])
-        self.heap = [e for e in sorted_edges(g) if self.cycle_of[e[0]] != self.cycle_of[e[1]]]
+        self.heap = [e for e in sorted_edges(g) if _find(parent, e[0]) != _find(parent, e[1])]
 
     def cycle_edges(self, u):
         return sorted(_norm_edge(u, w) for w in self.nb[u])
@@ -457,17 +456,17 @@ class MergeState:
         for a, b in zip(path, path[1:]):
             nb[a].append(b)
             nb[b].append(a)
-        ci, cj = self.cycle_of[u], self.cycle_of[v]
-        keep, gone = (ci, cj) if len(self.members[ci]) >= len(self.members[cj]) else (cj, ci)
-        merged = self.members[keep]
-        for w in self.members.pop(gone) + new_vertices:
-            self.cycle_of[w] = keep
-            merged.append(w)
+        parent = self.parent
+        root = _find(parent, v)
+        parent[_find(parent, u)] = root
+        for w in new_vertices:
+            parent[w] = root
+        self.cycles -= 1
         self.head = head
         rot = self.builder.rotation
         for w in new_vertices:
             for t in rot[w]:
-                if self.cycle_of[t] != keep:
+                if _find(parent, t) != root:
                     heapq.heappush(self.heap, _norm_edge(w, t))
 
 
@@ -480,12 +479,12 @@ def merge_step(state: MergeState):
     smallest connecting edge that admits case 1 or, if none does, the
     smallest that admits case 2. Edits state in place. Returns (u, v, the
     steps recorded, the case)."""
-    _require(len(state.members) > 1, "already Hamiltonian")
+    _require(state.cycles > 1, "already Hamiltonian")
     held = []  # live connecting edges without a case 1, in sorted order
     found = None
     while state.heap and found is None:
         u, v = heapq.heappop(state.heap)
-        if state.cycle_of[u] == state.cycle_of[v] or not state.builder.has_edge(u, v):
+        if _find(state.parent, u) == _find(state.parent, v) or not state.builder.has_edge(u, v):
             continue  # stale: its cycles are merged or it is subdivided
         found = state.case1(u, v)
         if found is None:
@@ -540,10 +539,9 @@ def hamiltonize(inst: Instance, rotation) -> StageResult:
     two of its at most n/3 cycles or raising. All merges edit one plane builder
     started from rotation, a rotation system of inst.graph; audit counts them."""
     state = MergeState(inst, compute_two_factor(inst.graph), rotation)
-    merges = 0
-    while len(state.members) > 1:
+    merges = state.cycles - 1
+    while state.cycles > 1:
         merge_step(state)
-        merges += 1
     return _finish(state.builder, state.cycle(), merges)
 
 
@@ -848,11 +846,11 @@ def _replay_step(b: Builder, s, ys, m, n_out, m_out) -> int:
     elif s.op == "insert":
         _require(len(s.attach) == 2, "insert names no attachment pair")
         if s.gadget == "Y":
-            # a Y_p insertion only ever lands in a p-regular graph, so p < n;
-            # Y_p adds 2p + 2 vertices and p^2 + 2p + 2 edges
+            # a Y_p insertion only ever lands in a p-regular graph, so p < n
             p = s.p
             _require(p is not None and p < b.n, f"Y_p with p={p} on {b.n} vertices")
-            m = room(2 * p + 2, p * p + 2 * p + 2)
+            gn, gm = y_size(p)
+            m = room(gn - 2, gm)
             gadget = ys[p] = ys.get(p) or build_gadget("Y", p)
         else:
             gadget = GADGETS.get(s.gadget) or build_gadget(s.gadget)

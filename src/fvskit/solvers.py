@@ -28,8 +28,6 @@ class UndecidedError(SolverError):
 @dataclass(frozen=True)
 class FvsSolution:
     deleted: frozenset
-    optimal: bool
-    method: str
 
 
 def is_fvs(g: Graph, deleted) -> bool:
@@ -170,7 +168,7 @@ def fvs_exact_exhaustive(g: Graph, time_budget=None) -> FvsSolution:
     UndecidedError once time_budget seconds have passed, naming the nodes
     searched and the bounds on the optimum known by then."""
     verts, optima = _min_deletions(g, time_budget)
-    return FvsSolution(frozenset(verts[i] for i in next(optima)), True, "exhaustive")
+    return FvsSolution(frozenset(verts[i] for i in next(optima)))
 
 
 def enumerate_min_fvs(g: Graph):
@@ -397,7 +395,7 @@ def fvs_branch_reduce(g: Graph, time_budget=None) -> FvsSolution:
             best = done.value
     if not is_fvs(g, best):
         raise SolverError("branch-and-reduce self-check failed: its set leaves a cycle")
-    return FvsSolution(frozenset(best), True, "branch-reduce")
+    return FvsSolution(frozenset(best))
 
 
 def check_planarity(g: Graph):
@@ -602,8 +600,6 @@ def check_planarity(g: Graph):
                     link(w, v, right_ref[w], cw[w][right_ref[w]])
                 else:
                     link(w, v, ccw[w][left_ref[w]], left_ref[w])
-                    if left[w] == left_ref[w]:
-                        left[w] = v
                     left_ref[w] = v
 
     rotation = {}

@@ -31,6 +31,23 @@ class FormatError(ValueError):
         super().__init__(msg if line is None else f"line {line}: {msg}")
 
 
+def _header(tok, ln=None):
+    """(n, m) of a header line split into tok: 'p fvs <n> <m>' with
+    non-negative integer counts and n within MAX_OUTPUT_EDGES, which bounds
+    every graph fvskit writes; else FormatError, on line ln when given."""
+    if len(tok) != 4 or tok[:2] != ["p", "fvs"]:
+        raise FormatError("header must be 'p fvs <n> <m>'", ln)
+    try:
+        n, m = int(tok[2]), int(tok[3])
+    except ValueError:
+        raise FormatError("header counts must be integers", ln)
+    if n < 0 or m < 0:
+        raise FormatError("header counts must be non-negative", ln)
+    if n > MAX_OUTPUT_EDGES:
+        raise FormatError(f"header n exceeds {MAX_OUTPUT_EDGES} vertices", ln)
+    return n, m
+
+
 def parse_graph(text: str, k: int = 0) -> Instance:
     """Read the line-based graph format. One pass checks each edge line as
     it reads it (endpoints in 1..n, no self-loop, no repeat), so the Graph
@@ -77,16 +94,7 @@ def parse_graph(text: str, k: int = 0) -> Instance:
         elif tok[0] == "p":
             if n is not None:
                 raise FormatError("duplicate header", ln)
-            if len(tok) != 4 or tok[1] != "fvs":
-                raise FormatError("header must be 'p fvs <n> <m>'", ln)
-            try:
-                n, m = int(tok[2]), int(tok[3])
-            except ValueError:
-                raise FormatError("header counts must be integers", ln)
-            if n < 0 or m < 0:
-                raise FormatError("header counts must be non-negative", ln)
-            if n > MAX_OUTPUT_EDGES:
-                raise FormatError(f"header n exceeds {MAX_OUTPUT_EDGES} vertices", ln)
+            n, m = _header(tok, ln)
         elif tok[0] == "h":
             if n is None:
                 raise FormatError("witness before header", ln)
@@ -304,21 +312,15 @@ def _load_trace(trace: dict):
 
 
 def _backed_size(text: str):
-    """(n, m) from the text's first line when it is a header 'p fvs n m'
-    with n within MAX_OUTPUT_EDGES and m <= len(text) // 6; else None. An
-    edge line takes at least six characters ('e 1 2\\n'), so no text with m
-    edge lines is shorter, and replay bounded by such an m builds no more
-    edges than the file could hold."""
-    tok = text.partition("\n")[0].split()
-    if len(tok) != 4 or tok[:2] != ["p", "fvs"]:
-        return None
+    """(n, m) from the text's first line when _header accepts it and m <=
+    len(text) // 6; else None. An edge line takes at least six characters
+    ('e 1 2\\n'), so no text with m edge lines is shorter, and replay
+    bounded by such an m builds no more edges than the file could hold."""
     try:
-        n, m = int(tok[2]), int(tok[3])
-    except ValueError:
+        n, m = _header(text.partition("\n")[0].split())
+    except FormatError:
         return None
-    if not (0 <= n <= MAX_OUTPUT_EDGES and 0 <= m <= len(text) // 6):
-        return None
-    return n, m
+    return (n, m) if m <= len(text) // 6 else None
 
 
 def _rendered(text: str, g: Graph):
@@ -327,8 +329,8 @@ def _rendered(text: str, g: Graph):
     it, of a witness that Instance accepts as a Hamiltonian cycle of g;
     else None. Each block of the rendering is compared in place, so no
     second copy of the output is built, and the h tokens are mapped back
-    through the same name table in one pass that refuses a token outside
-    1..n; the names of the mapped vertices must then spell the tokens."""
+    through the same name table read the other way: a token that is no
+    vertex's name, such as one outside 1..n or 01, raises KeyError."""
     verts, name = _file_names(g)
     pos = 0
     for block in _text_blocks(g, verts, name):
@@ -339,13 +341,11 @@ def _rendered(text: str, g: Graph):
         return Instance(g, 0)
     if not text.startswith("h ", pos) or text.find("\n", pos) != len(text) - 1:
         return None
-    tokens = text[pos + 2:-1].split(" ")
+    vertex = dict(zip(name.values(), name))
     try:
-        order = tuple(verts[i - 1] for i in map(int, tokens) if 0 < i <= len(verts))
-        if len(order) != len(tokens) or list(_named(name, order)) != tokens:
-            return None  # a token outside 1..n, or one not spelled as its name
+        order = tuple(map(vertex.__getitem__, text[pos + 2:-1].split(" ")))
         return Instance(g, 0, HamCycleWitness(order))
-    except (ValueError, GraphError):
+    except (KeyError, GraphError):
         return None
 
 
@@ -368,13 +368,11 @@ def verify_trace(text: str, trace: dict) -> None:
         g, k, plane = replay_stages(target, g, k, stages, out_decl[:2])
         if (g.n, g.m, k) != out_decl:
             raise CertificationError("trace output summary disagrees with replay")
-        rendered = out is None and _rendered(text, g)
     except Exception:
         if out is None:
             parse_graph(text)  # the output's format error comes first
         raise
+    rendered = _rendered(text, g) or _rendered(write_graph(out or parse_graph(text)), g)
     if not rendered:
-        rendered = _rendered(write_graph(out or parse_graph(text)), g)
-        if not rendered:
-            raise CertificationError("replayed graph differs from output graph")
+        raise CertificationError("replayed graph differs from output graph")
     certify(target, rendered, plane)

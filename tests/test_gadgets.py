@@ -5,12 +5,14 @@ import pytest
 
 from fvskit.gadgets import (
     Gadget,
+    _separates,
     build_core_wheel,
     build_gadget,
     certify_gadget,
     insert_gadget_graph,
     interior_path,
     verify_insertion_equivalence,
+    y_size,
 )
 from fvskit.graph import Builder, Graph, GraphError
 from fvskit.solvers import SolverError, is_fvs
@@ -46,6 +48,21 @@ class TestConstruction:
             assert gad.graph.n == 2 * p + 4
             assert gad.graph.m == p * p + 2 * p + 2
             assert gad.k_delta == 2 * p - 2
+
+    @pytest.mark.parametrize("p", range(3, 10))
+    def test_y_size_matches_the_built_gadget(self, p):
+        g = build_gadget("Y", p).graph
+        assert y_size(p) == (g.n, g.m)
+
+    @pytest.mark.parametrize("ham, msg", [
+        ((3, 2, 1, 0), "ham_path must run from x to y"),
+        ((0, 1, 3), "ham_path must visit every vertex once"),
+        ((0, 2, 1, 3), r"ham_path uses a non-edge \(1, 3\)"),
+    ], ids=["reversed", "missing-vertex", "non-edge"])
+    def test_ham_path_refusals(self, ham, msg):
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 2)])
+        with pytest.raises(GraphError, match=f"^{msg}$"):
+            Gadget("R", None, g, 0, 3, ham, 1)
 
     def test_y_needs_p(self):
         with pytest.raises(GraphError, match="p must be >= 3"):
@@ -95,6 +112,12 @@ class TestCertification:
             "kind", "min_fvs", "excludes_x", "excludes_y",
             "separating", "ham_xy", "planar",
         }
+
+    def test_a_deleted_end_is_not_separated(self):
+        g = cycle_graph(4)
+        assert _separates(g, {2, 4}, 1, 3)
+        assert not _separates(g, {1}, 1, 3)
+        assert not _separates(g, {3, 4}, 1, 3)
 
     def test_wrong_cost_raises(self):
         bad = dataclasses.replace(build_gadget("R"), k_delta=2)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fvskit
+from fvskit import textio
 from fvskit.graph import (
     Builder,
     Graph,
@@ -22,7 +23,7 @@ from fvskit.graph import (
     subdivide_edge,
 )
 from fvskit.gadgets import build_gadget
-from fvskit.pipeline import StageResult, _finish, run_pipeline
+from fvskit.pipeline import MergeState, StageResult, _finish, run_pipeline
 from fvskit.solvers import check_planarity
 from fvskit.textio import FormatError, _step_from_json, _step_to_json
 
@@ -167,9 +168,15 @@ class TestFaces:
         # pins the walks and their order, not only their count
         rot = {1: (2, 5, 4), 2: (1, 3, 6), 3: (2, 4, 7), 4: (3, 1, 8),
                5: (8, 1, 6), 6: (5, 2, 7), 7: (6, 3, 8), 8: (4, 5, 7)}
-        assert faces(cube_graph(), rot) == [
+        assert [[u for u, _ in w] for w in faces(cube_graph(), rot)] == [
             [1, 2, 3, 4], [1, 4, 8, 5], [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 8, 4], [5, 8, 7, 6],
         ]
+
+    def test_single_vertex(self):
+        # an edgeless graph has one face, and its walk has no dart
+        g = Graph([1], [])
+        assert faces(g, {1: ()}) == [[]]
+        assert PlaneBuilder(g, {1: ()}).n_faces == 1
 
     def test_euler_on_corpus(self, pipeline_corpus):
         for g in pipeline_corpus.values():
@@ -353,6 +360,69 @@ STRIP_CALLERS = {("graph.py", "Builder.strip"), ("solvers.py", "is_fvs"),
 
 def test_every_strip_runs_through_strip_adjacency():
     assert _callers("_strip_adjacency", "_strip_adjacency") == STRIP_CALLERS
+
+
+def _scopes(path, match):
+    """(file name, qualified name of the enclosing def) of every node of the
+    src module path that match accepts."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if match(node):
+            found.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _compares_fvs(node):
+    return isinstance(node, ast.Compare) and any(
+        isinstance(c, ast.Constant) and c.value == "fvs" for c in ast.walk(node))
+
+
+def _cyclic_zip(node):
+    """Whether node is zip(w, w[1:] + w[:1]): each entry of w paired with the
+    next, the last with the first."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zip"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.BinOp)):
+        return False
+    w, tail = ast.unparse(node.args[0]), node.args[1]
+    return ast.unparse(tail) == f"{w}[1:] + {w}[:1]"
+
+
+# The one header reader: parse_graph and _backed_size both read the header
+# line through textio._header.
+def test_only_header_reads_the_header_tokens():
+    assert _scopes(Path(textio.__file__), _compares_fvs) == {("textio.py", "_header")}
+
+
+# The one name table, read both ways: _rendered maps h tokens back to
+# vertices through the inverse of _file_names' table, parsing no integer.
+def test_rendered_maps_tokens_through_the_name_table():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(textio._rendered)))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and node.id == "int"]
+
+
+# hamiltonize tracks its cycles with the union-find that compute_two_factor
+# uses, not with cycle ids and member lists of its own.
+def test_merge_state_tracks_cycles_through_find():
+    tree = ast.parse(inspect.getsource(MergeState))
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attrs.isdisjoint({"cycle_of", "members"}) and {"parent", "cycles"} <= attrs
+    assert ("pipeline.py", "MergeState.join") in _callers("_find", "_find")
+
+
+# faces() returns dart walks, so no caller zips a vertex walk back into
+# darts; the LR port's clockwise links are the one cyclic zip, of a rotation.
+def test_no_face_walk_is_rebuilt_into_darts():
+    src = Path(fvskit.__file__).parent
+    zips = set().union(*(_scopes(path, _cyclic_zip) for path in sorted(src.glob("*.py"))))
+    assert zips == {("solvers.py", "check_planarity")}
 
 
 # The one cycle-cover check is reached only where a cycle certificate is

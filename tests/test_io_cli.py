@@ -675,6 +675,29 @@ class TestCli:
         assert main(["reduce", inp, "--target", target]) == 3
         assert f"malformed target {target!r}" in capsys.readouterr().err
 
+    def test_dash_reads_stdin_and_no_output_writes_stdout(self, tmp_path):
+        # run as a program, so that stdin and stdout are the process's own
+        inp = self._write_input(tmp_path)
+        src = str(Path(fvskit.__file__).resolve().parents[1])
+
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "fvskit.cli", *argv], input=C3_TEXT,
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        reduced = run_pipeline(parse_graph(C3_TEXT, k=1), "4reg-planar").instance
+        assert run("reduce", "-", "--target", "4reg-planar", "--k", "1") == write_graph(reduced)
+        assert run("solve", "-") == run("solve", inp) == "opt 1\ns 1\n"
+
+    def test_hamiltonian_search_cap_exits_5(self, tmp_path, capsys, monkeypatch):
+        # the input carries no witness, so ham-ordered searches for a cycle
+        monkeypatch.setattr(solvers, "HAM_STATE_CAP", 2)
+        inp = self._write_input(tmp_path)
+        assert main(["reduce", inp, "--target", "ham-ordered:4"]) == 5
+        assert capsys.readouterr().err == "undecided: hamiltonian search exceeded state cap\n"
+
     def test_python_dash_m_fvskit(self):
         src = str(Path(fvskit.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "fvskit", "--help"], capture_output=True,

@@ -30,6 +30,8 @@ from fvskit.pipeline import (
     PipelineError,
     StageResult,
     TwoFactor,
+    _closes,
+    _find,
     compute_two_factor,
     eliminate_degree_two,
     evenize,
@@ -229,6 +231,29 @@ class TestTwoFactor:
         tf = compute_two_factor(_pairing_output(make()))
         assert len(tf.components) <= cycles
 
+    def test_closes_follows_earlier_arcs(self):
+        # the second arc's first root, 1, was merged into 2 by the first arc
+        assert _closes({1: 1, 2: 2, 3: 3}, [(1, 2), (1, 3), (2, 3)]) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closes_counts_as_adding_the_arcs_would(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(2, 12)
+            parent = {v: v for v in range(n)}
+            for _ in range(rng.randint(0, n)):
+                u, w = rng.randrange(n), rng.randrange(n)
+                parent[_find(parent, u)] = _find(parent, w)
+            arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            # brute force: label each vertex by its component, then relabel as arcs join them
+            label = {v: _find(parent, v) for v in parent}
+            closed = 0
+            for u, w in arcs:
+                a, b = label[u], label[w]
+                closed += a == b
+                label = {v: b if c == a else c for v, c in label.items()}
+            assert _closes(dict(parent), arcs) == closed
+
     def test_calls_no_networkx(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("networkx called")
@@ -275,7 +300,7 @@ class TestMerge:
         out = state.builder.freeze()
         assert case == 1
         assert state.builder.k == 3 + 4  # one bridging L gadget
-        assert len(state.members) == 1
+        assert state.cycles == 1
         assert HamCycleWitness(state.cycle()).is_valid_for(out)
         assert check_regular(out, 4)
         assert check_planarity(out)[0]
@@ -289,7 +314,7 @@ class TestMerge:
         out = state.builder.freeze()
         assert case == 2
         assert state.builder.k == 3 + 8  # the spare edge threads through two L gadgets
-        assert len(state.members) == 1
+        assert state.cycles == 1
         assert HamCycleWitness(state.cycle()).is_valid_for(out)
         assert check_regular(out, 4)
         assert check_planarity(out)[0]
@@ -391,12 +416,12 @@ class TestPlaneEmbedding:
         state = _merge_state(name)
         b = state.builder
         merges = 0
-        while len(state.members) > 1:
+        while state.cycles > 1:
             merge_step(state)
             merges += 1
             walks = faces(b.freeze(), b.rotation)
             assert len(walks) == b.n_faces
-            walked = {frozenset(zip(w, w[1:] + w[:1])) for w in walks}
+            walked = {frozenset(w) for w in walks}
             indexed = {}
             for d, f in b.face.items():
                 indexed.setdefault(f, set()).add(d)

@@ -125,7 +125,7 @@ class TestExhaustive:
     def test_cycle_is_one(self):
         sol = fvs_exact_exhaustive(cycle_graph(6))
         assert sol.deleted == frozenset({1})  # lexicographically smallest
-        assert sol.optimal and sol.method == "exhaustive"
+        assert vars(sol).keys() == {"deleted"}  # the set is all a solution holds
 
     def test_k5_is_three(self):
         assert len(fvs_exact_exhaustive(complete_graph(5)).deleted) == 3
@@ -341,7 +341,6 @@ class TestBranchReduce:
             sol = fvs_branch_reduce(g)
             assert len(sol.deleted) == a
             assert is_fvs(g, sol.deleted)
-            assert sol.method == "branch-reduce"
 
     def test_small_budget_hint_still_optimal(self):
         assert len(fvs_branch_reduce(complete_graph(6)).deleted) == 4
